@@ -1,11 +1,11 @@
 """Resilience overhead guard: disarmed fault sites must stay (nearly) free.
 
 The PR-9 fault-tolerance layer threads :func:`repro.resilience.faults.fault_point`
-calls through the serving hot paths (spool claim/write, worker task loop,
-frame writes, subproblem entry).  With no plan installed the site is one
-module-global load plus an ``is None`` test; this suite guards that claim
-with absolute per-call ceilings, and records what an *armed but non-matching*
-plan costs (a dict miss under the plan lock).
+calls through the hot paths (the work-stealing worker's task loop, the
+serve flight leader, frame writes, client connects).  With no plan installed
+the site is one module-global load plus an ``is None`` test; this suite
+guards that claim with absolute per-call ceilings, and records what an
+*armed but non-matching* plan costs (a dict miss under the plan lock).
 
 The ceilings are deliberately loose (micro-benchmarks on shared CI runners
 jitter hard); they exist to catch a regression that turns the no-op path into
@@ -47,7 +47,7 @@ def _per_call(site: str) -> float:
 def test_disarmed_fault_point_is_near_free(benchmark):
     install_plan(None)
     try:
-        per_call = benchmark.pedantic(_per_call, args=("spool.claim",),
+        per_call = benchmark.pedantic(_per_call, args=("worker.task",),
                                       rounds=1, iterations=1)
     finally:
         install_plan(None)
@@ -60,7 +60,7 @@ def test_armed_plan_miss_stays_cheap(benchmark):
     # A plan armed for a *different* site: the hot path pays one dict miss.
     install_plan(parse_plan("serve.write_frame:drop:times=0"))
     try:
-        per_call = benchmark.pedantic(_per_call, args=("spool.claim",),
+        per_call = benchmark.pedantic(_per_call, args=("worker.task",),
                                       rounds=1, iterations=1)
     finally:
         install_plan(None)

@@ -63,7 +63,7 @@ def main() -> None:
     # 3. Parallel enumeration over the DC subproblems.
     # ------------------------------------------------------------------
     start = time.perf_counter()
-    parallel = ParallelDCFastQC(graph, gamma, theta, workers=2, chunk_size=16)
+    parallel = ParallelDCFastQC(graph, gamma, theta, workers=2)
     maximal = parallel.find_maximal()
     parallel_seconds = time.perf_counter() - start
     print(f"\nparallel DCFastQC (2 workers): {len(maximal)} maximal quasi-cliques "

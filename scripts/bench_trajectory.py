@@ -19,18 +19,16 @@ trajectory record to ``BENCH_core.json`` at the repository root:
   its own subprocess so peak RSS isolates one representation; the recorded
   ``speedup`` is the dict-over-CSR peak-RSS ratio and the row includes one
   budgeted enumerate query per backend;
-* ``parallel`` — shard vs work-stealing branch parallelism at 4 workers on a
-  planted-community graph whose one dominant subproblem serializes shard mode
-  (10^5 vertices full, 2*10^4 quick), plus a steal-overhead row on an
-  un-skewed multi-community graph.  The recorded ``speedup`` of the skewed
-  row is the machine-independent *balance* speedup — largest subproblem's
-  branch count over the busiest branch-parallel worker's branch count, i.e.
-  the critical-path ratio — so the number is comparable across hosts with
-  different core counts (wall-clock ratios are recorded next to it, flagged
-  ``single_core`` when the host cannot physically show parallel wall-clock
-  wins).  Both modes are parity-checked against the sequential ledger kernel
-  and the row asserts the planner auto-selects the right mode from the
-  observed branch histogram.
+* ``parallel`` — sequential vs work-stealing branch parallelism at 4 workers
+  on a planted-community graph whose one dominant subproblem holds most of
+  the branches (10^5 vertices full, 2*10^4 quick), plus an un-skewed
+  multi-community row.  The recorded ``speedup`` is the wall-clock ratio
+  ``sequential_s / branch_s``; each row also records ``affinity_cpus`` (the
+  CPUs the run could use) and, as a host-independent diagnostic,
+  ``balance_speedup`` (the largest subproblem's branch count over the
+  busiest worker's).  Branch mode is parity-checked against the sequential
+  ledger kernel, and ``auto_mode`` records whether the planner fans the
+  query out from the observed branch histogram.
 
 Committing the file after a perf-relevant change gives the repo a recorded
 perf trajectory that later PRs can regress against — one file, every
@@ -47,7 +45,10 @@ Usage::
 core datasets beat the reference kernel by the given factor;
 ``--assert-quickplus-speedup``, ``--assert-warm-speedup``,
 ``--assert-dynamic-speedup`` and ``--assert-rss-speedup`` do the same for
-the other suites (an RSS floor of 4 asserts CSR peaks under 25% of dict).  The CI
+the other suites (an RSS floor of 4 asserts CSR peaks under 25% of dict).
+``--assert-branch-speedup`` checks the skewed parallel row's wall-clock
+speedup over sequential; when the run had fewer affinity CPUs than workers it
+prints ``skipped: N affinity CPUs < W workers`` instead.  The CI
 perf-smoke job runs the quick suites with floors so kernel, cache or
 dynamic-path regressions fail the PR.  ``REPRO_BENCH_QUICK=1`` implies
 ``--quick``.
@@ -132,10 +133,9 @@ LARGE_GRAPH_SEED = 13
 
 #: Parallel suite rows: (name, vertices, background_edges, community_sizes,
 #: seed, gamma, theta, kind).  "skewed" plants one dense community whose
-#: subtree holds ~60% of all branches (a descending chain of similar-size
-#: balls, so size proxies cannot see the skew — only branch counts can);
-#: "uniform" plants several equal communities so shard mode load-balances and
-#: the row measures pure steal-protocol overhead.
+#: subtree holds ~60% of all branches; "uniform" plants several equal
+#: communities, so no subproblem dominates and the row measures what the
+#: fan-out costs against the sequential driver.
 PARALLEL_FULL = (
     ("planted-skew-100k", 100_000, 200_000, (32,), 7, 0.9, 10, "skewed"),
     ("planted-uniform-20k", 20_000, 40_000, (24,) * 16, 9, 0.9, 10, "uniform"),
@@ -451,29 +451,27 @@ def run_large_graph_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
 
 
 def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
-    """Shard vs work-stealing branch parallelism on planted-community graphs.
+    """Sequential vs work-stealing branch parallelism on planted-community graphs.
 
-    Each row runs the same query three ways — sequential ledger DCFastQC
-    (the parity oracle), shard mode and branch mode, both at
-    :data:`PARALLEL_WORKERS` workers — and then replans the query from the
-    observed branch histogram to check the planner picks the mode the
-    measurements favour.  The skewed row's ``speedup`` is the critical-path
-    (balance) ratio: the largest subproblem's branch count, which lower-bounds
-    shard wall-clock, over the busiest branch-parallel worker's branch count.
-    Branch counts are machine-independent, so the recorded trajectory is
-    comparable across hosts; wall-clock ratios ride along, with
-    ``single_core`` flagging hosts where parallel wall-clock wins are
-    physically impossible.  The uniform row's ``speedup`` is the shard/branch
-    wall ratio (>= 0.9 means stealing costs under 10% on un-skewed input).
+    Each row runs the same query two ways — sequential ledger DCFastQC (the
+    parity oracle) and branch mode at :data:`PARALLEL_WORKERS` workers — and
+    then replans it from the observed branch histogram to record whether the
+    planner fans it out.  ``speedup`` is the wall-clock ratio
+    ``sequential_s / branch_s``.  ``balance_speedup`` rides along as a
+    host-independent diagnostic: the largest subproblem's branch count over
+    the busiest worker's, i.e. how evenly stealing split the dominant
+    subtree.  ``affinity_cpus`` is the number of CPUs the run could use; with
+    fewer than ``workers`` the wall clock cannot show a parallel win.
     """
     from repro.engine.planner import PlannerConfig, QueryPlanner
-    from repro.extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
+    from repro.extensions.parallel import (LAST_PARALLEL_RUN, ParallelDCFastQC,
+                                           available_cpus)
     from repro.graph.generators import planted_quasi_clique_graph
 
     def _canonical(results):
         return sorted(sorted(map(str, clique)) for clique in results)
 
-    multicore = (os.cpu_count() or 1) >= PARALLEL_WORKERS
+    affinity_cpus = available_cpus()
     rows = {}
     for name, vertices, background, communities, seed, gamma, theta, kind in suite:
         graph = planted_quasi_clique_graph(vertices, background,
@@ -482,46 +480,28 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             repeat, lambda: DCFastQC(graph, gamma, theta, kernel="ledger"),
             lambda algo: algo.enumerate())
         branch_histogram = driver.statistics.subproblem_branches
-        expected = _canonical(sequential_results)
-
-        shard_s, _, shard_results = _best_of(
-            repeat, lambda: ParallelDCFastQC(graph, gamma, theta,
-                                             workers=PARALLEL_WORKERS,
-                                             mode="shard"),
-            lambda runner: runner.enumerate())
         branch_s, branch_runner, branch_results = _best_of(
             repeat, lambda: ParallelDCFastQC(graph, gamma, theta,
-                                             workers=PARALLEL_WORKERS,
-                                             mode="branch"),
+                                             workers=PARALLEL_WORKERS),
             lambda runner: runner.enumerate())
-        if _canonical(shard_results) != expected:
-            raise AssertionError(f"{name}: shard answers diverged from sequential")
-        if _canonical(branch_results) != expected:
+        if branch_runner.mode_selected != "branch":
+            raise AssertionError(f"{name}: the parallel run fell back to "
+                                 f"{branch_runner.mode_selected!r}")
+        if _canonical(branch_results) != _canonical(sequential_results):
             raise AssertionError(f"{name}: branch answers diverged from sequential")
 
         worker_branches = LAST_PARALLEL_RUN.get("worker_branches", {})
         steals = branch_runner.statistics.steals
         busiest = max(worker_branches.values()) if worker_branches else 0
         balance_speedup = (round(branch_histogram.max / busiest, 2)
-                          if busiest else 0.0)
-        wall_speedup = round(shard_s / branch_s, 2) if branch_s else float("inf")
+                           if busiest else 0.0)
 
-        # Replan from the run's own evidence: the planner must pick branch
-        # mode on the skewed row and keep shard on the uniform one.
+        # Replan from the run's own evidence: observed branch counts open the
+        # parallel gate although the planted core is small.
         prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(
-            gamma, theta, driver.statistics.subproblem_sizes)
-        prepared.record_subproblem_histogram(
-            gamma, theta, branch_histogram, kind="branches")
+        prepared.record_subproblem_histogram(gamma, theta, branch_histogram)
         plan = QueryPlanner(PlannerConfig(max_workers=PARALLEL_WORKERS)).plan(
             prepared, gamma, theta, workers=PARALLEL_WORKERS)
-        expected_mode = "branch" if kind == "skewed" else "shard"
-        if plan.parallel_mode != expected_mode:
-            raise AssertionError(
-                f"{name}: planner picked {plan.parallel_mode!r} from the "
-                f"observed branch histogram, expected {expected_mode!r} "
-                f"(skew {plan.skew_ratio:.2f} vs threshold "
-                f"{plan.skew_threshold:.2f})")
 
         row = {
             "gamma": gamma,
@@ -530,43 +510,40 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             "vertices": graph.vertex_count,
             "edges": graph.edge_count,
             "workers": PARALLEL_WORKERS,
+            "affinity_cpus": affinity_cpus,
             "branches": driver.statistics.branches_explored,
             "subproblems": branch_histogram.count,
             "largest_subproblem_branches": branch_histogram.max,
             "sequential_s": round(sequential_s, 3),
-            "shard_s": round(shard_s, 3),
             "branch_s": round(branch_s, 3),
             "steals": steals,
             "busiest_worker_branches": busiest,
             "balance_speedup": balance_speedup,
-            "wall_speedup": wall_speedup,
-            "single_core": not multicore,
-            "auto_mode": plan.parallel_mode,
-            "skew_ratio": round(plan.skew_ratio, 3),
+            "auto_mode": "branch" if plan.parallel else "sequential",
             "parity": True,
-            "speedup": balance_speedup if kind == "skewed" else wall_speedup,
+            "speedup": (round(sequential_s / branch_s, 2)
+                        if branch_s else float("inf")),
         }
         rows[name] = row
         if verbose:
             print(f"parallel   {name:18s} gamma={gamma} theta={theta} "
-                  f"[{kind}]: shard {row['shard_s']:.2f}s vs branch "
-                  f"{row['branch_s']:.2f}s, balance {balance_speedup}x "
-                  f"({steals} steals, auto={plan.parallel_mode}"
-                  f"{', single-core host' if not multicore else ''})")
+                  f"[{kind}]: sequential {row['sequential_s']:.2f}s vs branch "
+                  f"{row['branch_s']:.2f}s -> {row['speedup']}x, balance "
+                  f"{balance_speedup}x ({steals} steals, "
+                  f"auto={row['auto_mode']}, {affinity_cpus} affinity CPUs)")
     return {
-        "workload": ("shard vs work-stealing branch parallelism at "
+        "workload": ("sequential vs work-stealing branch parallelism at "
                      f"{PARALLEL_WORKERS} workers (planted-community graphs, "
                      "sequential-parity checked)"),
-        "modes": ["shard", "branch"],
         "datasets": rows,
         "summary": {
             "geomean_speedup": round(
                 _geomean(r["speedup"] for r in rows.values()
                          if r["kind"] == "skewed"), 2),
             "uniform_overhead_pct": next(
-                (round((r["branch_s"] / r["shard_s"] - 1.0) * 100, 1)
+                (round((r["branch_s"] / r["sequential_s"] - 1.0) * 100, 1)
                  for r in rows.values() if r["kind"] == "uniform"
-                 and r["shard_s"]), None),
+                 and r["sequential_s"]), None),
         },
     }
 
@@ -595,6 +572,33 @@ def _assert_floor(record: dict, suite_key: str, floor: float | None,
     else:
         print(f"OK: {suite_key} has {len(passing)}/{len(rows)} datasets at "
               f">= {floor}x ({', '.join(passing)})")
+
+
+def _assert_parallel_floor(record: dict, floor: float | None,
+                           failures: list[str]) -> None:
+    """Skewed parallel rows: branch mode's wall-clock speedup over sequential.
+
+    A row whose run had fewer affinity CPUs than workers cannot show a
+    parallel win, so its check is skipped and says so, never faked.
+    """
+    if floor is None:
+        return
+    if "parallel" not in record["suites"]:
+        failures.append(f"parallel: floor {floor}x requested but the suite "
+                        f"did not run (ran: {sorted(record['suites'])})")
+        return
+    for name, row in record["suites"]["parallel"]["datasets"].items():
+        if row["kind"] != "skewed":
+            continue
+        if row["affinity_cpus"] < row["workers"]:
+            print(f"parallel {name}: skipped: {row['affinity_cpus']} affinity "
+                  f"CPUs < {row['workers']} workers")
+        elif row["speedup"] < floor:
+            failures.append(f"parallel: {name} branch mode ran at "
+                            f"{row['speedup']}x sequential (floor {floor}x)")
+        else:
+            print(f"OK: parallel {name} at {row['speedup']}x over sequential "
+                  f"(>= {floor}x)")
 
 
 def main(argv=None) -> int:
@@ -626,9 +630,10 @@ def main(argv=None) -> int:
                         "the CSR delta by this factor (4 = CSR under 25%%)")
     parser.add_argument("--assert-branch-speedup", type=float, default=None,
                         metavar="FLOOR",
-                        help="parallel suite: the skewed row's balance speedup "
-                        "(branch mode's critical path vs shard's) must reach "
-                        "this factor")
+                        help="parallel suite: branch mode's wall-clock speedup "
+                        "over sequential on the skewed row must reach this "
+                        "factor (skipped when the run has fewer affinity "
+                        "CPUs than workers)")
     parser.add_argument("--assert-count", type=int, default=2, metavar="N",
                         help="how many datasets must meet each floor (default 2)")
     args = parser.parse_args(argv)
@@ -686,8 +691,7 @@ def main(argv=None) -> int:
                   1, failures)
     _assert_floor(record, "large-graph", args.assert_rss_speedup,
                   1, failures)
-    _assert_floor(record, "parallel", args.assert_branch_speedup,
-                  1, failures)
+    _assert_parallel_floor(record, args.assert_branch_speedup, failures)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

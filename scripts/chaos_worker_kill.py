@@ -1,16 +1,9 @@
 #!/usr/bin/env python
-"""Chaos-smoke legs: kill workers mid-task and prove full recovery.
+"""Chaos-smoke leg: kill a work-stealing worker mid-task and prove full recovery.
 
-Leg 1 (spool): spools every compact subproblem of a generated graph, starts a
-victim `repro worker` subprocess armed (via ``REPRO_FAULTS``) to stall forever
-inside its first task, SIGKILLs it once it holds a claim, then lets a
-surviving worker drain the spool.  The run passes only if the merged spool
-answer is exactly the sequential DCFastQC answer, the dead-letter directory is
-empty, and at least one task visibly went through the lease-reclaim machinery.
-
-Leg 2 (branch-parallel): arms the same ``worker.task`` fault site to SIGKILL a
-work-stealing branch-parallel worker mid-task, runs
-``ParallelDCFastQC(mode="branch")`` and requires the crash to fall back to the
+Arms the ``worker.task`` fault site to kill a branch-parallel steal worker
+(``os._exit``, the in-process equivalent of SIGKILL) inside its first task,
+runs ``ParallelDCFastQC`` and requires the crash to fall back to the
 sequential path with an answer identical to a clean sequential run — and, the
 point of the leg, that every ``/dev/shm`` shared-memory segment the steal
 coordinator published was unlinked despite the crash.
@@ -21,13 +14,8 @@ Run from the repo root:  PYTHONPATH=src python scripts/chaos_worker_kill.py
 from __future__ import annotations
 
 import glob
-import os
 import random
-import signal
-import subprocess
 import sys
-import tempfile
-import time
 
 sys.path.insert(0, "src")
 
@@ -36,7 +24,6 @@ from repro.core.dcfastqc import DCFastQC
 from repro.extensions.parallel import ParallelDCFastQC
 from repro.extensions.stealing import SEGMENT_PREFIX
 from repro.resilience.faults import install_plan, reset_plan
-from repro.serve.worker import SpoolQueue, SpoolWorker, WorkTask
 from repro.settrie.filter import filter_non_maximal
 
 GAMMA, THETA = 0.85, 4
@@ -53,74 +40,6 @@ def _random_graph(seed: int = 11, vertices: int = 36, edges: int = 260) -> Graph
 
 
 def main() -> int:
-    graph = _random_graph()
-    sequential = set(filter_non_maximal(
-        DCFastQC(graph, GAMMA, THETA).enumerate(), theta=THETA))
-
-    with tempfile.TemporaryDirectory(prefix="chaos-spool-") as root:
-        spool_dir = os.path.join(root, "spool")
-        spool = SpoolQueue(spool_dir, lease_seconds=0.5, max_attempts=5)
-        subproblems = tuple(
-            DCFastQC(graph, GAMMA, THETA).iter_compact_subproblems())
-        ids = spool.submit_subproblems(subproblems, GAMMA, THETA)
-        tasks = {task_id: WorkTask(task_id=task_id, subproblem=subproblem,
-                                   gamma=GAMMA, theta=THETA)
-                 for task_id, subproblem in zip(ids, subproblems)}
-        print(f"spooled {len(ids)} tasks under {spool_dir}")
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")]))
-        env["REPRO_FAULTS"] = "worker.task:delay=600"
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--spool", spool_dir,
-             "--lease-seconds", "0.5"],
-            env=env)
-        try:
-            deadline = time.monotonic() + 30
-            while not os.listdir(spool.claimed_dir):
-                if time.monotonic() >= deadline:
-                    raise SystemExit("victim worker never claimed a task")
-                time.sleep(0.02)
-            print(f"victim pid {victim.pid} holds a claim; sending SIGKILL")
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=10)
-        finally:
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait(timeout=10)
-
-        survivor = SpoolWorker(spool)
-        survivor.run(idle_timeout=1.5)
-        results = spool.collect(ids, timeout=60, tasks=tasks)
-
-        candidates: set = set()
-        for result in results:
-            candidates.update(result.cliques)
-        got = set(filter_non_maximal(
-            sorted(candidates, key=lambda h: (-len(h), sorted(map(str, h)))),
-            theta=THETA))
-
-        if got != sequential:
-            raise SystemExit(
-                f"parity broken: spool answer {len(got)} cliques vs "
-                f"sequential {len(sequential)}")
-        dead = spool.dead_letters()
-        if dead:
-            raise SystemExit(f"dead-letter dir not empty: {dead}")
-        reclaimed = [r for r in results if r.attempts > 0]
-        if not reclaimed:
-            raise SystemExit("no task carried a bumped attempt count; the "
-                             "lease-reclaim path never ran")
-        print(f"recovered: {len(got)} cliques match sequential parity, "
-              f"{len(reclaimed)} task(s) reclaimed from the killed worker, "
-              "dead-letter dir empty")
-
-    branch_parallel_leg()
-    return 0
-
-
-def branch_parallel_leg() -> None:
     """SIGKILL a branch-parallel steal worker; require fallback parity and
     zero leaked shared-memory segments."""
     graph = _random_graph(seed=23)
@@ -128,7 +47,7 @@ def branch_parallel_leg() -> None:
         DCFastQC(graph, GAMMA, THETA).enumerate(), theta=THETA))
     install_plan("worker.task:kill:times=1")
     try:
-        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2, mode="branch")
+        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
         answers = set(runner.find_maximal())
     finally:
         reset_plan()
@@ -145,6 +64,7 @@ def branch_parallel_leg() -> None:
                          f"kill: {leaked}")
     print(f"branch-parallel kill: sequential fallback matches parity "
           f"({len(answers)} cliques), /dev/shm clean")
+    return 0
 
 
 if __name__ == "__main__":

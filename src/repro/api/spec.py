@@ -40,11 +40,10 @@ WORKLOADS = ("enumerate", "topk", "containment", "count")
 #: ``algorithm`` values a spec accepts ("auto" defers to the planner).
 SPEC_ALGORITHMS = ("auto",) + ALGORITHMS
 
-#: ``parallel`` values a spec accepts: "auto" lets the planner pick between
-#: sharding whole DC subproblems and work-stealing branch parallelism from the
-#: subproblem-size skew, "none" forces the sequential driver, and
-#: "shard"/"branch" force one parallel mode.
-SPEC_PARALLEL_MODES = ("auto", "none", "shard", "branch")
+#: ``parallel`` values a spec accepts: "auto" lets the planner decide whether
+#: to fan DC subproblems out to work-stealing workers, "none" forces the
+#: sequential driver, and "branch" forces the fan-out.
+SPEC_PARALLEL_MODES = ("auto", "none", "branch")
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,10 @@ class QuerySpec:
         identical answers on identical branch trees.
     parallel:
         Parallel execution mode for divide-and-conquer plans: ``"auto"``
-        (default — the planner picks shard- or branch-parallelism from the
-        subproblem-size skew, or stays serial), ``"none"``, ``"shard"`` or
-        ``"branch"``.  Like worker counts this is an execution-resource knob:
+        (default — the planner fans out to work-stealing workers when the core
+        is large or an earlier run observed enough branches, else stays
+        serial), ``"none"`` or ``"branch"`` (always fan out).  Like worker
+        counts this is an execution-resource knob:
         every mode computes identical answers, so it does not participate in
         the cache key.
     k:
@@ -179,7 +179,7 @@ class QuerySpec:
         Budgets and output options are deliberately excluded — they shape the
         delivered copy, not the cached full result (budget-truncated results
         are never cached at all).  ``parallel`` is excluded too: execution
-        resources never change the answer, so a shard-parallel and a
+        resources never change the answer, so a sequential and a
         branch-parallel run of the same query share one cache entry.  Gamma is
         normalised to an exact fraction so ``0.9`` and ``Fraction(9, 10)``
         address the same entry.

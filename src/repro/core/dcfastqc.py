@@ -59,8 +59,8 @@ class CompactSubproblem:
     ``adjacency_masks[i]`` its neighbour bitmask *within the subproblem*, so
     bitmask and ledger widths track ``len(labels)`` instead of the input
     graph's vertex count.  The payload is a plain tuple-of-ints structure on
-    purpose: :class:`repro.extensions.parallel.ParallelDCFastQC` pickles it to
-    worker processes verbatim.
+    purpose: :mod:`repro.extensions.stealing` copies it into one shared-memory
+    segment per subproblem for its worker processes.
 
     ``halo_labels`` / ``halo_adjacency`` carry the subproblem's **one-hop
     maximality halo**: every full-graph neighbour of a subproblem member that

@@ -83,15 +83,14 @@ class SearchStatistics:
     shrink_removed_two_hop: int = 0
     shrink_ledger_updates: int = 0
     #: Branch-parallel runs only: subtrees stolen between workers and the
-    #: summed worker busy wall-clock (both 0 for sequential/shard runs).
+    #: summed worker busy wall-clock (both 0 for sequential runs).
     steals: int = 0
     parallel_busy_seconds: float = 0.0
     subproblem_sizes: SizeHistogram = field(default_factory=SizeHistogram)
-    #: Branches explored per DC subproblem.  Unlike the ball-size histogram
-    #: this measures *work directly*, so the planner prefers it for the
-    #: shard/branch skew decision once a run has recorded it.  Branch-parallel
-    #: runs leave it empty: stolen subtrees cross workers, so per-subproblem
-    #: attribution is only possible on sequential/shard/inline runs.
+    #: Branches explored per DC subproblem — work measured directly; its
+    #: total opens the planner's parallel gate once a run has recorded it.
+    #: Branch-parallel runs leave it empty: stolen subtrees cross workers, so
+    #: per-subproblem attribution is only possible on sequential runs.
     subproblem_branches: SizeHistogram = field(default_factory=SizeHistogram)
 
     def as_dict(self) -> dict:

@@ -333,12 +333,12 @@ class MQCEEngine:
                                size_bound=prepared.size_upper_bound(resolved.gamma),
                                tracer=tracer, progress=progress)
         if plan.parallel and resolved.time_limit is None:
-            # The process-pool driver has no cooperative-cancellation channel,
+            # The work-stealing driver has no cooperative-cancellation channel,
             # so budgeted queries always take the sequential path.  (It has no
             # branch-tick channel either; `progress` only applies below.)
             runner = ParallelDCFastQC(graph, plan.gamma, plan.theta,
                                       branching=plan.branching, kernel=plan.kernel,
-                                      workers=plan.workers, mode=plan.parallel_mode)
+                                      workers=plan.workers)
             with tracer.span("enumerate", algorithm=plan.algorithm,
                              parallel=True) as enumerate_span:
                 candidates = runner.enumerate()
@@ -347,31 +347,23 @@ class MQCEEngine:
             with tracer.span("filter") as filter_span:
                 maximal = filter_non_maximal(candidates, theta=plan.theta)
                 filter_span.annotate(maximal=len(maximal))
-            # Feed the observed subproblem-size histogram back to the planner:
-            # the next plan for this (gamma, theta) decides shard-vs-branch
-            # from real evidence instead of the sampled estimate.
-            prepared.record_subproblem_histogram(
-                plan.gamma, plan.theta, runner.statistics.subproblem_sizes)
-            prepared.record_subproblem_histogram(
-                plan.gamma, plan.theta, runner.statistics.subproblem_branches,
-                kind="branches")
-            return EnumerationResult(
+            result = EnumerationResult(
                 maximal_quasi_cliques=canonical_order(maximal),
                 candidate_quasi_cliques=list(candidates),
                 algorithm=plan.algorithm, gamma=plan.gamma, theta=plan.theta,
                 search_statistics=runner.statistics,
                 enumeration_seconds=enumerate_span.seconds,
                 filtering_seconds=filter_span.seconds)
-        result = run_enumeration(graph, resolved, tracer=tracer, progress=progress)
+        else:
+            result = run_enumeration(graph, resolved, tracer=tracer,
+                                     progress=progress)
         if result.search_statistics is not None:
-            # Sequential DC runs observe the same decomposition; recording the
-            # histogram (no-op when empty) lets the next plan for this
-            # (gamma, theta) pick shard vs branch from evidence.
-            prepared.record_subproblem_histogram(
-                plan.gamma, plan.theta, result.search_statistics.subproblem_sizes)
+            # Per-subproblem branch counts (recorded by sequential DC runs; a
+            # no-op otherwise) open the parallel gate for the next plan of
+            # this (gamma, theta) once the observed work is large.
             prepared.record_subproblem_histogram(
                 plan.gamma, plan.theta,
-                result.search_statistics.subproblem_branches, kind="branches")
+                result.search_statistics.subproblem_branches)
         return result
 
     def _record(self, plan: QueryPlan, cached: bool, seconds: float) -> None:

@@ -8,8 +8,8 @@ enumeration itself — and produces an explainable :class:`QueryPlan` that fixes
   ``naive``) and its **framework** (divide-and-conquer or not),
 * the **branching** rule (``hybrid`` / ``sym-se`` / ``se``), and
 * whether to fan the divide-and-conquer subproblems out to
-  :class:`~repro.extensions.parallel.ParallelDCFastQC` and with how many
-  workers.
+  :class:`~repro.extensions.parallel.ParallelDCFastQC`'s work-stealing
+  workers, and to how many.
 
 Every choice is exact — all four MQCE-S1 algorithms enumerate the same maximal
 quasi-cliques after MQCE-S2 filtering — so planning only affects cost, never
@@ -20,13 +20,11 @@ ordering overhead is wasted on cores too small to decompose.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, asdict
 
 from ..api.spec import SPEC_PARALLEL_MODES
 from ..core.kernel import KERNELS
-from ..extensions.parallel import (BRANCH_OVERHEAD, branch_histogram_skew,
-                                   branch_mode_wins, histogram_skew)
+from ..extensions.parallel import available_cpus
 from ..obs.metrics import REGISTRY
 from ..pipeline.mqce import ALGORITHMS
 from ..quasiclique.definitions import gamma_fraction, validate_parameters
@@ -37,7 +35,7 @@ _PLANS = REGISTRY.counter(
     "Plans served by QueryPlanner.plan, by chosen algorithm and source")
 _PARALLEL_PLANS = REGISTRY.counter(
     "repro_planner_parallel_plans_total",
-    "Plans that fan divide-and-conquer subproblems out to a process pool")
+    "Plans that fan divide-and-conquer subproblems out to work-stealing workers")
 _TRIVIAL_PLANS = REGISTRY.counter(
     "repro_planner_trivial_plans_total",
     "Plans where preprocessing proved the answer empty")
@@ -85,20 +83,6 @@ class QueryPlan:
     eligible_components: int
     size_upper_bound: int
     estimated_cost: float
-    #: How a parallel plan executes: "none" (serial), "shard" (whole-subproblem
-    #: fan-out) or "branch" (work-stealing inside subproblems).  The skew
-    #: fields record the decision's inputs: the largest subproblem's estimated
-    #: share of the total work, the share above which branch mode wins at this
-    #: worker count, the largest histogram entry itself, and where the
-    #: histogram came from — "observed-branches" (per-subproblem branch counts
-    #: from a completed run; work measured directly, linear weights),
-    #: "observed-sizes" (ball sizes from a completed run; quadratic proxy) or
-    #: "estimated" (the planner's sampled two-hop estimate; quadratic proxy).
-    parallel_mode: str = "none"
-    skew_ratio: float = 0.0
-    skew_threshold: float = 0.0
-    largest_subproblem: int = 0
-    histogram_source: str = "none"
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -111,8 +95,7 @@ class QueryPlan:
 
     def describe(self) -> str:
         """Human-readable multi-line explanation (the ``explain`` output)."""
-        mode = (f"parallel-{self.parallel_mode} x{self.workers}"
-                if self.parallel else "serial")
+        mode = f"parallel x{self.workers}" if self.parallel else "serial"
         lines = [
             f"QueryPlan for gamma={self.gamma}, theta={self.theta} "
             f"on graph {self.fingerprint} "
@@ -128,15 +111,6 @@ class QueryPlan:
             f"{self.size_upper_bound} vertices (degeneracy bound)",
             f"  est. cost:  {self.estimated_cost:.3g} relative units",
         ]
-        if self.parallel:
-            unit = ("branches" if self.histogram_source == "observed-branches"
-                    else "vertices")
-            lines.append(
-                f"  parallel:   {self.parallel_mode} mode — largest subproblem "
-                f"({self.largest_subproblem} {unit}) holds "
-                f"{self.skew_ratio:.0%} of the estimated work "
-                f"(branch threshold {self.skew_threshold:.0%} at "
-                f"{self.workers} workers, {self.histogram_source} histogram)")
         if self.trivial:
             lines.append("  verdict:    TRIVIAL — the answer is provably empty; "
                          "enumeration will be skipped")
@@ -176,11 +150,10 @@ class QueryPlanner:
         ``kernel`` and ``workers`` likewise override the planner when given.
         ``parallel`` requests an execution mode
         (:data:`~repro.api.spec.SPEC_PARALLEL_MODES`): with ``"auto"`` the
-        planner reads the subproblem-size histogram — a completed run's
-        observed one if the prepared graph has it, else a sampled two-hop
-        estimate — and picks work-stealing branch parallelism when the largest
-        subproblem dominates.  Planning never runs the enumeration: it reads
-        only memoized artifacts.
+        planner fans the divide-and-conquer subproblems out to work-stealing
+        workers when the core is large, or when a completed run of this
+        ``(gamma, theta)`` observed enough branches.  Planning never runs the
+        enumeration: it reads only memoized artifacts.
         """
         validate_parameters(gamma, theta)
         if algorithm != "auto" and algorithm not in ALGORITHMS:
@@ -195,8 +168,8 @@ class QueryPlanner:
         # so they are memoized alongside the other prepared artifacts; repeated
         # (and cache-hit) queries skip the per-component eligibility scan.
         # The histogram version is part of the key: a completed run that
-        # records fresh subproblem-size evidence re-opens the shard/branch
-        # decision instead of serving a plan made from the sampled estimate.
+        # records fresh branch counts re-opens the parallel decision instead
+        # of serving a plan made without them.
         cache_key = (self.config, gamma_fraction(gamma), int(theta),
                      algorithm, branching, kernel, workers, parallel,
                      prepared.histogram_version)
@@ -252,14 +225,14 @@ class QueryPlanner:
             reasons.append("reference kernel forced: mask/popcount implementation "
                            "(differential-testing oracle)")
 
-        # An explicit worker count is honoured as-is; the default derives from
-        # the machine (CPU count, capped by the planner configuration).
-        available = min(self.config.max_workers, os.cpu_count() or 1)
-        requested = workers if workers is not None else available
+        # An explicit worker count is honoured as-is; the default is the CPUs
+        # this process may run on, capped by the planner configuration.
+        requested = (workers if workers is not None
+                     else min(self.config.max_workers, available_cpus()))
         # The parallel gate opens on any of: a core big enough that fan-out is
         # worth it on size alone, observed work (branch counts from a completed
         # run — a tiny core can still hold seconds of enumeration), or an
-        # explicitly forced mode.
+        # explicit parallel="branch".
         branch_evidence = prepared.subproblem_branch_histogram(gamma, theta)
         observed_branches = branch_evidence.total if branch_evidence else 0
         fan_out = (chosen == "dcfastqc"
@@ -267,20 +240,24 @@ class QueryPlanner:
                    and parallel != "none"
                    and (core_kept >= self.config.parallel_min_vertices
                         or observed_branches >= self.config.parallel_min_branches
-                        or parallel in ("shard", "branch")))
+                        or parallel == "branch"))
         effective_workers = requested if fan_out else 1
         if fan_out:
             if core_kept >= self.config.parallel_min_vertices:
                 reasons.append(
                     f"core of {core_kept} vertices exceeds the parallel threshold "
                     f"({self.config.parallel_min_vertices}): fanning DC subproblems "
-                    f"out to {effective_workers} workers")
+                    f"out to {effective_workers} work-stealing workers")
             elif observed_branches >= self.config.parallel_min_branches:
                 reasons.append(
                     f"an observed run explored {observed_branches} branches "
                     f"(>= {self.config.parallel_min_branches}): enough work to "
-                    f"fan out to {effective_workers} workers despite the "
-                    f"{core_kept}-vertex core")
+                    f"fan out to {effective_workers} work-stealing workers "
+                    f"despite the {core_kept}-vertex core")
+            if parallel == "branch":
+                reasons.append(
+                    f"parallel mode 'branch' forced by the caller: "
+                    f"{effective_workers} work-stealing workers")
         elif parallel == "none" and requested > 1 and chosen == "dcfastqc":
             reasons.append("parallelism disabled by the caller (parallel='none')")
         elif workers is not None and workers > 1:
@@ -289,57 +266,6 @@ class QueryPlanner:
                 f"{core_kept} vertices is below the threshold "
                 f"({self.config.parallel_min_vertices}) or the algorithm is "
                 "not divide-and-conquer")
-
-        # Shard vs branch: the skew rule shared with the runtime.  Even a
-        # forced mode records the histogram evidence so explain() shows what
-        # the planner knew.
-        parallel_mode = "none"
-        skew_ratio = 0.0
-        skew_threshold = 0.0
-        largest_subproblem = 0
-        histogram_source = "none"
-        if fan_out:
-            skew_threshold = (1.0 + BRANCH_OVERHEAD) / effective_workers
-            # Evidence quality ladder: per-subproblem branch counts from a
-            # completed run measure the work directly (linear weights); ball
-            # sizes — observed or sampled — only proxy it quadratically, and a
-            # descending chain of similar-size balls can hide a dominant
-            # subtree that branch counts expose.
-            histogram = branch_evidence
-            if histogram is not None:
-                histogram_source = "observed-branches"
-                largest_work, total_work = branch_histogram_skew(histogram)
-            else:
-                histogram = prepared.subproblem_histogram(gamma, theta)
-                if histogram is not None:
-                    histogram_source = "observed-sizes"
-                else:
-                    histogram = prepared.estimate_subproblem_histogram(gamma, theta)
-                    histogram_source = "estimated"
-                largest_work, total_work = histogram_skew(histogram)
-            skew_ratio = largest_work / total_work if total_work else 0.0
-            largest_subproblem = histogram.max
-            unit = ("branches" if histogram_source == "observed-branches"
-                    else "vertices")
-            if parallel in ("shard", "branch"):
-                parallel_mode = parallel
-                reasons.append(f"parallel mode {parallel!r} forced by the caller")
-            elif branch_mode_wins(largest_work, total_work, effective_workers):
-                parallel_mode = "branch"
-                reasons.append(
-                    f"largest subproblem ({largest_subproblem} {unit}, "
-                    f"{histogram_source} histogram) holds {skew_ratio:.0%} of "
-                    f"the estimated work >= threshold {skew_threshold:.0%}: "
-                    "sharding would serialize on it, so work-stealing branch "
-                    "parallelism splits inside it")
-            else:
-                parallel_mode = "shard"
-                reasons.append(
-                    f"subproblem sizes are even (largest holds "
-                    f"{skew_ratio:.0%} of the estimated work < threshold "
-                    f"{skew_threshold:.0%}, {histogram_source} histogram): "
-                    "whole-subproblem sharding parallelises without steal "
-                    "overhead")
 
         estimated_cost = self._estimate_cost(prepared, core_kept, chosen)
         if core_kept < theta or bound < theta:
@@ -352,10 +278,6 @@ class QueryPlanner:
             gamma=gamma, theta=theta, algorithm=chosen, branching=branching,
             framework=framework, kernel=kernel,
             parallel=fan_out, workers=effective_workers,
-            parallel_mode=parallel_mode, skew_ratio=skew_ratio,
-            skew_threshold=skew_threshold,
-            largest_subproblem=largest_subproblem,
-            histogram_source=histogram_source,
             fingerprint=prepared.fingerprint,
             graph_vertices=prepared.graph.vertex_count,
             graph_edges=prepared.graph.edge_count,
@@ -369,7 +291,7 @@ class QueryPlanner:
         prepared.plan_cache[cache_key] = plan
         _PLANS.inc(algorithm=plan.algorithm, source="computed")
         if plan.parallel:
-            _PARALLEL_PLANS.inc(mode=plan.parallel_mode)
+            _PARALLEL_PLANS.inc()
         if plan.trivial:
             _TRIVIAL_PLANS.inc()
         return plan

@@ -35,7 +35,7 @@ from ..core.stats import SizeHistogram
 from ..graph.core_decomposition import core_numbers, degeneracy_ordering
 from ..graph.graph import Graph, VertexLabel
 from ..graph.statistics import GraphStatistics, graph_statistics
-from ..graph.subgraph import connected_components, two_hop_mask
+from ..graph.subgraph import connected_components
 from ..quasiclique.definitions import degree_threshold, gamma_fraction
 from .fingerprint import graph_fingerprint
 
@@ -66,18 +66,13 @@ class PreparedGraph:
         #: Memoized QueryPlans, populated by QueryPlanner.plan (plans are
         #: deterministic in the prepared graph and the query configuration).
         self.plan_cache: dict = {}
-        #: Observed DC subproblem-size histograms from completed enumerations,
-        #: keyed by ``(gamma_fraction, theta)``.  The planner's shard/branch
-        #: decision prefers these over the sampled estimate; the version
+        #: Observed per-subproblem branch-count histograms from completed
+        #: enumerations, keyed by ``(gamma_fraction, theta)``: the evidence
+        #: that opens the planner's parallel gate for small cores.  The version
         #: counter is part of the plan memo key, so recording a new histogram
         #: invalidates plans computed without it.
-        self.observed_histograms: dict[tuple, SizeHistogram] = {}
-        #: Observed per-subproblem *branch count* histograms — work measured
-        #: directly rather than via the quadratic ball-size proxy.  The
-        #: planner prefers these when present (``kind="branches"``).
         self.observed_branch_histograms: dict[tuple, SizeHistogram] = {}
         self.histogram_version = 0
-        self._estimated_histograms: dict[tuple, SizeHistogram] = {}
 
     # ------------------------------------------------------------------
     # Lazily computed artifacts
@@ -161,83 +156,33 @@ class PreparedGraph:
         return min(bound, self.graph.vertex_count)
 
     # ------------------------------------------------------------------
-    # Subproblem-size histograms (the planner's shard/branch evidence)
+    # Observed work (the planner's parallel-gate evidence)
     # ------------------------------------------------------------------
     def record_subproblem_histogram(self, gamma: float, theta: int,
-                                    histogram: SizeHistogram,
-                                    kind: str = "sizes") -> None:
-        """Remember what a completed run actually observed about its subproblems.
+                                    histogram: SizeHistogram) -> None:
+        """Remember the per-subproblem branch counts a completed run observed.
 
-        ``kind="sizes"`` records ball sizes; ``kind="branches"`` records the
-        per-subproblem branch counts, which measure work directly and which
-        the planner prefers.  Only non-empty histograms are kept (a trivial or
-        non-DC run says nothing about subproblem skew).  The version counter
-        bumps only when the stored evidence changes, so repeat queries do not
-        churn the plan memo.
+        Only non-empty histograms are kept (a trivial, non-DC or
+        branch-parallel run records none).  The version counter bumps only
+        when the stored evidence changes, so repeat queries do not churn the
+        plan memo.
         """
-        if kind not in ("sizes", "branches"):
-            raise ValueError(f"kind must be 'sizes' or 'branches', got {kind!r}")
         if not histogram:
             return
-        store = (self.observed_branch_histograms if kind == "branches"
-                 else self.observed_histograms)
         key = (gamma_fraction(gamma), int(theta))
-        previous = store.get(key)
+        previous = self.observed_branch_histograms.get(key)
         if previous is not None and (previous.count == histogram.count
                                      and previous.max == histogram.max
                                      and previous.total == histogram.total):
             return
-        store[key] = histogram
+        self.observed_branch_histograms[key] = histogram
         self.histogram_version += 1
-
-    def subproblem_histogram(self, gamma: float, theta: int) -> SizeHistogram | None:
-        """The observed subproblem-size histogram for ``(gamma, theta)``, if any."""
-        return self.observed_histograms.get((gamma_fraction(gamma), int(theta)))
 
     def subproblem_branch_histogram(self, gamma: float,
                                     theta: int) -> SizeHistogram | None:
         """The observed per-subproblem branch-count histogram, if any."""
         return self.observed_branch_histograms.get(
             (gamma_fraction(gamma), int(theta)))
-
-    def estimate_subproblem_histogram(self, gamma: float, theta: int,
-                                      samples: int = 32) -> SizeHistogram:
-        """A sampled estimate of the DC subproblem-size distribution.
-
-        Mirrors DCFastQC's decomposition (2-hop ball of each root among the
-        not-yet-processed core vertices, in degeneracy order) at ``samples``
-        evenly spaced roots, without the per-subproblem shrinking — an upper
-        estimate that preserves the skew shape the planner cares about.
-        Memoized per ``(gamma, theta, samples)``.
-        """
-        key = (gamma_fraction(gamma), int(theta), int(samples))
-        hit = self._estimated_histograms.get(key)
-        if hit is not None:
-            return hit
-        histogram = SizeHistogram()
-        core_mask = self.core_mask(gamma, theta)
-        order = [v for v in self.degeneracy_order
-                 if (core_mask >> self.graph.index_of(v)) & 1]
-        if order:
-            count = min(max(1, samples), len(order))
-            step = len(order) / count
-            positions = sorted({int(i * step) for i in range(count)})
-            prior_mask = 0
-            position = 0
-            targets = iter(positions)
-            target = next(targets)
-            for position, root in enumerate(order):
-                root_index = self.graph.index_of(root)
-                if position == target:
-                    remaining = core_mask & ~prior_mask
-                    ball = two_hop_mask(self.graph, root_index, remaining)
-                    histogram.record(ball.bit_count())
-                    target = next(targets, None)
-                    if target is None:
-                        break
-                prior_mask |= 1 << root_index
-        self._estimated_histograms[key] = histogram
-        return histogram
 
     # ------------------------------------------------------------------
     # Lifecycle

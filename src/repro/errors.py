@@ -79,40 +79,6 @@ class FaultInjectedError(ReproError):
         self.site = site
 
 
-class SpoolCorruptionError(ReproError):
-    """A spool payload failed its checksum (truncated or corrupt pickle)."""
-
-
-class TaskPoisonedError(ReproError):
-    """A spooled task exhausted its attempt budget and was quarantined.
-
-    Raised by :meth:`repro.serve.worker.SpoolQueue.collect` once a task has
-    been moved to the dead-letter directory; carries the quarantine report.
-    """
-
-    def __init__(self, message: str = "task poisoned", *,
-                 task_id: str | None = None, report: dict | None = None) -> None:
-        super().__init__(message)
-        self.task_id = task_id
-        self.report = report
-
-
-class SpoolTimeoutError(ReproError):
-    """A spool collect timed out; partial progress rides on the exception.
-
-    ``completed`` holds every :class:`~repro.serve.worker.TaskResult` already
-    collected (nothing is discarded) and ``outstanding`` the task ids still
-    missing, so a coordinator can resume, report, or degrade gracefully.
-    """
-
-    def __init__(self, message: str = "spool collect timed out", *,
-                 completed: list | None = None,
-                 outstanding: list | None = None) -> None:
-        super().__init__(message)
-        self.completed = completed or []
-        self.outstanding = outstanding or []
-
-
 class CircuitOpenError(ReproError):
     """A circuit breaker is open: the request fails fast instead of running.
 
@@ -147,9 +113,6 @@ __all__ = [
     "EngineError",
     "ServiceOverloadedError",
     "FaultInjectedError",
-    "SpoolCorruptionError",
-    "TaskPoisonedError",
-    "SpoolTimeoutError",
     "CircuitOpenError",
     "DeadlineExceededError",
     "ConnectionLostError",

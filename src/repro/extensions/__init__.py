@@ -13,8 +13,7 @@ from .topk import (
     top_k_summary,
 )
 from .query import QueryError, community_of, find_quasi_cliques_containing
-from .parallel import (PARALLEL_MODES, ParallelDCFastQC, parallel_enumerate,
-                       run_compact_subproblem)
+from .parallel import ParallelDCFastQC, parallel_enumerate, run_compact_subproblem
 from .stealing import (ForcedStealSchedule, WorkerCrash,
                        branch_parallel_enumerate)
 
@@ -27,7 +26,6 @@ __all__ = [
     "QueryError",
     "community_of",
     "find_quasi_cliques_containing",
-    "PARALLEL_MODES",
     "ParallelDCFastQC",
     "parallel_enumerate",
     "run_compact_subproblem",

@@ -1,9 +1,10 @@
 """Intra-subproblem work stealing over shared-memory compact subproblems.
 
-:class:`~repro.extensions.parallel.ParallelDCFastQC` shards *whole* DC
-subproblems across a process pool, which serializes the run whenever one
+Handing *whole* DC subproblems to workers serializes the run whenever one
 subproblem dominates — the common case on skewed degree distributions, where
-the hub vertex's 2-hop ball holds most of the work.  This module parallelises
+the hub vertex's 2-hop ball holds most of the work.  This module, the
+multi-process path behind
+:class:`~repro.extensions.parallel.ParallelDCFastQC`, also parallelises
 *inside* a subproblem: the explicit work-stack driver
 (:func:`repro.core.kernel.depth_first_enumerate`) exposes its pending subtrees,
 so an idle worker can steal one from the **bottom** of a busy worker's stack
@@ -279,7 +280,7 @@ class _WorkerRuntime:
 
     One :class:`FastQC` engine per attached subproblem (reused across tasks of
     that subproblem, so per-worker ``_seen_masks`` dedup and statistics
-    accumulate exactly like a pool worker's); one global emission buffer
+    accumulate across its tasks); one global emission buffer
     flushed with each ``done`` event; and a ``parked`` table mapping published
     steal ids to the frames awaiting the thief's verdict.
     """

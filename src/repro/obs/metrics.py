@@ -14,8 +14,8 @@ the process lives.  :meth:`MetricsRegistry.render_prometheus` emits the
 Prometheus text exposition format (the page a future ``repro serve`` scrape
 endpoint returns; available today via ``repro engine stats --prometheus``),
 and :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge` move
-metric deltas across process boundaries — :class:`ParallelDCFastQC` workers
-snapshot a local registry and the parent merges it into :data:`REGISTRY`.
+metric deltas across process boundaries: a child process snapshots a local
+registry and the parent merges it into :data:`REGISTRY`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ of it die, stall, or lie:
 * :mod:`repro.resilience.faults` — **deterministic fault injection**: a
   seeded, process-global :class:`~repro.resilience.faults.FaultPlan`
   (``REPRO_FAULTS`` env or programmatic) with named sites registered at the
-  hot paths (``spool.claim``, ``serve.write_frame``, ``engine.subproblem``,
+  hot paths (``worker.task``, ``serve.write_frame``, ``client.connect``,
   ...).  Rules raise, delay, truncate writes, drop connections, or kill the
   process on the Nth hit, and every fired fault is counted in
   ``repro_faults_injected_total{site=}`` so chaos tests can assert the fault
@@ -21,13 +21,13 @@ of it die, stall, or lie:
   half-open probe) failing fast with the typed
   :class:`~repro.errors.CircuitOpenError`.
 
-The consumers live in :mod:`repro.serve`: lease-based worker recovery and
-payload checksums in :mod:`repro.serve.worker`, retry + stream resume in
-:mod:`repro.serve.client`, deadlines and per-``(graph, spec)`` breakers in
-:mod:`repro.serve.service`.  The invariant every piece defends: under any
-interleaving of worker kills, dropped connections, and corrupt payloads, a
-recovered run's answers are **identical** to the fault-free sequential run —
-faults may cost latency, never correctness.
+The consumers: retry + stream resume in :mod:`repro.serve.client`,
+deadlines and per-``(graph, spec)`` breakers in :mod:`repro.serve.service`,
+and the work-stealing workers' sequential fallback in
+:mod:`repro.extensions.parallel`.  The invariant every piece defends: under
+any interleaving of worker kills and dropped connections, a recovered run's
+answers are **identical** to the fault-free sequential run — faults may cost
+latency, never correctness.
 """
 
 from .breaker import BreakerBoard, CircuitBreaker

@@ -1,14 +1,14 @@
 """Deterministic fault injection: a seeded, process-global fault plan.
 
 Fail-fast code paths are easy to write and impossible to trust: the recovery
-branches (lease expiry, retry, quarantine, circuit breaking) only run when
-something actually dies, which in normal test runs is never.  This module
+branches (crash fallback, retry, stream resume, circuit breaking) only run
+when something actually dies, which in normal test runs is never.  This module
 makes failure *schedulable*.  Hot paths register **named injection sites**::
 
     from repro.resilience.faults import fault_point
 
-    def claim(self, worker_id):
-        fault_point("spool.claim")          # raises / delays / kills on demand
+    def run_task(self, task_id):
+        fault_point("worker.task")          # raises / delays / kills on demand
         ...
 
     def _write(self, payload):
@@ -22,7 +22,7 @@ With no plan installed a site is a near-no-op (one global load and an
 A :class:`FaultPlan` arms sites with rules parsed from the ``REPRO_FAULTS``
 environment variable or built programmatically::
 
-    REPRO_FAULTS="spool.claim:raise:after=2;serve.write_frame:drop:times=3"
+    REPRO_FAULTS="worker.task:raise:after=2;serve.write_frame:drop:times=3"
 
 Rule syntax: ``site:action[:key=value]...``, ``;``-separated.  Actions:
 
@@ -72,12 +72,7 @@ ACTIONS = ("raise", "delay", "truncate", "drop", "kill")
 #: are accepted by the parser (call sites evolve), but this tuple is the
 #: canonical matrix chaos tests parametrize over.
 KNOWN_SITES = (
-    "spool.claim",          # SpoolQueue.claim, before scanning tasks/
-    "spool.write",          # SpoolQueue payload writes (truncate => corrupt)
-    "spool.heartbeat",      # SpoolWorker lease renewal
-    "worker.task",          # SpoolWorker.run_once, after a successful claim
-    "worker.enumerate",     # worker-side enumeration entry
-    "engine.subproblem",    # run_compact_subproblem (pool + spool workers)
+    "worker.task",          # work-stealing worker, before each task
     "serve.enumerate",      # ReproService flight leader, before the stream
     "serve.write_frame",    # every protocol frame write (drop/truncate)
     "client.connect",       # ServeClient socket connect
@@ -139,7 +134,7 @@ class FaultPlan:
         return self
 
     def rule(self, site: str, action: str, **kwargs) -> "FaultPlan":
-        """Fluent helper: ``plan.rule("spool.claim", "raise", after=2)``."""
+        """Fluent helper: ``plan.rule("worker.task", "raise", after=2)``."""
         return self.add(FaultRule(site=site, action=action, **kwargs))
 
     def rules(self, site: str | None = None) -> list[FaultRule]:

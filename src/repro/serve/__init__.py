@@ -12,11 +12,7 @@ This package turns the engine stack into a server process:
 * :mod:`repro.serve.admission` — bounded concurrency with typed load
   shedding (:class:`~repro.errors.ServiceOverloadedError`);
 * :mod:`repro.serve.client` — the blocking :class:`ServeClient`, with
-  retry/backoff and mid-stream resume (see :mod:`repro.resilience`);
-* :mod:`repro.serve.worker` — pull-based worker fan-out over a file-backed
-  spool of :class:`~repro.core.dcfastqc.CompactSubproblem` payloads, with
-  lease-based crash recovery, checksummed payloads and a dead-letter
-  quarantine.
+  retry/backoff and mid-stream resume (see :mod:`repro.resilience`).
 
 The whole stack is threaded through :mod:`repro.resilience`: deterministic
 fault injection at named sites, per-``(graph, spec)`` circuit breaking, and
@@ -44,8 +40,6 @@ from .protocol import (DEFAULT_BATCH_SIZE, OPERATIONS, ProtocolError,
                        error_payload, exception_from_payload,
                        validate_request, wire_to_clique)
 from .service import GraphHost, ReproService, ServiceHandle, start_in_thread
-from .worker import (SpoolQueue, SpoolWorker, TaskResult, WorkTask,
-                     spool_enumerate)
 
 __all__ = [
     "AdmissionController",
@@ -58,12 +52,7 @@ __all__ = [
     "ServeClient",
     "ServiceHandle",
     "SingleFlight",
-    "SpoolQueue",
-    "SpoolWorker",
-    "TaskResult",
-    "WorkTask",
     "clique_to_wire",
-    "spool_enumerate",
     "decode_frame",
     "encode_frame",
     "error_payload",

@@ -324,14 +324,18 @@ class TestCLIQueryWarningFree:
 
 class TestParallelField:
     def test_validation_rejects_unknown_mode(self):
-        with pytest.raises(SpecError):
-            QuerySpec(gamma=0.9, theta=4, parallel="threads")
+        # "shard" (a removed mode) is rejected like any unknown value, and the
+        # message lists the values that are accepted.
+        for mode in ("threads", "shard"):
+            with pytest.raises(SpecError,
+                               match=r"expected one of \('auto', 'none', 'branch'\)"):
+                QuerySpec(gamma=0.9, theta=4, parallel=mode)
 
     def test_excluded_from_cache_key(self):
         base = QuerySpec(gamma=0.9, theta=4)
         branch = dataclasses.replace(base, parallel="branch")
-        shard = dataclasses.replace(base, parallel="shard")
-        assert base.cache_key() == branch.cache_key() == shard.cache_key()
+        serial = dataclasses.replace(base, parallel="none")
+        assert base.cache_key() == branch.cache_key() == serial.cache_key()
 
     def test_json_roundtrip_omits_default(self):
         default = QuerySpec(gamma=0.9, theta=4)

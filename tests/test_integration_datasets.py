@@ -57,7 +57,7 @@ class TestAlgorithmsAgreeOnDatasets:
     def test_parallel_matches_sequential(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
         parallel = ParallelDCFastQC(graph, spec.default_gamma, spec.default_theta,
-                                    workers=2, chunk_size=8)
+                                    workers=2)
         assert set(parallel.find_maximal()) == set(reference.maximal_quasi_cliques)
 
 

@@ -399,7 +399,7 @@ class TestEngineMetrics:
         subproblems_before = subproblems.value()
         branches_before = branches.value()
         sizes_before = sizes.value().count
-        parallel = ParallelDCFastQC(graph, 0.9, 6, workers=2, chunk_size=4)
+        parallel = ParallelDCFastQC(graph, 0.9, 6, workers=2)
         result = parallel.enumerate()
         assert set(result) == set(dcfastqc_enumerate(graph, 0.9, 6))
         assert subproblems.value() > subproblems_before

@@ -20,10 +20,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParallelDCFastQC(triangle, 0.9, 2, workers=0)
 
-    def test_invalid_chunk_size(self, triangle):
-        with pytest.raises(ValueError):
-            ParallelDCFastQC(triangle, 0.9, 2, chunk_size=0)
-
     def test_invalid_parameters(self, triangle):
         from repro.quasiclique import ParameterError
 
@@ -41,20 +37,20 @@ class TestSingleWorkerFallback:
         assert parallel_enumerate(Graph(), 0.9, 2, workers=1) == []
 
     def test_small_graph_runs_inline(self, two_triangles):
-        # Fewer subproblems than the chunk size: the in-process path is used.
-        result = ParallelDCFastQC(two_triangles, 1.0, 3, workers=4, chunk_size=32).enumerate()
-        assert frozenset({0, 1, 2}) in set(result)
+        runner = ParallelDCFastQC(two_triangles, 1.0, 3, workers=1)
+        assert frozenset({0, 1, 2}) in set(runner.enumerate())
+        assert runner.mode_selected == "sequential"
 
 
 class TestMultiProcess:
     def test_two_workers_match_sequential(self, medium_graph):
         sequential = set(filter_non_maximal(dcfastqc_enumerate(medium_graph, 0.9, 6), theta=6))
-        parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2, chunk_size=4)
+        parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2)
         result = set(parallel.find_maximal())
         assert result == sequential
 
     def test_enumerate_output_is_sorted_and_unique(self, medium_graph):
-        parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2, chunk_size=4)
+        parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2)
         result = parallel.enumerate()
         assert len(result) == len(set(result))
         sizes = [len(h) for h in result]
@@ -68,5 +64,5 @@ class TestMultiProcess:
         from repro.core import DCFastQC
 
         sequential = set(DCFastQC(medium_graph, 0.9, 6).enumerate())
-        parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2, chunk_size=4)
+        parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2)
         assert set(parallel.enumerate()) == sequential

@@ -1,4 +1,4 @@
-"""Serve-layer tests: protocol, coalescing, admission, workers, CLI.
+"""Serve-layer tests: protocol, coalescing, admission, CLI.
 
 The acceptance criteria live here:
 
@@ -26,8 +26,7 @@ from repro import Graph, MQCEEngine, QuerySpec
 from repro.cli import main
 from repro.errors import ReproError, ServiceOverloadedError, SpecError
 from repro.obs.metrics import REGISTRY
-from repro.serve import (ReproService, ServeClient, SpoolQueue, SpoolWorker,
-                         WorkTask, fetch_http, spool_enumerate, start_in_thread)
+from repro.serve import ReproService, ServeClient, fetch_http, start_in_thread
 from repro.serve.protocol import (ProtocolError, clique_to_wire, decode_frame,
                                   encode_frame, error_payload,
                                   exception_from_payload, validate_request,
@@ -189,6 +188,16 @@ class TestServiceBasics:
             with pytest.raises(ReproError):
                 client.query({"gamma": 0.9, "theta": 4}, graph="nope")
             assert client.ping()
+
+    def test_removed_parallel_mode_is_a_typed_spec_error(self, service):
+        with ServeClient(port=service.port) as client:
+            client._send({"op": "query", "graph": "demo",
+                          "spec": {"gamma": 0.9, "theta": 4,
+                                   "parallel": "shard"}})
+            frame = client._recv()
+            assert frame["type"] == "error" and frame["error"] == "SpecError"
+            assert "'auto', 'none', 'branch'" in frame["message"]
+            assert client.ping()  # the connection survives the bad spec
 
     def test_budget_overlay_caps_results(self, graph):
         service = ReproService(max_results=2)
@@ -386,80 +395,6 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# Worker fan-out
-# ----------------------------------------------------------------------
-class TestWorkers:
-    def test_spool_enumerate_matches_sequential(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-        from repro.settrie.filter import filter_non_maximal
-
-        expected = filter_non_maximal(DCFastQC(graph, 0.85, 4).enumerate(),
-                                      theta=4)
-        got = spool_enumerate(graph, 0.85, 4, str(tmp_path / "spool"),
-                              inline_workers=2, timeout=60)
-        assert set(got) == set(expected)
-
-    def test_claim_is_exclusive(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        subproblem = next(iter(DCFastQC(graph, 0.9, 4)
-                               .iter_compact_subproblems()))
-        spool.submit(WorkTask(task_id="only", subproblem=subproblem,
-                              gamma=0.9, theta=4))
-        first = spool.claim("w1")
-        second = spool.claim("w2")
-        assert first is not None and first.task_id == "only"
-        assert second is None
-        assert spool.stats() == {"tasks": 0, "claimed": 1, "results": 0,
-                                 "dead": 0}
-
-    def test_two_workers_split_the_spool_without_duplication(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        subproblems = tuple(DCFastQC(graph, 0.85, 4).iter_compact_subproblems())
-        ids = spool.submit_subproblems(subproblems, 0.85, 4)
-        workers = [SpoolWorker(spool, worker_id=f"w{i}") for i in range(2)]
-        threads = [threading.Thread(target=w.run,
-                                    kwargs={"idle_timeout": 0.3})
-                   for w in workers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        results = spool.collect(ids, timeout=10)
-        assert len(results) == len(subproblems)
-        assert sum(w.processed for w in workers) == len(subproblems)
-
-    def test_worker_failure_surfaces_at_collect(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        subproblem = next(iter(DCFastQC(graph, 0.9, 4)
-                               .iter_compact_subproblems()))
-        # gamma outside [0.5, 1] blows up inside the worker, not the submit.
-        spool.submit(WorkTask(task_id="bad", subproblem=subproblem,
-                              gamma=2.0, theta=4))
-        assert SpoolWorker(spool).run(max_tasks=1, idle_timeout=1.0) == 1
-        with pytest.raises(ReproError, match="bad"):
-            spool.collect(["bad"], timeout=10)
-
-    def test_requeue_stale_recovers_claimed_tasks(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        subproblem = next(iter(DCFastQC(graph, 0.9, 4)
-                               .iter_compact_subproblems()))
-        spool.submit(WorkTask(task_id="stuck", subproblem=subproblem,
-                              gamma=0.9, theta=4))
-        assert spool.claim("dead-worker") is not None
-        assert spool.requeue_stale(older_than=0.0) == 1
-        assert spool.stats()["tasks"] == 1
-        assert spool.claim("live-worker").task_id == "stuck"
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 class TestServeCLI:
@@ -546,14 +481,9 @@ class TestServeCLI:
         with pytest.raises(SystemExit):
             main(["serve", "--port", "0"])
 
-    def test_worker_cli_drains_spool(self, graph, tmp_path, capsys):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool_dir = str(tmp_path / "spool")
-        spool = SpoolQueue(spool_dir)
-        subproblems = tuple(DCFastQC(graph, 0.9, 4).iter_compact_subproblems())
-        ids = spool.submit_subproblems(subproblems, 0.9, 4)
-        rc = main(["worker", "--spool", spool_dir, "--idle-timeout", "0.3"])
-        assert rc == 0
-        assert f"{len(ids)} tasks" in capsys.readouterr().out
-        assert len(spool.collect(ids, timeout=10)) == len(ids)
+    def test_worker_command_is_gone(self, capsys):
+        # The file-spool worker tier was removed; argparse rejects the name.
+        with pytest.raises(SystemExit) as info:
+            main(["worker", "--spool", "unused"])
+        assert info.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err

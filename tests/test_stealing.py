@@ -14,19 +14,19 @@ import glob
 
 import pytest
 
+from repro import MQCEEngine, QuerySpec
 from repro.core.dcfastqc import DCFastQC
 from repro.core.fastqc import FastQC
 from repro.core.stats import SizeHistogram
 from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.engine.prepared import PreparedGraph
-from repro.extensions.parallel import (ParallelDCFastQC, branch_histogram_skew,
-                                       branch_mode_wins, histogram_skew,
-                                       run_compact_subproblem)
+from repro.extensions.parallel import ParallelDCFastQC, run_compact_subproblem
 from repro.extensions.stealing import (ForcedStealSchedule, InlineStealRuntime,
                                        SEGMENT_PREFIX, SharedSubproblemStore,
                                        SubproblemCache, branch_parallel_enumerate,
                                        decode_subproblem, encode_subproblem)
 from repro.graph.generators import barabasi_albert
+from repro.obs import Tracer
 from repro.resilience.faults import install_plan, reset_plan
 from repro.settrie.filter import filter_non_maximal
 
@@ -44,7 +44,7 @@ def _shm_segments():
 def _sequential_answer(graph, gamma=GAMMA, theta=THETA):
     candidates = set()
     for subproblem in _subproblems(graph, gamma, theta):
-        chunk, _, _ = run_compact_subproblem(subproblem, gamma, theta)
+        chunk, _ = run_compact_subproblem(subproblem, gamma, theta)
         candidates.update(chunk)
     return candidates
 
@@ -152,7 +152,7 @@ class TestBranchParallel:
     def test_branch_counts_add_up_to_sequential(self, graph, subproblems):
         sequential_branches = 0
         for subproblem in subproblems:
-            _, _, stats = run_compact_subproblem(subproblem, GAMMA, THETA)
+            _, stats = run_compact_subproblem(subproblem, GAMMA, THETA)
             sequential_branches += stats.branches_explored
         _, stats, _ = branch_parallel_enumerate(
             subproblems, GAMMA, THETA, workers=3,
@@ -171,8 +171,7 @@ class TestCrashRecovery:
             theta=THETA)
         install_plan("worker.task:kill:times=1")
         try:
-            runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2,
-                                      mode="branch")
+            runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
             answers = runner.find_maximal()
         finally:
             reset_plan()
@@ -191,136 +190,112 @@ class TestInProcessFallback:
         def _boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("workers=1 must not create a process pool")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _boom)
         monkeypatch.setattr(parallel_module, "branch_parallel_enumerate", _boom)
         runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=1)
         answers = runner.enumerate()
         assert runner.mode_selected == "sequential"
         assert set(answers) == _sequential_answer(graph)
 
-    def test_single_subproblem_runs_inline_under_shard(self, monkeypatch):
-        import repro.extensions.parallel as parallel_module
-
-        # A small clique decomposes into fewer subproblems than half a pool
-        # chunk: shard mode must keep them in-process instead of paying pool
-        # startup for work it cannot spread.
-        from repro.graph.graph import Graph
-        clique = Graph()
-        for u in range(6):
-            for v in range(u + 1, 6):
-                clique.add_edge(u, v)
-
-        def _boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("a handful of subproblems must not create a pool")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _boom)
-        runner = ParallelDCFastQC(clique, 0.9, 4, workers=4, mode="shard")
-        answers = runner.enumerate()
-        assert runner.mode_selected == "sequential"
-        assert frozenset(range(6)) in set(answers)
-
     def test_cpu_count_none_defaults_to_one_worker(self, monkeypatch):
         import repro.extensions.parallel as parallel_module
+        # Without sched_getaffinity the default falls back to os.cpu_count(),
+        # which may return None.
+        monkeypatch.delattr(parallel_module.os, "sched_getaffinity",
+                            raising=False)
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: None)
         runner = ParallelDCFastQC(barabasi_albert(30, attachment=3, seed=1),
                                   GAMMA, THETA)
         assert runner.workers == 1
 
+    def test_single_affinity_cpu_defaults_to_one_worker(self, graph,
+                                                        monkeypatch):
+        import repro.extensions.parallel as parallel_module
+        # A taskset or CPU-limited container: the machine reports many CPUs,
+        # but this process may run on only one of them.
+        monkeypatch.setattr(parallel_module.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 64)
+        plan = QueryPlanner(PlannerConfig(parallel_min_vertices=1)).plan(
+            PreparedGraph(graph), GAMMA, THETA)
+        assert not plan.parallel and plan.workers == 1
+        assert ParallelDCFastQC(graph, GAMMA, THETA).workers == 1
+
 
 # ----------------------------------------------------------------------
-# Planner mode selection on synthetic histograms
+# Planner: when the gate opens, and that every fan-out runs branch mode
 # ----------------------------------------------------------------------
-def _skewed_histogram(dominant=800, trivial=60):
+def _branch_histogram(branches=50_000, subproblems=10):
     histogram = SizeHistogram()
-    for _ in range(trivial):
-        histogram.record(4)
-    histogram.record(dominant)
-    return histogram
-
-
-def _uniform_histogram(size=24, count=64):
-    histogram = SizeHistogram()
-    for _ in range(count):
-        histogram.record(size)
+    for _ in range(subproblems):
+        histogram.record(branches // subproblems)
     return histogram
 
 
 class TestPlannerModeSelection:
-    def _planner(self):
+    def _size_gate(self):
+        # The 160-vertex fixture core clears this threshold on size alone.
         return QueryPlanner(PlannerConfig(parallel_min_vertices=32,
                                           max_workers=4))
 
-    def test_branch_mode_wins_rule(self):
-        largest, total = histogram_skew(_skewed_histogram())
-        assert branch_mode_wins(largest, total, workers=4)
-        largest, total = histogram_skew(_uniform_histogram())
-        assert not branch_mode_wins(largest, total, workers=4)
+    def _work_gate(self):
+        # No core is this large: only observed branch counts open the gate.
+        return QueryPlanner(PlannerConfig(parallel_min_vertices=10**9,
+                                          max_workers=4))
 
-    def test_observed_skew_selects_branch(self, graph):
+    def test_every_fan_out_plan_runs_branch_mode(self, graph):
+        expected = set(filter_non_maximal(
+            sorted(_sequential_answer(graph),
+                   key=lambda h: (-len(h), sorted(map(str, h)))),
+            theta=THETA))
+        observed = PreparedGraph(graph)
+        observed.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
+        cases = ((self._size_gate(), PreparedGraph(graph), "auto"),
+                 (self._work_gate(), observed, "auto"),
+                 (QueryPlanner(), PreparedGraph(graph), "branch"))
+        for planner, prepared, parallel in cases:
+            engine = MQCEEngine(planner=planner, workers=2)
+            spec = QuerySpec(GAMMA, THETA, parallel=parallel)
+            assert engine.explain(prepared, spec=spec).parallel
+            tracer = Tracer()
+            result = engine.query(prepared, spec=spec, use_cache=False,
+                                  trace=tracer)
+            root = tracer.as_dict()["spans"][0]
+            enumerate_span = next(span for span in root["children"]
+                                  if span["name"] == "enumerate")
+            assert enumerate_span.get("attributes", {}).get("mode") == "branch"
+            assert engine.stats()["parallel"]["mode"] == "branch"
+            assert set(result.maximal_quasi_cliques) == expected
+        assert _shm_segments() == []
+
+    def test_explain_names_the_evidence_that_opened_the_gate(self, graph):
+        by_size = self._size_gate().plan(PreparedGraph(graph), GAMMA, THETA)
+        assert by_size.parallel
+        assert (f"core of {by_size.core_vertices_kept} vertices exceeds the "
+                "parallel threshold (32)") in by_size.describe()
+
         prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(GAMMA, THETA, _skewed_histogram())
-        plan = self._planner().plan(prepared, GAMMA, THETA, workers=4)
-        assert plan.parallel and plan.parallel_mode == "branch"
-        assert plan.histogram_source == "observed-sizes"
-        assert plan.skew_ratio >= plan.skew_threshold
-        assert "branch" in plan.describe()
-
-    def test_observed_branch_counts_trump_the_size_proxy(self, graph):
-        # A descending chain of similar-size balls defeats any size-based work
-        # proxy (each is ~1/k of the quadratic total), yet the actual work can
-        # concentrate in one subtree.  Recorded branch counts expose it.
-        prepared = PreparedGraph(graph)
-        sizes = SizeHistogram()
-        for size in range(32, 8, -1):
-            sizes.record(size)
-        branches = SizeHistogram()
-        for _ in range(22):
-            branches.record(1000)
-        branches.record(50_000)
-        prepared.record_subproblem_histogram(GAMMA, THETA, sizes)
-        prepared.record_subproblem_histogram(GAMMA, THETA, branches,
-                                             kind="branches")
-        plan = self._planner().plan(prepared, GAMMA, THETA, workers=4)
-        assert plan.histogram_source == "observed-branches"
-        assert plan.parallel_mode == "branch"
-        assert "branches" in plan.describe()
-        # The size histogram alone would have (wrongly) kept shard mode.
-        largest, total = histogram_skew(sizes)
-        assert not branch_mode_wins(largest, total, workers=4)
-        largest, total = branch_histogram_skew(branches)
-        assert branch_mode_wins(largest, total, workers=4)
-
-    def test_observed_uniform_selects_shard(self, graph):
-        prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(GAMMA, THETA, _uniform_histogram())
-        plan = self._planner().plan(prepared, GAMMA, THETA, workers=4)
-        assert plan.parallel and plan.parallel_mode == "shard"
-        assert plan.skew_ratio < plan.skew_threshold
-
-    def test_estimated_histogram_backs_the_cold_decision(self, graph):
-        plan = self._planner().plan(PreparedGraph(graph), GAMMA, THETA,
-                                    workers=4)
-        assert plan.parallel
-        assert plan.histogram_source == "estimated"
-        assert plan.parallel_mode in ("shard", "branch")
+        prepared.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
+        by_work = self._work_gate().plan(prepared, GAMMA, THETA)
+        assert by_work.parallel
+        assert "an observed run explored 50000 branches" in by_work.describe()
 
     def test_forced_modes_and_none(self, graph):
         prepared = PreparedGraph(graph)
-        planner = self._planner()
-        assert planner.plan(prepared, GAMMA, THETA, workers=4,
-                            parallel="branch").parallel_mode == "branch"
-        assert planner.plan(prepared, GAMMA, THETA, workers=4,
-                            parallel="shard").parallel_mode == "shard"
-        disabled = planner.plan(prepared, GAMMA, THETA, workers=4,
-                                parallel="none")
-        assert not disabled.parallel and disabled.parallel_mode == "none"
+        # Default thresholds: the 160-vertex fixture never opens the gate.
+        assert not QueryPlanner().plan(prepared, GAMMA, THETA, workers=4).parallel
+        forced = QueryPlanner().plan(prepared, GAMMA, THETA, workers=4,
+                                     parallel="branch")
+        assert forced.parallel and forced.workers == 4
+        assert "forced by the caller" in forced.describe()
+        disabled = self._size_gate().plan(prepared, GAMMA, THETA, workers=4,
+                                          parallel="none")
+        assert not disabled.parallel and disabled.workers == 1
 
     def test_new_observation_invalidates_the_plan_memo(self, graph):
         prepared = PreparedGraph(graph)
-        planner = self._planner()
+        planner = self._work_gate()
         cold = planner.plan(prepared, GAMMA, THETA, workers=4)
-        assert cold.histogram_source == "estimated"
-        prepared.record_subproblem_histogram(GAMMA, THETA, _skewed_histogram())
+        assert not cold.parallel
+        prepared.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
         warm = planner.plan(prepared, GAMMA, THETA, workers=4)
-        assert warm.histogram_source == "observed-sizes"
-        assert warm.parallel_mode == "branch"
+        assert warm.parallel and warm.workers == 4
