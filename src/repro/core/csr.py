@@ -25,9 +25,10 @@ subgraph local index assignment, pivot selection) are identical to what a
 dict-backed :class:`Graph` of the same content produces, so CSR-backed
 queries return answers identical to dict-backed ones.  The CSR-native
 algorithm variants in this module (degeneracy/cores, restricted ordering,
-connected components, 2-hop balls, compact extraction) mirror the reference
-implementations' scan orders step for step to preserve that guarantee while
-running in O(V + E) instead of O(n^2 / 64).
+connected components, 2-hop balls) mirror the reference implementations'
+scan orders step for step to preserve that guarantee while running in
+O(V + E) instead of O(n^2 / 64); subproblem extraction walks the same rows
+(:func:`repro.graph.subgraph.ball_and_halo`).
 
 numpy, when importable, accelerates only the *construction* (sort + dedupe
 of the symmetrised endpoint arrays); the stored arrays are always stdlib
@@ -620,26 +621,3 @@ def csr_two_hop_mask(graph: CSRGraph, center_index: int, allowed_mask: int) -> i
     if (allowed[center_index >> 3] >> (center_index & 7)) & 1:
         reach[center_index >> 3] |= 1 << (center_index & 7)
     return int.from_bytes(reach, "little")
-
-
-def csr_compact_subgraph(graph: CSRGraph, mask: int) -> Graph:
-    """``compact_subgraph`` over CSR rows — same labels, same local masks.
-
-    The extracted subproblem is a plain dict/bitmask :class:`Graph` on
-    purpose: subproblems are small (two-hop balls after shrinking), which is
-    exactly where the bitmask kernel's branch inner loops want to run.
-    """
-    members = list(iter_mask_indices(mask))
-    local_of = {global_index: local for local, global_index in enumerate(members)}
-    mbytes = mask.to_bytes(graph._mask_nbytes, "little")
-    indptr, indices, labels = graph.indptr, graph.indices, graph._labels
-    local_masks = []
-    for global_index in members:
-        local_mask = 0
-        for k in range(indptr[global_index], indptr[global_index + 1]):
-            j = indices[k]
-            if (mbytes[j >> 3] >> (j & 7)) & 1:
-                local_mask |= 1 << local_of[j]
-        local_masks.append(local_mask)
-    return Graph.from_dense_adjacency(
-        [labels[global_index] for global_index in members], local_masks)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ..graph.graph import Graph, VertexLabel, iter_bits
 from ..graph.core_decomposition import degeneracy_ordering_within, k_core_vertices
-from ..graph.subgraph import compact_subgraph, two_hop_mask
+from ..graph.subgraph import ball_and_halo, compact_subgraph, two_hop_mask
 from ..obs.trace import NULL_TRACER
 from ..quasiclique.definitions import degree_threshold, gamma_pq, validate_parameters
 from .branch import Branch
@@ -64,12 +64,13 @@ class CompactSubproblem:
 
     ``halo_labels`` / ``halo_adjacency`` carry the subproblem's **one-hop
     maximality halo**: every full-graph neighbour of a subproblem member that
-    is not itself a member, with its adjacency *into* the subproblem (a
-    bitmask over the local ball indices).  Any single-vertex extension of a
-    candidate ``H ⊆`` ball is adjacent to ``H``, so it lives in the ball or
-    the halo, and deciding whether it extends ``H`` only consults edges into
-    the ball — the halo therefore lets a worker that never sees the full
-    graph reproduce the sequential driver's maximality filtering exactly.
+    is not itself a member (ascending by global index), with its adjacency
+    *into* the subproblem (a bitmask over the local ball indices).  Any
+    single-vertex extension of a candidate ``H ⊆`` ball is adjacent to ``H``,
+    so it lives in the ball or the halo, and deciding whether it extends
+    ``H`` only consults edges into the ball — the halo therefore lets an
+    engine that never sees the full graph reproduce the full-graph
+    maximality filtering exactly.
     """
 
     root_local: int                 # local index of the subproblem root v_i
@@ -77,6 +78,26 @@ class CompactSubproblem:
     adjacency_masks: tuple[int, ...]
     halo_labels: tuple = ()         # one-hop neighbours outside the ball
     halo_adjacency: tuple[int, ...] = ()  # their adjacency into the ball
+
+    @classmethod
+    def from_ball(cls, graph: Graph, root_index: int,
+                  ball_mask: int) -> "CompactSubproblem":
+        """Extract the subproblem on ``ball_mask`` (rooted at ``root_index``).
+
+        Ball adjacency and halo come from one walk over the members'
+        neighbours (:func:`~repro.graph.subgraph.ball_and_halo`):
+        ``O(Σ deg(ball))``, with no ``|V|``-wide mask on a CSR-backed graph.
+        Local indices follow ascending global index, as in
+        :func:`~repro.graph.subgraph.compact_subgraph`.
+        """
+        members, adjacency, halo = ball_and_halo(graph, ball_mask)
+        halo_order = sorted(halo)
+        label_of = graph.label_of
+        return cls(root_local=members.index(root_index),
+                   labels=tuple(label_of(index) for index in members),
+                   adjacency_masks=tuple(adjacency),
+                   halo_labels=tuple(label_of(index) for index in halo_order),
+                   halo_adjacency=tuple(halo[index] for index in halo_order))
 
     def build_graph(self) -> Graph:
         """Materialise the subproblem graph (labels preserved)."""
@@ -157,7 +178,11 @@ class DCFastQC:
     Parameters
     ----------
     graph:
-        The input graph.
+        The input graph, or an engine
+        :class:`~repro.engine.prepared.PreparedGraph` of it: an exact
+        preparation's memoized core mask then replaces the core peel of
+        line 1 (a :class:`~repro.dynamic.DynamicPreparedGraph` only bounds its
+        cores, so the graph is peeled as usual).
     gamma, theta:
         The MQCE parameters (gamma in [0.5, 1], theta >= 1).
     branching:
@@ -171,14 +196,17 @@ class DCFastQC:
         ``"ledger"`` (default) — each subproblem is remapped to a compact
         dense index space and enumerated with the incremental degree-ledger
         kernel, so bitmask and ledger widths track the subproblem size, not
-        the graph.  ``"reference"`` — the original path: one shared FastQC
-        engine branching over full-graph-width masks.
+        the graph; on a CSR-backed graph each subproblem is enumerated as a
+        :class:`CompactSubproblem`, the way work-stealing workers do.
+        ``"reference"`` — the original path: one shared FastQC engine
+        branching over full-graph-width masks.
     max_rounds:
         Number of shrinking rounds applied to each subproblem (MAX_ROUND).
     maximality_filter:
         Forwarded to FastQC; filters outputs by the necessary condition of
-        maximality (always checked against the *full* input graph, also when
-        subproblems run on compact graphs).
+        maximality.  Checking against the full graph or against a
+        subproblem's ball plus halo decides identically, so every kernel and
+        backend emits the same candidate sets.
     should_stop:
         Optional zero-argument predicate polled before every subproblem and at
         every FastQC branch; returning True stops the enumeration
@@ -202,6 +230,9 @@ class DCFastQC:
                  on_output: Callable[[frozenset], None] | None = None,
                  should_stop: Callable[[], bool] | None = None,
                  progress=None, tracer=None) -> None:
+        # Lazy import: the engine package imports this module.
+        from ..engine.prepared import PreparedGraph, as_plain_graph
+
         validate_parameters(gamma, theta)
         if branching not in BRANCHING_METHODS:
             raise ValueError(f"branching must be one of {BRANCHING_METHODS}, got {branching!r}")
@@ -211,7 +242,8 @@ class DCFastQC:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
-        self.graph = graph
+        self.prepared = graph if isinstance(graph, PreparedGraph) else None
+        self.graph = as_plain_graph(graph)
         self.gamma = gamma
         self.theta = theta
         self.branching = branching
@@ -292,25 +324,36 @@ class DCFastQC:
         """Kernelized batches: each subproblem runs on its own compact graph.
 
         The per-subproblem FastQC engines carry ledgers and bitmasks whose
-        width is the subproblem size; the maximality filter still checks
-        extensions against the full input graph, so the emitted candidate
-        sets are identical to the reference path's.  Statistics from every
-        subproblem engine are merged into :attr:`statistics`.
+        width is the subproblem size.  The maximality filter checks the
+        subproblem's ball plus one-hop halo on a CSR-backed graph (a
+        full-graph check there builds ``|V|``-wide masks per candidate) and
+        the full graph on a dict graph, where the masks already exist and
+        most subproblems check too few candidates to repay a halo.  Both
+        decide like the reference path, so the emitted candidate sets are
+        identical to it.  Statistics from every subproblem engine are merged
+        into :attr:`statistics`.
         """
         self.statistics = SearchStatistics()
         if self.progress is not None:
             # The run-wide aggregate drives the heartbeat counter snapshot;
             # per-subproblem engine statistics must not displace it.
             self.progress.attach_statistics(self.statistics)
+        use_halo = getattr(self.graph, "indptr", None) is not None
         for root_index, refined_mask, _prior_mask in self._iter_subproblems():
             if self.stopped:
                 return
-            subgraph = compact_subgraph(self.graph, refined_mask)
-            root_local = (refined_mask & ((1 << root_index) - 1)).bit_count()
+            if use_halo:
+                payload = CompactSubproblem.from_ball(self.graph, root_index, refined_mask)
+                subgraph, root_local = payload.build_graph(), payload.root_local
+                maximality_graph = payload.build_maximality_graph()
+            else:
+                subgraph = compact_subgraph(self.graph, refined_mask)
+                root_local = (refined_mask & ((1 << root_index) - 1)).bit_count()
+                maximality_graph = self.graph
             engine = FastQC(subgraph, self.gamma, self.theta,
                             branching=self.branching, kernel="ledger",
                             maximality_filter=self.maximality_filter,
-                            maximality_graph=self.graph,
+                            maximality_graph=maximality_graph,
                             on_output=self.on_output, should_stop=self.should_stop,
                             progress=self.progress)
             root_bit = 1 << root_local
@@ -331,41 +374,18 @@ class DCFastQC:
         """Yield every non-trivial subproblem as a picklable compact payload.
 
         This is the fan-out surface of
-        :class:`repro.extensions.parallel.ParallelDCFastQC`: the parent
+        :class:`repro.extensions.parallel.ParallelDCFastQC` — the parent
         process runs the cheap global preprocessing (core reduction, ordering,
         two-hop shrinking) and ships each subproblem as dense local-index
-        adjacency — worker enumeration cost then scales with the subproblem,
-        not the graph.
+        adjacency plus its one-hop halo, so worker enumeration cost scales
+        with the subproblem, not the graph.  The sequential ledger path on a
+        CSR-backed graph enumerates the same payloads
+        (:meth:`_iter_batches_compact`).
         """
-        graph = self.graph
         for root_index, refined_mask, _prior_mask in self._iter_subproblems():
             if self.stopped:
                 return
-            subgraph = compact_subgraph(graph, refined_mask)
-            root_local = (refined_mask & ((1 << root_index) - 1)).bit_count()
-            # One-hop maximality halo: every outside neighbour of a member,
-            # with its adjacency remapped into the ball's local index space.
-            local_of = {global_index: local
-                        for local, global_index in enumerate(iter_bits(refined_mask))}
-            halo_mask = 0
-            for member in local_of:
-                halo_mask |= graph.adjacency_mask(member)
-            halo_mask &= ~refined_mask
-            halo_labels = []
-            halo_adjacency = []
-            for outside in iter_bits(halo_mask):
-                into_ball = 0
-                for member in iter_bits(graph.adjacency_mask(outside) & refined_mask):
-                    into_ball |= 1 << local_of[member]
-                halo_labels.append(graph.label_of(outside))
-                halo_adjacency.append(into_ball)
-            yield CompactSubproblem(
-                root_local=root_local,
-                labels=tuple(subgraph.vertices()),
-                adjacency_masks=tuple(subgraph.adjacency_masks()),
-                halo_labels=tuple(halo_labels),
-                halo_adjacency=tuple(halo_adjacency),
-            )
+            yield CompactSubproblem.from_ball(self.graph, root_index, refined_mask)
 
     def _iter_subproblems(self) -> Iterator[tuple[int, int, int]]:
         """Lines 2-6 of Algorithm 3: yield ``(root_index, refined_mask, prior_mask)``.
@@ -409,12 +429,22 @@ class DCFastQC:
     # Divide-and-conquer internals
     # ------------------------------------------------------------------
     def _core_reduction_mask(self) -> int:
-        """Line 1 of Algorithm 3: keep only the ``ceil(gamma*(theta-1))``-core."""
-        core_order = degree_threshold(self.gamma, self.theta)
-        kept = k_core_vertices(self.graph, core_order)
-        self.dc_statistics.core_reduction_kept = len(kept)
-        self.dc_statistics.core_reduction_removed = self.graph.vertex_count - len(kept)
-        return self.graph.mask_of(kept)
+        """Line 1 of Algorithm 3: keep only the ``ceil(gamma*(theta-1))``-core.
+
+        An exact, unmodified preparation already holds this mask (the planner
+        memoizes it for every plan), so it is reused instead of re-peeling.
+        """
+        prepared = self.prepared
+        if prepared is not None and prepared.exact_cores and prepared.check_unmodified():
+            mask = prepared.core_mask(self.gamma, self.theta)
+            kept = mask.bit_count()
+        else:
+            kept_labels = k_core_vertices(self.graph, degree_threshold(self.gamma, self.theta))
+            mask = self.graph.mask_of(kept_labels)
+            kept = len(kept_labels)
+        self.dc_statistics.core_reduction_kept = kept
+        self.dc_statistics.core_reduction_removed = self.graph.vertex_count - kept
+        return mask
 
     def _vertex_ordering(self, core_mask: int) -> list[VertexLabel]:
         """Line 2 of Algorithm 3: degeneracy ordering ("dc") or degree ordering ("basic-dc")."""

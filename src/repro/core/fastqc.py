@@ -81,9 +81,13 @@ class FastQC:
         ever discarding a maximal one.
     maximality_graph:
         The graph the maximality filter checks extensions against; defaults
-        to ``graph``.  The DC driver passes the *full* graph here while
-        enumerating a compact subproblem graph, so suppression decisions are
-        identical to a whole-graph run.
+        to ``graph``.  While ``graph`` is a compact DC subproblem, this must
+        hold every edge between the subproblem and its outside neighbours:
+        either the full input graph (DCFastQC on dict graphs) or the
+        subproblem's ball plus one-hop halo
+        (:meth:`~repro.core.dcfastqc.CompactSubproblem.build_maximality_graph`,
+        used on CSR graphs and by work-stealing workers).  Both make
+        suppression decisions identical to a whole-graph run.
     on_output:
         Optional callback invoked with each output vertex set (as a frozenset
         of labels) as it is found.

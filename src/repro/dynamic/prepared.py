@@ -61,6 +61,10 @@ class DynamicPreparedGraph(PreparedGraph):
     detection — only requires upper bounds to stay correct.
     """
 
+    #: Core masks are supersets of the true cores, so DCFastQC peels the
+    #: graph itself rather than reuse them.
+    exact_cores = False
+
     def __init__(self, graph: Graph, name: str | None = None,
                  core_rebuild_inserts: int = DEFAULT_CORE_REBUILD_INSERTS,
                  core_rebuild_removals: int = DEFAULT_CORE_REBUILD_REMOVALS) -> None:

@@ -336,7 +336,7 @@ class MQCEEngine:
             # The work-stealing driver has no cooperative-cancellation channel,
             # so budgeted queries always take the sequential path.  (It has no
             # branch-tick channel either; `progress` only applies below.)
-            runner = ParallelDCFastQC(graph, plan.gamma, plan.theta,
+            runner = ParallelDCFastQC(prepared, plan.gamma, plan.theta,
                                       branching=plan.branching, kernel=plan.kernel,
                                       workers=plan.workers)
             with tracer.span("enumerate", algorithm=plan.algorithm,
@@ -355,7 +355,8 @@ class MQCEEngine:
                 enumeration_seconds=enumerate_span.seconds,
                 filtering_seconds=filter_span.seconds)
         else:
-            result = run_enumeration(graph, resolved, tracer=tracer,
+            # DCFastQC reuses the preparation's core mask (when exact).
+            result = run_enumeration(prepared, resolved, tracer=tracer,
                                      progress=progress)
         if result.search_statistics is not None:
             # Per-subproblem branch counts (recorded by sequential DC runs; a

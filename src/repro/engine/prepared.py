@@ -57,6 +57,11 @@ class PreparedGraph:
         ``repr`` and the engine's explain output.
     """
 
+    #: :meth:`core_mask` is the exact core, so
+    #: :class:`~repro.core.dcfastqc.DCFastQC` reuses it instead of peeling
+    #: the graph again (dynamic preparations only keep upper bounds).
+    exact_cores = True
+
     def __init__(self, graph: Graph, name: str | None = None) -> None:
         self.graph = graph
         self.name = name

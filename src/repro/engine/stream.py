@@ -163,7 +163,7 @@ class ResultStream(Iterator[frozenset]):
         """Cold enumerate query: stream incrementally, cache on completion."""
         spec = self.spec
         inner = QuasiCliqueStream(
-            self._prepared.graph, spec.gamma, spec.theta,
+            self._prepared, spec.gamma, spec.theta,
             algorithm=spec.algorithm if spec.algorithm != "auto" else self.plan.algorithm,
             branching=spec.branching or self.plan.branching,
             framework=spec.framework or self.plan.framework,

@@ -20,10 +20,11 @@ track the subproblem size, not the input graph.
 
 Each payload also carries the subproblem's **one-hop maximality halo** (the
 outside neighbours of the ball with their adjacency into it), so workers apply
-the maximality necessary-condition filter against exactly the evidence the
-sequential driver's full-graph check would consult: the emitted candidate sets
-are identical to the sequential driver's, batch for batch, not merely after
-the MQCE-S2 set-trie filter.
+the maximality necessary-condition filter against exactly the evidence a
+full-graph check would consult: the emitted candidate sets are identical to
+a sequential DCFastQC run's, batch for batch, not merely after the MQCE-S2
+set-trie filter.  (Sequential DCFastQC itself enumerates these payloads on
+CSR-backed graphs.)
 """
 
 from __future__ import annotations
@@ -87,12 +88,12 @@ def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
     """Enumerate one compact DC subproblem in-process (the per-subproblem reference).
 
     The maximality filter checks single-vertex extensions against the ball
-    plus its one-hop halo, which decides exactly like the sequential driver's
-    full-graph check (any extension vertex is adjacent to the candidate set,
-    hence inside ball ∪ halo) — so the emitted candidate sets are *identical*
-    to the sequential driver's for this root.  Returns the candidate sets and
-    the run's :class:`SearchStatistics`; the work-stealing parity tests
-    compare branch-parallel runs against both.
+    plus its one-hop halo, which decides exactly like a full-graph check (any
+    extension vertex is adjacent to the candidate set, hence inside ball ∪
+    halo) — so the emitted candidate sets are *identical* to sequential
+    DCFastQC's for this root.  Returns the candidate sets and the run's
+    :class:`SearchStatistics`; the work-stealing parity tests compare
+    branch-parallel runs against both.
     """
     graph = subproblem.build_graph()
     maximality = (subproblem.build_maximality_graph()
@@ -107,10 +108,10 @@ def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
 class ParallelDCFastQC:
     """DCFastQC with the per-vertex subproblems enumerated by work-stealing workers.
 
-    Parameters mirror :class:`repro.core.dcfastqc.DCFastQC` plus ``workers``
-    (process count, default: :func:`available_cpus` capped at 8) and
-    ``steal_schedule`` (a deterministic steal trigger for tests; default: the
-    idle-worker signal).
+    Parameters mirror :class:`repro.core.dcfastqc.DCFastQC` (``graph`` may
+    be an engine ``PreparedGraph``) plus ``workers`` (process count, default:
+    :func:`available_cpus` capped at 8) and ``steal_schedule`` (a
+    deterministic steal trigger for tests; default: the idle-worker signal).
 
     With ``workers=1`` or nothing to enumerate, everything runs in-process —
     no worker is ever spawned.  A crashed worker, or a platform without POSIX
@@ -125,14 +126,10 @@ class ParallelDCFastQC:
                  branching: str = "hybrid", kernel: str = "ledger",
                  max_rounds: int = DEFAULT_MAX_ROUNDS,
                  workers: int | None = None, steal_schedule=None) -> None:
-        # Accept an engine PreparedGraph transparently (lazy import: no cycle).
-        from ..engine.prepared import as_plain_graph
-
-        graph = as_plain_graph(graph)
         validate_parameters(gamma, theta)
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive integer")
-        self.graph = graph
+        self.graph = graph  # handed as-is to every DCFastQC it builds
         self.gamma = gamma
         self.theta = theta
         self.branching = branching

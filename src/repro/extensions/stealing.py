@@ -21,8 +21,7 @@ Three properties keep stolen subtrees exact:
 * **The maximality halo travels with the subproblem.**  Workers attach the
   :class:`~repro.core.dcfastqc.CompactSubproblem` (ball + one-hop halo
   adjacency) from a shared-memory segment, so a thief's maximality filtering
-  decides exactly like the sequential driver's full-graph check, wherever the
-  subtree runs.
+  decides exactly like a full-graph check, wherever the subtree runs.
 * **Verdicts flow back.**  An ancestor's ``G[S]`` fallback emission depends on
   whether *any* descendant output a quasi-clique, so a donor parks the stolen
   subtree's parent frame (:class:`~repro.core.kernel.BranchFrame`) and the

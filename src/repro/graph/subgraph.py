@@ -79,14 +79,15 @@ def compact_subgraph(graph: Graph, mask: int) -> Graph:
     deg(v in G[mask]))``, instead of :meth:`Graph.induced_subgraph`'s full
     edge scan.
 
-    On a CSR-backed graph the extraction scans the flat rows directly (and
-    still returns a small dict/bitmask graph — subproblems are exactly where
-    the bitmask kernel's branch inner loops should keep running).
+    On a CSR-backed graph the extraction scans the flat rows directly
+    (:func:`ball_and_halo`) and still returns a small dict/bitmask graph —
+    subproblems are exactly where the bitmask kernel's branch inner loops
+    should keep running.
     """
     if getattr(graph, "indptr", None) is not None:
-        from ..core.csr import csr_compact_subgraph
-
-        return csr_compact_subgraph(graph, mask)
+        members, local_masks, _halo = ball_and_halo(graph, mask)
+        return Graph.from_dense_adjacency(
+            [graph.label_of(global_index) for global_index in members], local_masks)
     members = list(iter_bits(mask))
     local_of = {global_index: local for local, global_index in enumerate(members)}
     local_masks = []
@@ -97,6 +98,43 @@ def compact_subgraph(graph: Graph, mask: int) -> Graph:
         local_masks.append(local_mask)
     return Graph.from_dense_adjacency(
         [graph.label_of(global_index) for global_index in members], local_masks)
+
+
+def ball_and_halo(graph: Graph, mask: int) -> tuple[list[int], list[int], dict[int, int]]:
+    """Split every neighbour of ``mask``'s members into ball or halo, in one pass.
+
+    Returns ``(members, local_masks, halo)``: the members' global indices in
+    ascending order, each member's neighbour bitmask over the members' local
+    indices (position in ``members``), and ``{outside neighbour: bitmask of
+    its neighbours among the members}`` — the one-hop halo.  One walk over
+    the members' neighbour lists (CSR rows on a CSR-backed graph, adjacency
+    sets otherwise) costs ``O(sum of deg(member))`` and never builds a
+    ``|V|``-wide mask.
+    """
+    indptr = getattr(graph, "indptr", None)
+    if indptr is not None:
+        from ..core.csr import iter_mask_indices
+
+        members = list(iter_mask_indices(mask))
+        indices = graph.indices
+        rows = (indices[indptr[v]:indptr[v + 1]] for v in members)
+    else:
+        members = list(iter_bits(mask))
+        rows = map(graph.adjacency_set, members)
+    local_of = {global_index: local for local, global_index in enumerate(members)}
+    local_masks = []
+    halo: dict[int, int] = {}
+    for local, row in enumerate(rows):
+        member_bit = 1 << local
+        local_mask = 0
+        for neighbour in row:
+            neighbour_local = local_of.get(neighbour)
+            if neighbour_local is None:
+                halo[neighbour] = halo.get(neighbour, 0) | member_bit
+            else:
+                local_mask |= 1 << neighbour_local
+        local_masks.append(local_mask)
+    return members, local_masks, halo
 
 
 def neighborhood_intersection(graph: Graph, u: VertexLabel, v: VertexLabel,

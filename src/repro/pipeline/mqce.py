@@ -72,7 +72,12 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
     :class:`repro.obs.ProgressTicker` branch-tick hook and ``tracer`` an
     optional :class:`repro.obs.Tracer` (the DC driver records decompose /
     shrink / subproblem spans); the naive baseline ignores both as well.
+    ``graph`` may be an engine ``PreparedGraph``: DCFastQC reuses its core
+    mask, the other algorithms run on the underlying graph.
     """
+    # Lazy import: the engine package imports this module.
+    from ..engine.prepared import as_plain_graph
+
     validate_parameters(gamma, theta)
     if algorithm == "dcfastqc":
         return DCFastQC(graph, gamma, theta, branching=branching or "hybrid",
@@ -80,6 +85,7 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
                         maximality_filter=maximality_filter,
                         on_output=on_output, should_stop=should_stop,
                         progress=progress, tracer=tracer)
+    graph = as_plain_graph(graph)
     if algorithm == "fastqc":
         return FastQC(graph, gamma, theta, branching=branching or "hybrid",
                       kernel=kernel, maximality_filter=maximality_filter,

@@ -12,15 +12,19 @@ import io
 
 import pytest
 
-from repro import Graph, GraphError
+import repro.core.fastqc as fastqc_module
+import repro.pipeline.mqce as mqce_module
+import repro.pipeline.streaming as streaming_module
+from repro import Graph, GraphError, MQCEEngine
 from repro.api import QuerySpec
+from repro.core.dcfastqc import DCFastQC
 from repro.core.csr import (
     CSRGraph,
     build_csr_arrays,
     csr_restricted_degeneracy_order,
     iter_mask_indices,
 )
-from repro.datasets.registry import REGISTRY, get_spec, load_dataset
+from repro.datasets.registry import REGISTRY, default_parameters, get_spec, load_dataset
 from repro.graph import (
     connected_components,
     core_numbers,
@@ -37,7 +41,11 @@ from repro.graph import (
     two_hop_mask,
     write_edge_list,
 )
-from repro.graph.generators import barabasi_albert, erdos_renyi_gnm
+from repro.graph.generators import (
+    barabasi_albert,
+    erdos_renyi_gnm,
+    planted_quasi_clique_graph,
+)
 from repro.graph.subgraph import compact_subgraph
 from repro.pipeline.mqce import run_enumeration
 
@@ -338,6 +346,123 @@ def test_budgeted_query_on_csr_graph_reports_truncation():
     result = run_enumeration(csr, QuerySpec(gamma=0.85, theta=4,
                                             time_limit=1e-9))
     assert result.truncated
+
+
+# ----------------------------------------------------------------------
+# Sequential DC on CSR: subproblems check maximality against their halo
+# ----------------------------------------------------------------------
+# On a CSR graph sequential DCFastQC enumerates the work-stealing payloads
+# (ball plus one-hop halo); on a dict graph it checks the full graph.  Both
+# must emit the same batches with the same counters.
+
+SKEW_GAMMA, SKEW_THETA = 0.9, 9
+
+
+@pytest.fixture(scope="module")
+def planted_skew() -> tuple[Graph, CSRGraph]:
+    """One 24-vertex gamma=0.9 community in a sparse 800-vertex background:
+    a single subproblem holds almost all of the ~1.4k branches."""
+    graph = planted_quasi_clique_graph(800, 2000, [24], SKEW_GAMMA, seed=11)
+    return graph, csr_of(graph)
+
+
+def batches_and_counters(graph: Graph, gamma: float, theta: int):
+    dc = DCFastQC(graph, gamma, theta)
+    batches = list(dc.iter_candidate_batches())
+    stats = dc.statistics
+    return batches, (stats.branches_explored, stats.outputs,
+                     stats.outputs_suppressed_by_maximality)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_payloads_match_dict_field_for_field(name):
+    graph = load_dataset(name)
+    gamma, theta = default_parameters(name)
+    expected = list(DCFastQC(graph, gamma, theta).iter_compact_subproblems())
+    actual = list(DCFastQC(csr_of(graph), gamma, theta).iter_compact_subproblems())
+    assert len(actual) == len(expected)
+    for mine, theirs in zip(actual, expected):
+        assert mine.root_local == theirs.root_local
+        assert mine.labels == theirs.labels
+        assert mine.adjacency_masks == theirs.adjacency_masks
+        assert mine.halo_labels == theirs.halo_labels  # same order, too
+        assert mine.halo_adjacency == theirs.halo_adjacency
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_csr_batches_match_dict_batches(name):
+    graph = load_dataset(name)
+    gamma, theta = default_parameters(name)
+    assert batches_and_counters(csr_of(graph), gamma, theta) == \
+        batches_and_counters(graph, gamma, theta)
+
+
+def test_planted_skew_csr_batches_match_dict_batches(planted_skew):
+    graph, csr = planted_skew
+    batches, counters = batches_and_counters(csr, SKEW_GAMMA, SKEW_THETA)
+    assert (batches, counters) == batches_and_counters(graph, SKEW_GAMMA, SKEW_THETA)
+    assert counters[2] > 0  # the halo check really suppressed outputs
+
+
+def test_sequential_csr_run_checks_maximality_against_halo_graphs(
+        planted_skew, monkeypatch):
+    """Guard: every maximality check of a sequential CSR run targets one
+    subproblem's ball-plus-halo graph, never the |V|-vertex input graph."""
+    _graph, csr = planted_skew
+    targets = []
+    check = fastqc_module.mask_satisfies_maximality_necessary_condition
+
+    def recording(graph, subset_mask, gamma):
+        targets.append((graph is csr, graph.vertex_count))
+        return check(graph, subset_mask, gamma)
+
+    monkeypatch.setattr(fastqc_module,
+                        "mask_satisfies_maximality_necessary_condition", recording)
+    DCFastQC(csr, SKEW_GAMMA, SKEW_THETA).enumerate()
+    halo_sizes = {len(payload.labels) + len(payload.halo_labels) for payload in
+                  DCFastQC(csr, SKEW_GAMMA, SKEW_THETA).iter_compact_subproblems()}
+    assert targets
+    assert not any(is_input for is_input, _ in targets)
+    assert {vertex_count for _, vertex_count in targets} <= halo_sizes
+    assert max(halo_sizes) < csr.vertex_count
+
+
+def test_engine_stream_over_csr_yields_the_answer(planted_skew):
+    graph, csr = planted_skew
+    spec = QuerySpec(gamma=SKEW_GAMMA, theta=SKEW_THETA)
+    expected = run_enumeration(graph, spec).maximal_quasi_cliques
+    streamed = list(MQCEEngine().stream(csr, spec=spec, use_cache=False))
+    assert len(streamed) == len(set(streamed))
+    assert set(streamed) == set(expected)
+
+
+class TickingClock:
+    """Stand-in ``time`` module whose monotonic clock advances 1 s per read,
+    so a ``time_limit`` of N seconds expires after N budget polls."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_time_limited_csr_query_truncates_to_a_subset(planted_skew, monkeypatch):
+    graph, csr = planted_skew
+    full = set(run_enumeration(graph, QuerySpec(gamma=SKEW_GAMMA, theta=SKEW_THETA))
+               .maximal_quasi_cliques)
+    spec = QuerySpec(gamma=SKEW_GAMMA, theta=SKEW_THETA, time_limit=300)
+    monkeypatch.setattr(mqce_module, "time", TickingClock())
+    monkeypatch.setattr(streaming_module, "time", TickingClock())
+    engine = MQCEEngine()
+    result = engine.query(csr, spec=spec, use_cache=False)
+    assert result.truncated
+    assert result.search_statistics.branches_explored < 300
+    stream = engine.stream(csr, spec=spec, use_cache=False)
+    streamed = set(stream)
+    assert stream.truncated and not stream.finished
+    assert streamed <= full
 
 
 # ----------------------------------------------------------------------

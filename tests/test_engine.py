@@ -309,6 +309,57 @@ class TestMQCEEngineQueries:
         assert second.maximal_quasi_cliques == first.maximal_quasi_cliques
 
 
+class TestPreparedCoreReuse:
+    """Engine queries on an exact preparation reuse its memoized core mask
+    instead of re-peeling the graph; dynamic preparations (upper-bound cores)
+    still peel.  Either way the run equals the one-shot pipeline's."""
+
+    @staticmethod
+    def observed(result, tracer) -> tuple:
+        spans = list(tracer.spans)
+        while spans[-1].name != "decompose":
+            spans.extend(spans.pop().children)
+        decompose = spans[-1].attributes
+        return (set(result.candidate_quasi_cliques),
+                result.search_statistics.branches_explored,
+                decompose["core_kept"], decompose["core_removed"])
+
+    @pytest.mark.parametrize("name", ["enron", "pokec"])
+    def test_exact_preparation_skips_the_core_peel(self, name, monkeypatch):
+        import repro.core.dcfastqc as dcfastqc_module
+        from repro.api import QuerySpec
+        from repro.dynamic import DynamicEngine
+        from repro.obs import Tracer
+        from repro.pipeline.mqce import run_enumeration
+
+        graph = load_dataset(name)
+        spec = get_spec(name)
+        query = QuerySpec(spec.default_gamma, spec.default_theta)
+        tracer = Tracer()
+        expected = self.observed(run_enumeration(graph, query, tracer=tracer), tracer)
+        assert expected[3] > 0  # the core reduction removes vertices here
+
+        peels = []
+        peel = dcfastqc_module.k_core_vertices
+
+        def counting_peel(target, k):
+            peels.append(k)
+            return peel(target, k)
+
+        monkeypatch.setattr(dcfastqc_module, "k_core_vertices", counting_peel)
+        tracer = Tracer()
+        static = MQCEEngine().query(PreparedGraph(graph), spec=query,
+                                    use_cache=False, trace=tracer)
+        assert peels == []
+        assert self.observed(static, tracer) == expected
+
+        tracer = Tracer()
+        dynamic = DynamicEngine(graph.copy()).query(spec=query, use_cache=False,
+                                                    trace=tracer)
+        assert peels
+        assert self.observed(dynamic, tracer) == expected
+
+
 class TestEngineAwareExtensions:
     def test_topk_accepts_prepared_graph_and_matches_plain(self):
         graph = load_dataset("douban")

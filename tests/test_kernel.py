@@ -563,15 +563,41 @@ class TestMaximalityHalo:
         for payload in payloads:
             assert len(payload.halo_labels) == len(payload.halo_adjacency)
             ball = set(payload.labels)
-            # Halo = outside neighbours of ball members, adjacency into ball.
+            # Halo = outside neighbours of ball members, ascending by global
+            # index (the payload layout the shared-memory codec ships), with
+            # their adjacency into the ball.
             expected_halo = set()
             for label in payload.labels:
                 expected_halo |= graph.neighbors(label)
             expected_halo -= ball
-            assert set(payload.halo_labels) == expected_halo
+            assert list(payload.halo_labels) == sorted(expected_halo,
+                                                       key=graph.index_of)
             for label, into_ball in zip(payload.halo_labels, payload.halo_adjacency):
                 neighbours = {payload.labels[i] for i in iter_bits(into_ball)}
                 assert neighbours == graph.neighbors(label) & ball
+
+    def test_from_ball_matches_full_graph_mask_construction(self):
+        """The one-pass extraction equals the halo built from full-graph
+        masks (union of member masks minus the ball, ascending by index)."""
+        graph = erdos_renyi_gnm(50, 160, seed=49)
+        core = DCFastQC(graph, 0.7, 3)._core_reduction_mask()
+        for root in list(iter_bits(core))[:10]:
+            ball = two_hop_mask(graph, root, core)
+            payload = CompactSubproblem.from_ball(graph, root, ball)
+            compact = compact_subgraph(graph, ball)
+            assert payload.labels == tuple(compact.vertices())
+            assert payload.adjacency_masks == tuple(compact.adjacency_masks())
+            assert payload.root_local == (ball & ((1 << root) - 1)).bit_count()
+            local_of = {g: local for local, g in enumerate(iter_bits(ball))}
+            outside = 0
+            for member in local_of:
+                outside |= graph.adjacency_mask(member)
+            outside &= ~ball
+            assert payload.halo_labels == tuple(graph.label_of(v)
+                                                for v in iter_bits(outside))
+            assert payload.halo_adjacency == tuple(
+                sum(1 << local_of[m] for m in iter_bits(graph.adjacency_mask(v) & ball))
+                for v in iter_bits(outside))
 
     def test_maximality_graph_contains_ball_and_halo_edges(self):
         graph = erdos_renyi_gnm(30, 90, seed=48)
