@@ -14,7 +14,7 @@ Run with:  python examples/community_detection.py
 import random
 import time
 
-from repro import find_maximal_quasi_cliques
+from repro import Q
 from repro.graph.generators import barabasi_albert, planted_quasi_clique
 from repro.graph.statistics import graph_statistics
 
@@ -44,7 +44,7 @@ def main() -> None:
     reference = None
     for algorithm in ("dcfastqc", "fastqc", "quickplus"):
         start = time.perf_counter()
-        result = find_maximal_quasi_cliques(graph, gamma, theta, algorithm=algorithm)
+        result = Q(graph).gamma(gamma).theta(theta).algorithm(algorithm).run()
         elapsed = time.perf_counter() - start
         print(f"{algorithm:10s} {elapsed:9.3f} "
               f"{result.search_statistics.branches_explored:9d} "

@@ -1,7 +1,8 @@
 """Query-driven community search and top-k largest quasi-clique mining.
 
-This example exercises the library's extensions (``repro.extensions``), which
-implement the problem variants the paper discusses in its related work:
+This example exercises the problem variants the paper discusses in its
+related work, through the QuerySpec workloads (``repro.Q``) and the library's
+extensions (``repro.extensions``):
 
 * *query-driven search* — find the maximal quasi-cliques containing a given
   user (the "communities of Alice"), and
@@ -15,13 +16,7 @@ Run with:  python examples/community_search.py
 
 import time
 
-from repro import (
-    ParallelDCFastQC,
-    community_of,
-    find_largest_quasi_cliques,
-    find_quasi_cliques_containing,
-    kernel_expansion_top_k,
-)
+from repro import ParallelDCFastQC, Q, community_of, kernel_expansion_top_k
 from repro.datasets import get_spec
 
 
@@ -36,9 +31,9 @@ def main() -> None:
     # 1. Query-driven search: communities containing vertex 0 (a member of
     #    the first planted group) and vertex 200 (a background vertex).
     # ------------------------------------------------------------------
+    query = Q(graph).gamma(gamma)
     for query_vertex in (0, 200):
-        communities = find_quasi_cliques_containing(graph, [query_vertex], gamma,
-                                                    theta=max(3, theta - 3))
+        communities = query.theta(max(3, theta - 3)).containing(query_vertex).run()
         print(f"\ncommunities containing vertex {query_vertex}: {len(communities)}")
         for clique in communities[:3]:
             print(f"   size {len(clique):2d}: {sorted(clique)[:10]}"
@@ -50,7 +45,7 @@ def main() -> None:
     # 2. Top-k largest quasi-cliques: exact vs kernel expansion.
     # ------------------------------------------------------------------
     start = time.perf_counter()
-    exact = find_largest_quasi_cliques(graph, gamma, k=3, minimum_size=theta - 3)
+    exact = query.theta(theta - 3).top(3).run()
     exact_seconds = time.perf_counter() - start
     start = time.perf_counter()
     heuristic = kernel_expansion_top_k(graph, gamma, k=3, kernel_theta=max(3, theta - 3))

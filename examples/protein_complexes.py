@@ -13,7 +13,7 @@ Run with:  python examples/protein_complexes.py
 
 import random
 
-from repro import Graph, find_maximal_quasi_cliques
+from repro import Graph, Q
 from repro.graph.generators import erdos_renyi_gnm, planted_quasi_clique
 
 
@@ -45,7 +45,7 @@ def main() -> None:
           f"{graph.edge_count} interactions")
 
     # Mine maximal 0.85-quasi-cliques with at least 7 proteins.
-    result = find_maximal_quasi_cliques(graph, gamma=0.85, theta=7)
+    result = Q(graph).gamma(0.85).theta(7).run()
     print(f"\nfound {result.maximal_count} candidate functional groups "
           f"(gamma=0.85, theta=7) in {result.total_seconds:.3f}s")
 

@@ -3,7 +3,7 @@
 Run with:  python examples/quickstart.py
 """
 
-from repro import Graph, find_maximal_quasi_cliques
+from repro import Graph, Q
 
 
 def main() -> None:
@@ -24,7 +24,8 @@ def main() -> None:
 
     # Find every maximal 0.8-quasi-clique with at least 4 members: each member
     # must know at least 80% of the other members of the group.
-    result = find_maximal_quasi_cliques(graph, gamma=0.8, theta=4)
+    query = Q(graph).gamma(0.8).theta(4)
+    result = query.run()
 
     print(f"\nfound {result.maximal_count} maximal 0.8-quasi-cliques with >= 4 members "
           f"in {result.total_seconds:.4f}s "
@@ -32,8 +33,8 @@ def main() -> None:
     for clique in result.maximal_quasi_cliques:
         print("  ", ", ".join(sorted(clique)))
 
-    # The same call can run the Quick+ baseline for comparison.
-    baseline = find_maximal_quasi_cliques(graph, gamma=0.8, theta=4, algorithm="quickplus")
+    # The same query can run the Quick+ baseline for comparison.
+    baseline = query.algorithm("quickplus").run()
     print(f"\nQuick+ returned {baseline.candidate_count} candidate QCs before filtering; "
           f"DCFastQC returned {result.candidate_count}.")
     assert set(baseline.maximal_quasi_cliques) == set(result.maximal_quasi_cliques)

@@ -12,7 +12,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-mqce",
-    version="1.2.0",
+    version="2.0.0",
     description=(
         "Maximal quasi-clique enumeration (FastQC / DCFastQC / Quick+) with a "
         "declarative QuerySpec API, streaming enumeration and a persistent "

@@ -8,9 +8,10 @@ provides
 * :class:`repro.QuerySpec` / :class:`repro.Q` — the declarative query API:
   one hashable spec for every workload (enumerate / top-k / containment /
   count) with budgets and streaming delivery,
+* :func:`repro.run_enumeration` — the one-shot MQCE pipeline for one spec,
 * :class:`repro.MQCEEngine` — the persistent query engine (prepared graphs,
-  cost-based plan selection, LRU result caching, ``stream()``) for repeated
-  queries,
+  cost-based plan selection, LRU result caching, ``stream()`` returning a
+  :class:`repro.ResultStream`) for repeated queries,
 * :class:`repro.FastQC`, :class:`repro.DCFastQC`, :class:`repro.QuickPlus` —
   the MQCE-S1 branch-and-bound algorithms,
 * :func:`repro.filter_non_maximal` — the set-trie based MQCE-S2 filter,
@@ -24,9 +25,6 @@ Quickstart
 >>> result = Q(graph).gamma(0.6).theta(3).run()
 >>> sorted(sorted(h) for h in result.maximal_quasi_cliques)
 [[1, 2, 3, 4]]
-
-(The PR-1 kwargs entry point ``find_maximal_quasi_cliques(graph, gamma,
-theta)`` still works but is deprecated in favour of the spec API.)
 """
 
 from .errors import EngineError, ParameterError, QueryError, ReproError, SpecError
@@ -42,17 +40,12 @@ from .settrie import SetTrie, filter_non_maximal
 from .pipeline import (
     ALGORITHMS,
     EnumerationResult,
-    QuasiCliqueStream,
     enumerate_candidate_quasi_cliques,
-    find_maximal_quasi_cliques,
     run_enumeration,
-    stream_maximal_quasi_cliques,
 )
 from .extensions import (
     ParallelDCFastQC,
     community_of,
-    find_largest_quasi_cliques,
-    find_quasi_cliques_containing,
     kernel_expansion_top_k,
 )
 from .api import Q, QueryBuilder, QuerySpec
@@ -77,7 +70,7 @@ from .obs import (
 )
 from . import api, datasets, dynamic, engine, experiments, extensions, obs
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Graph",
@@ -102,15 +95,10 @@ __all__ = [
     "filter_non_maximal",
     "ALGORITHMS",
     "EnumerationResult",
-    "QuasiCliqueStream",
     "enumerate_candidate_quasi_cliques",
-    "find_maximal_quasi_cliques",
     "run_enumeration",
-    "stream_maximal_quasi_cliques",
     "ParallelDCFastQC",
     "community_of",
-    "find_largest_quasi_cliques",
-    "find_quasi_cliques_containing",
     "kernel_expansion_top_k",
     "Q",
     "QueryBuilder",

@@ -15,10 +15,6 @@ budgets and output options.  Everything else keys on it:
 * the CLI's ``repro query`` parses one from flags or a JSON file, and
 * :func:`execute` / :func:`shape_result` / :func:`result_value` run a spec
   without an engine (one-shot).
-
-The PR-1 kwargs entry points (``find_maximal_quasi_cliques``,
-``extensions.topk`` / ``extensions.query``) remain as deprecated shims that
-build a spec and delegate here.
 """
 
 from .builder import Q, QueryBuilder

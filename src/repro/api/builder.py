@@ -22,8 +22,9 @@ Terminal operations:
 ``result(engine=None)``
     Always the full :class:`EnumerationResult` envelope.
 ``stream(engine=None)``
-    An iterator of maximal quasi-cliques, yielding incrementally (see
-    :mod:`repro.pipeline.streaming`).
+    A :class:`~repro.engine.stream.ResultStream` of maximal quasi-cliques,
+    yielding incrementally (a fresh :class:`~repro.engine.MQCEEngine` serves
+    it when no ``engine`` is given).
 ``explain(engine=None)``
     The :class:`~repro.engine.planner.QueryPlan` the engine would use.
 """
@@ -141,28 +142,22 @@ class Q:
         return result_value(self.result(engine), spec)
 
     def stream(self, engine=None):
-        """Execute incrementally: an iterator of maximal quasi-cliques."""
-        spec = self.spec()
-        if engine is not None:
-            return engine.stream(self._graph, spec)
-        from ..pipeline.streaming import QuasiCliqueStream
-
-        if spec.contains or spec.k is not None:
-            # No incremental path without the DC subproblem structure over the
-            # whole graph; deliver the computed answer as an iterator.
-            return iter(list(self.result().maximal_quasi_cliques))
-        return QuasiCliqueStream(
-            self._plain_graph(), spec.gamma, spec.theta, algorithm=spec.algorithm,
-            branching=spec.branching, framework=spec.framework,
-            max_rounds=spec.max_rounds, maximality_filter=spec.maximality_filter,
-            time_limit=spec.time_limit, max_results=spec.max_results)
+        """Execute incrementally: a :class:`ResultStream` of maximal quasi-cliques."""
+        return self._engine(engine).stream(self._graph, self.spec())
 
     def explain(self, engine=None):
         """Return the :class:`QueryPlan` an engine would choose for this spec."""
+        return self._engine(engine).explain(self._graph, self.spec())
+
+    @staticmethod
+    def _engine(engine):
+        """The given engine, or a fresh :class:`MQCEEngine`."""
+        if engine is not None:
+            return engine
+        # Lazy import: the engine package imports this module.
         from ..engine import MQCEEngine
 
-        engine = engine or MQCEEngine()
-        return engine.explain(self._graph, self.spec())
+        return MQCEEngine()
 
     def _plain_graph(self) -> Graph:
         """Unwrap an engine ``PreparedGraph`` for the engine-free paths."""

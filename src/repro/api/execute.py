@@ -14,7 +14,9 @@ This module is the single place that knows how to turn a spec into an
 The persistent :class:`repro.engine.MQCEEngine` calls these same functions
 after planning and consults its cache around them; the one-shot helpers here
 (:func:`execute`, :func:`shape_result`, :func:`result_value`) are what the
-fluent builder and the deprecated kwargs shims use directly.
+fluent builder uses without an engine.  A spec ``time_limit`` becomes a
+:class:`~repro.resilience.retry.Deadline` whose ``expired`` is the
+enumerator's cooperative ``should_stop``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from ..graph.subgraph import two_hop_mask
 from ..obs.trace import NULL_TRACER
 from ..pipeline.mqce import build_enumerator, canonical_order, resolve_algorithm, run_enumeration
 from ..pipeline.results import EnumerationResult
-from ..pipeline.streaming import QueryBudget
 from ..quasiclique.definitions import degree_threshold
 from ..quasiclique.maximality import satisfies_maximality_necessary_condition
+from ..resilience.retry import Deadline
 from ..settrie.filter import filter_non_maximal
 from .spec import QuerySpec
 
@@ -85,6 +87,11 @@ def result_value(result: EnumerationResult, spec: QuerySpec):
     return result
 
 
+def _deadline_stop(spec: QuerySpec):
+    """The cooperative-stop predicate of a spec's ``time_limit`` (or None)."""
+    return None if spec.time_limit is None else Deadline.after(spec.time_limit).expired
+
+
 # ----------------------------------------------------------------------
 # Containment workload
 # ----------------------------------------------------------------------
@@ -122,7 +129,7 @@ def containment_search(graph: Graph, spec: QuerySpec, *,
     query_indices = [graph.index_of(v) for v in query_set]
     obs = tracer if tracer is not None else NULL_TRACER
 
-    budget = QueryBudget(spec.time_limit)
+    should_stop = _deadline_stop(spec)
     found: list[frozenset] = []
     engine = None
     with obs.span("enumerate", workload="containment",
@@ -135,7 +142,7 @@ def containment_search(graph: Graph, spec: QuerySpec, *,
         if region & query_mask == query_mask:
             engine = FastQC(graph, spec.gamma, effective_theta, kernel=spec.kernel,
                             maximality_filter=False, progress=progress,
-                            should_stop=budget.expired if spec.time_limit is not None else None)
+                            should_stop=should_stop)
             branch = Branch(query_mask, region & ~query_mask, 0)
             with obs.span("subproblem", stats=engine.statistics,
                           size=region.bit_count()):
@@ -195,8 +202,7 @@ def topk_search(graph: Graph, spec: QuerySpec, size_bound: int | None = None,
         # there skips rounds that provably return nothing.
         threshold = max(minimum_size, min(threshold, size_bound))
 
-    budget = QueryBudget(spec.time_limit)
-    should_stop = budget.expired if spec.time_limit is not None else None
+    should_stop = _deadline_stop(spec)
     algorithm = resolve_algorithm(spec.algorithm)
     framework = spec.framework if spec.framework is not None else "dc"
     obs = tracer if tracer is not None else NULL_TRACER

@@ -23,10 +23,9 @@ three branch-and-bound algorithms (FastQC, DCFastQC and Quick+):
 * :class:`ShrinkLedgers` kernelizes DCFastQC's subproblem shrinking: fused
   store-free first passes, a bit-sliced bulk two-hop rule, and lazily
   reconciled degree/common-neighbour ledgers for the later rounds.
-* The ledger buffers come from a pluggable backend (``REPRO_KERNEL_BACKEND``:
-  ``auto`` — the default, picking ``array('i')`` for wide states and plain
-  lists for compact subproblem states — or a forced ``array`` / ``numpy`` /
-  ``list``).
+* The ledger buffers are flat ``array('i')`` buffers for wide states and
+  plain lists for compact subproblem states (the width rule at
+  :data:`AUTO_ARRAY_MIN_WIDTH`).
 
 The functions mirror their reference counterparts one-to-one and visit the
 exact same branch tree (same refinement fixpoints, same pivot tie-breaks,
@@ -43,10 +42,8 @@ enumeration entry points.
 
 from __future__ import annotations
 
-import os
-import warnings
 from array import array
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from ..graph.graph import Graph, iter_bits
 from ..quasiclique.definitions import gamma_fraction
@@ -56,122 +53,35 @@ from .stats import SearchStatistics
 
 
 # ----------------------------------------------------------------------
-# Ledger buffer backends
+# Ledger buffers
 # ----------------------------------------------------------------------
-#: Values the ``REPRO_KERNEL_BACKEND`` environment variable accepts.
-LEDGER_BACKENDS = ("auto", "array", "numpy", "list")
-
-#: The process-default backend (resolved once at import; see set_ledger_backend).
-DEFAULT_LEDGER_BACKEND = "auto"
-
-#: The ``auto`` backend switches from Python lists to flat ``array('i')``
-#: buffers at this ledger width.  Copies/resets favour arrays (one memcpy vs
-#: a pointer-by-pointer loop: 206 ns vs 81 ns at width 128, 33 us vs 1.8 us
-#: at 16384) while indexed ``buf[i] += 1`` updates favour lists (~29 ns vs
+#: Ledger buffers switch from Python lists to flat ``array('i')`` buffers at
+#: this width.  Copies/resets favour arrays (one memcpy vs a
+#: pointer-by-pointer loop: 206 ns vs 81 ns at width 128, 33 us vs 1.8 us at
+#: 16384) while indexed ``buf[i] += 1`` updates favour lists (~29 ns vs
 #: ~94 ns — arrays box an int per access), so the winner depends on touches
-#: per copy.  Measured with ``scripts/derive_backend_crossover.py`` on a
-#: 12k-vertex power-law graph: the kernelized shrink pass does ~0.5 indexed
-#: updates per full-width reset, and the break-even rate crosses that
-#: between widths 64 and 96 (1.9 touches/copy at 128, rising linearly with
-#: width).  128 keeps ~4x margin for update-heavier branch-ledger workloads
-#: while compact DC subproblem states — small and touch-dominated — stay on
-#: lists; end-to-end, auto matches the forced-array backend (1.50 s vs the
-#: list backend's 2.05 s cold DCFastQC at n=12000).
+#: per copy.  Measured on a 12k-vertex power-law graph: the kernelized
+#: shrink pass does ~0.5 indexed updates per full-width reset, and the
+#: break-even rate crosses that between widths 64 and 96 (1.9 touches/copy
+#: at 128, rising linearly with width).  128 keeps ~4x margin for
+#: update-heavier branch-ledger workloads while compact DC subproblem
+#: states — small and touch-dominated — stay on lists; end-to-end, the
+#: width rule matches all-array buffers (1.50 s vs all-list buffers' 2.05 s
+#: cold DCFastQC at n=12000).
 AUTO_ARRAY_MIN_WIDTH = 128
 
 
-def _array_make(values: Iterable[int]) -> array:
-    return array("i", values)
-
-
-def _array_zeros(length: int) -> array:
-    return array("i", bytes(4 * length))
-
-
-def _array_copy(buffer: array) -> array:
-    return buffer[:]
-
-
-def _list_make(values: Iterable[int]) -> list[int]:
-    return list(values)
-
-
-def _list_zeros(length: int) -> list[int]:
-    return [0] * length
-
-
-def _list_copy(buffer: list[int]) -> list[int]:
-    return buffer[:]
-
-
-def _auto_make(values) -> "array | list[int]":
+def _make_ledger(values) -> "array | list[int]":
     values = values if isinstance(values, list) else list(values)
     if len(values) >= AUTO_ARRAY_MIN_WIDTH:
         return array("i", values)
     return values
 
 
-def _auto_zeros(length: int) -> "array | list[int]":
+def _zero_ledger(length: int) -> "array | list[int]":
     if length >= AUTO_ARRAY_MIN_WIDTH:
         return array("i", bytes(4 * length))
     return [0] * length
-
-
-def _auto_copy(buffer) -> "array | list[int]":
-    return buffer[:]
-
-
-def _resolve_backend(name: str):
-    """Return ``(name, make, zeros, copy)`` for a backend, falling back safely.
-
-    The numpy backend is optional: when numpy is not installed the resolver
-    warns and degrades to the stdlib ``array('i')`` backend instead of
-    failing, so ``REPRO_KERNEL_BACKEND=numpy`` is always safe to export.
-    """
-    if name == "numpy":
-        try:
-            import numpy
-        except ImportError:
-            warnings.warn("REPRO_KERNEL_BACKEND=numpy requested but numpy is "
-                          "not installed; falling back to the array backend",
-                          RuntimeWarning, stacklevel=3)
-            return _resolve_backend("array")
-        return ("numpy",
-                lambda values: numpy.fromiter(values, dtype=numpy.int64),
-                lambda length: numpy.zeros(length, dtype=numpy.int64),
-                lambda buffer: buffer.copy())
-    if name == "list":
-        return ("list", _list_make, _list_zeros, _list_copy)
-    if name == "array":
-        return ("array", _array_make, _array_zeros, _array_copy)
-    if name != "auto":
-        warnings.warn(f"unknown REPRO_KERNEL_BACKEND {name!r}; expected one of "
-                      f"{LEDGER_BACKENDS}; falling back to the auto backend",
-                      RuntimeWarning, stacklevel=3)
-    return ("auto", _auto_make, _auto_zeros, _auto_copy)
-
-
-_BACKEND_NAME, _make_ledger, _zero_ledger, _copy_ledger = _resolve_backend(
-    os.environ.get("REPRO_KERNEL_BACKEND", DEFAULT_LEDGER_BACKEND))
-
-
-def ledger_backend() -> str:
-    """The active ledger buffer backend (``"array"``, ``"numpy"`` or ``"list"``)."""
-    return _BACKEND_NAME
-
-
-def set_ledger_backend(name: str) -> str:
-    """Switch the ledger buffer backend; returns the previous backend name.
-
-    The normal configuration surface is the ``REPRO_KERNEL_BACKEND``
-    environment variable (read once at import); this setter exists for tests
-    and interactive experiments.  Buffers created before the switch keep
-    working — the backends only differ in construction and copy.
-    """
-    global _BACKEND_NAME, _make_ledger, _zero_ledger, _copy_ledger
-    previous = _BACKEND_NAME
-    _BACKEND_NAME, _make_ledger, _zero_ledger, _copy_ledger = _resolve_backend(name)
-    return previous
 
 
 class BranchState:
@@ -187,10 +97,9 @@ class BranchState:
 
     States are mutable; :meth:`copy` is an O(n) flat-buffer copy used when a
     branch forks into children, after which each single-vertex move costs
-    ``O(deg(v))``.  The ledgers live in flat buffers provided by the active
-    backend (``array('i')`` by default, numpy or plain lists via
-    ``REPRO_KERNEL_BACKEND``), so the per-child copy is a memcpy rather than
-    a pointer-by-pointer Python list copy.
+    ``O(deg(v))``.  Ledgers at least :data:`AUTO_ARRAY_MIN_WIDTH` wide live
+    in flat ``array('i')`` buffers, so the per-child copy is a memcpy rather
+    than a pointer-by-pointer Python list copy; narrower ones are lists.
     """
 
     __slots__ = ("graph", "stats", "s_mask", "c_mask", "d_mask",
@@ -236,8 +145,7 @@ class BranchState:
         """Fork the state (ledger buffers are copied, the graph is shared)."""
         return BranchState(self.graph, self.stats, self.s_mask, self.c_mask,
                           self.d_mask, self.s_size, self.c_size,
-                          _copy_ledger(self.deg_in_s),
-                          _copy_ledger(self.deg_in_union))
+                          self.deg_in_s[:], self.deg_in_union[:])
 
     def to_branch(self) -> Branch:
         """The immutable mask view (reference interop, tests, diagnostics)."""
@@ -685,7 +593,7 @@ class ShrinkLedgers:
       bit-extraction loop.  On a fresh 2-hop ball this pass typically removes
       most members, so recording per-vertex values would be wasted work.
     * From each rule's **second** pass on, the values live in dense flat
-      buffers (same backend as :class:`BranchState`) that are reconciled with
+      buffers (same width rule as :class:`BranchState`) that are reconciled with
       the alive set lazily: few deaths since the last reconcile decrement only
       the dead vertices' still-alive neighbours (``O(deg ∩ ball)`` per death),
       a gutted ball recomputes the few survivors fused into the reading pass,

@@ -1,7 +1,7 @@
 """repro.engine — a persistent MQCE query engine.
 
-The one-shot pipeline (:func:`repro.find_maximal_quasi_cliques`) re-validates,
-re-prunes and re-enumerates from scratch on every call.  This package adds
+The one-shot pipeline (:func:`repro.run_enumeration`) re-validates, re-prunes
+and re-enumerates from scratch on every call.  This package adds
 what a database engine adds on top of an algorithm:
 
 * :class:`PreparedGraph` — per-graph preprocessing (core decomposition,
@@ -11,8 +11,9 @@ what a database engine adds on top of an algorithm:
 * :class:`ResultCache` — a bounded LRU over
   ``(fingerprint, gamma, theta, algorithm)`` with hit/miss/eviction counters,
 * :class:`MQCEEngine` — the facade tying them together, with ``query()``,
-  ``stream()`` (incremental delivery of a :class:`repro.api.QuerySpec`),
-  ``query_batch()``, ``explain()`` and ``stats()``.
+  ``stream()`` (a :class:`ResultStream`: incremental delivery of a
+  :class:`repro.api.QuerySpec`), ``query_batch()``, ``explain()`` and
+  ``stats()``.
 
 Quickstart
 ----------

@@ -1,7 +1,7 @@
 """The MQCE query engine: prepared graphs + plan selection + result caching.
 
 :class:`MQCEEngine` is the persistent facade the one-shot
-:func:`repro.find_maximal_quasi_cliques` pipeline lacks.  A query flows
+:func:`repro.run_enumeration` pipeline lacks.  A query flows
 through three stages:
 
 1. **Prepare** — the graph is wrapped in a
@@ -20,8 +20,8 @@ through three stages:
    so) and the result is cached.
 
 Results are regular :class:`~repro.pipeline.results.EnumerationResult`
-objects, bit-identical in content to what ``find_maximal_quasi_cliques``
-returns for the same parameters; cache hits hand out defensive copies so
+objects, bit-identical in content to what ``run_enumeration`` returns for the
+same spec; cache hits hand out defensive copies so
 callers may mutate the lists they receive.
 """
 

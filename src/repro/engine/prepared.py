@@ -1,7 +1,7 @@
 """Prepared graphs: compute the expensive per-graph artifacts once, reuse forever.
 
-``find_maximal_quasi_cliques`` recomputes the same per-graph preprocessing on
-every call: core decomposition, degeneracy ordering, connected components and
+The one-shot pipeline (:func:`repro.pipeline.mqce.run_enumeration`)
+recomputes the same per-graph preprocessing on every call: core decomposition, degeneracy ordering, connected components and
 degree arrays.  For a query engine serving many ``(gamma, theta)`` queries over
 the same graph that work should be paid once.  :class:`PreparedGraph` wraps a
 :class:`~repro.graph.graph.Graph` and memoizes

@@ -1,84 +1,21 @@
-"""Query-driven maximal quasi-clique search (deprecated kwargs shims).
+"""Query-driven maximal quasi-clique search: :func:`community_of`.
 
 The related work the paper cites ([11, 12, 25]) studies a constrained variant
 of MQCE: find the (maximal) gamma-quasi-cliques that *contain a given set of
 query vertices* — e.g. the communities around a particular user, or the
 functional groups involving a protein of interest.
 
-Since the :class:`repro.api.QuerySpec` redesign the actual implementation
-lives in :func:`repro.api.execute.containment_search` (the ``contains``
-workload); this module keeps the original entry points as thin shims:
-:func:`find_quasi_cliques_containing` delegates and emits a
-:class:`DeprecationWarning`, :func:`community_of` remains a supported
-convenience wrapper.  Both still accept a :class:`repro.engine.PreparedGraph`
-in place of the graph.
+That search is the containment workload of the :class:`repro.api.QuerySpec`
+API (``Q(graph).gamma(0.9).theta(5).containing("alice").run()``), implemented
+by :func:`repro.api.execute.containment_search`.  This module keeps one
+convenience on top of it, :func:`community_of`, which also accepts a
+:class:`repro.engine.PreparedGraph` in place of the graph.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Iterable
-
 from ..errors import QueryError
 from ..graph.graph import Graph, VertexLabel
-from ..quasiclique.definitions import validate_parameters
-
-
-def _plain_graph(graph) -> Graph:
-    """Accept a Graph or an engine PreparedGraph (imported lazily: no cycle)."""
-    from ..engine.prepared import as_plain_graph
-
-    return as_plain_graph(graph)
-
-
-def find_quasi_cliques_containing(graph: Graph, query: Iterable[VertexLabel],
-                                  gamma: float, theta: int = 1,
-                                  require_maximal: bool = True) -> list[frozenset]:
-    """Enumerate (maximal) gamma-quasi-cliques of size >= theta containing ``query``.
-
-    .. deprecated::
-        This kwargs entry point is superseded by the containment workload of
-        the :class:`repro.api.QuerySpec` API
-        (``Q(graph).gamma(gamma).theta(theta).containing(*query).run()``); it
-        now builds the equivalent spec, delegates to
-        :func:`repro.api.execute.containment_search` and emits a
-        :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    graph, gamma, theta:
-        The usual MQCE inputs.
-    query:
-        Vertices that every returned quasi-clique must contain.  All query
-        vertices must exist in the graph and be within distance 2 of each
-        other (otherwise no gamma >= 0.5 quasi-clique can contain them and an
-        empty list is returned).
-    require_maximal:
-        When True (default) the result is restricted to quasi-cliques that are
-        maximal in the *whole graph* among those found; when False, every
-        quasi-clique found for the query seed is returned.
-    """
-    warnings.warn(
-        "find_quasi_cliques_containing() is deprecated; use the QuerySpec "
-        "containment workload (Q(graph).gamma(...).theta(...)"
-        ".containing(*query).run() or MQCEEngine.query with a spec)",
-        DeprecationWarning, stacklevel=2)
-    return _containing(graph, query, gamma, theta, require_maximal)
-
-
-def _containing(graph, query, gamma, theta, require_maximal=True) -> list[frozenset]:
-    """Shared warning-free delegation to the spec containment workload."""
-    from ..api.execute import containment_search
-    from ..api.spec import QuerySpec
-
-    graph = _plain_graph(graph)
-    validate_parameters(gamma, theta)
-    query_set = frozenset(query)
-    if not query_set:
-        raise QueryError("the query must contain at least one vertex")
-    spec = QuerySpec(gamma=gamma, theta=theta, contains=tuple(query_set),
-                     require_maximal=require_maximal)
-    return list(containment_search(graph, spec).maximal_quasi_cliques)
 
 
 def community_of(graph: Graph, vertex: VertexLabel, gamma: float, theta: int = 3
@@ -88,5 +25,14 @@ def community_of(graph: Graph, vertex: VertexLabel, gamma: float, theta: int = 3
     Returns the empty frozenset when no quasi-clique of size >= theta contains
     the vertex.  A convenience wrapper used by the community-search example.
     """
-    cliques = _containing(graph, [vertex], gamma, theta)
+    # Lazy imports: the engine and api packages build on these extensions.
+    from ..api.execute import containment_search
+    from ..api.spec import QuerySpec
+    from ..engine.prepared import as_plain_graph
+
+    spec = QuerySpec(gamma=gamma, theta=theta, contains=(vertex,))
+    cliques = containment_search(as_plain_graph(graph), spec).maximal_quasi_cliques
     return cliques[0] if cliques else frozenset()
+
+
+__all__ = ["QueryError", "community_of"]

@@ -4,23 +4,24 @@ The paper's Section 7 discusses the problem of finding the k *largest*
 gamma-quasi-cliques instead of all maximal ones, and the kernel-expansion
 strategy used for it: first mine denser gamma'-quasi-cliques (gamma' > gamma),
 which are fast to find, use them as kernels, and grow each kernel greedily into
-a large gamma-quasi-clique.  This module provides both
+a large gamma-quasi-clique.  This module provides
 
-* :func:`find_largest_quasi_cliques` — exact top-k by running the (DC)FastQC
-  pipeline with a shrinking size threshold, and
 * :func:`kernel_expansion_top_k` — the heuristic kernel-expansion method, which
   is much faster on large inputs but only returns quasi-cliques containing a
-  kernel (the same trade-off the paper points out).
+  kernel (the same trade-off the paper points out), and
+* :func:`largest_quasi_clique_size` — the exact size of the largest
+  quasi-clique, via :func:`repro.api.execute.topk_search`.
 
-Both entry points also accept a :class:`repro.engine.PreparedGraph` in place
-of the graph; the exact search then starts from the prepared degeneracy-based
-size upper bound instead of ``|V| / 2``, skipping the doomed early rounds of
-the halving schedule.
+The exact top-k itself is the QuerySpec top-k workload
+(``Q(graph).gamma(0.9).theta(2).top(k).run()``).  These functions also accept
+a :class:`repro.engine.PreparedGraph` in place of the graph;
+:func:`largest_quasi_clique_size` then starts from the prepared
+degeneracy-based size upper bound instead of ``|V| / 2``, skipping the doomed
+early rounds of the halving schedule.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 
 from ..core.dcfastqc import DCFastQC
@@ -38,53 +39,6 @@ def _unwrap_prepared(graph):
     if isinstance(graph, PreparedGraph):
         return graph.graph, graph
     return graph, None
-
-
-def find_largest_quasi_cliques(graph: Graph, gamma: float, k: int = 1,
-                               minimum_size: int = 2) -> list[frozenset]:
-    """Return the ``k`` largest maximal gamma-quasi-cliques (exact).
-
-    .. deprecated::
-        This kwargs entry point is superseded by the top-k workload of the
-        :class:`repro.api.QuerySpec` API
-        (``Q(graph).gamma(gamma).theta(minimum_size).top(k).run()``); it now
-        builds the equivalent spec, delegates to
-        :func:`repro.api.execute.topk_search` and emits a
-        :class:`DeprecationWarning`.
-
-    The search runs the MQCE pipeline with a size threshold that starts high
-    and halves until at least ``k`` maximal quasi-cliques of that size exist
-    (or the threshold reaches ``minimum_size``).  Ties are broken
-    deterministically by the sorted vertex labels.
-
-    Parameters
-    ----------
-    graph, gamma:
-        The input graph and degree fraction (gamma in [0.5, 1]).
-    k:
-        How many quasi-cliques to return (fewer are returned when the graph
-        holds fewer maximal quasi-cliques of size >= minimum_size).
-    minimum_size:
-        Lower bound on the size threshold the search is willing to drop to.
-    """
-    warnings.warn(
-        "find_largest_quasi_cliques() is deprecated; use the QuerySpec top-k "
-        "workload (Q(graph).gamma(...).theta(...).top(k).run() or "
-        "MQCEEngine.query with a spec)",
-        DeprecationWarning, stacklevel=2)
-    from ..api.execute import topk_search
-    from ..api.spec import QuerySpec
-
-    graph, prepared = _unwrap_prepared(graph)
-    validate_parameters(gamma, max(1, minimum_size))
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if graph.vertex_count == 0:
-        return []
-    spec = QuerySpec(gamma=gamma, theta=max(1, minimum_size), k=k,
-                     algorithm="dcfastqc")
-    bound = prepared.size_upper_bound(gamma) if prepared is not None else None
-    return list(topk_search(graph, spec, size_bound=bound).maximal_quasi_cliques)
 
 
 def expand_kernel(graph: Graph, kernel: frozenset, gamma: float) -> frozenset:
@@ -115,10 +69,10 @@ def kernel_expansion_top_k(graph: Graph, gamma: float, k: int = 1,
     Kernels are the maximal ``kernel_gamma``-quasi-cliques (default:
     ``min(1.0, gamma + 0.05)``) of size at least ``kernel_theta``; each kernel
     is greedily expanded under the target ``gamma``.  The result is a list of
-    up to ``k`` distinct quasi-cliques sorted by decreasing size.  Unlike
-    :func:`find_largest_quasi_cliques` the answer is not guaranteed to contain
-    the true largest quasi-clique (kernels may miss it), mirroring the
-    trade-off of the kernel-expansion literature.
+    up to ``k`` distinct quasi-cliques sorted by decreasing size.  Unlike the
+    exact top-k workload the answer is not guaranteed to contain the true
+    largest quasi-clique (kernels may miss it), mirroring the trade-off of the
+    kernel-expansion literature.
     """
     graph, _ = _unwrap_prepared(graph)
     validate_parameters(gamma, kernel_theta)

@@ -22,8 +22,6 @@ artifacts per mutation and invalidates the cache selectively.
 
 from __future__ import annotations
 
-import time
-import warnings
 from collections.abc import Callable
 
 from ..baselines.naive import NaiveEnumerator
@@ -34,6 +32,7 @@ from ..core.stats import SearchStatistics
 from ..graph.graph import Graph
 from ..obs.trace import NULL_TRACER
 from ..quasiclique.definitions import validate_parameters
+from ..resilience.retry import Deadline
 from ..settrie.filter import filter_non_maximal
 from .results import EnumerationResult
 
@@ -118,9 +117,7 @@ def run_enumeration(graph: Graph, spec,
     This is the canonical execution path for the ``enumerate`` workload: it
     builds the MQCE-S1 enumerator from the spec's execution knobs, filters the
     candidates with the set-trie (MQCE-S2), and packs everything into an
-    :class:`EnumerationResult` — content-identical to what the deprecated
-    kwargs entry point :func:`find_maximal_quasi_cliques` returns for the same
-    parameters.
+    :class:`EnumerationResult`.
 
     ``spec.algorithm="auto"`` resolves to DCFastQC here (no planner is
     involved at this level; the engine plans before calling in).  A spec
@@ -136,8 +133,7 @@ def run_enumeration(graph: Graph, spec,
     algorithm = resolve_algorithm(spec.algorithm)
     framework = spec.framework if spec.framework is not None else "dc"
     if should_stop is None and spec.time_limit is not None:
-        deadline = time.monotonic() + spec.time_limit
-        should_stop = lambda: time.monotonic() >= deadline  # noqa: E731
+        should_stop = Deadline.after(spec.time_limit).expired
     obs = tracer if tracer is not None else NULL_TRACER
     enumerator = build_enumerator(graph, spec.gamma, spec.theta, algorithm=algorithm,
                                   branching=spec.branching, framework=framework,
@@ -168,52 +164,3 @@ def run_enumeration(graph: Graph, spec,
         truncated=getattr(enumerator, "stopped", False),
     )
 
-
-def find_maximal_quasi_cliques(graph: Graph, gamma: float, theta: int,
-                               algorithm: str = "dcfastqc",
-                               branching: str | None = None, framework: str = "dc",
-                               max_rounds: int = DEFAULT_MAX_ROUNDS,
-                               maximality_filter: bool = True) -> EnumerationResult:
-    """Enumerate every maximal gamma-quasi-clique of size >= theta (full MQCE).
-
-    .. deprecated::
-        This kwargs entry point is superseded by the declarative
-        :class:`repro.api.QuerySpec` API::
-
-            from repro.api import Q
-            result = Q(graph).gamma(0.9).theta(5).run()
-
-        It now delegates to :func:`run_enumeration` and returns an identical
-        result, emitting a :class:`DeprecationWarning`.
-
-    Parameters
-    ----------
-    graph:
-        Input graph (:class:`repro.graph.Graph`).
-    gamma:
-        Degree fraction threshold in ``[0.5, 1]``.
-    theta:
-        Minimum quasi-clique size (positive integer).
-    algorithm:
-        MQCE-S1 stage: ``"dcfastqc"`` (default), ``"fastqc"``, ``"quickplus"``
-        or ``"naive"``.
-    branching, framework, max_rounds, maximality_filter:
-        Advanced knobs forwarded to the chosen algorithm (see
-        :func:`build_enumerator`).
-
-    Returns
-    -------
-    EnumerationResult
-        With the maximal quasi-cliques, the candidate (pre-filter) set, timing
-        and branch-and-bound statistics.
-    """
-    warnings.warn(
-        "find_maximal_quasi_cliques() is deprecated; build a repro.api.QuerySpec "
-        "(e.g. Q(graph).gamma(...).theta(...).run()) or use MQCEEngine.query()",
-        DeprecationWarning, stacklevel=2)
-    from ..api.spec import QuerySpec
-
-    spec = QuerySpec(gamma=gamma, theta=theta, algorithm=algorithm,
-                     branching=branching, framework=framework,
-                     max_rounds=max_rounds, maximality_filter=maximality_filter)
-    return run_enumeration(graph, spec)

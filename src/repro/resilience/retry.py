@@ -59,16 +59,24 @@ class RetryPolicy:
 
 
 class Deadline:
-    """A wall-clock budget: ``Deadline.after(2.5)`` expires 2.5s from now."""
+    """A wall-clock budget: ``Deadline.after(2.5)`` expires 2.5s from now.
+
+    ``clock`` defaults to ``time.monotonic``, looked up when the deadline is
+    made.  Besides bounding client retries, a deadline is the ``time_limit``
+    budget of every enumeration path (``run_enumeration``, top-k,
+    containment and engine streams): its :meth:`expired` is the enumerator's
+    cooperative ``should_stop``.
+    """
 
     def __init__(self, expires_at: float, *,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] | None = None) -> None:
         self._expires_at = expires_at
-        self._clock = clock
+        self._clock = clock if clock is not None else time.monotonic
 
     @classmethod
     def after(cls, seconds: float, *,
-              clock: Callable[[], float] = time.monotonic) -> "Deadline":
+              clock: Callable[[], float] | None = None) -> "Deadline":
+        clock = clock if clock is not None else time.monotonic
         return cls(clock() + seconds, clock=clock)
 
     def remaining(self) -> float:

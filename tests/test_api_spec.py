@@ -1,4 +1,4 @@
-"""Tests for the unified QuerySpec API: spec, builder, errors, shims."""
+"""Tests for the unified QuerySpec API: spec, builder, errors."""
 
 from __future__ import annotations
 
@@ -20,9 +20,7 @@ from repro import (
     QuerySpec,
     ReproError,
     SpecError,
-    find_largest_quasi_cliques,
-    find_maximal_quasi_cliques,
-    find_quasi_cliques_containing,
+    run_enumeration,
 )
 from repro.api import coerce_spec, execute, result_value, shape_result
 from repro.datasets import get_spec, load_dataset
@@ -213,39 +211,17 @@ class TestShapeResult:
 
 
 class TestDeprecatedShims:
-    """Satellite: old kwargs entry points warn and return identical results."""
-
-    def test_find_maximal_quasi_cliques_warns_and_matches(self, diamond):
-        with pytest.warns(DeprecationWarning):
-            legacy = find_maximal_quasi_cliques(diamond, 0.6, 3)
-        via_spec = execute(diamond, QuerySpec(gamma=0.6, theta=3, algorithm="dcfastqc"))
-        assert legacy.maximal_quasi_cliques == via_spec.maximal_quasi_cliques
-        assert legacy.candidate_quasi_cliques == via_spec.candidate_quasi_cliques
-        assert legacy.algorithm == via_spec.algorithm == "dcfastqc"
-
-    def test_find_largest_quasi_cliques_warns_and_matches(self):
-        graph = load_dataset("twitter")
-        with pytest.warns(DeprecationWarning):
-            legacy = find_largest_quasi_cliques(graph, 0.9, k=2, minimum_size=3)
-        via_spec = Q(graph).gamma(0.9).theta(3).top(2).run()
-        assert legacy == via_spec
-
-    def test_find_quasi_cliques_containing_warns_and_matches(self, diamond):
-        with pytest.warns(DeprecationWarning):
-            legacy = find_quasi_cliques_containing(diamond, [1], 0.6, theta=3)
-        via_spec = Q(diamond).gamma(0.6).theta(3).containing(1).run()
-        assert legacy == via_spec
+    """The engine agrees with the one-shot pipeline the removed kwargs
+    entry points used to wrap."""
 
     def test_engine_matches_deprecated_pipeline(self):
         name = "kmer"
         spec = get_spec(name)
         graph = load_dataset(name)
-        with pytest.warns(DeprecationWarning):
-            legacy = find_maximal_quasi_cliques(graph, spec.default_gamma,
-                                                spec.default_theta)
-        result = MQCEEngine().query(graph, QuerySpec(gamma=spec.default_gamma,
-                                                     theta=spec.default_theta))
-        assert set(result.maximal_quasi_cliques) == set(legacy.maximal_quasi_cliques)
+        query = QuerySpec(gamma=spec.default_gamma, theta=spec.default_theta)
+        one_shot = run_enumeration(graph, query)
+        result = MQCEEngine().query(graph, query)
+        assert set(result.maximal_quasi_cliques) == set(one_shot.maximal_quasi_cliques)
 
 
 class TestEngineSpecCaching:

@@ -13,8 +13,7 @@ import io
 import pytest
 
 import repro.core.fastqc as fastqc_module
-import repro.pipeline.mqce as mqce_module
-import repro.pipeline.streaming as streaming_module
+import repro.resilience.retry as retry_module
 from repro import Graph, GraphError, MQCEEngine
 from repro.api import QuerySpec
 from repro.core.dcfastqc import DCFastQC
@@ -438,7 +437,7 @@ def test_engine_stream_over_csr_yields_the_answer(planted_skew):
 
 class TickingClock:
     """Stand-in ``time`` module whose monotonic clock advances 1 s per read,
-    so a ``time_limit`` of N seconds expires after N budget polls."""
+    so a ``time_limit`` deadline of N seconds expires after N budget polls."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -453,8 +452,7 @@ def test_time_limited_csr_query_truncates_to_a_subset(planted_skew, monkeypatch)
     full = set(run_enumeration(graph, QuerySpec(gamma=SKEW_GAMMA, theta=SKEW_THETA))
                .maximal_quasi_cliques)
     spec = QuerySpec(gamma=SKEW_GAMMA, theta=SKEW_THETA, time_limit=300)
-    monkeypatch.setattr(mqce_module, "time", TickingClock())
-    monkeypatch.setattr(streaming_module, "time", TickingClock())
+    monkeypatch.setattr(retry_module, "time", TickingClock())
     engine = MQCEEngine()
     result = engine.query(csr, spec=spec, use_cache=False)
     assert result.truncated

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph, find_maximal_quasi_cliques
+from repro import Graph, Q, QuerySpec, community_of, run_enumeration
 from repro.datasets import dataset_names, get_spec, load_dataset, load_prepared
 from repro.engine import (
     EngineError,
@@ -18,7 +18,7 @@ from repro.engine import (
     graph_fingerprint,
     prepare_graph,
 )
-from repro.extensions.topk import find_largest_quasi_cliques
+from repro.extensions.topk import largest_quasi_clique_size
 from repro.quasiclique.definitions import ParameterError
 
 
@@ -188,8 +188,8 @@ class TestMQCEEngineQueries:
     def test_matches_one_shot_pipeline_on_every_registry_dataset(self, name):
         spec = get_spec(name)
         graph = load_dataset(name)
-        reference = find_maximal_quasi_cliques(graph, spec.default_gamma,
-                                               spec.default_theta)
+        reference = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                                     theta=spec.default_theta))
         engine = MQCEEngine()
         result = engine.query(graph, spec.default_gamma, spec.default_theta)
         assert result.maximal_quasi_cliques == reference.maximal_quasi_cliques
@@ -229,14 +229,14 @@ class TestMQCEEngineQueries:
         engine = MQCEEngine()
         result = engine.query(triangle, 1.0, 10)
         assert result.maximal_quasi_cliques == []
-        reference = find_maximal_quasi_cliques(triangle, 1.0, 10)
+        reference = run_enumeration(triangle, QuerySpec(gamma=1.0, theta=10))
         assert result.maximal_quasi_cliques == reference.maximal_quasi_cliques
 
     def test_parallel_plan_produces_identical_results(self):
         spec = get_spec("douban")
         graph = load_dataset("douban")
-        reference = find_maximal_quasi_cliques(graph, spec.default_gamma,
-                                               spec.default_theta)
+        reference = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                                     theta=spec.default_theta))
         engine = MQCEEngine(planner=QueryPlanner(PlannerConfig(
             parallel_min_vertices=1, small_graph_vertices=1)), workers=2)
         result = engine.query(graph, spec.default_gamma, spec.default_theta)
@@ -364,19 +364,21 @@ class TestEngineAwareExtensions:
     def test_topk_accepts_prepared_graph_and_matches_plain(self):
         graph = load_dataset("douban")
         prepared = PreparedGraph(graph)
-        plain = find_largest_quasi_cliques(graph, 0.9, k=2)
-        via_prepared = find_largest_quasi_cliques(prepared, 0.9, k=2)
+        plain = Q(graph).gamma(0.9).theta(2).top(2).run()
+        # The engine starts the search from the prepared size upper bound.
+        via_prepared = Q(prepared).gamma(0.9).theta(2).top(2).run(MQCEEngine())
         assert via_prepared == plain
+        assert largest_quasi_clique_size(prepared, 0.9) == len(plain[0])
 
     def test_containment_accepts_prepared_graph(self):
-        from repro.extensions.query import find_quasi_cliques_containing
-
         graph = load_dataset("twitter")
         prepared = PreparedGraph(graph)
         anchor = next(iter(graph.vertices()))
-        plain = find_quasi_cliques_containing(graph, [anchor], 0.9, theta=2)
-        via_prepared = find_quasi_cliques_containing(prepared, [anchor], 0.9, theta=2)
+        plain = Q(graph).gamma(0.9).theta(2).containing(anchor).run()
+        via_prepared = Q(prepared).gamma(0.9).theta(2).containing(anchor).run()
         assert via_prepared == plain
+        assert community_of(prepared, anchor, 0.9, theta=2) == \
+            (plain[0] if plain else frozenset())
 
     def test_load_prepared_carries_dataset_name(self):
         prepared = load_prepared("kmer")

@@ -118,7 +118,7 @@ class TestDimacs:
 
     def test_enumeration_on_dimacs_graph(self):
         graph = read_dimacs(io.StringIO("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"))
-        from repro import find_maximal_quasi_cliques
+        from repro import QuerySpec, run_enumeration
 
-        result = find_maximal_quasi_cliques(graph, gamma=1.0, theta=3)
+        result = run_enumeration(graph, QuerySpec(gamma=1.0, theta=3))
         assert result.maximal_quasi_cliques == [frozenset({1, 2, 3, 4})]

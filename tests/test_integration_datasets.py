@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ParallelDCFastQC, find_maximal_quasi_cliques
+from repro import ParallelDCFastQC, QuerySpec, run_enumeration
 from repro.datasets import get_spec
 from repro.quasiclique import is_quasi_clique, satisfies_maximality_necessary_condition
 
 SMALL_ANALOGUES = ["douban", "twitter", "kmer", "ca-grqc"]
+
+
+def _mqce(graph, spec, **knobs):
+    """The one-shot pipeline at a dataset's default parameters."""
+    return run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                            theta=spec.default_theta, **knobs))
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +31,7 @@ def dataset_results():
     for name in SMALL_ANALOGUES:
         spec = get_spec(name)
         graph = spec.build()
-        result = find_maximal_quasi_cliques(graph, spec.default_gamma, spec.default_theta)
-        results[name] = (spec, graph, result)
+        results[name] = (spec, graph, _mqce(graph, spec))
     return results
 
 
@@ -34,23 +39,20 @@ class TestAlgorithmsAgreeOnDatasets:
     @pytest.mark.parametrize("name", SMALL_ANALOGUES)
     def test_quickplus_matches_dcfastqc(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
-        quick = find_maximal_quasi_cliques(graph, spec.default_gamma, spec.default_theta,
-                                           algorithm="quickplus")
+        quick = _mqce(graph, spec, algorithm="quickplus")
         assert set(quick.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
     @pytest.mark.parametrize("name", SMALL_ANALOGUES)
     def test_fastqc_matches_dcfastqc(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
-        fast = find_maximal_quasi_cliques(graph, spec.default_gamma, spec.default_theta,
-                                          algorithm="fastqc")
+        fast = _mqce(graph, spec, algorithm="fastqc")
         assert set(fast.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
     @pytest.mark.parametrize("name", ["douban", "twitter"])
     def test_branching_variants_match(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
         for branching in ("sym-se", "se"):
-            result = find_maximal_quasi_cliques(graph, spec.default_gamma,
-                                                spec.default_theta, branching=branching)
+            result = _mqce(graph, spec, branching=branching)
             assert set(result.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
     @pytest.mark.parametrize("name", ["douban", "kmer"])

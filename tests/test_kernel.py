@@ -498,58 +498,31 @@ class TestShrinkLedgers:
 
 
 class TestLedgerBackends:
-    """The flat-buffer backends behind BranchState and ShrinkLedgers."""
-
-    def test_default_is_auto(self):
-        assert kernel_module.DEFAULT_LEDGER_BACKEND == "auto"
-        assert set(kernel_module.LEDGER_BACKENDS) >= {"auto", "array", "list"}
+    """The width rule picking list or ``array('i')`` ledger buffers."""
 
     def test_auto_picks_buffer_type_by_width(self):
-        wide = kernel_module.AUTO_ARRAY_MIN_WIDTH
-        previous = kernel_module.set_ledger_backend("auto")
-        try:
-            import array
-            small = kernel_module._make_ledger([0] * 4)
-            large = kernel_module._make_ledger([0] * wide)
-            assert isinstance(small, list)
-            assert isinstance(large, array.array)
-            assert isinstance(kernel_module._zero_ledger(4), list)
-            assert isinstance(kernel_module._zero_ledger(wide), array.array)
-        finally:
-            kernel_module.set_ledger_backend(previous)
+        import array
 
-    @pytest.mark.parametrize("backend", ["auto", "array", "list", "numpy"])
-    def test_enumeration_identical_under_every_backend(self, backend):
+        wide = kernel_module.AUTO_ARRAY_MIN_WIDTH
+        assert isinstance(kernel_module._make_ledger([0] * 4), list)
+        assert isinstance(kernel_module._make_ledger([0] * wide), array.array)
+        assert isinstance(kernel_module._zero_ledger(4), list)
+        assert isinstance(kernel_module._zero_ledger(wide), array.array)
+
+    @pytest.mark.parametrize("backend", ["array", "list"])
+    def test_enumeration_identical_under_every_backend(self, backend, monkeypatch):
         from repro.baselines.quickplus import QuickPlus
 
         graph = erdos_renyi_gnm(26, 80, seed=61)
         baseline_fastqc = FastQC(graph, 0.8, 3, kernel="reference").enumerate()
         baseline_quick = QuickPlus(graph, 0.8, 3, kernel="reference").enumerate()
-        previous = kernel_module.set_ledger_backend(backend)
-        try:
-            assert FastQC(graph, 0.8, 3).enumerate() == baseline_fastqc
-            assert QuickPlus(graph, 0.8, 3).enumerate() == baseline_quick
-            assert DCFastQC(graph, 0.8, 3).enumerate() \
-                == DCFastQC(graph, 0.8, 3, kernel="reference").enumerate()
-        finally:
-            kernel_module.set_ledger_backend(previous)
-
-    def test_unknown_backend_warns_and_falls_back(self):
-        previous = kernel_module.ledger_backend()
-        try:
-            with pytest.warns(RuntimeWarning, match="unknown REPRO_KERNEL_BACKEND"):
-                kernel_module.set_ledger_backend("gpu")
-            assert kernel_module.ledger_backend() == "auto"
-        finally:
-            kernel_module.set_ledger_backend(previous)
-
-    def test_set_ledger_backend_returns_previous(self):
-        previous = kernel_module.set_ledger_backend("list")
-        try:
-            assert kernel_module.ledger_backend() == "list"
-            assert kernel_module.set_ledger_backend(previous) == "list"
-        finally:
-            kernel_module.set_ledger_backend(previous)
+        # Move the width threshold so every ledger takes one buffer type.
+        width = 0 if backend == "array" else sys.maxsize
+        monkeypatch.setattr(kernel_module, "AUTO_ARRAY_MIN_WIDTH", width)
+        assert FastQC(graph, 0.8, 3).enumerate() == baseline_fastqc
+        assert QuickPlus(graph, 0.8, 3).enumerate() == baseline_quick
+        assert DCFastQC(graph, 0.8, 3).enumerate() \
+            == DCFastQC(graph, 0.8, 3, kernel="reference").enumerate()
 
 
 class TestMaximalityHalo:

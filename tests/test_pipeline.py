@@ -10,8 +10,9 @@ from repro import (
     ALGORITHMS,
     EnumerationResult,
     Graph,
+    QuerySpec,
     enumerate_candidate_quasi_cliques,
-    find_maximal_quasi_cliques,
+    run_enumeration,
 )
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
 from repro.pipeline.mqce import build_enumerator
@@ -36,6 +37,8 @@ class TestBuildEnumerator:
 
 
 class TestFindMaximalQuasiCliques:
+    """:func:`repro.run_enumeration`, the full MQCE pipeline."""
+
     @pytest.mark.parametrize("algorithm", ["dcfastqc", "fastqc", "quickplus", "naive"])
     def test_matches_bruteforce(self, algorithm):
         rng = random.Random(401)
@@ -44,11 +47,11 @@ class TestFindMaximalQuasiCliques:
             gamma = rng.choice([0.5, 0.7, 0.9])
             theta = rng.randint(1, 3)
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            result = find_maximal_quasi_cliques(graph, gamma, theta, algorithm=algorithm)
+            result = run_enumeration(graph, QuerySpec(gamma, theta, algorithm=algorithm))
             assert set(result.maximal_quasi_cliques) == expected
 
     def test_result_fields(self, clique5):
-        result = find_maximal_quasi_cliques(clique5, 1.0, 3)
+        result = run_enumeration(clique5, QuerySpec(1.0, 3))
         assert isinstance(result, EnumerationResult)
         assert result.algorithm == "dcfastqc"
         assert result.gamma == 1.0
@@ -62,32 +65,32 @@ class TestFindMaximalQuasiCliques:
 
     def test_results_sorted_largest_first(self):
         graph = planted_quasi_clique_graph(30, 40, [7, 5], 0.9, seed=3)
-        result = find_maximal_quasi_cliques(graph, 0.9, 4)
+        result = run_enumeration(graph, QuerySpec(0.9, 4))
         sizes = [len(h) for h in result.maximal_quasi_cliques]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_size_statistics(self, two_triangles):
-        result = find_maximal_quasi_cliques(two_triangles, 1.0, 3)
+        result = run_enumeration(two_triangles, QuerySpec(1.0, 3))
         sizes = result.size_statistics()
         assert sizes.count == 2
         assert sizes.min_size == sizes.max_size == 3
         assert sizes.avg_size == pytest.approx(3.0)
 
     def test_summary_keys(self, triangle):
-        summary = find_maximal_quasi_cliques(triangle, 1.0, 2).summary()
+        summary = run_enumeration(triangle, QuerySpec(1.0, 2)).summary()
         for key in ("algorithm", "gamma", "theta", "maximal_count", "candidate_count",
                     "enumeration_seconds", "branches_explored"):
             assert key in summary
 
     def test_empty_graph(self):
-        result = find_maximal_quasi_cliques(Graph(), 0.9, 2)
+        result = run_enumeration(Graph(), QuerySpec(0.9, 2))
         assert result.maximal_quasi_cliques == []
         assert result.size_statistics().count == 0
 
     def test_algorithm_options_forwarded(self, clique5):
-        result = find_maximal_quasi_cliques(clique5, 1.0, 3, algorithm="dcfastqc",
-                                            branching="sym-se", framework="basic-dc",
-                                            max_rounds=1)
+        spec = QuerySpec(1.0, 3, algorithm="dcfastqc", branching="sym-se",
+                         framework="basic-dc", max_rounds=1)
+        result = run_enumeration(clique5, spec)
         assert result.maximal_count == 1
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Graph, SetTrie, filter_non_maximal, find_maximal_quasi_cliques
+from repro import Graph, QuerySpec, SetTrie, filter_non_maximal, run_enumeration
 from repro.core import Branch, generate_branches, select_pivot, sigma, tau_sigma
 from repro.core.refinement import progressively_refine
 from repro.graph import core_numbers, degeneracy, degeneracy_ordering, is_degeneracy_ordering
@@ -114,7 +114,7 @@ class TestSearchProperties:
            algorithm=st.sampled_from(["dcfastqc", "fastqc", "quickplus"]))
     def test_pipeline_matches_bruteforce(self, graph, gamma, theta, algorithm):
         expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-        result = find_maximal_quasi_cliques(graph, gamma, theta, algorithm=algorithm)
+        result = run_enumeration(graph, QuerySpec(gamma, theta, algorithm=algorithm))
         assert set(result.maximal_quasi_cliques) == expected
 
     @settings(max_examples=25, deadline=None)

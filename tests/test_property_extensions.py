@@ -6,8 +6,7 @@ import io
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Graph
-from repro.extensions import find_largest_quasi_cliques, find_quasi_cliques_containing
+from repro import Graph, Q
 from repro.graph.formats import (
     graph_from_json_dict,
     graph_to_json_dict,
@@ -71,7 +70,7 @@ class TestTopKProperties:
         expected = sorted((len(m) for m in
                            enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, 2)),
                           reverse=True)[:k]
-        top = find_largest_quasi_cliques(graph, gamma, k=k, minimum_size=2)
+        top = Q(graph).gamma(gamma).theta(2).top(k).run()
         assert [len(clique) for clique in top] == expected
         for clique in top:
             assert is_quasi_clique(graph, clique, gamma)
@@ -82,7 +81,7 @@ class TestQueryProperties:
     @given(graph=small_graphs(), gamma=gammas, data=st.data())
     def test_query_results_complete_and_sound(self, graph, gamma, data):
         query_vertex = data.draw(st.sampled_from(graph.vertices()))
-        found = find_quasi_cliques_containing(graph, [query_vertex], gamma, theta=1)
+        found = Q(graph).gamma(gamma).theta(1).containing(query_vertex).run()
         expected = [m for m in enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, 1)
                     if query_vertex in m]
         for mqc in expected:

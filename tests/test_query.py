@@ -1,4 +1,4 @@
-"""Tests for query-driven quasi-clique search."""
+"""Tests for query-driven quasi-clique search (the containment workload)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro import Graph, community_of, find_quasi_cliques_containing
+from repro import Graph, Q, QuerySpec, community_of
+from repro.api import containment_search
 from repro.extensions import QueryError
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
 from repro.quasiclique import enumerate_maximal_quasi_cliques_bruteforce, is_quasi_clique
@@ -15,25 +16,25 @@ from repro.quasiclique import enumerate_maximal_quasi_cliques_bruteforce, is_qua
 class TestFindContaining:
     def test_empty_query_rejected(self, triangle):
         with pytest.raises(QueryError):
-            find_quasi_cliques_containing(triangle, [], 0.9)
+            containment_search(triangle, QuerySpec(gamma=0.9))
 
     def test_unknown_vertex_rejected(self, triangle):
         from repro import GraphError
 
         with pytest.raises(GraphError):
-            find_quasi_cliques_containing(triangle, [42], 0.9)
+            Q(triangle).gamma(0.9).containing(42).run()
 
     def test_single_query_in_clique(self, clique5):
-        found = find_quasi_cliques_containing(clique5, [2], 1.0, theta=3)
+        found = Q(clique5).gamma(1.0).theta(3).containing(2).run()
         assert found == [frozenset(range(5))]
 
     def test_query_pair_in_different_triangles(self, two_triangles):
-        assert find_quasi_cliques_containing(two_triangles, [0, 3], 0.9, theta=2) == []
+        assert Q(two_triangles).gamma(0.9).theta(2).containing(0, 3).run() == []
 
     def test_all_results_contain_query_and_are_qcs(self, paper_figure1):
         for query in ([1], [2, 3], [5]):
             for gamma in (0.6, 0.9):
-                found = find_quasi_cliques_containing(paper_figure1, query, gamma, theta=2)
+                found = Q(paper_figure1).gamma(gamma).theta(2).containing(*query).run()
                 for clique in found:
                     assert set(query) <= clique
                     assert is_quasi_clique(paper_figure1, clique, gamma)
@@ -47,20 +48,20 @@ class TestFindContaining:
             query_vertex = rng.choice(graph.vertices())
             expected = [m for m in enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta)
                         if query_vertex in m]
-            found = find_quasi_cliques_containing(graph, [query_vertex], gamma, theta)
+            found = Q(graph).gamma(gamma).theta(theta).containing(query_vertex).run()
             for mqc in expected:
                 assert mqc in found, (
                     f"trial {trial}: missing {sorted(mqc)} for query {query_vertex}")
 
     def test_non_maximal_mode_returns_more(self, clique5):
-        maximal = find_quasi_cliques_containing(clique5, [0], 1.0, theta=2)
-        everything = find_quasi_cliques_containing(clique5, [0], 1.0, theta=2,
-                                                   require_maximal=False)
+        query = Q(clique5).gamma(1.0).theta(2).containing(0)
+        maximal = query.run()
+        everything = query.any_quasi_clique().run()
         assert len(everything) >= len(maximal)
 
     def test_results_sorted_by_size(self):
         graph = planted_quasi_clique_graph(30, 40, [8], 0.9, seed=7)
-        found = find_quasi_cliques_containing(graph, [0], 0.85, theta=3)
+        found = Q(graph).gamma(0.85).theta(3).containing(0).run()
         sizes = [len(h) for h in found]
         assert sizes == sorted(sizes, reverse=True)
 

@@ -215,6 +215,22 @@ class TestRetry:
         with pytest.raises(DeadlineExceededError):
             deadline.check("enumeration")
 
+    def test_deadline_default_clock_is_read_when_made(self, monkeypatch):
+        import repro.resilience.retry as retry_module
+
+        class FakeTime:
+            now = 100.0
+
+            @classmethod
+            def monotonic(cls) -> float:
+                return cls.now
+
+        monkeypatch.setattr(retry_module, "time", FakeTime)
+        deadline = Deadline.after(2.0)
+        assert deadline.remaining() == 2.0 and not deadline.expired()
+        FakeTime.now = 102.0
+        assert deadline.expired()
+
 
 # ----------------------------------------------------------------------
 # Circuit breaker

@@ -323,9 +323,12 @@ class TestSingleFlight:
         with start_in_thread(service) as handle:
             gate = _gate_host(service)
             spec = {"gamma": 0.9, "theta": 4}
-            threads = [threading.Thread(
-                target=lambda: ServeClient(port=handle.port).query(spec))
-                for _ in range(3)]
+
+            def query() -> None:
+                with ServeClient(port=handle.port) as client:
+                    client.query(spec)
+
+            threads = [threading.Thread(target=query) for _ in range(3)]
             for thread in threads:
                 thread.start()
             gate.set()

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph, MQCEEngine, QuerySpec, stream_maximal_quasi_cliques
+from repro import Graph, MQCEEngine, Q, QuerySpec, Tracer
 from repro.datasets import dataset_names, get_spec, load_dataset
-from repro.pipeline.streaming import QuasiCliqueStream
 
 #: Analogues small enough to re-enumerate with every algorithm.
 SMALL_ANALOGUES = ("douban", "twitter", "kmer", "ca-grqc")
@@ -51,8 +50,7 @@ class TestStreamingParity:
     def test_pipeline_level_stream_parity(self):
         graph = load_dataset("ca-grqc")
         spec = get_spec("ca-grqc")
-        stream = stream_maximal_quasi_cliques(graph, spec.default_gamma,
-                                              spec.default_theta)
+        stream = Q(graph).gamma(spec.default_gamma).theta(spec.default_theta).stream()
         engine_result = MQCEEngine().query(graph, spec.default_gamma,
                                            spec.default_theta)
         assert set(stream) == set(engine_result.maximal_quasi_cliques)
@@ -125,6 +123,39 @@ class TestBudgets:
         assert len(list(stream)) == 1
         assert stream.truncated
 
+    def test_terminal_flush_time_limit_truncates_and_skips_cache(self):
+        graph, spec = _fresh_query("ca-grqc", algorithm="fastqc", time_limit=1e-9)
+        engine = MQCEEngine()
+        stream = engine.stream(graph, spec)
+        full = set(MQCEEngine().query(graph, QuerySpec(gamma=spec.gamma,
+                                                       theta=spec.theta)).maximal_quasi_cliques)
+        delivered = set(stream)
+        assert stream.truncated and not stream.finished
+        assert len(delivered) < len(full)
+        assert len(engine.cache) == 0
+
+
+class TestBuilderStreams:
+    """``Q(...).stream()`` without an engine streams through a fresh one."""
+
+    def test_builder_stream_is_an_engine_stream_with_budgets(self):
+        graph = load_dataset("ca-grqc")
+        spec = get_spec("ca-grqc")
+        query = Q(graph).gamma(spec.default_gamma).theta(spec.default_theta)
+        stream = query.limit(2).stream()
+        assert len(list(stream)) == 2
+        assert stream.truncated and not stream.finished
+        complete = query.stream()
+        assert set(complete) == set(query.run().maximal_quasi_cliques)
+        assert complete.finished and not complete.from_cache
+
+    def test_builder_stream_of_topk_matches_run(self):
+        graph = load_dataset("twitter")
+        query = Q(graph).gamma(0.9).theta(3).top(2)
+        stream = query.stream()
+        assert list(stream) == query.run()
+        assert stream.finished
+
 
 class TestWorkloadStreams:
     def test_count_with_containment_respects_constraint(self):
@@ -181,6 +212,29 @@ class TestStreamCaching:
         engine = MQCEEngine()
         list(engine.stream(graph, spec))
         assert len(engine.cache) == 0
+
+    def test_stream_honours_reference_kernel(self):
+        # Regression: the live stream used to drop spec.kernel and run the
+        # ledger kernel, then cache ledger statistics under the
+        # reference-kernel key.
+        graph = load_dataset("ca-grqc")
+        spec = QuerySpec(gamma=0.9, theta=7, kernel="reference")
+        engine = MQCEEngine()
+        tracer = Tracer()
+        stream = engine.stream(graph, spec, trace=tracer)
+        streamed = list(stream)
+        assert stream.finished
+        (enumerate_span,) = [s for s in tracer.spans if s.name == "enumerate"]
+        reference = MQCEEngine().query(graph, spec)
+        expected = reference.search_statistics
+        assert expected.ledger_moves == 0
+        assert enumerate_span.counters.get("ledger_moves", 0) == 0
+        assert enumerate_span.counters["branches_explored"] == expected.branches_explored
+        cached = engine.query(graph, spec)  # served from the stream's entry
+        assert engine.cache.stats.hits == 1
+        assert cached.search_statistics.ledger_moves == 0
+        assert cached.search_statistics.branches_explored == expected.branches_explored
+        assert set(streamed) == set(reference.maximal_quasi_cliques)
 
     def test_trivial_plan_streams_empty(self):
         engine = MQCEEngine()

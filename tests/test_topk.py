@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import Graph, find_largest_quasi_cliques, kernel_expansion_top_k
+from repro import Graph, Q, kernel_expansion_top_k
 from repro.extensions import expand_kernel, largest_quasi_clique_size, top_k_summary
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
 from repro.quasiclique import (
@@ -17,27 +17,27 @@ from repro.quasiclique import (
 
 class TestExactTopK:
     def test_clique_graph(self, clique5):
-        top = find_largest_quasi_cliques(clique5, 1.0, k=1)
+        top = Q(clique5).gamma(1.0).theta(2).top(1).run()
         assert top == [frozenset(range(5))]
 
     def test_two_triangles_top2(self, two_triangles):
-        top = find_largest_quasi_cliques(two_triangles, 1.0, k=2)
+        top = Q(two_triangles).gamma(1.0).theta(2).top(2).run()
         assert set(top) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     def test_k_larger_than_available(self, two_triangles):
-        top = find_largest_quasi_cliques(two_triangles, 1.0, k=10, minimum_size=3)
+        top = Q(two_triangles).gamma(1.0).theta(3).top(10).run()
         assert len(top) == 2
 
     def test_empty_graph(self):
-        assert find_largest_quasi_cliques(Graph(), 0.9, k=1) == []
+        assert Q(Graph()).gamma(0.9).theta(2).top(1).run() == []
 
     def test_invalid_k(self, triangle):
         with pytest.raises(ValueError):
-            find_largest_quasi_cliques(triangle, 0.9, k=0)
+            Q(triangle).gamma(0.9).theta(2).top(0).run()
 
     def test_sizes_are_non_increasing(self):
         graph = planted_quasi_clique_graph(40, 55, [9, 7, 6], 0.9, seed=9)
-        top = find_largest_quasi_cliques(graph, 0.9, k=3, minimum_size=4)
+        top = Q(graph).gamma(0.9).theta(4).top(3).run()
         sizes = [len(clique) for clique in top]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -51,7 +51,7 @@ class TestExactTopK:
             assert largest_quasi_clique_size(graph, gamma) == expected
 
     def test_top_k_summary(self, clique5):
-        top = find_largest_quasi_cliques(clique5, 1.0, k=1)
+        top = Q(clique5).gamma(1.0).theta(2).top(1).run()
         summary = top_k_summary(top)
         assert summary[0]["rank"] == 1
         assert summary[0]["size"] == 5
