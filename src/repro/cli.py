@@ -2,17 +2,15 @@
 
 Sub-commands
 ------------
-``query``      The unified declarative query command: build a
+``query``      Answer one query on a local graph: build a
                :class:`repro.api.QuerySpec` from flags or a JSON file
-               (``--spec``), run it through the persistent engine, optionally
-               streaming each maximal quasi-clique as it is confirmed
-               (``--stream``).  Covers enumerate / top-k (``--top``) /
-               containment (``--containing``) / count (``--count``) with
-               budgets (``--limit``, ``--time-limit``).
-``enumerate``  Run the full MQCE pipeline on an edge-list file or a registered
-               dataset analogue and print (or save) the maximal quasi-cliques.
-``topk``       Find the k largest maximal quasi-cliques (exact or kernel expansion).
-``community``  Find the maximal quasi-cliques containing given query vertices.
+               (``--spec``; flags override it, dataset defaults fill the
+               rest) and run it through the persistent engine.  Enumerates
+               every maximal quasi-clique by default; ``--top K`` keeps the
+               K largest, ``--containing V...`` those containing the given
+               vertices and ``--count`` only their number.  Budgets
+               (``--limit``, ``--time-limit``), incremental delivery
+               (``--stream``) and the plan alone (``--explain``) ride along.
 ``stats``      Print graph statistics (the input columns of Table 1).
 ``ingest``     Stream an edge-list file into the CSR large-graph backend
                (O(V+E) memory, no per-vertex dict/bitmask), report size,
@@ -21,17 +19,14 @@ Sub-commands
 ``datasets``   List the registered dataset analogues and their defaults.
 ``table1``     Regenerate the Table 1 rows on the dataset analogues.
 ``figure``     Regenerate one of the paper's figures (7, 8, 9, 10, 11, 12).
-``engine``     The persistent query engine: ``engine query`` (one cached MQCE
-               query, optionally repeated), ``engine batch`` (a gamma x theta
-               grid through one engine), ``engine explain`` (print the chosen
-               plan without enumerating) and ``engine stats`` (prepared-graph
-               artifacts and timings).
+``engine``     The persistent query engine: ``engine batch`` (a gamma x theta
+               grid through one engine) and ``engine stats`` (prepared-graph
+               artifacts and timings, or the metrics registry).
 ``dynamic``    Dynamic graph updates with incremental engine maintenance:
                ``dynamic apply`` (run an update script against a graph and
-               write/report the result), ``dynamic query`` (query, apply the
-               updates incrementally, query again — reporting which cache
-               entries survived) and ``dynamic stats`` (patch counters, core
-               drift and invalidation statistics after the updates).
+               write/report the result) and ``dynamic stats`` (patch
+               counters, core drift and invalidation statistics after the
+               updates).
 ``serve``      Boot the long-lived query service: named graphs behind the
                line-delimited JSON protocol with single-flight coalescing,
                admission control, in-band mutations and a single-port HTTP
@@ -42,8 +37,10 @@ Sub-commands
                ``--shutdown``).
 
 Errors derived from :class:`repro.errors.ReproError` (bad parameters, invalid
-specs, unsatisfiable queries) exit with code 2 and a one-line message instead
-of a traceback.
+specs, unsatisfiable queries) and OS errors on the files and sockets a command
+names (a missing input file, a refused connection) exit with code 2 and a
+one-line ``error: ...`` message instead of a traceback.  An unknown
+``--dataset`` name is rejected by the parser, also with exit code 2.
 """
 
 from __future__ import annotations
@@ -55,124 +52,78 @@ import time
 from pathlib import Path
 
 from .api import QuerySpec
-from .api.execute import containment_search, topk_search
 from .api.spec import SPEC_PARALLEL_MODES
 from .core.dcfastqc import DC_FRAMEWORKS
 from .core.kernel import KERNELS
-from .datasets.registry import REGISTRY, get_spec, load_dataset, load_prepared
+from .datasets.registry import REGISTRY, get_spec, load_prepared
 from .dynamic import DynamicEngine, read_update_script
 from .engine import MQCEEngine, QueryRequest, prepare_graph
 from .errors import ReproError, SpecError
 from .experiments import figures as figure_module
 from .experiments.harness import format_table
 from .experiments.tables import table1_rows
-from .extensions.topk import kernel_expansion_top_k
-from .graph.io import read_edge_list, write_edge_list, write_quasi_cliques
+from .graph.io import (ingest_edge_list, read_edge_list, write_edge_list,
+                       write_quasi_cliques)
 from .graph.statistics import graph_statistics
 from .pipeline.mqce import ALGORITHMS, run_enumeration
 
 
 def _load_graph(args: argparse.Namespace):
+    """The graph named by ``--dataset`` or ``--input``, as a PreparedGraph.
+
+    Datasets keep their registry name, files their path.  Preparation is
+    lazy, so commands that only need ``.graph`` pay nothing for it.
+    """
     if args.dataset:
-        return load_dataset(args.dataset)
+        return load_prepared(args.dataset)
     if args.input:
-        return read_edge_list(args.input)
+        return prepare_graph(read_edge_list(args.input), name=args.input)
     raise SystemExit("either --input FILE or --dataset NAME is required")
+
+
+def _parameters(args: argparse.Namespace, fields: dict | None = None) -> dict:
+    """Fill ``gamma`` / ``theta`` into ``fields`` (a ``--spec`` file's, if any).
+
+    Precedence: explicit flags > ``--spec`` file > dataset defaults.
+    """
+    fields = {} if fields is None else fields
+    if args.gamma is not None:
+        fields["gamma"] = args.gamma
+    if args.theta is not None:
+        fields["theta"] = args.theta
+    if args.dataset:
+        dataset = get_spec(args.dataset)
+        fields.setdefault("gamma", dataset.default_gamma)
+        fields.setdefault("theta", dataset.default_theta)
+    return fields
+
+
+def _add_dataset_argument(parser: argparse.ArgumentParser, description: str,
+                          **kwargs) -> None:
+    # Checked against the registry at parse time (names are case-insensitive,
+    # as in get_spec), so a typo exits 2 with argparse's "invalid choice".
+    parser.add_argument("--dataset", "-d", type=str.lower, choices=tuple(REGISTRY),
+                        metavar="NAME", help=f"{description} (see `repro datasets`)",
+                        **kwargs)
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", "-i", help="edge-list file to read")
-    parser.add_argument("--dataset", "-d", help="registered dataset analogue to build")
+    _add_dataset_argument(parser, "registered dataset analogue to build")
 
 
-def _command_enumerate(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    gamma = args.gamma
-    theta = args.theta
-    if args.dataset and gamma is None:
-        gamma = get_spec(args.dataset).default_gamma
-    if args.dataset and theta is None:
-        theta = get_spec(args.dataset).default_theta
-    if gamma is None or theta is None:
-        raise SystemExit("--gamma and --theta are required for --input graphs")
-    result = run_enumeration(graph, QuerySpec(gamma=gamma, theta=theta,
-                                              algorithm=args.algorithm))
-    if args.json:
-        print(json.dumps(result.summary(), indent=2))
-    else:
-        print(f"# {result.maximal_count} maximal {gamma}-quasi-cliques with >= {theta} vertices "
-              f"({result.algorithm}, {result.total_seconds:.3f}s)")
-        for clique in result.maximal_quasi_cliques:
-            print(" ".join(str(v) for v in sorted(clique, key=str)))
-    if args.output:
-        write_quasi_cliques(result.maximal_quasi_cliques, args.output)
-    return 0
-
-
-def _resolve_defaults(args: argparse.Namespace) -> tuple[float, int | None]:
-    """Fill gamma/theta from the dataset defaults when they were not given."""
-    gamma = args.gamma
-    theta = getattr(args, "theta", None)
-    if args.dataset:
-        spec = get_spec(args.dataset)
-        if gamma is None:
-            gamma = spec.default_gamma
-        if theta is None:
-            theta = spec.default_theta
-    return gamma, theta
-
-
-def _command_topk(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    gamma, _ = _resolve_defaults(args)
-    if gamma is None:
-        raise SystemExit("--gamma is required for --input graphs")
-    if args.heuristic:
-        cliques = kernel_expansion_top_k(graph, gamma, k=args.k,
-                                         kernel_theta=max(2, args.min_size))
-    else:
-        spec = QuerySpec(gamma=gamma, theta=max(1, args.min_size), k=args.k,
-                         algorithm="dcfastqc")
-        cliques = topk_search(graph, spec).maximal_quasi_cliques
-    method = "kernel expansion" if args.heuristic else "exact"
-    print(f"# top-{args.k} largest {gamma}-quasi-cliques ({method})")
-    for rank, clique in enumerate(cliques, start=1):
-        print(f"{rank}. size {len(clique)}: "
-              + " ".join(str(v) for v in sorted(clique, key=str)))
-    return 0
-
-
-def _command_community(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    gamma, theta = _resolve_defaults(args)
-    if gamma is None or theta is None:
-        raise SystemExit("--gamma and --theta are required for --input graphs")
-    query = [_int_if_possible(token) for token in args.vertices]
-    spec = QuerySpec(gamma=gamma, theta=theta, contains=tuple(query))
-    cliques = containment_search(graph, spec).maximal_quasi_cliques
-    print(f"# {len(cliques)} maximal {gamma}-quasi-cliques (size >= {theta}) "
-          f"containing {', '.join(map(str, query))}")
-    for clique in cliques:
-        print(" ".join(str(v) for v in sorted(clique, key=str)))
-    return 0
-
-
-def _int_if_possible(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
+def _add_parameter_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
+    parser.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
 
 
 def _command_stats(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    stats = graph_statistics(graph)
+    stats = graph_statistics(_load_graph(args).graph)
     print(json.dumps(stats.as_dict(), indent=2))
     return 0
 
 
 def _command_ingest(args: argparse.Namespace) -> int:
-    from .graph.io import ingest_edge_list, read_edge_list
     from .obs.process import current_rss_bytes, peak_rss_bytes
 
     # The baseline is taken after imports so the RSS deltas reported by the
@@ -272,10 +223,17 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# The unified `query` command (QuerySpec API)
+# The `query` command (QuerySpec API)
 # ----------------------------------------------------------------------
+def _int_if_possible(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def _build_query_spec(args: argparse.Namespace) -> QuerySpec:
-    """Assemble a QuerySpec from ``--spec FILE`` plus flag overrides."""
+    """Assemble a QuerySpec from ``--spec FILE``, flags and dataset defaults."""
     fields: dict = {}
     if args.spec:
         try:
@@ -286,26 +244,18 @@ def _build_query_spec(args: argparse.Namespace) -> QuerySpec:
             fields = QuerySpec.fields_from_json(text)
         except SpecError as exc:
             raise SpecError(f"spec file {args.spec}: {exc}") from exc
-    # Precedence: explicit flags > --spec file > dataset defaults.
-    if args.gamma is not None:
-        fields["gamma"] = args.gamma
-    if args.theta is not None:
-        fields["theta"] = args.theta
-    if args.dataset:
-        dataset = get_spec(args.dataset)
-        fields.setdefault("gamma", dataset.default_gamma)
-        fields.setdefault("theta", dataset.default_theta)
+    fields = _parameters(args, fields)
     if args.algorithm is not None:
         fields["algorithm"] = args.algorithm
     if args.branching is not None:
         fields["branching"] = args.branching
     if args.framework is not None:
         fields["framework"] = args.framework
-    if getattr(args, "kernel", None) is not None:
+    if args.kernel is not None:
         fields["kernel"] = args.kernel
     if args.max_rounds is not None:
         fields["max_rounds"] = args.max_rounds
-    if getattr(args, "parallel", None) is not None:
+    if args.parallel is not None:
         fields["parallel"] = args.parallel
     if args.containing:
         fields["contains"] = tuple(_int_if_possible(token) for token in args.containing)
@@ -325,19 +275,47 @@ def _build_query_spec(args: argparse.Namespace) -> QuerySpec:
     return QuerySpec.from_dict(fields)
 
 
-def _print_clique(clique: frozenset, stream=None) -> None:
-    print(" ".join(str(v) for v in sorted(clique, key=str)),
-          file=stream or sys.stdout, flush=True)
+def _print_answers(args: argparse.Namespace, spec: QuerySpec,
+                   answers) -> list[frozenset]:
+    """Print each answer as it arrives and return them all.
+
+    One line per answer (one JSON object per line under ``--json``).  A
+    count-only query prints none of them: its output is the count alone.
+    """
+    delivered = []
+    for clique in answers:
+        delivered.append(clique)
+        if spec.count_only:
+            continue
+        if args.json:
+            print(json.dumps({"clique": sorted(map(str, clique))}), flush=True)
+        else:
+            print(" ".join(str(v) for v in sorted(clique, key=str)), flush=True)
+    return delivered
+
+
+def _print_summary(args: argparse.Namespace, spec: QuerySpec, payload: dict,
+                   text: str, count: int, indent: int | None = None) -> None:
+    """Print a query's summary: the JSON payload (plus ``count`` for a
+    count-only query), the bare count, or the text line."""
+    if args.json:
+        if spec.count_only:
+            payload["count"] = count
+        print(json.dumps(payload, indent=indent))
+    elif spec.count_only:
+        print(count)
+    else:
+        print(text)
 
 
 def _observability(args: argparse.Namespace):
     """Build the (tracer, progress) pair requested by --trace / --progress-every."""
     tracer = None
-    if getattr(args, "trace", None):
+    if args.trace:
         from .obs import Tracer
         tracer = Tracer()
     progress = None
-    if getattr(args, "progress_every", None):
+    if args.progress_every:
         from .obs import heartbeat
         progress = heartbeat(every=args.progress_every)
     return tracer, progress
@@ -353,11 +331,14 @@ def _write_trace(tracer, args: argparse.Namespace) -> None:
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
+    prepared = _load_graph(args)
     spec = _build_query_spec(args)
-    engine = MQCEEngine(workers=getattr(args, "workers", None))
+    engine = MQCEEngine(workers=args.workers)
+    # Planned once, before the run (which reuses the memoized plan): a
+    # completed sequential DC run records its branch histogram, so planning
+    # again afterwards could report a parallel plan for a serial run.
+    plan = engine.explain(prepared, spec)
     if args.explain:
-        plan = engine.explain(prepared, spec)
         if args.json:
             print(json.dumps({"spec": spec.to_dict(), "plan": plan.as_dict()}, indent=2))
         else:
@@ -366,44 +347,32 @@ def _command_query(args: argparse.Namespace) -> int:
     tracer, progress = _observability(args)
     if args.stream:
         stream = engine.stream(prepared, spec, trace=tracer, progress=progress)
-        delivered: list[frozenset] = []
-        for clique in stream:
-            if args.json:
-                # JSON-lines: one object per answer, as soon as it is confirmed.
-                print(json.dumps({"clique": sorted(map(str, clique))}), flush=True)
-            else:
-                _print_clique(clique)
-            delivered.append(clique)
+        answers = _print_answers(args, spec, stream)
         state = ("complete" if stream.finished
                  else "truncated by budget" if stream.truncated else "stopped")
-        if args.json:
-            print(json.dumps({"spec": spec.to_dict(), "delivered": len(delivered),
-                              "state": state, "from_cache": stream.from_cache}))
-        else:
-            print(f"# {stream.delivered} maximal quasi-cliques streamed "
-                  f"({spec.describe()}; {state}"
-                  f"{'; served from cache' if stream.from_cache else ''})")
-        if args.output:
-            write_quasi_cliques(delivered, args.output)
-        _write_trace(tracer, args)
-        return 0
-    result = engine.query(prepared, spec, trace=tracer, progress=progress)
-    if args.json:
-        payload = {"spec": spec.to_dict(), "result": result.summary(),
-                   "plan": engine.explain(prepared, spec).as_dict()}
-        if spec.count_only:
-            payload["count"] = result.maximal_count
-        print(json.dumps(payload, indent=2))
-    elif spec.count_only:
-        print(result.maximal_count)
+        _print_summary(
+            args, spec,
+            {"spec": spec.to_dict(), "delivered": len(answers), "state": state,
+             "from_cache": stream.from_cache},
+            f"# {len(answers)} maximal quasi-cliques streamed "
+            f"({spec.describe()}; {state}"
+            f"{'; served from cache' if stream.from_cache else ''})",
+            len(answers))
     else:
+        result = engine.query(prepared, spec, trace=tracer, progress=progress)
+        answers = result.maximal_quasi_cliques
         truncated = " (truncated by time limit)" if result.truncated else ""
-        print(f"# {result.maximal_count} answers for {spec.describe()} "
-              f"[{result.algorithm}]{truncated}")
-        for clique in result.maximal_quasi_cliques:
-            _print_clique(clique)
+        _print_summary(
+            args, spec,
+            {"spec": spec.to_dict(), "result": result.summary(),
+             "plan": plan.as_dict(), "engine": engine.stats()},
+            f"# {result.maximal_count} answers for {spec.describe()} "
+            f"[{result.algorithm}]{truncated}",
+            result.maximal_count, indent=2)
+        if not args.json:
+            _print_answers(args, spec, answers)
     if args.output:
-        write_quasi_cliques(result.maximal_quasi_cliques, args.output)
+        write_quasi_cliques(answers, args.output)
     _write_trace(tracer, args)
     return 0
 
@@ -411,53 +380,6 @@ def _command_query(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # The `engine` sub-command group
 # ----------------------------------------------------------------------
-def _load_prepared(args: argparse.Namespace):
-    """Load the graph as a named PreparedGraph (datasets keep their name)."""
-    if args.dataset:
-        return load_prepared(args.dataset)
-    if args.input:
-        return prepare_graph(read_edge_list(args.input), name=args.input)
-    raise SystemExit("either --input FILE or --dataset NAME is required")
-
-
-def _require_parameters(args: argparse.Namespace) -> tuple[float, int]:
-    gamma, theta = _resolve_defaults(args)
-    if gamma is None or theta is None:
-        raise SystemExit("--gamma and --theta are required for --input graphs")
-    return gamma, theta
-
-
-def _command_engine_query(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
-    gamma, theta = _require_parameters(args)
-    engine = MQCEEngine(workers=getattr(args, "workers", None))
-    repeats = max(1, args.repeat)
-    spec = QuerySpec(gamma=gamma, theta=theta, algorithm=args.algorithm,
-                     branching=args.branching,
-                     parallel=getattr(args, "parallel", None) or "auto")
-    # Planned once here; the query loop reuses the memoized plan.
-    plan = engine.explain(prepared, spec)
-    result = None
-    for _ in range(repeats):
-        result = engine.query(prepared, spec)
-    stats = engine.stats()
-    if args.json:
-        print(json.dumps({"result": result.summary(), "plan": plan.as_dict(),
-                          "engine": stats}, indent=2))
-    else:
-        print(f"# {result.maximal_count} maximal {gamma}-quasi-cliques with >= {theta} "
-              f"vertices ({plan.algorithm}, planned, {result.total_seconds:.3f}s "
-              f"enumerated once)")
-        for clique in result.maximal_quasi_cliques:
-            print(" ".join(str(v) for v in sorted(clique, key=str)))
-        cache = stats["cache"]
-        print(f"# engine: {stats['queries']} queries, {cache['hits']} cache hits, "
-              f"{cache['misses']} misses (hit rate {cache['hit_rate']:.0%})")
-    if args.output:
-        write_quasi_cliques(result.maximal_quasi_cliques, args.output)
-    return 0
-
-
 def _parse_float_list(text: str) -> list[float]:
     return [float(token) for token in text.split(",") if token.strip()]
 
@@ -467,10 +389,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _command_engine_batch(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
-    default_gamma, default_theta = _require_parameters(args)
-    gammas = _parse_float_list(args.gammas) if args.gammas else [default_gamma]
-    thetas = _parse_int_list(args.thetas) if args.thetas else [default_theta]
+    prepared = _load_graph(args)
+    defaults = _parameters(args)
+    if "gamma" not in defaults or "theta" not in defaults:
+        raise SystemExit("--gamma and --theta are required for --input graphs")
+    gammas = _parse_float_list(args.gammas) if args.gammas else [defaults["gamma"]]
+    thetas = _parse_int_list(args.thetas) if args.thetas else [defaults["theta"]]
     requests = [QueryRequest(gamma, theta, algorithm=args.algorithm)
                 for gamma in gammas for theta in thetas]
     engine = MQCEEngine()
@@ -498,30 +422,15 @@ def _command_engine_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_engine_explain(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
-    gamma, theta = _require_parameters(args)
-    spec = QuerySpec(gamma=gamma, theta=theta, algorithm=args.algorithm,
-                     branching=args.branching,
-                     parallel=getattr(args, "parallel", None) or "auto")
-    engine = MQCEEngine(workers=getattr(args, "workers", None))
-    plan = engine.explain(prepared, spec)
-    if args.json:
-        print(json.dumps(plan.as_dict(), indent=2))
-    else:
-        print(plan.describe())
-    return 0
-
-
 def _command_engine_stats(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args).prepare()
-    if getattr(args, "prometheus", False):
+    prepared = _load_graph(args).prepare()
+    if args.prometheus:
         # Touch the serving stack once so the page reflects this process's
         # query path (planner + cache + engine counters), then render the
         # whole registry in Prometheus text exposition format.
-        gamma, theta = _resolve_defaults(args)
-        if gamma is not None and theta is not None:
-            MQCEEngine().query(prepared, gamma, theta)
+        parameters = _parameters(args)
+        if "gamma" in parameters and "theta" in parameters:
+            MQCEEngine().query(prepared, parameters["gamma"], parameters["theta"])
         from .obs import render_prometheus
         sys.stdout.write(render_prometheus())
         return 0
@@ -537,18 +446,8 @@ def _command_engine_stats(args: argparse.Namespace) -> int:
 # The `dynamic` sub-command group (graph updates + incremental maintenance)
 # ----------------------------------------------------------------------
 def _load_dynamic(args: argparse.Namespace) -> DynamicEngine:
-    name = get_spec(args.dataset).name if args.dataset else args.input
-    return DynamicEngine(_load_graph(args), name=name)
-
-
-def _report_lines(report) -> str:
-    rebuilt = " (full rebuild: delta history exhausted)" if report.full_rebuild else ""
-    return (f"# {report.mutations} mutations applied{rebuilt}: "
-            f"+{report.added_edges}/-{report.removed_edges} edges, "
-            f"+{report.added_vertices}/-{report.removed_vertices} vertices; "
-            f"cache: {report.invalidated} invalidated, {report.retained} retained "
-            f"({report.rekeyed} re-addressed), "
-            f"fingerprint {report.old_fingerprint} -> {report.new_fingerprint}")
+    prepared = _load_graph(args)
+    return DynamicEngine(prepared.graph, name=prepared.name)
 
 
 def _command_dynamic_apply(args: argparse.Namespace) -> int:
@@ -565,46 +464,15 @@ def _command_dynamic_apply(args: argparse.Namespace) -> int:
                              "version": graph.version}}
         print(json.dumps(payload, indent=2))
     else:
-        print(_report_lines(report))
+        rebuilt = " (full rebuild: delta history exhausted)" if report.full_rebuild else ""
+        print(f"# {report.mutations} mutations applied{rebuilt}: "
+              f"+{report.added_edges}/-{report.removed_edges} edges, "
+              f"+{report.added_vertices}/-{report.removed_vertices} vertices; "
+              f"cache: {report.invalidated} invalidated, {report.retained} retained "
+              f"({report.rekeyed} re-addressed), "
+              f"fingerprint {report.old_fingerprint} -> {report.new_fingerprint}")
         print(f"# graph now |V|={graph.vertex_count}, |E|={graph.edge_count}, "
               f"version {graph.version}")
-    return 0
-
-
-def _command_dynamic_query(args: argparse.Namespace) -> int:
-    dynamic = _load_dynamic(args)
-    gamma, theta = _require_parameters(args)
-    before = None
-    if args.before:
-        before = dynamic.query(gamma, theta, algorithm=args.algorithm)
-    report = None
-    if args.updates:
-        report = dynamic.apply(read_update_script(args.updates))
-    result = dynamic.query(gamma, theta, algorithm=args.algorithm)
-    stats = dynamic.stats()
-    if args.json:
-        payload = {"result": result.summary(), "engine": stats}
-        if before is not None:
-            payload["before"] = before.summary()
-        if report is not None:
-            payload["report"] = report.as_dict()
-        print(json.dumps(payload, indent=2))
-    else:
-        if before is not None:
-            print(f"# before updates: {before.maximal_count} maximal "
-                  f"{gamma}-quasi-cliques with >= {theta} vertices")
-        if report is not None:
-            print(_report_lines(report))
-        print(f"# {result.maximal_count} maximal {gamma}-quasi-cliques with >= {theta} "
-              f"vertices ({result.algorithm})")
-        for clique in result.maximal_quasi_cliques:
-            _print_clique(clique)
-        cache = stats["cache"]
-        print(f"# cache: {cache['hits']} hits / {cache['misses']} misses; "
-              f"{stats['dynamic']['updates']['entries_retained']} entries retained "
-              f"across updates")
-    if args.output:
-        write_quasi_cliques(result.maximal_quasi_cliques, args.output)
     return 0
 
 
@@ -619,7 +487,7 @@ def _command_dynamic_stats(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# The `serve` / `client` / `worker` commands (repro.serve)
+# The `serve` / `client` commands (repro.serve)
 # ----------------------------------------------------------------------
 #: Default TCP port of `repro serve` / `repro client` (0 = ephemeral).
 DEFAULT_SERVE_PORT = 7411
@@ -745,13 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     query_parser = subparsers.add_parser(
-        "query", help="run one declarative QuerySpec query (enumerate / top-k / "
-        "containment / count, with budgets and streaming)")
+        "query", help="answer one query on a local graph: enumerate (default), "
+        "top-k, containment or count, with budgets, streaming and explain")
     _add_graph_arguments(query_parser)
     query_parser.add_argument("--spec", help="JSON file with QuerySpec fields "
                               "(explicit flags override it)")
-    query_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    query_parser.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
+    _add_parameter_arguments(query_parser)
     query_parser.add_argument("--algorithm", "-a", choices=("auto",) + ALGORITHMS,
                               help="force the MQCE-S1 algorithm (default: planner)")
     query_parser.add_argument("--branching", choices=("hybrid", "sym-se", "se"),
@@ -796,33 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "enumeration branches")
     query_parser.set_defaults(handler=_command_query)
 
-    enumerate_parser = subparsers.add_parser("enumerate", help="run the MQCE pipeline")
-    _add_graph_arguments(enumerate_parser)
-    enumerate_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    enumerate_parser.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-    enumerate_parser.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="dcfastqc")
-    enumerate_parser.add_argument("--output", "-o", help="write the MQCs to this file")
-    enumerate_parser.add_argument("--json", action="store_true", help="print a JSON summary only")
-    enumerate_parser.set_defaults(handler=_command_enumerate)
-
-    topk_parser = subparsers.add_parser("topk", help="find the k largest quasi-cliques")
-    _add_graph_arguments(topk_parser)
-    topk_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    topk_parser.add_argument("-k", type=int, default=3, help="how many quasi-cliques (default 3)")
-    topk_parser.add_argument("--min-size", type=int, default=3,
-                             help="smallest size threshold the search may drop to")
-    topk_parser.add_argument("--heuristic", action="store_true",
-                             help="use kernel expansion instead of the exact search")
-    topk_parser.set_defaults(handler=_command_topk)
-
-    community_parser = subparsers.add_parser(
-        "community", help="find quasi-cliques containing the given vertices")
-    _add_graph_arguments(community_parser)
-    community_parser.add_argument("vertices", nargs="+", help="query vertex labels")
-    community_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    community_parser.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-    community_parser.set_defaults(handler=_command_community)
-
     stats_parser = subparsers.add_parser("stats", help="print graph statistics")
     _add_graph_arguments(stats_parser)
     stats_parser.set_defaults(handler=_command_stats)
@@ -866,39 +706,16 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.set_defaults(handler=_command_figure)
 
     engine_parser = subparsers.add_parser(
-        "engine", help="persistent query engine (prepared graphs, plans, caching)")
+        "engine", help="persistent query engine (parameter grids, prepared-graph stats)")
     engine_subparsers = engine_parser.add_subparsers(dest="engine_command", required=True)
-
-    def _add_engine_parameters(sub: argparse.ArgumentParser,
-                               branching: bool = True) -> None:
-        _add_graph_arguments(sub)
-        sub.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-        sub.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-        sub.add_argument("--algorithm", "-a", choices=("auto",) + ALGORITHMS,
-                         default="auto", help="force the MQCE-S1 algorithm "
-                         "(default: let the planner decide)")
-        if branching:
-            sub.add_argument("--branching", choices=("hybrid", "sym-se", "se"),
-                             help="force the branching rule")
-            sub.add_argument("--parallel", choices=SPEC_PARALLEL_MODES,
-                             help="parallel execution mode: auto lets the "
-                             "planner decide whether to fan DC subproblems "
-                             "out to work-stealing workers (default: auto)")
-            sub.add_argument("--workers", type=int, metavar="N",
-                             help="worker processes for parallel plans")
-
-    query_sub = engine_subparsers.add_parser(
-        "query", help="run one MQCE query through the engine")
-    _add_engine_parameters(query_sub)
-    query_sub.add_argument("--repeat", type=int, default=1,
-                           help="run the query N times (repeats hit the cache)")
-    query_sub.add_argument("--output", "-o", help="write the MQCs to this file")
-    query_sub.add_argument("--json", action="store_true", help="print JSON only")
-    query_sub.set_defaults(handler=_command_engine_query)
 
     batch_sub = engine_subparsers.add_parser(
         "batch", help="run a gamma x theta parameter grid through one engine")
-    _add_engine_parameters(batch_sub, branching=False)
+    _add_graph_arguments(batch_sub)
+    _add_parameter_arguments(batch_sub)
+    batch_sub.add_argument("--algorithm", "-a", choices=("auto",) + ALGORITHMS,
+                           default="auto", help="force the MQCE-S1 algorithm "
+                           "(default: let the planner decide)")
     batch_sub.add_argument("--gammas", help="comma-separated gamma values "
                            "(default: the single --gamma / dataset default)")
     batch_sub.add_argument("--thetas", help="comma-separated theta values "
@@ -908,17 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch_sub.add_argument("--json", action="store_true", help="print JSON only")
     batch_sub.set_defaults(handler=_command_engine_batch)
 
-    explain_sub = engine_subparsers.add_parser(
-        "explain", help="print the query plan without running the enumeration")
-    _add_engine_parameters(explain_sub)
-    explain_sub.add_argument("--json", action="store_true", help="print JSON only")
-    explain_sub.set_defaults(handler=_command_engine_explain)
-
     stats_sub = engine_subparsers.add_parser(
         "stats", help="prepare the graph and print its artifacts and timings")
     _add_graph_arguments(stats_sub)
-    stats_sub.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    stats_sub.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
+    _add_parameter_arguments(stats_sub)
     stats_sub.add_argument("--prometheus", action="store_true",
                            help="print the process metrics registry in "
                            "Prometheus text exposition format (runs one query "
@@ -940,23 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     apply_sub.add_argument("--json", action="store_true", help="print JSON only")
     apply_sub.set_defaults(handler=_command_dynamic_apply)
 
-    dquery_sub = dynamic_subparsers.add_parser(
-        "query", help="query through the dynamic engine, applying updates "
-        "incrementally in between")
-    _add_graph_arguments(dquery_sub)
-    dquery_sub.add_argument("--updates", "-u", help="update script applied before "
-                            "the (final) query")
-    dquery_sub.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    dquery_sub.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-    dquery_sub.add_argument("--algorithm", "-a", choices=("auto",) + ALGORITHMS,
-                            default="auto", help="force the MQCE-S1 algorithm")
-    dquery_sub.add_argument("--before", action="store_true",
-                            help="also run (and report) the query before the updates, "
-                            "demonstrating which cache entries survive")
-    dquery_sub.add_argument("--output", "-o", help="write the final answers to this file")
-    dquery_sub.add_argument("--json", action="store_true", help="print JSON only")
-    dquery_sub.set_defaults(handler=_command_dynamic_query)
-
     dstats_sub = dynamic_subparsers.add_parser(
         "stats", help="print incremental-maintenance statistics (patch counters, "
         "core drift, invalidations)")
@@ -966,9 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve", help="boot the long-lived query service (repro.serve)")
-    serve_parser.add_argument("--dataset", "-d", action="append",
-                              help="registered dataset analogue to serve "
-                              "(repeatable)")
+    _add_dataset_argument(serve_parser, "registered dataset analogue to serve "
+                          "(repeatable)", action="append")
     serve_parser.add_argument("--input", "-i", help="edge-list file to serve")
     serve_parser.add_argument("--name", help="graph name for --input "
                               "(default: the file path)")
@@ -1052,13 +844,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         # Unified error surface: invalid parameters, specs, queries and graph
-        # inputs exit with code 2 and one line on stderr, never a traceback.
+        # inputs, and OS errors on the files and sockets a command names (a
+        # missing input, a refused connection), exit with code 2 and one line
+        # on stderr, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -289,12 +289,14 @@ class TestCLIQueryWarningFree:
     def test_legacy_cli_commands_do_not_warn(self, capsys):
         from repro.cli import main
 
+        # The `repro query` spellings of the removed enumerate / topk /
+        # community commands.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            assert main(["enumerate", "-d", "twitter"]) == 0
-            assert main(["topk", "-d", "twitter", "-k", "1"]) == 0
-            assert main(["community", "-d", "twitter", "0", "--gamma", "0.9",
-                         "--theta", "5"]) == 0
+            assert main(["query", "-d", "twitter"]) == 0
+            assert main(["query", "-d", "twitter", "--top", "1"]) == 0
+            assert main(["query", "-d", "twitter", "--containing", "0",
+                         "--gamma", "0.9", "--theta", "5"]) == 0
         capsys.readouterr()
 
 

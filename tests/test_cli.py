@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets.registry import get_spec
 from repro.graph import write_edge_list
 from repro.graph.generators import planted_quasi_clique_graph
 
@@ -25,46 +26,56 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_enumerate_defaults(self):
-        args = build_parser().parse_args(["enumerate", "-i", "x.txt", "-g", "0.9", "-t", "5"])
-        assert args.algorithm == "dcfastqc"
+        # A plain query is the enumerate workload; the planner picks the
+        # algorithm unless one is forced.
+        args = build_parser().parse_args(["query", "-i", "x.txt", "-g", "0.9", "-t", "5"])
+        assert args.algorithm is None
         assert args.gamma == 0.9
+        assert args.top is None and args.containing is None and not args.count
 
 
 class TestEnumerateCommand:
+    """The enumerate workload, the default of ``repro query``."""
+
     def test_enumerate_from_file(self, graph_file, capsys):
-        code = main(["enumerate", "-i", str(graph_file), "-g", "0.9", "-t", "5"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "maximal" in out
+        assert "answers for enumerate gamma=0.9 theta=5" in out
 
     def test_enumerate_json_summary(self, graph_file, capsys):
-        code = main(["enumerate", "-i", str(graph_file), "-g", "0.9", "-t", "5", "--json"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5",
+                     "-a", "dcfastqc", "--json"])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = json.loads(capsys.readouterr().out)["result"]
         assert summary["algorithm"] == "dcfastqc"
         assert summary["maximal_count"] >= 1
 
     def test_enumerate_writes_output_file(self, graph_file, tmp_path, capsys):
         out_path = tmp_path / "mqcs.txt"
-        main(["enumerate", "-i", str(graph_file), "-g", "0.9", "-t", "5",
+        main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5",
               "-o", str(out_path)])
-        capsys.readouterr()
-        assert out_path.exists()
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("#")]
         assert out_path.read_text().strip()
+        assert len(out_path.read_text().strip().splitlines()) == len(printed)
 
     def test_enumerate_dataset_uses_defaults(self, capsys):
-        code = main(["enumerate", "-d", "douban", "--json"])
+        code = main(["query", "-d", "douban", "--json"])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["maximal_count"] >= 1
+        payload = json.loads(capsys.readouterr().out)
+        douban = get_spec("douban")
+        assert payload["spec"]["gamma"] == douban.default_gamma
+        assert payload["spec"]["theta"] == douban.default_theta
+        assert payload["result"]["maximal_count"] >= 1
 
     def test_enumerate_missing_parameters(self, graph_file):
         with pytest.raises(SystemExit):
-            main(["enumerate", "-i", str(graph_file)])
+            main(["query", "-i", str(graph_file)])
 
     def test_enumerate_missing_input(self):
         with pytest.raises(SystemExit):
-            main(["enumerate", "-g", "0.9", "-t", "5"])
+            main(["query", "-g", "0.9", "-t", "5"])
 
 
 class TestOtherCommands:

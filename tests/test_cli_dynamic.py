@@ -35,11 +35,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dynamic", "apply", "-i", "g.txt"])
 
-    def test_query_accepts_dataset(self):
-        args = build_parser().parse_args(["dynamic", "query", "-d", "ca-grqc"])
-        assert args.dataset == "ca-grqc"
-        assert args.algorithm == "auto"
-
 
 class TestDynamicApply:
     def test_apply_reports_and_writes(self, graph_file, updates_file, tmp_path, capsys):
@@ -71,38 +66,55 @@ class TestDynamicApply:
 
 
 class TestDynamicQuery:
-    def test_query_before_and_after(self, graph_file, updates_file, capsys):
-        code = main(["dynamic", "query", "-i", str(graph_file),
-                     "-u", str(updates_file), "-g", "0.9", "-t", "3", "--before"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "before updates: 1 maximal" in out
-        assert "2 maximal" in out
-        assert "1 2 3" in out and "2 3 4" in out
+    """Querying an updated graph: ``dynamic apply -o`` writes it, ``query -i``
+    answers on it."""
 
-    def test_query_json_includes_report(self, graph_file, updates_file, capsys):
-        code = main(["dynamic", "query", "-i", str(graph_file),
-                     "-u", str(updates_file), "-g", "0.9", "-t", "3",
-                     "--before", "--json"])
+    @pytest.fixture
+    def updated_file(self, graph_file, updates_file, tmp_path, capsys):
+        path = tmp_path / "updated.txt"
+        assert main(["dynamic", "apply", "-i", str(graph_file),
+                     "-u", str(updates_file), "-o", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_query_before_and_after(self, graph_file, updated_file, capsys):
+        assert main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "3"]) == 0
+        before = capsys.readouterr().out
+        assert "# 1 answers" in before
+        assert "1 2 3 4" in before
+        assert main(["query", "-i", str(updated_file), "-g", "0.9", "-t", "3"]) == 0
+        after = capsys.readouterr().out
+        assert "# 2 answers" in after
+        assert "1 2 3" in after and "2 3 4" in after
+
+    def test_query_json_includes_report(self, graph_file, updates_file, tmp_path, capsys):
+        updated = tmp_path / "updated.txt"
+        code = main(["dynamic", "apply", "-i", str(graph_file),
+                     "-u", str(updates_file), "-o", str(updated), "--json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["before"]["maximal_count"] == 1
-        assert payload["result"]["maximal_count"] == 2
+        report = json.loads(capsys.readouterr().out)["report"]
         # remove 1 4 + add 9 10 = one removal, one implicit add_vertex(10),
         # one addition: three low-level mutation records.
-        assert payload["report"]["mutations"] == 3
-        assert payload["report"]["added_vertices"] == 1
-        assert payload["engine"]["dynamic"]["updates"]["syncs"] >= 1
+        assert report["mutations"] == 3
+        assert report["added_vertices"] == 1
+        assert main(["query", "-i", str(updated), "-g", "0.9", "-t", "3",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["result"]["maximal_count"] == 2
 
     def test_query_without_updates(self, graph_file, capsys):
-        code = main(["dynamic", "query", "-i", str(graph_file), "-g", "0.9", "-t", "3"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "3"])
         assert code == 0
-        assert "1 maximal" in capsys.readouterr().out
+        assert "# 1 answers" in capsys.readouterr().out
 
-    def test_query_dataset_defaults(self, capsys):
-        code = main(["dynamic", "query", "-d", "twitter"])
+    def test_query_dataset_defaults(self, updates_file, tmp_path, capsys):
+        updated = tmp_path / "twitter.txt"
+        assert main(["dynamic", "apply", "-d", "twitter", "-u", str(updates_file),
+                     "-o", str(updated)]) == 0
+        capsys.readouterr()
+        code = main(["query", "-i", str(updated), "-g", "0.9", "-t", "5"])
         assert code == 0
-        assert "maximal" in capsys.readouterr().out
+        assert "answers for enumerate gamma=0.9 theta=5" in capsys.readouterr().out
 
 
 class TestDynamicStats:

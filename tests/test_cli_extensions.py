@@ -1,4 +1,5 @@
-"""Tests for the CLI sub-commands that expose the extensions (topk, community)."""
+"""Tests for the extension workloads on the CLI: top-k (``repro query --top``)
+and community search (``repro query --containing``)."""
 
 from __future__ import annotations
 
@@ -17,48 +18,60 @@ def graph_file(tmp_path):
     return path
 
 
+def _answers(out: str) -> list[list[str]]:
+    return [line.split() for line in out.splitlines() if not line.startswith("#")]
+
+
 class TestTopkCommand:
+    """Top-k queries: ``repro query --top K``."""
+
     def test_exact_topk(self, graph_file, capsys):
-        code = main(["topk", "-i", str(graph_file), "-g", "0.9", "-k", "2", "--min-size", "4"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "4",
+                     "--top", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "top-2 largest 0.9-quasi-cliques (exact)" in out
-        assert "1. size" in out
-
-    def test_heuristic_topk(self, graph_file, capsys):
-        code = main(["topk", "-i", str(graph_file), "-g", "0.9", "-k", "1",
-                     "--min-size", "4", "--heuristic"])
-        assert code == 0
-        assert "kernel expansion" in capsys.readouterr().out
+        assert "# 2 answers for topk gamma=0.9 theta=4 k=2" in out
+        # The two planted communities, the largest first.
+        assert [len(answer) for answer in _answers(out)] == [8, 6]
 
     def test_dataset_defaults(self, capsys):
-        code = main(["topk", "-d", "douban", "-k", "1", "--min-size", "5"])
+        code = main(["query", "-d", "douban", "--top", "1", "-t", "5"])
         assert code == 0
-        assert "size" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "# 1 answers for topk gamma=0.9 theta=5 k=1" in out
+        assert len(_answers(out)) == 1
 
     def test_missing_gamma(self, graph_file):
         with pytest.raises(SystemExit):
-            main(["topk", "-i", str(graph_file)])
+            main(["query", "-i", str(graph_file), "--top", "2"])
 
 
 class TestCommunityCommand:
+    """Containment queries: ``repro query --containing V...``."""
+
     def test_community_of_planted_member(self, graph_file, capsys):
-        code = main(["community", "-i", str(graph_file), "-g", "0.85", "-t", "4", "0"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.85", "-t", "4",
+                     "--containing", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "containing 0" in out
-        assert "quasi-cliques" in out
+        assert "containing=0" in out
+        assert all("0" in answer for answer in _answers(out))
 
     def test_community_with_dataset_defaults(self, capsys):
-        code = main(["community", "-d", "douban", "0"])
+        code = main(["query", "-d", "douban", "--containing", "0"])
         assert code == 0
-        assert "containing 0" in capsys.readouterr().out
+        assert "containing=0" in capsys.readouterr().out
 
     def test_missing_parameters(self, graph_file):
         with pytest.raises(SystemExit):
-            main(["community", "-i", str(graph_file), "0"])
+            main(["query", "-i", str(graph_file), "--containing", "0"])
 
     def test_multiple_query_vertices(self, graph_file, capsys):
-        code = main(["community", "-i", str(graph_file), "-g", "0.85", "-t", "4", "0", "1"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.85", "-t", "4",
+                     "--containing", "0", "1"])
         assert code == 0
-        assert "containing 0, 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "containing=0,1" in out
+        answers = _answers(out)
+        assert answers
+        assert all({"0", "1"} <= set(answer) for answer in answers)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import socket
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph import write_edge_list
 from repro.graph.generators import planted_quasi_clique_graph
 
@@ -102,9 +104,22 @@ class TestQueryCommand:
         assert all("clique" in line for line in lines[:-1])
         assert lines[-1]["delivered"] == 3 and lines[-1]["state"] == "complete"
 
+    def test_count_holds_under_stream(self, capsys):
+        assert main(["query", "-d", "twitter", "--count", "--stream"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+    def test_count_holds_under_stream_json(self, capsys):
+        assert main(["query", "-d", "twitter", "--count", "--stream", "--json"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1  # no per-answer lines
+        summary = json.loads(lines[0])
+        assert summary["count"] == 3 and "clique" not in summary
+
 
 class TestErrorMapping:
-    """Satellite: ReproError exits with code 2 and a one-line message."""
+    """User errors exit with code 2 and one line: bad parameters and specs
+    (ReproError), unknown dataset names (argparse), and missing files or
+    refused connections (OSError)."""
 
     def test_invalid_gamma_exits_2(self, capsys):
         assert main(["query", "-d", "twitter", "--gamma", "2.0"]) == 2
@@ -135,5 +150,76 @@ class TestErrorMapping:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_legacy_commands_also_mapped(self, capsys):
-        assert main(["enumerate", "-d", "twitter", "--gamma", "0.3"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # The older query commands are gone: argparse rejects each name with
+        # exit code 2, and `repro query` answers all of their queries.
+        for prefix, removed in ([], "enumerate"), ([], "topk"), ([], "community"), \
+                (["engine"], "query"), (["engine"], "explain"), (["dynamic"], "query"):
+            with pytest.raises(SystemExit) as info:
+                main(prefix + [removed, "-d", "twitter"])
+            assert info.value.code == 2
+            assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "-d", "nosuch"],
+        ["engine", "stats", "-d", "nosuch"],
+        ["serve", "--dataset", "nosuch"],
+    ], ids=["query", "engine-stats", "serve"])
+    def test_unknown_dataset_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err
+        assert "Traceback" not in err
+
+    def test_dataset_names_are_case_insensitive(self, capsys):
+        assert main(["query", "-d", "Twitter", "--count"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        assert main(["query", "-i", str(tmp_path / "missing.txt"),
+                     "-g", "0.9", "-t", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.txt" in err
+
+    def test_missing_update_script_exits_2(self, graph_file, tmp_path, capsys):
+        assert main(["dynamic", "apply", "-i", str(graph_file),
+                     "-u", str(tmp_path / "missing.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.txt" in err
+
+    def test_refused_connection_exits_2(self, capsys):
+        # A port that was just free: nothing listens on it.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["client", "--port", str(port), "--timeout", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCommandSurface:
+    def test_one_query_command(self):
+        # One command answers queries on a local graph; raise these bounds
+        # only for a new command or option that earns its place.
+        leaves = list(_leaf_parsers(build_parser()))
+        options = sum(
+            1 for _, parser in leaves for action in parser._actions
+            if not isinstance(action, (argparse._HelpAction,
+                                       argparse._SubParsersAction)))
+        assert len(leaves) <= 12
+        assert options <= 92
+        assert ("query",) in {path for path, _ in leaves}
+
+
+def _leaf_parsers(parser, path=()):
+    """Yield ``(command path, parser)`` for every leaf sub-command."""
+    groups = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
