@@ -1,12 +1,13 @@
 """Kernel benchmark: incremental degree-ledger kernel vs mask-based reference.
 
-The PR-4 enumeration core replaces per-branch popcount rescans with
-incremental :class:`repro.core.kernel.BranchState` ledgers and remaps every
+The enumeration core replaces per-branch popcount rescans with incremental
+:class:`repro.core.kernel.BranchState` ledgers and remaps every
 divide-and-conquer subproblem to a compact dense index space.  This benchmark
 measures cold DCFastQC enumeration (no result cache, no prepared-graph reuse)
-under both kernels on registry dataset analogues at branch-heavy parameter
-points, checks output parity, and asserts the kernelized path is at least
-``REQUIRED_SPEEDUP`` x faster on at least ``REQUIRED_DATASETS`` datasets.
+against the :mod:`repro.oracle` reference (``ReferenceDCFastQC``) on registry
+dataset analogues at branch-heavy parameter points, checks output parity, and
+asserts the kernelized path is at least ``REQUIRED_SPEEDUP`` x faster on at
+least ``REQUIRED_DATASETS`` datasets.
 
 ``REPRO_BENCH_QUICK=1`` (CI smoke mode) keeps the rows with the largest
 speedup margins so the assertion stays meaningful on noisy runners.  The
@@ -23,8 +24,10 @@ import time
 
 import pytest
 
+from repro.baselines.quickplus import QuickPlus
 from repro.core.dcfastqc import DCFastQC
 from repro.datasets import load_dataset
+from repro.oracle import ReferenceDCFastQC, ReferenceQuickPlus
 
 from _bench_utils import attach_rows, run_once
 
@@ -61,10 +64,10 @@ def _measure(case_id: str) -> dict:
     timings = {}
     outputs = {}
     stats = {}
-    for kernel in ("ledger", "reference"):
+    for kernel, enumerator in (("ledger", DCFastQC), ("reference", ReferenceDCFastQC)):
         best = None
         for _ in range(2):  # best-of-2: first round warms the tau/threshold caches
-            algo = DCFastQC(graph, gamma, theta, kernel=kernel)
+            algo = enumerator(graph, gamma, theta)
             start = time.perf_counter()
             results = algo.enumerate()
             elapsed = time.perf_counter() - start
@@ -142,17 +145,15 @@ _QP_ROWS: dict[str, dict] = {}
 def _measure_quickplus(case_id: str) -> dict:
     if case_id in _QP_ROWS:
         return _QP_ROWS[case_id]
-    from repro.baselines.quickplus import QuickPlus
-
     _, dataset, gamma, theta = next(c for c in QUICKPLUS_CASES if c[0] == case_id)
     graph = load_dataset(dataset)
     timings = {}
     outputs = {}
     branches = {}
-    for kernel in ("ledger", "reference"):
+    for kernel, enumerator in (("ledger", QuickPlus), ("reference", ReferenceQuickPlus)):
         best = None
         for _ in range(2):
-            algo = QuickPlus(graph, gamma, theta, kernel=kernel)
+            algo = enumerator(graph, gamma, theta)
             start = time.perf_counter()
             results = algo.enumerate()
             elapsed = time.perf_counter() - start

@@ -6,10 +6,12 @@ trajectory record to ``BENCH_core.json`` at the repository root:
 
 * ``core-enumeration`` — cold DCFastQC enumeration (no result cache, no
   prepared-graph reuse) on registry dataset analogues at branch-heavy
-  parameter points, under both execution kernels (``ledger`` vs the
-  mask-based ``reference`` oracle), with output-parity checks;
+  parameter points, on the ledger kernel vs the mask-based
+  :mod:`repro.oracle` reference (``ReferenceDCFastQC``), with output-parity
+  checks;
 * ``quickplus-kernel`` — the same ledger-vs-reference comparison for the
-  Quick+ baseline (the paper's co-design ablation workhorse);
+  Quick+ baseline (the paper's co-design ablation workhorse), against
+  ``ReferenceQuickPlus``;
 * ``engine-cache`` — cold vs warm `MQCEEngine.query` latency (result-cache
   serving path);
 * ``dynamic-updates`` — one edge update + requery through the
@@ -27,7 +29,7 @@ trajectory record to ``BENCH_core.json`` at the repository root:
   CPUs the run could use) and, as a host-independent diagnostic,
   ``balance_speedup`` (the largest subproblem's branch count over the
   busiest worker's).  Branch mode is parity-checked against the sequential
-  ledger kernel, and ``auto_mode`` records whether the planner fans the
+  driver, and ``auto_mode`` records whether the planner fans the
   query out from the observed branch histogram.
 
 Committing the file after a perf-relevant change gives the repo a recorded
@@ -42,7 +44,7 @@ Usage::
         --assert-speedup 3.0 --assert-quickplus-speedup 1.5 --output -
 
 ``--assert-speedup X`` exits non-zero unless at least ``--assert-count``
-core datasets beat the reference kernel by the given factor;
+core datasets beat the oracle's reference enumerator by the given factor;
 ``--assert-quickplus-speedup``, ``--assert-warm-speedup``,
 ``--assert-dynamic-speedup`` and ``--assert-rss-speedup`` do the same for
 the other suites (an RSS floor of 4 asserts CSR peaks under 25% of dict).
@@ -78,6 +80,7 @@ from repro.datasets import (                                      # noqa: E402
 )
 from repro.engine import MQCEEngine, PreparedGraph                # noqa: E402
 from repro.graph import preferential_attachment_edges             # noqa: E402
+from repro.oracle import ReferenceDCFastQC, ReferenceQuickPlus    # noqa: E402
 
 SUITES = ("core", "quickplus", "engine-cache", "dynamic-updates",
           "large-graph", "parallel")
@@ -177,15 +180,15 @@ def _geomean(values) -> float:
 # Suites
 # ----------------------------------------------------------------------
 def run_core_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
-    """Cold DCFastQC enumeration under both kernels (with parity checks)."""
+    """Cold DCFastQC enumeration, ledger kernel vs oracle (with parity checks)."""
     rows = {}
     for name, gamma, theta in suite:
         graph = load_dataset(DATASET_ALIASES.get(name, name))
         ledger_s, ledger_algo, ledger_results = _best_of(
-            repeat, lambda: DCFastQC(graph, gamma, theta, kernel="ledger"),
+            repeat, lambda: DCFastQC(graph, gamma, theta),
             lambda algo: algo.enumerate())
         reference_s, _, reference_results = _best_of(
-            repeat, lambda: DCFastQC(graph, gamma, theta, kernel="reference"),
+            repeat, lambda: ReferenceDCFastQC(graph, gamma, theta),
             lambda algo: algo.enumerate())
         if ledger_results != reference_results:
             raise AssertionError(
@@ -232,15 +235,15 @@ def run_core_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
 
 
 def run_quickplus_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
-    """Cold Quick+ enumeration under both kernels (with parity checks)."""
+    """Cold Quick+ enumeration, ledger kernel vs oracle (with parity checks)."""
     rows = {}
     for name, gamma, theta in suite:
         graph = load_dataset(DATASET_ALIASES.get(name, name))
         ledger_s, ledger_algo, ledger_results = _best_of(
-            repeat, lambda: QuickPlus(graph, gamma, theta, kernel="ledger"),
+            repeat, lambda: QuickPlus(graph, gamma, theta),
             lambda algo: algo.enumerate())
         reference_s, _, reference_results = _best_of(
-            repeat, lambda: QuickPlus(graph, gamma, theta, kernel="reference"),
+            repeat, lambda: ReferenceQuickPlus(graph, gamma, theta),
             lambda algo: algo.enumerate())
         if ledger_results != reference_results:
             raise AssertionError(f"{name}: Quick+ kernel outputs diverged")
@@ -477,7 +480,7 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
         graph = planted_quasi_clique_graph(vertices, background,
                                            list(communities), gamma, seed=seed)
         sequential_s, driver, sequential_results = _best_of(
-            repeat, lambda: DCFastQC(graph, gamma, theta, kernel="ledger"),
+            repeat, lambda: DCFastQC(graph, gamma, theta),
             lambda algo: algo.enumerate())
         branch_histogram = driver.statistics.subproblem_branches
         branch_s, branch_runner, branch_results = _best_of(
@@ -614,7 +617,7 @@ def main(argv=None) -> int:
                         "(default: BENCH_core.json at the repo root; '-' to skip)")
     parser.add_argument("--assert-speedup", type=float, default=None, metavar="FLOOR",
                         help="core suite: fail unless enough datasets beat the "
-                        "reference kernel by this factor")
+                        "repro.oracle reference by this factor")
     parser.add_argument("--assert-quickplus-speedup", type=float, default=None,
                         metavar="FLOOR",
                         help="quickplus suite: same assertion for Quick+")

@@ -70,7 +70,7 @@ from .obs import (
 )
 from . import api, datasets, dynamic, engine, experiments, extensions, obs
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Graph",

@@ -140,7 +140,7 @@ def containment_search(graph: Graph, spec: QuerySpec, *,
         for index in query_indices:
             query_mask |= 1 << index
         if region & query_mask == query_mask:
-            engine = FastQC(graph, spec.gamma, effective_theta, kernel=spec.kernel,
+            engine = FastQC(graph, spec.gamma, effective_theta,
                             maximality_filter=False, progress=progress,
                             should_stop=should_stop)
             branch = Branch(query_mask, region & ~query_mask, 0)
@@ -217,7 +217,7 @@ def topk_search(graph: Graph, spec: QuerySpec, size_bound: int | None = None,
             rounds += 1
             enumerator = build_enumerator(
                 graph, spec.gamma, threshold, algorithm=algorithm,
-                branching=spec.branching, framework=framework, kernel=spec.kernel,
+                branching=spec.branching, framework=framework,
                 max_rounds=spec.max_rounds, maximality_filter=spec.maximality_filter,
                 should_stop=should_stop, progress=progress)
             with obs.span("threshold_round",

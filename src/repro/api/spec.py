@@ -29,7 +29,6 @@ from typing import Any
 
 from ..core.branching import BRANCHING_METHODS
 from ..core.dcfastqc import DC_FRAMEWORKS, DEFAULT_MAX_ROUNDS
-from ..core.kernel import KERNELS
 from ..errors import SpecError
 from ..pipeline.mqce import ALGORITHMS
 from ..quasiclique.definitions import gamma_fraction, validate_parameters
@@ -60,13 +59,6 @@ class QuerySpec:
         Execution knobs.  ``algorithm="auto"`` (default) lets the engine's
         planner choose; ``branching=None`` / ``framework=None`` likewise defer
         to the algorithm's default.
-    kernel:
-        Enumeration kernel shared by FastQC, DCFastQC and Quick+:
-        ``"ledger"`` (default — incremental degree-ledger branch states,
-        kernelized subproblem shrinking and ledger-based Type I/II pruning
-        over compact subproblem index spaces) or ``"reference"`` (the
-        original mask/popcount implementation).  Both are exact and produce
-        identical answers on identical branch trees.
     parallel:
         Parallel execution mode for divide-and-conquer plans: ``"auto"``
         (default — the planner fans out to work-stealing workers when the core
@@ -105,7 +97,6 @@ class QuerySpec:
     algorithm: str = "auto"
     branching: str | None = None
     framework: str | None = None
-    kernel: str = "ledger"
     parallel: str = "auto"
     max_rounds: int = DEFAULT_MAX_ROUNDS
     maximality_filter: bool = True
@@ -128,9 +119,6 @@ class QuerySpec:
         if self.framework is not None and self.framework not in DC_FRAMEWORKS:
             raise SpecError(f"unknown framework {self.framework!r}; "
                             f"expected one of {DC_FRAMEWORKS}")
-        if self.kernel not in KERNELS:
-            raise SpecError(f"unknown kernel {self.kernel!r}; "
-                            f"expected one of {KERNELS}")
         if self.parallel not in SPEC_PARALLEL_MODES:
             raise SpecError(f"unknown parallel mode {self.parallel!r}; "
                             f"expected one of {SPEC_PARALLEL_MODES}")
@@ -185,7 +173,7 @@ class QuerySpec:
         address the same entry.
         """
         return ("spec", gamma_fraction(self.gamma), int(self.theta),
-                self.algorithm, self.branching, self.framework, self.kernel,
+                self.algorithm, self.branching, self.framework,
                 int(self.max_rounds), bool(self.maximality_filter),
                 self.k, self.contains, bool(self.require_maximal))
 

@@ -1,23 +1,12 @@
 """Baseline algorithms: Quick+ (Algorithm 1) and the naive exhaustive enumerator."""
 
-from .pruning_rules import (
-    PruningConfig,
-    apply_type1_rules,
-    branch_size_upper_bound,
-    critical_vertex_forced_mask,
-    max_tolerable_non_neighbors,
-    triggers_type2_rules,
-)
+from .pruning_rules import PruningConfig, max_tolerable_non_neighbors
 from .quickplus import QuickPlus, quickplus_enumerate
 from .naive import NaiveEnumerator
 
 __all__ = [
     "PruningConfig",
-    "apply_type1_rules",
-    "branch_size_upper_bound",
-    "critical_vertex_forced_mask",
     "max_tolerable_non_neighbors",
-    "triggers_type2_rules",
     "QuickPlus",
     "quickplus_enumerate",
     "NaiveEnumerator",

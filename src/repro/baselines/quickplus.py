@@ -11,17 +11,11 @@ same pruning rules can be combined with the Sym-SE or Hybrid-SE branch
 generators (driven by the FastQC pivot machinery), which isolates the
 contribution of the branching part.
 
-Like the FastQC family, Quick+ runs on one of two interchangeable execution
-kernels (``kernel=``):
-
-* ``"ledger"`` (default) — branches are :class:`repro.core.kernel.BranchState`
-  objects whose per-vertex degree ledgers make every Type I/II rule, the
-  critical-vertex rule and the terminal quasi-clique check O(|S|) / O(|C|)
-  flat-array scans with integer threshold arithmetic
-  (:mod:`repro.baselines.pruning_rules` ``*_state`` forms);
-* ``"reference"`` — the original mask/popcount implementation, kept as the
-  differential-testing oracle.  Both kernels visit the identical branch tree
-  and emit identical outputs in the same order.
+Like the FastQC family, Quick+ runs on :class:`repro.core.kernel.BranchState`
+branches, whose per-vertex degree ledgers make every Type I/II rule, the
+critical-vertex rule and the terminal quasi-clique check O(|S|) / O(|C|)
+flat-array scans with integer threshold arithmetic
+(:mod:`repro.baselines.pruning_rules` ``*_state`` forms).
 """
 
 from __future__ import annotations
@@ -31,10 +25,8 @@ from collections.abc import Callable, Iterable
 from ..graph.graph import Graph, VertexLabel, iter_bits
 from ..quasiclique.definitions import mask_is_quasi_clique, validate_parameters
 from ..core.branch import Branch
-from ..core.branching import BRANCHING_METHODS, generate_branches, select_pivot
-from ..core.conditions import tau_sigma
+from ..core.branching import BRANCHING_METHODS
 from ..core.kernel import (
-    KERNELS,
     BranchState,
     depth_first_enumerate,
     generate_child_states,
@@ -47,10 +39,7 @@ from ..core.kernel import (
 from ..core.stats import SearchStatistics
 from .pruning_rules import (
     PruningConfig,
-    apply_type1_rules,
-    critical_vertex_forced_mask,
     critical_vertex_forced_mask_state,
-    triggers_type2_rules,
     triggers_type2_rules_state,
     type1_removals_mask_state,
 )
@@ -62,29 +51,22 @@ class QuickPlus:
     Parameters mirror :class:`repro.core.fastqc.FastQC`; ``branching="se"`` is
     the faithful Quick+ configuration, while ``"sym-se"`` / ``"hybrid"``
     reproduce the paper's ablation that pairs the old pruning rules with the
-    new branching methods.  ``kernel`` selects the execution kernel
-    (incremental ``"ledger"`` branch states or the mask-based
-    ``"reference"``); both produce identical outputs on the identical branch
-    tree.
+    new branching methods.
     """
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
                  branching: str = "se", pruning: PruningConfig = PruningConfig(),
-                 kernel: str = "ledger",
                  on_output: Callable[[frozenset], None] | None = None,
                  should_stop: Callable[[], bool] | None = None,
                  progress=None) -> None:
         validate_parameters(gamma, theta)
         if branching not in BRANCHING_METHODS:
             raise ValueError(f"branching must be one of {BRANCHING_METHODS}, got {branching!r}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         self.graph = graph
         self.gamma = gamma
         self.theta = theta
         self.branching = branching
         self.pruning = pruning
-        self.kernel = kernel
         self.on_output = on_output
         self.should_stop = should_stop
         self.progress = progress
@@ -118,15 +100,8 @@ class QuickPlus:
         self.statistics.subproblems += 1
         self.statistics.subproblem_sizes.record(branch.union_size)
         start = len(self._results)
-        if self.kernel == "ledger":
-            root = BranchState.from_branch(self.graph, branch, self.statistics)
-            depth_first_enumerate(root, self._expand_ledger, self._close,
-                                  should_stop=self._poll_stop,
-                                  ticker=self.progress)
-        else:
-            depth_first_enumerate(branch, self._expand_reference, self._close,
-                                  should_stop=self._poll_stop,
-                                  ticker=self.progress)
+        depth_first_enumerate(self._root(branch), self._expand, self._close,
+                              should_stop=self._poll_stop, ticker=self.progress)
         if self.progress is not None and self.progress.cancelled:
             self.stopped = True
         return self._results[start:]
@@ -146,8 +121,12 @@ class QuickPlus:
             return True
         return False
 
-    def _expand_ledger(self, state: BranchState):
-        """One branch visit under the incremental degree-ledger kernel."""
+    def _root(self, branch: Branch) -> BranchState:
+        """The work-stack root for ``branch``."""
+        return BranchState.from_branch(self.graph, branch, self.statistics)
+
+    def _expand(self, state: BranchState):
+        """One branch visit: terminate, force critical vertices, branch, prune."""
         self.statistics.branches_explored += 1
 
         # Termination: no candidates left (lines 3-6).
@@ -182,36 +161,6 @@ class QuickPlus:
             kept.append(child)
         return kept, state.s_mask
 
-    def _expand_reference(self, branch: Branch):
-        """One branch visit under the original mask/popcount implementation."""
-        self.statistics.branches_explored += 1
-
-        # Termination: no candidates left (lines 3-6).
-        if branch.c_mask == 0:
-            if branch.s_mask and mask_is_quasi_clique(self.graph, branch.s_mask, self.gamma):
-                self._emit(branch.s_mask)
-                return True
-            return False
-
-        # Critical-vertex rule: candidates that every large QC under the branch
-        # must contain are moved into S before branching.
-        if self.pruning.critical_vertex:
-            forced = critical_vertex_forced_mask(self.graph, branch, self.gamma, self.theta)
-            if forced:
-                branch = branch.include(forced)
-
-        children = []
-        for child in self._create_children(branch):
-            # Pruning before the next recursion (lines 9-10).
-            pruned_c = apply_type1_rules(self.graph, child, self.gamma, self.theta, self.pruning)
-            self.statistics.candidates_removed_by_type1 += (child.c_mask ^ pruned_c).bit_count()
-            child = child.with_candidates(pruned_c)
-            if triggers_type2_rules(self.graph, child, self.gamma, self.theta, self.pruning):
-                self.statistics.branches_pruned_by_type2 += 1
-                continue
-            children.append(child)
-        return children, branch.s_mask
-
     def _close(self, s_mask: int, found_any: bool) -> bool:
         """Additional step (lines 12-14): output G[S] if no sub-branch found a QC."""
         if found_any:
@@ -224,39 +173,15 @@ class QuickPlus:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _create_children(self, branch: Branch) -> list[Branch]:
-        """SE branching over the natural candidate order, or the ablation branchings."""
-        if self.branching == "se":
-            ordering = list(iter_bits(branch.c_mask))
-            children = []
-            preceding = 0
-            for vertex in ordering:
-                bit = 1 << vertex
-                children.append(Branch(branch.s_mask | bit,
-                                       branch.c_mask & ~(preceding | bit),
-                                       branch.d_mask | preceding))
-                preceding |= bit
-            return children
-        # Ablation configurations: pair the Quick+ pruning rules with the new
-        # pivot-driven branch generators.  The pivot needs the disconnection
-        # budget tau(sigma(B)) from the FastQC framework.
-        tau_value = tau_sigma(self.graph, branch, self.gamma)
-        pivot = select_pivot(self.graph, branch, tau_value)
-        if pivot is None:
-            # The whole branch is a QC; emit it and stop descending.
-            self._emit(branch.union_mask)
-            return []
-        return generate_branches(self.graph, branch, pivot, self.branching)
-
     def _create_child_states(self, state: BranchState) -> list[BranchState]:
-        """Ledger counterpart of :meth:`_create_children` (same children)."""
+        """SE branching over the natural candidate order, or the ablation branchings."""
         if self.branching == "se":
             return se_children(state, list(iter_bits(state.c_mask)))
         tau_value = tau_sigma_state(state, self.gamma)
         min_deg, pivot_vertex = union_min_degree(state)
         if state.s_size + state.c_size - min_deg <= tau_value:
-            # select_pivot would find no qualifying vertex: the whole branch
-            # is a QC; emit it and stop descending.
+            # No vertex qualifies as a pivot: the whole branch is a QC; emit
+            # it and stop descending.
             self._emit(state.s_mask | state.c_mask)
             return []
         pivot = pivot_from_state(state, pivot_vertex, tau_value)
@@ -276,8 +201,6 @@ class QuickPlus:
 
 
 def quickplus_enumerate(graph: Graph, gamma: float, theta: int,
-                        branching: str = "se",
-                        kernel: str = "ledger") -> list[frozenset]:
+                        branching: str = "se") -> list[frozenset]:
     """Functional convenience wrapper around :class:`QuickPlus`."""
-    return QuickPlus(graph, gamma, theta, branching=branching,
-                     kernel=kernel).enumerate()
+    return QuickPlus(graph, gamma, theta, branching=branching).enumerate()

@@ -54,7 +54,6 @@ from pathlib import Path
 from .api import QuerySpec
 from .api.spec import SPEC_PARALLEL_MODES
 from .core.dcfastqc import DC_FRAMEWORKS
-from .core.kernel import KERNELS
 from .datasets.registry import REGISTRY, get_spec, load_prepared
 from .dynamic import DynamicEngine, read_update_script
 from .engine import MQCEEngine, QueryRequest, prepare_graph
@@ -251,8 +250,6 @@ def _build_query_spec(args: argparse.Namespace) -> QuerySpec:
         fields["branching"] = args.branching
     if args.framework is not None:
         fields["framework"] = args.framework
-    if args.kernel is not None:
-        fields["kernel"] = args.kernel
     if args.max_rounds is not None:
         fields["max_rounds"] = args.max_rounds
     if args.parallel is not None:
@@ -625,10 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="force the branching rule")
     query_parser.add_argument("--framework", choices=DC_FRAMEWORKS,
                               help="force the divide-and-conquer framework")
-    query_parser.add_argument("--kernel", choices=KERNELS,
-                              help="enumeration kernel for FastQC/DCFastQC/Quick+: "
-                              "incremental degree ledgers (default) or the "
-                              "mask-based reference oracle")
     query_parser.add_argument("--max-rounds", type=int, help="subproblem shrinking rounds")
     query_parser.add_argument("--parallel", choices=SPEC_PARALLEL_MODES,
                               help="parallel execution mode: auto lets the "

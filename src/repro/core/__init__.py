@@ -1,36 +1,8 @@
 """Core contribution: the FastQC / DCFastQC branch-and-bound machinery."""
 
-from .branch import (
-    Branch,
-    degree_in_partial,
-    degree_in_union,
-    disconnections_in_partial,
-    disconnections_in_union,
-    max_disconnections_in_partial,
-    max_disconnections_in_union,
-    min_partial_degree_in_union,
-)
-from .conditions import SDRegions, satisfies_condition_c1c2, sd_regions, sigma, tau_sigma
-from .refinement import (
-    RefinementOutcome,
-    apply_rule1,
-    apply_rule2,
-    delta_of_partial_plus,
-    progressively_refine,
-)
-from .branching import (
-    BRANCHING_METHODS,
-    PivotInfo,
-    generate_branches,
-    hybrid_se_applicable,
-    hybrid_se_branch_pair,
-    pivot_ordering,
-    se_branches,
-    select_pivot,
-    sym_se_branches,
-)
+from .branch import Branch
+from .branching import BRANCHING_METHODS, PivotInfo, hybrid_se_applicable
 from .kernel import (
-    KERNELS,
     BranchState,
     depth_first_enumerate,
     generate_child_states,
@@ -59,33 +31,9 @@ from .stats import SearchStatistics
 
 __all__ = [
     "Branch",
-    "degree_in_partial",
-    "degree_in_union",
-    "disconnections_in_partial",
-    "disconnections_in_union",
-    "max_disconnections_in_partial",
-    "max_disconnections_in_union",
-    "min_partial_degree_in_union",
-    "SDRegions",
-    "satisfies_condition_c1c2",
-    "sd_regions",
-    "sigma",
-    "tau_sigma",
-    "RefinementOutcome",
-    "apply_rule1",
-    "apply_rule2",
-    "delta_of_partial_plus",
-    "progressively_refine",
     "BRANCHING_METHODS",
     "PivotInfo",
-    "generate_branches",
     "hybrid_se_applicable",
-    "hybrid_se_branch_pair",
-    "pivot_ordering",
-    "se_branches",
-    "select_pivot",
-    "sym_se_branches",
-    "KERNELS",
     "BranchState",
     "depth_first_enumerate",
     "generate_child_states",

@@ -32,7 +32,7 @@ from ..quasiclique.definitions import degree_threshold, gamma_pq, validate_param
 from .branch import Branch
 from .branching import BRANCHING_METHODS
 from .fastqc import FastQC
-from .kernel import KERNELS, ShrinkLedgers
+from .kernel import ShrinkLedgers
 from .stats import SearchStatistics
 
 #: Supported divide-and-conquer frameworks (Figure 12 ablation).
@@ -175,6 +175,11 @@ def two_hop_pruning_threshold(gamma: float, theta: int, max_size: int) -> int:
 class DCFastQC:
     """Divide-and-conquer MQCE-S1 enumerator built on top of :class:`FastQC`.
 
+    Each subproblem is remapped to a compact dense index space, so bitmask
+    and ledger widths track the subproblem size, not the graph; on a
+    CSR-backed graph it is enumerated as a :class:`CompactSubproblem`, the
+    way work-stealing workers do.
+
     Parameters
     ----------
     graph:
@@ -192,20 +197,12 @@ class DCFastQC:
         ``"dc"`` (paper's framework: degeneracy ordering, one-hop + two-hop
         shrinking), ``"basic-dc"`` (BDCFastQC: degree ordering, one-hop
         shrinking only) or ``"none"`` (run FastQC on the whole graph).
-    kernel:
-        ``"ledger"`` (default) — each subproblem is remapped to a compact
-        dense index space and enumerated with the incremental degree-ledger
-        kernel, so bitmask and ledger widths track the subproblem size, not
-        the graph; on a CSR-backed graph each subproblem is enumerated as a
-        :class:`CompactSubproblem`, the way work-stealing workers do.
-        ``"reference"`` — the original path: one shared FastQC engine
-        branching over full-graph-width masks.
     max_rounds:
         Number of shrinking rounds applied to each subproblem (MAX_ROUND).
     maximality_filter:
         Forwarded to FastQC; filters outputs by the necessary condition of
         maximality.  Checking against the full graph or against a
-        subproblem's ball plus halo decides identically, so every kernel and
+        subproblem's ball plus halo decides identically, so every graph
         backend emits the same candidate sets.
     should_stop:
         Optional zero-argument predicate polled before every subproblem and at
@@ -218,13 +215,16 @@ class DCFastQC:
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given, the driver records
         one ``decompose`` span (core reduction + ordering), a ``shrink`` span
-        per subproblem, and — on the compact ledger path — a ``subproblem``
-        span per enumeration with that subproblem's counter deltas.
+        per subproblem, and a ``subproblem`` span per enumeration with that
+        subproblem's counter deltas.
     """
+
+    #: The FastQC class each batch runs on (:mod:`repro.oracle` swaps in its
+    #: mask/popcount form).
+    _engine_class = FastQC
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
                  branching: str = "hybrid", framework: str = "dc",
-                 kernel: str = "ledger",
                  max_rounds: int = DEFAULT_MAX_ROUNDS,
                  maximality_filter: bool = True,
                  on_output: Callable[[frozenset], None] | None = None,
@@ -238,8 +238,6 @@ class DCFastQC:
             raise ValueError(f"branching must be one of {BRANCHING_METHODS}, got {branching!r}")
         if framework not in DC_FRAMEWORKS:
             raise ValueError(f"framework must be one of {DC_FRAMEWORKS}, got {framework!r}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
         self.prepared = graph if isinstance(graph, PreparedGraph) else None
@@ -248,7 +246,6 @@ class DCFastQC:
         self.theta = theta
         self.branching = branching
         self.framework = framework
-        self.kernel = kernel
         self.max_rounds = max_rounds
         self.maximality_filter = maximality_filter
         self.on_output = on_output
@@ -285,43 +282,20 @@ class DCFastQC:
         run), and no incremental guarantee beyond completeness.
         """
         if self.framework == "none":
-            engine = FastQC(self.graph, self.gamma, self.theta,
-                            branching=self.branching, kernel=self.kernel,
-                            maximality_filter=self.maximality_filter,
-                            on_output=self.on_output, should_stop=self.should_stop,
-                            progress=self.progress)
+            engine = self._engine_class(
+                self.graph, self.gamma, self.theta, branching=self.branching,
+                maximality_filter=self.maximality_filter,
+                on_output=self.on_output, should_stop=self.should_stop,
+                progress=self.progress)
             self.statistics = engine.statistics
             batch = engine.enumerate()
             self.stopped = engine.stopped
             yield batch
             return
+        yield from self._iter_batches()
 
-        if self.kernel == "ledger":
-            yield from self._iter_batches_compact()
-            return
-
-        # Reference path: one shared engine branching over global-width masks.
-        engine = FastQC(self.graph, self.gamma, self.theta, branching=self.branching,
-                        kernel=self.kernel, maximality_filter=self.maximality_filter,
-                        on_output=self.on_output, should_stop=self.should_stop,
-                        progress=self.progress)
-        self.statistics = engine.statistics
-        for root_index, refined_mask, prior_mask in self._iter_subproblems():
-            if self.stopped:
-                return
-            branch = Branch(
-                1 << root_index,
-                refined_mask & ~(1 << root_index),
-                prior_mask & ~(1 << root_index),
-            )
-            batch = engine.enumerate_branch(branch)
-            self.stopped = engine.stopped
-            yield batch
-            if self.stopped:
-                return
-
-    def _iter_batches_compact(self) -> Iterator[list[frozenset]]:
-        """Kernelized batches: each subproblem runs on its own compact graph.
+    def _iter_batches(self) -> Iterator[list[frozenset]]:
+        """One batch per subproblem, each run on its own compact graph.
 
         The per-subproblem FastQC engines carry ledgers and bitmasks whose
         width is the subproblem size.  The maximality filter checks the
@@ -329,9 +303,9 @@ class DCFastQC:
         full-graph check there builds ``|V|``-wide masks per candidate) and
         the full graph on a dict graph, where the masks already exist and
         most subproblems check too few candidates to repay a halo.  Both
-        decide like the reference path, so the emitted candidate sets are
-        identical to it.  Statistics from every subproblem engine are merged
-        into :attr:`statistics`.
+        decide like a whole-graph check, so the emitted candidate sets do not
+        depend on the graph backend.  Statistics from every subproblem engine
+        are merged into :attr:`statistics`.
         """
         self.statistics = SearchStatistics()
         if self.progress is not None:
@@ -350,12 +324,12 @@ class DCFastQC:
                 subgraph = compact_subgraph(self.graph, refined_mask)
                 root_local = (refined_mask & ((1 << root_index) - 1)).bit_count()
                 maximality_graph = self.graph
-            engine = FastQC(subgraph, self.gamma, self.theta,
-                            branching=self.branching, kernel="ledger",
-                            maximality_filter=self.maximality_filter,
-                            maximality_graph=maximality_graph,
-                            on_output=self.on_output, should_stop=self.should_stop,
-                            progress=self.progress)
+            engine = self._engine_class(
+                subgraph, self.gamma, self.theta, branching=self.branching,
+                maximality_filter=self.maximality_filter,
+                maximality_graph=maximality_graph,
+                on_output=self.on_output, should_stop=self.should_stop,
+                progress=self.progress)
             root_bit = 1 << root_local
             branch = Branch(root_bit, subgraph.full_mask() & ~root_bit, 0)
             with self.tracer.span("subproblem", stats=engine.statistics,
@@ -378,9 +352,8 @@ class DCFastQC:
         process runs the cheap global preprocessing (core reduction, ordering,
         two-hop shrinking) and ships each subproblem as dense local-index
         adjacency plus its one-hop halo, so worker enumeration cost scales
-        with the subproblem, not the graph.  The sequential ledger path on a
-        CSR-backed graph enumerates the same payloads
-        (:meth:`_iter_batches_compact`).
+        with the subproblem, not the graph.  The sequential driver on a
+        CSR-backed graph enumerates the same payloads (:meth:`_iter_batches`).
         """
         for root_index, refined_mask, _prior_mask in self._iter_subproblems():
             if self.stopped:
@@ -462,32 +435,9 @@ class DCFastQC:
     def _shrink_subproblem(self, root_index: int, subproblem_mask: int) -> int:
         """Lines 5-6 of Algorithm 3: one-hop and two-hop pruning for MAX_ROUND rounds.
 
-        The ledger kernel runs the :class:`ShrinkLedgers` rules (store-free
-        fused first passes, a bit-sliced bulk two-hop pass, ledger reads from
-        the second pass of a rule on); the reference kernel keeps the
-        original mask-based rounds, which re-popcount every member every
-        round and serve as the differential oracle.  Both produce bit-for-bit
-        identical refined sets.
-        """
-        if self.kernel == "ledger":
-            return self._shrink_subproblem_ledger(root_index, subproblem_mask)
-        use_two_hop = self.framework == "dc"
-        required_degree = degree_threshold(self.gamma, self.theta)
-        current = subproblem_mask
-        for _ in range(self.max_rounds):
-            before = current
-            current = self._one_hop_prune(root_index, current, required_degree)
-            if use_two_hop:
-                current = self._two_hop_prune(root_index, current)
-            if current == before:
-                break
-        return current
-
-    def _shrink_subproblem_ledger(self, root_index: int, subproblem_mask: int) -> int:
-        """Ledger-kernel form of :meth:`_shrink_subproblem`.
-
-        The surviving vertex set is identical to the mask-based reference's;
-        see :class:`ShrinkLedgers` for how the passes avoid re-popcounting.
+        Runs the :class:`ShrinkLedgers` rules: store-free fused first passes,
+        a bit-sliced bulk two-hop pass, and ledger reads from the second pass
+        of a rule on, so no round re-popcounts every member.
         """
         if self.max_rounds == 0:
             return subproblem_mask
@@ -510,38 +460,10 @@ class DCFastQC:
                 break
         return ledgers.alive_mask
 
-    def _one_hop_prune(self, root_index: int, mask: int, required_degree: int) -> int:
-        """Remove ``u != root`` with fewer than ``ceil(gamma*(theta-1))`` neighbours in V_i."""
-        new_mask = mask
-        for u in iter_bits(mask):
-            if u == root_index:
-                continue
-            if (self.graph.adjacency_mask(u) & mask).bit_count() < required_degree:
-                new_mask &= ~(1 << u)
-        return new_mask
-
-    def _two_hop_prune(self, root_index: int, mask: int) -> int:
-        """Remove ``u != root`` with too few common neighbours with the root in V_i."""
-        threshold = two_hop_pruning_threshold(self.gamma, self.theta, mask.bit_count())
-        root_adjacency = self.graph.adjacency_mask(root_index) & mask
-        new_mask = mask
-        for u in iter_bits(mask):
-            if u == root_index:
-                continue
-            common = (root_adjacency & self.graph.adjacency_mask(u) & mask).bit_count()
-            if (root_adjacency >> u) & 1:
-                if common < threshold:
-                    new_mask &= ~(1 << u)
-            else:
-                if common < threshold + 2:
-                    new_mask &= ~(1 << u)
-        return new_mask
-
 
 def dcfastqc_enumerate(graph: Graph, gamma: float, theta: int,
                        branching: str = "hybrid", framework: str = "dc",
-                       kernel: str = "ledger",
                        max_rounds: int = DEFAULT_MAX_ROUNDS) -> list[frozenset]:
     """Functional convenience wrapper around :class:`DCFastQC`."""
     return DCFastQC(graph, gamma, theta, branching=branching, framework=framework,
-                    kernel=kernel, max_rounds=max_rounds).enumerate()
+                    max_rounds=max_rounds).enumerate()

@@ -11,18 +11,11 @@ gamma-quasi-clique of size at least theta.  Compared with Quick+ it
    (Sections 4.3–4.4), which yields the ``O(n * d * alpha_k^n)`` bound of
    Theorem 1.
 
-Two interchangeable execution kernels drive the search (``kernel=``):
-
-* ``"ledger"`` (default) — the incremental :mod:`repro.core.kernel`
-  branch-state kernel: per-vertex degree ledgers updated in O(deg) per vertex
-  move turn every per-branch quantity into an O(|S|) / O(|C|) array scan.
-* ``"reference"`` — the original mask-based functions
-  (:mod:`repro.core.refinement`, :mod:`repro.core.branching`), which recompute
-  each quantity with per-vertex popcounts.  Kept as the differential-testing
-  oracle; both kernels visit the same branch tree and emit the same outputs
-  in the same order.
-
-Either way the search runs on an explicit work stack
+Every branch is a :class:`repro.core.kernel.BranchState`: per-vertex degree
+ledgers updated in O(deg) per vertex move turn every per-branch quantity into
+an O(|S|) / O(|C|) array scan.  (:mod:`repro.oracle` keeps the mask/popcount
+form of the same search as the differential-testing oracle.)  The search
+runs on an explicit work stack
 (:func:`repro.core.kernel.depth_first_enumerate`), so deep branch trees no
 longer consume Python stack frames and no recursion-limit manipulation is
 needed.  The engine works on branches over the input graph and never
@@ -35,16 +28,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from ..graph.graph import Graph, VertexLabel, iter_bits
+from ..graph.graph import Graph, VertexLabel
 from ..quasiclique.definitions import validate_parameters
-from ..quasiclique.maximality import (
-    mask_satisfies_maximality_necessary_condition,
-    satisfies_maximality_necessary_condition,
-)
-from .branch import Branch, max_disconnections_in_union
-from .branching import BRANCHING_METHODS, generate_branches, select_pivot
+from ..quasiclique.maximality import mask_satisfies_maximality_necessary_condition
+from .branch import Branch
+from .branching import BRANCHING_METHODS
 from .kernel import (
-    KERNELS,
     BranchState,
     depth_first_enumerate,
     generate_child_states,
@@ -53,7 +42,6 @@ from .kernel import (
     terminates_by_theta_state,
     union_min_degree,
 )
-from .refinement import progressively_refine
 from .stats import SearchStatistics
 
 
@@ -71,10 +59,6 @@ class FastQC:
     branching:
         ``"hybrid"`` (paper default: Hybrid-SE when applicable, Sym-SE
         otherwise), ``"sym-se"`` or ``"se"``.
-    kernel:
-        ``"ledger"`` (default: incremental degree-ledger kernel) or
-        ``"reference"`` (original mask/popcount implementation).  Both visit
-        the same branch tree and produce identical outputs.
     maximality_filter:
         When True (default), outputs must pass the polynomial necessary
         condition of maximality, which discards many non-maximal QCs without
@@ -105,8 +89,7 @@ class FastQC:
     """
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
-                 branching: str = "hybrid", kernel: str = "ledger",
-                 maximality_filter: bool = True,
+                 branching: str = "hybrid", maximality_filter: bool = True,
                  maximality_graph: Graph | None = None,
                  on_output: Callable[[frozenset], None] | None = None,
                  should_stop: Callable[[], bool] | None = None,
@@ -114,13 +97,10 @@ class FastQC:
         validate_parameters(gamma, theta)
         if branching not in BRANCHING_METHODS:
             raise ValueError(f"branching must be one of {BRANCHING_METHODS}, got {branching!r}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         self.graph = graph
         self.gamma = gamma
         self.theta = theta
         self.branching = branching
-        self.kernel = kernel
         self.maximality_filter = maximality_filter
         self.maximality_graph = maximality_graph if maximality_graph is not None else graph
         self.on_output = on_output
@@ -176,17 +156,10 @@ class FastQC:
         self.statistics.subproblems += 1
         self.statistics.subproblem_sizes.record(branch.union_size)
         start = len(self._results)
-        if self.kernel == "ledger":
-            root = BranchState.from_branch(self.graph, branch, self.statistics)
-            self.last_branch_found = depth_first_enumerate(
-                root, self._expand_ledger, self._close,
-                should_stop=self._poll_stop,
-                ticker=self.progress, scheduler=scheduler)
-        else:
-            self.last_branch_found = depth_first_enumerate(
-                branch, self._expand_reference, self._close,
-                should_stop=self._poll_stop,
-                ticker=self.progress, scheduler=scheduler)
+        self.last_branch_found = depth_first_enumerate(
+            self._root(branch), self._expand, self._close,
+            should_stop=self._poll_stop,
+            ticker=self.progress, scheduler=scheduler)
         if self.progress is not None and self.progress.cancelled:
             self.stopped = True
         return self._results[start:]
@@ -206,8 +179,12 @@ class FastQC:
             return True
         return False
 
-    def _expand_ledger(self, state: BranchState):
-        """One branch visit under the incremental degree-ledger kernel."""
+    def _root(self, branch: Branch) -> BranchState:
+        """The work-stack root for ``branch``."""
+        return BranchState.from_branch(self.graph, branch, self.statistics)
+
+    def _expand(self, state: BranchState):
+        """One branch visit: refine, terminate (T1/T2) or branch."""
         self.statistics.branches_explored += 1
 
         # Lines 3-7: progressive refinement and necessary-condition checking.
@@ -241,35 +218,6 @@ class FastQC:
         # Lines 19-25 run in _close once every child subtree has completed.
         return children, state.s_mask
 
-    def _expand_reference(self, branch: Branch):
-        """One branch visit under the original mask/popcount implementation."""
-        self.statistics.branches_explored += 1
-
-        outcome = progressively_refine(self.graph, branch, self.gamma, self.theta)
-        self.statistics.candidates_removed_by_refinement += (
-            outcome.removed_by_rule1 + outcome.removed_by_rule2)
-        if outcome.pruned:
-            self.statistics.branches_pruned_by_condition += 1
-            return False
-        branch = outcome.branch
-        tau_value = outcome.tau_value
-
-        if max_disconnections_in_union(self.graph, branch) <= tau_value:
-            self.statistics.branches_terminated_t1 += 1
-            if branch.union_mask:
-                return self._emit(branch.union_mask)
-            return False
-
-        if self._terminates_by_theta(branch, tau_value):
-            self.statistics.branches_terminated_t2 += 1
-            return False
-
-        pivot = select_pivot(self.graph, branch, tau_value)
-        if pivot is None:  # pragma: no cover - excluded by the T1 check above
-            return self._emit(branch.union_mask)
-        children = generate_branches(self.graph, branch, pivot, self.branching)
-        return children, branch.s_mask
-
     def _close(self, s_mask: int, found_any: bool) -> bool:
         """Lines 19-25: output G[S] when no sub-branch found a QC."""
         if found_any:
@@ -281,19 +229,6 @@ class FastQC:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _terminates_by_theta(self, branch: Branch, tau_value: int) -> bool:
-        """Termination condition T2 (Section 4.5), mask/popcount form."""
-        if branch.union_size < self.theta:
-            return True
-        required = self.theta - tau_value
-        if required <= 0:
-            return False
-        union = branch.union_mask
-        for vertex in iter_bits(branch.s_mask):
-            if (self.graph.adjacency_mask(vertex) & union).bit_count() < required:
-                return True
-        return False
-
     def _is_quasi_clique_mask(self, subset_mask: int) -> bool:
         """Lemma 1 check on a bitmask (valid because gamma >= 0.5)."""
         from ..quasiclique.definitions import mask_is_quasi_clique
@@ -329,20 +264,17 @@ class FastQC:
     def _passes_maximality(self, subset_mask: int, labels: frozenset) -> bool:
         """The single-vertex-extension necessary condition of maximality.
 
-        The ledger kernel uses the bitmask check (translating local masks to
-        the maximality graph's index space when the two differ); the reference
-        kernel keeps the original label-space check.  Both decide identically.
+        A bitmask check, translating local masks to the maximality graph's
+        index space when the two differ.
         """
         target = self.maximality_graph
-        if self.kernel == "ledger":
-            mask = subset_mask if target is self.graph else target.mask_of(labels)
-            return mask_satisfies_maximality_necessary_condition(target, mask, self.gamma)
-        return satisfies_maximality_necessary_condition(target, labels, self.gamma)
+        mask = subset_mask if target is self.graph else target.mask_of(labels)
+        return mask_satisfies_maximality_necessary_condition(target, mask, self.gamma)
 
 
 def fastqc_enumerate(graph: Graph, gamma: float, theta: int,
-                     branching: str = "hybrid", kernel: str = "ledger",
+                     branching: str = "hybrid",
                      maximality_filter: bool = True) -> list[frozenset]:
     """Functional convenience wrapper around :class:`FastQC`."""
-    return FastQC(graph, gamma, theta, branching=branching, kernel=kernel,
+    return FastQC(graph, gamma, theta, branching=branching,
                   maximality_filter=maximality_filter).enumerate()

@@ -1,12 +1,11 @@
 """Incremental branch-state kernel: flat degree ledgers for the enumeration stack.
 
-The reference implementations (:mod:`repro.core.branch`,
-:mod:`repro.core.refinement`, :mod:`repro.core.branching`,
-:mod:`repro.baselines.pruning_rules`) recompute every branch quantity —
-``sigma(B)``, ``Delta(S)``, ``Delta(S ∪ C)``, the refinement and Type I/II
-pruning rules, the T1/T2 termination conditions and the pivot scores — from
-scratch with per-vertex popcounts over full-graph-width bitmasks, even though
-a child branch differs from its parent by exactly one vertex.
+The mask/popcount reference implementations (:mod:`repro.oracle`) recompute
+every branch quantity — ``sigma(B)``, ``Delta(S)``, ``Delta(S ∪ C)``, the
+refinement and Type I/II pruning rules, the T1/T2 termination conditions
+and the pivot scores — from scratch with per-vertex popcounts over
+full-graph-width bitmasks, even though a child branch differs from its
+parent by exactly one vertex.
 
 This module replaces those popcounts with flat-buffer ledgers, shared by all
 three branch-and-bound algorithms (FastQC, DCFastQC and Quick+):
@@ -27,7 +26,7 @@ three branch-and-bound algorithms (FastQC, DCFastQC and Quick+):
   plain lists for compact subproblem states (the width rule at
   :data:`AUTO_ARRAY_MIN_WIDTH`).
 
-The functions mirror their reference counterparts one-to-one and visit the
+The functions mirror their oracle counterparts one-to-one and visit the
 exact same branch tree (same refinement fixpoints, same pivot tie-breaks,
 same child ordering), so the kernelized enumerators are differentially
 testable against the mask-based implementations branch for branch.
@@ -268,7 +267,7 @@ class BranchState:
 
 
 # ----------------------------------------------------------------------
-# Kernelized refinement (mirrors repro.core.refinement.progressively_refine)
+# Kernelized refinement (mirrors repro.oracle.refinement.progressively_refine)
 # ----------------------------------------------------------------------
 def refine_state(state: BranchState, gamma: float, theta: int,
                  max_rounds: int | None = None
@@ -277,7 +276,7 @@ def refine_state(state: BranchState, gamma: float, theta: int,
 
     Returns ``(pruned, tau_value, rounds, removed_by_rule1, removed_by_rule2)``
     with exactly the semantics of
-    :func:`repro.core.refinement.progressively_refine`: same prune decisions,
+    :func:`repro.oracle.refinement.progressively_refine`: same prune decisions,
     same surviving candidate set, same final disconnection budget.  All checks
     are O(|S|) / O(|C|) ledger scans; each removal costs O(deg).
 
@@ -401,7 +400,7 @@ def union_min_degree(state: BranchState) -> tuple[int, int]:
 
     ``Delta(S ∪ C) = |S ∪ C| - min``, and the argmin (lowest index among the
     minima) is exactly the pivot the reference
-    :func:`repro.core.branching.select_pivot` picks, because it scans in
+    :func:`repro.oracle.branching.select_pivot` picks, because it scans in
     increasing index order and only replaces on strictly more disconnections.
     """
     deg_in_union = state.deg_in_union
@@ -464,7 +463,7 @@ def pivot_ordering_state(state: BranchState, pivot: PivotInfo) -> list[int]:
 def tau_sigma_state(state: BranchState, gamma: float) -> int:
     """Ledger form of ``tau(sigma(B))`` (Equations 8 and 10).
 
-    Mirrors :func:`repro.core.conditions.tau_sigma` exactly, evaluated in
+    Mirrors :func:`repro.oracle.conditions.tau_sigma` exactly, evaluated in
     integer arithmetic over ``gamma = p/q``: with ``sigma = num/den``,
     ``tau(sigma) = ((q-p)*num + p*den) // (q*den)``.  ``d_min(B)`` comes from
     one O(|S|) ledger scan instead of per-vertex popcounts.
@@ -520,7 +519,7 @@ def partial_is_quasi_clique_state(state: BranchState, gamma: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Kernelized branch generation (mirrors repro.core.branching)
+# Kernelized branch generation (mirrors repro.oracle.branching)
 # ----------------------------------------------------------------------
 def se_children(state: BranchState, ordering: list[int],
                 keep: int | None = None, skip: int = 0) -> list[BranchState]:
@@ -562,7 +561,7 @@ def sym_se_children(state: BranchState, ordering: list[int],
 
 def generate_child_states(state: BranchState, pivot: PivotInfo,
                           method: str) -> list[BranchState]:
-    """Ledger counterpart of :func:`repro.core.branching.generate_branches`."""
+    """Ledger counterpart of :func:`repro.oracle.branching.generate_branches`."""
     ordering = pivot_ordering_state(state, pivot)
     if method == "se":
         return se_children(state, ordering)
@@ -579,14 +578,15 @@ def generate_child_states(state: BranchState, pivot: PivotInfo,
 
 
 # ----------------------------------------------------------------------
-# Kernelized subproblem shrinking (mirrors DCFastQC._one_hop_prune /
-# _two_hop_prune, Lines 5-6 of Algorithm 3)
+# Kernelized subproblem shrinking (mirrors the oracle's mask rounds,
+# Lines 5-6 of Algorithm 3)
 # ----------------------------------------------------------------------
 class ShrinkLedgers:
     """Adaptive degree / common-neighbour ledgers for subproblem shrinking.
 
-    Mirrors ``DCFastQC._one_hop_prune`` / ``_two_hop_prune`` bit-for-bit while
-    eliminating redundant full-width popcount rescans:
+    Mirrors the oracle's ``ReferenceDCFastQC._one_hop_prune`` /
+    ``_two_hop_prune`` bit-for-bit while eliminating redundant full-width
+    popcount rescans:
 
     * The **first** pass of each rule runs store-free: one restricted popcount
       per scanned vertex, fused with the removal decision, in a tight
@@ -928,10 +928,6 @@ class ShrinkLedgers:
 # ----------------------------------------------------------------------
 # Explicit work-stack driver (replaces the recursive search)
 # ----------------------------------------------------------------------
-#: Values the enumerators accept for their ``kernel`` knob.
-KERNELS = ("ledger", "reference")
-
-
 class BranchFrame:
     """One unresolved ``close`` obligation of the steal-aware driver.
 

@@ -337,8 +337,7 @@ class MQCEEngine:
             # so budgeted queries always take the sequential path.  (It has no
             # branch-tick channel either; `progress` only applies below.)
             runner = ParallelDCFastQC(prepared, plan.gamma, plan.theta,
-                                      branching=plan.branching, kernel=plan.kernel,
-                                      workers=plan.workers)
+                                      branching=plan.branching, workers=plan.workers)
             with tracer.span("enumerate", algorithm=plan.algorithm,
                              parallel=True) as enumerate_span:
                 candidates = runner.enumerate()

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 from ..api.spec import SPEC_PARALLEL_MODES
-from ..core.kernel import KERNELS
 from ..extensions.parallel import available_cpus
 from ..obs.metrics import REGISTRY
 from ..pipeline.mqce import ALGORITHMS
@@ -71,7 +70,6 @@ class QueryPlan:
     algorithm: str
     branching: str
     framework: str
-    kernel: str
     parallel: bool
     workers: int
     fingerprint: str
@@ -101,7 +99,7 @@ class QueryPlan:
             f"on graph {self.fingerprint} "
             f"(|V|={self.graph_vertices}, |E|={self.graph_edges})",
             f"  algorithm:  {self.algorithm} (framework={self.framework}, "
-            f"branching={self.branching}, kernel={self.kernel}, {mode})",
+            f"branching={self.branching}, {mode})",
             f"  reduction:  core keeps {self.core_vertices_kept} of "
             f"{self.graph_vertices} vertices "
             f"({self.core_vertices_removed} pruned before enumeration)",
@@ -130,24 +128,21 @@ class QueryPlanner:
         """Plan one :class:`repro.api.QuerySpec` (the engine's planning entry).
 
         Only the spec fields that influence plan selection are consulted
-        (gamma, theta, algorithm, branching, kernel, parallel); workload
-        modifiers and budgets do not change how the enumeration itself is best
-        executed.
+        (gamma, theta, algorithm, branching, parallel); workload modifiers
+        and budgets do not change how the enumeration itself is best executed.
         """
         return self.plan(prepared, spec.gamma, spec.theta,
                          algorithm=spec.algorithm, branching=spec.branching,
-                         kernel=spec.kernel, workers=workers,
-                         parallel=spec.parallel)
+                         workers=workers, parallel=spec.parallel)
 
     def plan(self, prepared: PreparedGraph, gamma: float, theta: int,
              algorithm: str = "auto", branching: str | None = None,
-             kernel: str = "ledger", workers: int | None = None,
-             parallel: str = "auto") -> QueryPlan:
+             workers: int | None = None, parallel: str = "auto") -> QueryPlan:
         """Return the :class:`QueryPlan` for one query.
 
         ``algorithm="auto"`` lets the planner decide; naming one of
-        :data:`~repro.pipeline.mqce.ALGORITHMS` forces it.  ``branching``,
-        ``kernel`` and ``workers`` likewise override the planner when given.
+        :data:`~repro.pipeline.mqce.ALGORITHMS` forces it.  ``branching``
+        and ``workers`` likewise override the planner when given.
         ``parallel`` requests an execution mode
         (:data:`~repro.api.spec.SPEC_PARALLEL_MODES`): with ``"auto"`` the
         planner fans the divide-and-conquer subproblems out to work-stealing
@@ -159,8 +154,6 @@ class QueryPlanner:
         if algorithm != "auto" and algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; expected 'auto' or one of {ALGORITHMS}")
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         if parallel not in SPEC_PARALLEL_MODES:
             raise ValueError(f"unknown parallel mode {parallel!r}; "
                              f"expected one of {SPEC_PARALLEL_MODES}")
@@ -171,7 +164,7 @@ class QueryPlanner:
         # records fresh branch counts re-opens the parallel decision instead
         # of serving a plan made without them.
         cache_key = (self.config, gamma_fraction(gamma), int(theta),
-                     algorithm, branching, kernel, workers, parallel,
+                     algorithm, branching, workers, parallel,
                      prepared.histogram_version)
         memoized = prepared.plan_cache.get(cache_key)
         if memoized is not None:
@@ -216,14 +209,6 @@ class QueryPlanner:
                                "Figure 11 ablation")
         else:
             reasons.append(f"branching {branching!r} forced by the caller")
-
-        if kernel == "ledger" and chosen in ("dcfastqc", "fastqc", "quickplus"):
-            reasons.append("ledger kernel: incremental O(deg) degree ledgers "
-                           "(kernelized shrinking, refinement and Type I/II "
-                           "pruning — no popcount rescans)")
-        elif kernel == "reference":
-            reasons.append("reference kernel forced: mask/popcount implementation "
-                           "(differential-testing oracle)")
 
         # An explicit worker count is honoured as-is; the default is the CPUs
         # this process may run on, capped by the planner configuration.
@@ -276,8 +261,7 @@ class QueryPlanner:
 
         plan = QueryPlan(
             gamma=gamma, theta=theta, algorithm=chosen, branching=branching,
-            framework=framework, kernel=kernel,
-            parallel=fan_out, workers=effective_workers,
+            framework=framework, parallel=fan_out, workers=effective_workers,
             fingerprint=prepared.fingerprint,
             graph_vertices=prepared.graph.vertex_count,
             graph_edges=prepared.graph.edge_count,

@@ -202,7 +202,7 @@ class ResultStream(Iterator[frozenset]):
             self._deadline = Deadline.after(spec.time_limit)
         enumerator = build_enumerator(
             self._prepared, spec.gamma, spec.theta, algorithm=spec.algorithm,
-            branching=spec.branching, framework=spec.framework, kernel=spec.kernel,
+            branching=spec.branching, framework=spec.framework,
             max_rounds=spec.max_rounds, maximality_filter=spec.maximality_filter,
             should_stop=self._should_stop, progress=self._progress,
             tracer=self.tracer)

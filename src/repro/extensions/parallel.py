@@ -82,8 +82,7 @@ def available_cpus() -> int:
 
 
 def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
-                           theta: int, branching: str = "hybrid",
-                           kernel: str = "ledger"
+                           theta: int, branching: str = "hybrid"
                            ) -> tuple[list[frozenset], SearchStatistics]:
     """Enumerate one compact DC subproblem in-process (the per-subproblem reference).
 
@@ -98,8 +97,7 @@ def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
     graph = subproblem.build_graph()
     maximality = (subproblem.build_maximality_graph()
                   if subproblem.halo_labels else graph)
-    engine = FastQC(graph, gamma, theta,
-                    branching=branching, kernel=kernel,
+    engine = FastQC(graph, gamma, theta, branching=branching,
                     maximality_graph=maximality)
     chunk = engine.enumerate_branch(subproblem.initial_branch())
     return chunk, engine.statistics
@@ -123,8 +121,7 @@ class ParallelDCFastQC:
     """
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
-                 branching: str = "hybrid", kernel: str = "ledger",
-                 max_rounds: int = DEFAULT_MAX_ROUNDS,
+                 branching: str = "hybrid", max_rounds: int = DEFAULT_MAX_ROUNDS,
                  workers: int | None = None, steal_schedule=None) -> None:
         validate_parameters(gamma, theta)
         if workers is not None and workers < 1:
@@ -133,7 +130,6 @@ class ParallelDCFastQC:
         self.gamma = gamma
         self.theta = theta
         self.branching = branching
-        self.kernel = kernel
         self.max_rounds = max_rounds
         self.workers = workers if workers is not None else min(8, available_cpus())
         self.steal_schedule = steal_schedule
@@ -144,7 +140,7 @@ class ParallelDCFastQC:
     def _driver(self) -> DCFastQC:
         """A sequential driver with this configuration (preprocessing + fallback)."""
         return DCFastQC(self.graph, self.gamma, self.theta, branching=self.branching,
-                        kernel=self.kernel, max_rounds=self.max_rounds)
+                        max_rounds=self.max_rounds)
 
     def _sequential(self, driver: DCFastQC | None = None) -> list[frozenset]:
         """In-process run, reusing an existing driver if it has not started."""
@@ -168,8 +164,8 @@ class ParallelDCFastQC:
         try:
             results, worker_stats, telemetry = branch_parallel_enumerate(
                 subproblems, self.gamma, self.theta,
-                branching=self.branching, kernel=self.kernel,
-                workers=self.workers, steal_schedule=self.steal_schedule)
+                branching=self.branching, workers=self.workers,
+                steal_schedule=self.steal_schedule)
         except (WorkerCrash, OSError, ValueError):
             # A dead worker (or a platform without POSIX shared memory) must
             # not cost the answer: rerun sequentially.  Segments were already

@@ -269,7 +269,6 @@ class _BranchWorkerConfig:
     gamma: float
     theta: int
     branching: str
-    kernel: str
     poll_period: int
     steal_schedule: object | None  # picklable callable(runtime) -> bool
 
@@ -314,7 +313,6 @@ class _WorkerRuntime:
                           if subproblem.halo_labels else graph)
             engine = FastQC(graph, self.config.gamma, self.config.theta,
                             branching=self.config.branching,
-                            kernel=self.config.kernel,
                             maximality_graph=maximality,
                             on_output=self.emissions.append)
             self.engines[token] = engine
@@ -461,8 +459,7 @@ def _context():
 
 
 def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
-                              branching: str = "hybrid",
-                              kernel: str = "ledger", workers: int = 2,
+                              branching: str = "hybrid", workers: int = 2,
                               steal_schedule=None,
                               poll_period: int = DEFAULT_POLL_PERIOD,
                               liveness_interval: float = 0.2):
@@ -489,8 +486,7 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     inboxes = [context.Queue() for _ in range(workers)]
     hungry = context.Value("i", 0)
     config = _BranchWorkerConfig(gamma=gamma, theta=theta, branching=branching,
-                                 kernel=kernel, poll_period=poll_period,
-                                 steal_schedule=steal_schedule)
+                                 poll_period=poll_period, steal_schedule=steal_schedule)
     processes = [
         context.Process(target=_branch_worker_main,
                         args=(index, tasks, events, inboxes[index], hungry,

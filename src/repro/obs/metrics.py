@@ -220,14 +220,14 @@ class MetricsRegistry:
     def render_prometheus(self, include_process: bool = True) -> str:
         """The registry in Prometheus text exposition format (version 0.0.4).
 
+        Every registered family is listed with its ``# HELP`` / ``# TYPE``
+        lines, so a scraper sees it before its first sample.
         ``include_process`` appends point-in-time process gauges
         (``repro_process_peak_rss_bytes``, ``repro_process_current_rss_bytes``)
         sampled at render time, skipping whichever the platform cannot supply.
         """
         lines: list[str] = []
         for family in self.families():
-            if not family.samples:
-                continue
             if family.help:
                 lines.append(f"# HELP {family.name} {_escape(family.help)}")
             lines.append(f"# TYPE {family.name} {family.kind}")

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..core.branch import Branch
 from ..graph.graph import Graph
 from ..quasiclique.definitions import gamma_fraction, tau
 from .branch import (
-    Branch,
     max_disconnections_in_partial,
     max_disconnections_in_union,
     min_partial_degree_in_union,

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.branch import Branch
 from ..graph.graph import Graph, iter_bits
 from ..quasiclique.definitions import tau
-from .branch import Branch, max_disconnections_in_partial
+from .branch import max_disconnections_in_partial
 from .conditions import sigma
 
 

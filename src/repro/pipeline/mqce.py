@@ -52,7 +52,6 @@ def canonical_order(quasi_cliques) -> list[frozenset]:
 
 def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "dcfastqc",
                      branching: str | None = None, framework: str = "dc",
-                     kernel: str = "ledger",
                      max_rounds: int = DEFAULT_MAX_ROUNDS,
                      maximality_filter: bool = True,
                      on_output: Callable[[frozenset], None] | None = None,
@@ -61,16 +60,13 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
     """Construct (but do not run) the requested MQCE-S1 enumerator.
 
     ``branching`` defaults to ``"hybrid"`` for FastQC/DCFastQC and ``"se"`` for
-    Quick+, matching the paper's configurations.  ``kernel`` selects the
-    execution kernel shared by all three branch-and-bound algorithms
-    (``"ledger"`` incremental branch states or the mask-based
-    ``"reference"``); only the naive baseline has no kernelized form.
-    ``on_output`` and ``should_stop`` feed the streaming/cancellation path;
-    the naive baseline ignores both (it materialises its answer in one
-    exhaustive pass).  ``progress`` is an optional
-    :class:`repro.obs.ProgressTicker` branch-tick hook and ``tracer`` an
-    optional :class:`repro.obs.Tracer` (the DC driver records decompose /
-    shrink / subproblem spans); the naive baseline ignores both as well.
+    Quick+, matching the paper's configurations.  ``on_output`` and
+    ``should_stop`` feed the streaming/cancellation path; the naive baseline
+    ignores both (it materialises its answer in one exhaustive pass).
+    ``progress`` is an optional :class:`repro.obs.ProgressTicker` branch-tick
+    hook and ``tracer`` an optional :class:`repro.obs.Tracer` (the DC driver
+    records decompose / shrink / subproblem spans); the naive baseline
+    ignores both as well.
     ``graph`` may be an engine ``PreparedGraph``: DCFastQC reuses its core
     mask, the other algorithms run on the underlying graph.
     """
@@ -80,19 +76,18 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
     validate_parameters(gamma, theta)
     if algorithm == "dcfastqc":
         return DCFastQC(graph, gamma, theta, branching=branching or "hybrid",
-                        framework=framework, kernel=kernel, max_rounds=max_rounds,
+                        framework=framework, max_rounds=max_rounds,
                         maximality_filter=maximality_filter,
                         on_output=on_output, should_stop=should_stop,
                         progress=progress, tracer=tracer)
     graph = as_plain_graph(graph)
     if algorithm == "fastqc":
         return FastQC(graph, gamma, theta, branching=branching or "hybrid",
-                      kernel=kernel, maximality_filter=maximality_filter,
+                      maximality_filter=maximality_filter,
                       on_output=on_output, should_stop=should_stop,
                       progress=progress)
     if algorithm == "quickplus":
         return QuickPlus(graph, gamma, theta, branching=branching or "se",
-                         kernel=kernel,
                          on_output=on_output, should_stop=should_stop,
                          progress=progress)
     if algorithm == "naive":
@@ -130,17 +125,28 @@ def run_enumeration(graph: Graph, spec,
     (and passes through to the DC driver's decompose/shrink spans);
     ``progress`` receives branch ticks.  Both default to disabled.
     """
-    algorithm = resolve_algorithm(spec.algorithm)
     framework = spec.framework if spec.framework is not None else "dc"
     if should_stop is None and spec.time_limit is not None:
         should_stop = Deadline.after(spec.time_limit).expired
-    obs = tracer if tracer is not None else NULL_TRACER
-    enumerator = build_enumerator(graph, spec.gamma, spec.theta, algorithm=algorithm,
+    enumerator = build_enumerator(graph, spec.gamma, spec.theta,
+                                  algorithm=resolve_algorithm(spec.algorithm),
                                   branching=spec.branching, framework=framework,
-                                  kernel=spec.kernel, max_rounds=spec.max_rounds,
+                                  max_rounds=spec.max_rounds,
                                   maximality_filter=spec.maximality_filter,
                                   should_stop=should_stop,
                                   progress=progress, tracer=tracer)
+    return enumerate_and_filter(enumerator, spec, tracer=tracer)
+
+
+def enumerate_and_filter(enumerator, spec, tracer=None) -> EnumerationResult:
+    """Run a built MQCE-S1 enumerator for ``spec``, then the set-trie filter.
+
+    The shared second half of :func:`run_enumeration`: enumerate, remove
+    non-maximal candidates (MQCE-S2) and pack both into an
+    :class:`EnumerationResult`.
+    """
+    algorithm = resolve_algorithm(spec.algorithm)
+    obs = tracer if tracer is not None else NULL_TRACER
     with obs.span("enumerate", stats=lambda: enumerator.statistics,
                   algorithm=algorithm) as enumerate_span:
         candidates = enumerator.enumerate()

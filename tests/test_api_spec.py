@@ -63,21 +63,18 @@ class TestQuerySpec:
         {"algorithm": "bogus"},
         {"branching": "bogus"},
         {"framework": "bogus"},
-        {"kernel": "bogus"},
+        {"kernel": "reference"},  # not a field: one execution path
         {"max_rounds": -1},
         {"k": 0},
         {"time_limit": 0},
         {"max_results": 0},
     ])
     def test_spec_validation(self, fields):
+        data = {"gamma": 0.9, "theta": 5, **fields}
         with pytest.raises(SpecError):
-            QuerySpec(gamma=0.9, theta=5, **fields)
-
-    def test_kernel_selects_execution_path(self):
-        assert QuerySpec(gamma=0.9).kernel == "ledger"
-        reference = QuerySpec(gamma=0.9, kernel="reference")
-        assert reference.cache_key() != QuerySpec(gamma=0.9).cache_key()
-        assert QuerySpec.from_json(json.dumps(reference.to_dict())) == reference
+            QuerySpec.from_dict(data)
+        with pytest.raises(SpecError):
+            QuerySpec.from_json(json.dumps(data))
 
     def test_json_round_trip(self):
         spec = QuerySpec(gamma=0.9, theta=5, k=3, time_limit=1.5,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    Branch,
+from repro.core import Branch
+from repro.oracle import (
     degree_in_partial,
     degree_in_union,
     disconnections_in_partial,

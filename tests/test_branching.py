@@ -7,10 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from repro.core import (
-    Branch,
+from repro.core import Branch, hybrid_se_applicable
+from repro.oracle import (
     generate_branches,
-    hybrid_se_applicable,
     hybrid_se_branch_pair,
     pivot_ordering,
     se_branches,

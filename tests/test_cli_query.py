@@ -129,10 +129,12 @@ class TestErrorMapping:
         assert "Traceback" not in captured.err
 
     def test_invalid_spec_field_exits_2(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"gamma": 0.9, "bogus": True}))
-        assert main(["query", "-d", "twitter", "--spec", str(spec_path)]) == 2
-        assert "bogus" in capsys.readouterr().err
+        for field in ("bogus", "kernel"):
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({"gamma": 0.9, field: "reference"}))
+            assert main(["query", "-d", "twitter", "--spec", str(spec_path)]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and repr(field) in line
 
     def test_malformed_spec_file_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -210,7 +212,7 @@ class TestCommandSurface:
             if not isinstance(action, (argparse._HelpAction,
                                        argparse._SubParsersAction)))
         assert len(leaves) <= 12
-        assert options <= 92
+        assert options <= 91
         assert ("query",) in {path for path, _ in leaves}
 
 

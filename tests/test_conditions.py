@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from repro.core import (
-    Branch,
+from repro.core import Branch
+from repro.oracle import (
     SDRegions,
     satisfies_condition_c1c2,
     sd_regions,
@@ -132,7 +132,7 @@ class TestConditionC1C2:
 
     def test_equivalent_formulation(self, paper_figure1):
         # Delta(S) <= tau(sigma(B)) is the equivalent form used by FastQC.
-        from repro.core import max_disconnections_in_partial
+        from repro.oracle import max_disconnections_in_partial
 
         rng = random.Random(3)
         vertices = paper_figure1.vertices()

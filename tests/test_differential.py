@@ -10,11 +10,17 @@ shows up as a failure against the same brute-force ground truth.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Graph, MQCEEngine
 from repro.api import QuerySpec
 from repro.graph.generators import erdos_renyi_gnm, planted_quasi_clique_graph
+from repro.oracle import reference_enumeration
 from repro.pipeline.mqce import canonical_order, run_enumeration
 from repro.quasiclique import enumerate_maximal_quasi_cliques_bruteforce
 
@@ -34,31 +40,28 @@ CASES = [
 ]
 
 #: Execution paths under test.  Each maps a (graph, gamma, theta) query to a
-#: canonically ordered list of maximal quasi-cliques.  The FastQC-family
-#: algorithms run under both execution kernels: ``ledger`` (incremental
-#: branch states, compact DC subproblems — the default) and ``reference``
-#: (the original mask/popcount implementation).
+#: canonically ordered list of maximal quasi-cliques.  Each FastQC-family
+#: algorithm runs twice: in production (incremental ledger branch states,
+#: compact DC subproblems) and on :mod:`repro.oracle` (the original
+#: mask/popcount implementation).
 EXECUTORS = {
     "fastqc": lambda graph, gamma, theta: run_enumeration(
         graph, QuerySpec(gamma=gamma, theta=theta, algorithm="fastqc")
     ).maximal_quasi_cliques,
-    "fastqc-reference": lambda graph, gamma, theta: run_enumeration(
-        graph, QuerySpec(gamma=gamma, theta=theta, algorithm="fastqc",
-                         kernel="reference")
+    "fastqc-reference": lambda graph, gamma, theta: reference_enumeration(
+        graph, QuerySpec(gamma=gamma, theta=theta, algorithm="fastqc")
     ).maximal_quasi_cliques,
     "dcfastqc": lambda graph, gamma, theta: run_enumeration(
         graph, QuerySpec(gamma=gamma, theta=theta, algorithm="dcfastqc")
     ).maximal_quasi_cliques,
-    "dcfastqc-reference": lambda graph, gamma, theta: run_enumeration(
-        graph, QuerySpec(gamma=gamma, theta=theta, algorithm="dcfastqc",
-                         kernel="reference")
+    "dcfastqc-reference": lambda graph, gamma, theta: reference_enumeration(
+        graph, QuerySpec(gamma=gamma, theta=theta, algorithm="dcfastqc")
     ).maximal_quasi_cliques,
     "quickplus": lambda graph, gamma, theta: run_enumeration(
         graph, QuerySpec(gamma=gamma, theta=theta, algorithm="quickplus")
     ).maximal_quasi_cliques,
-    "quickplus-reference": lambda graph, gamma, theta: run_enumeration(
-        graph, QuerySpec(gamma=gamma, theta=theta, algorithm="quickplus",
-                         kernel="reference")
+    "quickplus-reference": lambda graph, gamma, theta: reference_enumeration(
+        graph, QuerySpec(gamma=gamma, theta=theta, algorithm="quickplus")
     ).maximal_quasi_cliques,
     "engine-query": lambda graph, gamma, theta: MQCEEngine().query(
         graph, gamma, theta).maximal_quasi_cliques,
@@ -106,17 +109,15 @@ def test_executors_agree_pairwise(case_id):
 @pytest.mark.parametrize("case_id", [case[0] for case in CASES])
 def test_ledger_kernel_matches_reference_exactly(case_id, algorithm, branching):
     """The strongest parity claim: the ledger kernel is branch-for-branch
-    equivalent to the mask-based reference, for every algorithm and branching
+    equivalent to the mask-based oracle, for every algorithm and branching
     method across the whole gamma/theta grid — identical *candidate
     sequences* (pre-MQCE-S2, in emission order), identical maximal answers,
     and identical search counters."""
     graph, gamma, theta, _ = _case(case_id)
-    runs = {}
-    for kernel in ("ledger", "reference"):
-        spec = QuerySpec(gamma=gamma, theta=theta, algorithm=algorithm,
-                         branching=branching, kernel=kernel)
-        runs[kernel] = run_enumeration(graph, spec)
-    ledger, reference = runs["ledger"], runs["reference"]
+    spec = QuerySpec(gamma=gamma, theta=theta, algorithm=algorithm,
+                     branching=branching)
+    ledger = run_enumeration(graph, spec)
+    reference = reference_enumeration(graph, spec)
     assert ledger.candidate_quasi_cliques == reference.candidate_quasi_cliques
     assert ledger.maximal_quasi_cliques == reference.maximal_quasi_cliques
     for counter in ("branches_explored", "branches_pruned_by_condition",
@@ -138,17 +139,15 @@ def test_ledger_kernel_matches_reference_exactly(case_id, algorithm, branching):
 @pytest.mark.parametrize("case_id", [case[0] for case in CASES])
 def test_quickplus_ledger_matches_reference_exactly(case_id, branching):
     """Quick+'s ledger kernel is branch-for-branch equivalent to its
-    mask-based reference for every branching method across the whole
+    mask-based oracle for every branching method across the whole
     gamma/theta grid: identical candidate sequences (pre-MQCE-S2, in
     emission order), identical maximal answers and identical Type I/II
     pruning counters."""
     graph, gamma, theta, _ = _case(case_id)
-    runs = {}
-    for kernel in ("ledger", "reference"):
-        spec = QuerySpec(gamma=gamma, theta=theta, algorithm="quickplus",
-                         branching=branching, kernel=kernel)
-        runs[kernel] = run_enumeration(graph, spec)
-    ledger, reference = runs["ledger"], runs["reference"]
+    spec = QuerySpec(gamma=gamma, theta=theta, algorithm="quickplus",
+                     branching=branching)
+    ledger = run_enumeration(graph, spec)
+    reference = reference_enumeration(graph, spec)
     assert ledger.candidate_quasi_cliques == reference.candidate_quasi_cliques
     assert ledger.maximal_quasi_cliques == reference.maximal_quasi_cliques
     for counter in ("branches_explored", "branches_pruned_by_type2",
@@ -156,3 +155,27 @@ def test_quickplus_ledger_matches_reference_exactly(case_id, branching):
         assert (getattr(ledger.search_statistics, counter)
                 == getattr(reference.search_statistics, counter)), counter
     assert reference.search_statistics.ledger_moves == 0
+
+
+#: Answers queries through the CLI and the engine, then asserts the oracle
+#: never loaded.
+_BOUNDARY_SCRIPT = """
+import sys
+import repro, repro.cli, repro.serve
+from repro.datasets import load_dataset
+assert repro.cli.main(["query", "-d", "twitter", "--count"]) == 0
+repro.MQCEEngine().query(load_dataset("twitter"), 0.9, 4)
+assert "repro.oracle" not in sys.modules, "production imported repro.oracle"
+"""
+
+
+def test_production_never_imports_the_oracle():
+    """:mod:`repro.oracle` is a test and benchmark dependency only: a fresh
+    interpreter that answers queries through every production entry point
+    must not load it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    completed = subprocess.run([sys.executable, "-c", _BOUNDARY_SCRIPT], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr[-2000:]

@@ -6,7 +6,8 @@ Three layers of guarantees:
    ``deg_in_s`` / ``deg_in_union`` ledgers equal degrees recomputed from
    scratch (the property the whole kernel rests on).
 2. **Component parity** — refinement, pivot selection and branch generation
-   agree with their mask-based reference counterparts on random branches.
+   agree with their mask-based :mod:`repro.oracle` counterparts on random
+   branches.
 3. **Driver behaviour** — the explicit work stack searches arbitrarily deep
    branch trees without touching the Python recursion limit, and the emit
    path dedups before any label/maximality work.
@@ -21,7 +22,7 @@ import pytest
 
 from repro.core import kernel as kernel_module
 from repro.core.branch import Branch
-from repro.core.branching import BRANCHING_METHODS, generate_branches, select_pivot
+from repro.core.branching import BRANCHING_METHODS
 from repro.core.dcfastqc import (
     CompactSubproblem,
     DCFastQC,
@@ -38,11 +39,18 @@ from repro.core.kernel import (
     terminates_by_theta_state,
     union_min_degree,
 )
-from repro.core.refinement import progressively_refine
 from repro.core.stats import SearchStatistics
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp
 from repro.graph.graph import Graph, iter_bits
 from repro.graph.subgraph import compact_subgraph, two_hop_mask
+from repro.oracle import (
+    ReferenceDCFastQC,
+    ReferenceFastQC,
+    ReferenceQuickPlus,
+    generate_branches,
+    progressively_refine,
+    select_pivot,
+)
 from repro.quasiclique.definitions import degree_threshold
 
 
@@ -196,7 +204,7 @@ class TestKernelReferenceParity:
             branch = _random_branch(graph, rng)
             gamma, theta = rng.choice(self.GRID)
             state = BranchState.from_branch(graph, branch)
-            algo = FastQC(graph, gamma, theta)
+            algo = ReferenceFastQC(graph, gamma, theta)
             for tau_value in (0, 1, 2):
                 assert (terminates_by_theta_state(state, theta, tau_value)
                         == algo._terminates_by_theta(branch, tau_value))
@@ -294,8 +302,8 @@ class TestEmitPath:
         rng = random.Random(3)
         for trial in range(10):
             graph = erdos_renyi_gnp(10, rng.uniform(0.4, 0.8), seed=1700 + trial)
-            ledger = FastQC(graph, 0.8, 3, kernel="ledger")
-            reference = FastQC(graph, 0.8, 3, kernel="reference")
+            ledger = FastQC(graph, 0.8, 3)
+            reference = ReferenceFastQC(graph, 0.8, 3)
             assert ledger.enumerate() == reference.enumerate()
             assert (ledger.statistics.outputs_suppressed_by_maximality
                     == reference.statistics.outputs_suppressed_by_maximality)
@@ -344,55 +352,6 @@ class TestCompactSubproblems:
         # candidate (the sequential driver may suppress a few more via its
         # full-graph maximality filter).
         assert set(DCFastQC(graph, 0.8, 4).enumerate()) <= set(merged)
-
-
-class TestEngineWiring:
-    def test_plan_reports_kernel(self):
-        from repro.api import QuerySpec
-        from repro.engine import MQCEEngine
-
-        graph = erdos_renyi_gnm(30, 70, seed=23)
-        engine = MQCEEngine()
-        default_plan = engine.explain(graph, 0.8, 3)
-        assert default_plan.kernel == "ledger"
-        assert "kernel=ledger" in default_plan.describe()
-        forced = engine.explain(
-            graph, spec=QuerySpec(gamma=0.8, theta=3, kernel="reference"))
-        assert forced.kernel == "reference"
-        assert any("reference kernel" in reason for reason in forced.reasons)
-
-    def test_topk_and_containment_honour_the_kernel(self):
-        """Regression: the k/contains workloads forward spec.kernel too, so
-        kernel="reference" really runs the oracle (no ledger moves)."""
-        from repro.api import QuerySpec
-        from repro.api.execute import containment_search, topk_search
-
-        graph = erdos_renyi_gnm(20, 60, seed=25)
-        seed_vertex = graph.vertices()[0]
-        for build in (
-            lambda kernel: topk_search(
-                graph, QuerySpec(gamma=0.8, theta=3, k=3, kernel=kernel)),
-            lambda kernel: containment_search(
-                graph, QuerySpec(gamma=0.8, theta=2, contains=(seed_vertex,),
-                                 kernel=kernel)),
-        ):
-            ledger, reference = build("ledger"), build("reference")
-            assert ledger.maximal_quasi_cliques == reference.maximal_quasi_cliques
-            assert reference.search_statistics.ledger_moves == 0
-            assert ledger.search_statistics.ledger_moves > 0
-
-    def test_engine_serves_both_kernels_identically(self):
-        from repro.api import QuerySpec
-        from repro.engine import MQCEEngine
-
-        graph = erdos_renyi_gnm(30, 70, seed=24)
-        engine = MQCEEngine()
-        ledger = engine.query(graph, spec=QuerySpec(gamma=0.8, theta=3))
-        reference = engine.query(
-            graph, spec=QuerySpec(gamma=0.8, theta=3, kernel="reference"))
-        assert ledger.maximal_quasi_cliques == reference.maximal_quasi_cliques
-        # Distinct kernels address distinct cache entries (execution knob).
-        assert len(engine.cache) == 2
 
 
 class TestShrinkLedgers:
@@ -447,7 +406,7 @@ class TestShrinkLedgers:
         for trial in range(25):
             graph = erdos_renyi_gnp(16, rng.uniform(0.2, 0.6), seed=4300 + trial)
             gamma, theta = rng.choice(self.GRID)
-            oracle = DCFastQC(graph, gamma, theta, kernel="reference")
+            oracle = ReferenceDCFastQC(graph, gamma, theta)
             required = degree_threshold(gamma, theta)
             root, ball = self._random_ball(graph, rng)
             ledgers = ShrinkLedgers(graph, root, ball)
@@ -467,7 +426,7 @@ class TestShrinkLedgers:
                 assert removed == before - ledgers.alive_count
 
     def test_full_shrink_matches_reference_kernel(self):
-        """DCFastQC's ledger shrinking equals the mask rounds bit-for-bit."""
+        """DCFastQC's ledger shrinking equals the oracle's mask rounds bit-for-bit."""
         rng = random.Random(9)
         for trial in range(20):
             graph = erdos_renyi_gnp(20, rng.uniform(0.2, 0.55), seed=4600 + trial)
@@ -475,9 +434,10 @@ class TestShrinkLedgers:
             for framework in ("dc", "basic-dc"):
                 for max_rounds in (0, 1, 2, 4):
                     ledger = DCFastQC(graph, gamma, theta, framework=framework,
-                                      max_rounds=max_rounds, kernel="ledger")
-                    reference = DCFastQC(graph, gamma, theta, framework=framework,
-                                         max_rounds=max_rounds, kernel="reference")
+                                      max_rounds=max_rounds)
+                    reference = ReferenceDCFastQC(graph, gamma, theta,
+                                                  framework=framework,
+                                                  max_rounds=max_rounds)
                     core = ledger._core_reduction_mask()
                     for root in iter_bits(core):
                         ball = two_hop_mask(graph, root, core)
@@ -487,11 +447,11 @@ class TestShrinkLedgers:
 
     def test_shrink_counters_populated(self):
         graph = erdos_renyi_gnm(40, 130, seed=71)
-        algo = DCFastQC(graph, 0.8, 4, kernel="ledger")
+        algo = DCFastQC(graph, 0.8, 4)
         algo.enumerate()
         stats = algo.statistics
         assert stats.shrink_rounds > 0
-        reference = DCFastQC(graph, 0.8, 4, kernel="reference")
+        reference = ReferenceDCFastQC(graph, 0.8, 4)
         reference.enumerate()
         assert reference.statistics.shrink_rounds == 0
         assert reference.statistics.shrink_ledger_updates == 0
@@ -514,15 +474,15 @@ class TestLedgerBackends:
         from repro.baselines.quickplus import QuickPlus
 
         graph = erdos_renyi_gnm(26, 80, seed=61)
-        baseline_fastqc = FastQC(graph, 0.8, 3, kernel="reference").enumerate()
-        baseline_quick = QuickPlus(graph, 0.8, 3, kernel="reference").enumerate()
+        baseline_fastqc = ReferenceFastQC(graph, 0.8, 3).enumerate()
+        baseline_quick = ReferenceQuickPlus(graph, 0.8, 3).enumerate()
         # Move the width threshold so every ledger takes one buffer type.
         width = 0 if backend == "array" else sys.maxsize
         monkeypatch.setattr(kernel_module, "AUTO_ARRAY_MIN_WIDTH", width)
         assert FastQC(graph, 0.8, 3).enumerate() == baseline_fastqc
         assert QuickPlus(graph, 0.8, 3).enumerate() == baseline_quick
         assert DCFastQC(graph, 0.8, 3).enumerate() \
-            == DCFastQC(graph, 0.8, 3, kernel="reference").enumerate()
+            == ReferenceDCFastQC(graph, 0.8, 3).enumerate()
 
 
 class TestMaximalityHalo:

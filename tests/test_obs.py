@@ -314,6 +314,16 @@ class TestMetrics:
         assert "# TYPE repro_demo_total counter\n" in page
         assert 'repro_demo_total{kind="a"} 3\n' in page
 
+    def test_prometheus_lists_untouched_families(self):
+        # A family registered at import time but never incremented (like
+        # repro_serve_coalesced_waiters_total before two clients overlap)
+        # is still on the page.
+        registry = MetricsRegistry()
+        registry.counter("untouched_total", "Never incremented")
+        page = registry.render_prometheus(include_process=False)
+        assert "# HELP untouched_total Never incremented\n" in page
+        assert "# TYPE untouched_total counter\n" in page
+
     def test_prometheus_escapes_label_values(self):
         registry = MetricsRegistry()
         registry.counter("esc_total").inc(1, path='a"b\\c')

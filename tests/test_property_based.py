@@ -5,8 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro import Graph, QuerySpec, SetTrie, filter_non_maximal, run_enumeration
-from repro.core import Branch, generate_branches, select_pivot, sigma, tau_sigma
-from repro.core.refinement import progressively_refine
+from repro.core import Branch
+from repro.oracle import generate_branches, progressively_refine, select_pivot, sigma, tau_sigma
 from repro.graph import core_numbers, degeneracy, degeneracy_ordering, is_degeneracy_ordering
 from repro.quasiclique import (
     degree_threshold,

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import random
 
-from repro.baselines import (
-    branch_size_upper_bound,
-    critical_vertex_forced_mask,
-    max_tolerable_non_neighbors,
-)
+from repro.baselines import max_tolerable_non_neighbors
 from repro.core import Branch
+from repro.oracle import branch_size_upper_bound, critical_vertex_forced_mask
 from repro.graph.generators import erdos_renyi_gnp
 from repro.quasiclique import enumerate_all_quasi_cliques
 

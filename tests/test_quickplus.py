@@ -7,9 +7,10 @@ import random
 import pytest
 
 from repro import Graph, QuickPlus, filter_non_maximal
-from repro.baselines import PruningConfig, apply_type1_rules, quickplus_enumerate, triggers_type2_rules
+from repro.baselines import PruningConfig, quickplus_enumerate
 from repro.core import Branch
 from repro.graph.generators import erdos_renyi_gnp
+from repro.oracle import ReferenceQuickPlus, apply_type1_rules, triggers_type2_rules
 from repro.quasiclique import (
     enumerate_all_quasi_cliques,
     enumerate_maximal_quasi_cliques_bruteforce,
@@ -68,15 +69,10 @@ class TestQuickPlus:
         with pytest.raises(ValueError):
             QuickPlus(triangle, gamma=0.9, theta=2, branching="bogus")
 
-    def test_invalid_kernel_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            QuickPlus(triangle, gamma=0.9, theta=2, kernel="bogus")
-
     def test_ledger_kernel_is_default_and_counts_moves(self):
         graph = erdos_renyi_gnp(14, 0.5, seed=404)
         ledger = QuickPlus(graph, 0.85, 3)
-        reference = QuickPlus(graph, 0.85, 3, kernel="reference")
-        assert ledger.kernel == "ledger"
+        reference = ReferenceQuickPlus(graph, 0.85, 3)
         assert ledger.enumerate() == reference.enumerate()
         assert ledger.statistics.ledger_moves > 0
         assert reference.statistics.ledger_moves == 0
@@ -97,9 +93,9 @@ class TestQuickPlus:
             graph = erdos_renyi_gnp(11, rng.uniform(0.3, 0.7), seed=4500 + trial)
             for config in configs:
                 ledger = QuickPlus(graph, 0.8, 3, branching=branching,
-                                   pruning=config, kernel="ledger")
-                reference = QuickPlus(graph, 0.8, 3, branching=branching,
-                                      pruning=config, kernel="reference")
+                                   pruning=config)
+                reference = ReferenceQuickPlus(graph, 0.8, 3, branching=branching,
+                                               pruning=config)
                 assert ledger.enumerate() == reference.enumerate(), config
                 for counter in ("branches_explored",
                                 "candidates_removed_by_type1",

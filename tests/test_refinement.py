@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from repro.core import (
-    Branch,
+from repro.core import Branch
+from repro.oracle import (
     apply_rule1,
     apply_rule2,
     delta_of_partial_plus,

@@ -198,6 +198,14 @@ class TestServiceBasics:
             assert frame["type"] == "error" and frame["error"] == "SpecError"
             assert "'auto', 'none', 'branch'" in frame["message"]
             assert client.ping()  # the connection survives the bad spec
+            # "kernel" is not a QuerySpec field: a typed error too.
+            client._send({"op": "query", "graph": "demo",
+                          "spec": {"gamma": 0.9, "theta": 4,
+                                   "kernel": "reference"}})
+            frame = client._recv()
+            assert frame["type"] == "error" and frame["error"] == "SpecError"
+            assert "'kernel'" in frame["message"]
+            assert client.ping()
 
     def test_budget_overlay_caps_results(self, graph):
         service = ReproService(max_results=2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph, MQCEEngine, Q, QuerySpec, Tracer
+from repro import Graph, MQCEEngine, Q, QuerySpec
 from repro.datasets import dataset_names, get_spec, load_dataset
 
 #: Analogues small enough to re-enumerate with every algorithm.
@@ -212,29 +212,6 @@ class TestStreamCaching:
         engine = MQCEEngine()
         list(engine.stream(graph, spec))
         assert len(engine.cache) == 0
-
-    def test_stream_honours_reference_kernel(self):
-        # Regression: the live stream used to drop spec.kernel and run the
-        # ledger kernel, then cache ledger statistics under the
-        # reference-kernel key.
-        graph = load_dataset("ca-grqc")
-        spec = QuerySpec(gamma=0.9, theta=7, kernel="reference")
-        engine = MQCEEngine()
-        tracer = Tracer()
-        stream = engine.stream(graph, spec, trace=tracer)
-        streamed = list(stream)
-        assert stream.finished
-        (enumerate_span,) = [s for s in tracer.spans if s.name == "enumerate"]
-        reference = MQCEEngine().query(graph, spec)
-        expected = reference.search_statistics
-        assert expected.ledger_moves == 0
-        assert enumerate_span.counters.get("ledger_moves", 0) == 0
-        assert enumerate_span.counters["branches_explored"] == expected.branches_explored
-        cached = engine.query(graph, spec)  # served from the stream's entry
-        assert engine.cache.stats.hits == 1
-        assert cached.search_statistics.ledger_moves == 0
-        assert cached.search_statistics.branches_explored == expected.branches_explored
-        assert set(streamed) == set(reference.maximal_quasi_cliques)
 
     def test_trivial_plan_streams_empty(self):
         engine = MQCEEngine()
