@@ -1,15 +1,15 @@
-"""Dynamic-engine benchmark: incremental update + requery vs full rebuild.
+"""Dynamic-update benchmark: incremental update + requery vs full rebuild.
 
 A serving system absorbing graph updates has two options after each mutation:
-throw the prepared artifacts and result cache away and rebuild (the static
-engine's behaviour), or patch the artifacts and invalidate selectively
-(:class:`repro.dynamic.DynamicEngine`).  This benchmark measures both on the
-registry dataset analogues for the canonical serving step — one edge update
-followed by a repeat of the standing query:
+throw the prepared artifacts and result cache away and rebuild, or patch the
+artifacts and invalidate selectively (:meth:`repro.engine.MQCEEngine.sync`).
+This benchmark measures both on the registry dataset analogues for the
+canonical serving step — one edge update followed by a repeat of the standing
+query:
 
-* **incremental** — ``DynamicEngine``: patch artifacts, selectively invalidate
-  (the touched edge is chosen outside every cached result region, the common
-  case in a sparse graph), requery warm;
+* **incremental** — ``graph.remove_edge`` + ``engine.sync(graph)``: patch
+  artifacts, selectively invalidate (the touched edge is chosen outside every
+  cached result region, the common case in a sparse graph), requery warm;
 * **rebuild** — a fresh engine + fresh ``PreparedGraph`` over the mutated
   graph: full preprocessing + full enumeration.
 
@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.datasets import get_spec, load_dynamic
+from repro.datasets import get_spec, load_dataset
 from repro.engine import MQCEEngine, PreparedGraph
 
 from _bench_utils import attach_rows, run_once
@@ -69,24 +69,27 @@ def _incremental_vs_rebuild(name: str):
     """Time one update+requery through both strategies; returns a result row."""
     spec = get_spec(name)
     gamma, theta = spec.default_gamma, spec.default_theta
-    dynamic = load_dynamic(name)
+    graph = load_dataset(name)
+    engine = MQCEEngine()
+    engine.prepare(graph, name=spec.name).prepare()
     cold_start = time.perf_counter()
-    baseline = dynamic.query(gamma, theta)
+    baseline = engine.query(graph, gamma, theta)
     cold_seconds = time.perf_counter() - cold_start
-    edge = _pick_survivable_edge(dynamic.graph, baseline)
+    edge = _pick_survivable_edge(graph, baseline)
     assert edge is not None, f"{name}: no background edge outside the result regions"
-    hits_before = dynamic.engine.cache.stats.hits
+    hits_before = engine.cache.stats.hits
 
     start = time.perf_counter()
-    report = dynamic.remove_edge(*edge)
-    incremental_result = dynamic.query(gamma, theta)
+    graph.remove_edge(*edge)
+    report = engine.sync(graph)
+    incremental_result = engine.query(graph, gamma, theta)
     incremental_seconds = time.perf_counter() - start
     assert report.invalidated == 0 and report.retained >= 1, report
-    assert dynamic.engine.cache.stats.hits == hits_before + 1, \
+    assert engine.cache.stats.hits == hits_before + 1, \
         "the retained entry must serve the requery warm"
 
     start = time.perf_counter()
-    rebuilt = MQCEEngine().query(PreparedGraph(dynamic.graph), gamma, theta)
+    rebuilt = MQCEEngine().query(PreparedGraph(graph), gamma, theta)
     rebuild_seconds = time.perf_counter() - start
     assert rebuilt.maximal_quasi_cliques == incremental_result.maximal_quasi_cliques, \
         "incremental and rebuilt answers diverged"
@@ -127,12 +130,14 @@ def test_update_stream_throughput(benchmark):
     name = DATASETS[0]
     spec = get_spec(name)
     gamma, theta = spec.default_gamma, spec.default_theta
-    dynamic = load_dynamic(name)
-    baseline = dynamic.query(gamma, theta)
+    graph = load_dataset(name)
+    engine = MQCEEngine()
+    engine.prepare(graph, name=spec.name).prepare()
+    baseline = engine.query(graph, gamma, theta)
     edges = []
     result_sets = (list(baseline.maximal_quasi_cliques)
                    + list(baseline.candidate_quasi_cliques))
-    for u, v in dynamic.graph.edges():
+    for u, v in graph.edges():
         if len(edges) >= 10:
             break
         if not any(u in s and v in s for s in result_sets):
@@ -141,12 +146,13 @@ def test_update_stream_throughput(benchmark):
     def run_stream():
         start = time.perf_counter()
         for u, v in edges:
-            dynamic.remove_edge(u, v)
-            dynamic.query(gamma, theta)
+            graph.remove_edge(u, v)
+            engine.sync(graph)
+            engine.query(graph, gamma, theta)
         return time.perf_counter() - start
 
     elapsed = run_once(benchmark, run_stream)
-    stats = dynamic.stats()
+    stats = engine.stats()
     row = {
         "dataset": name,
         "updates": len(edges),

@@ -14,8 +14,8 @@ trajectory record to ``BENCH_core.json`` at the repository root:
   ``ReferenceQuickPlus``;
 * ``engine-cache`` — cold vs warm `MQCEEngine.query` latency (result-cache
   serving path);
-* ``dynamic-updates`` — one edge update + requery through the
-  ``DynamicEngine`` (incremental) vs a full rebuild;
+* ``dynamic-updates`` — one edge update + requery through an engine sync
+  (incremental) vs a full rebuild;
 * ``large-graph`` — streaming CSR ingestion vs the dict/bitmask builder on a
   generated power-law edge list (10^5 vertices full, 2*10^4 quick), each in
   its own subprocess so peak RSS isolates one representation; the recorded
@@ -75,7 +75,6 @@ from repro.core.dcfastqc import DCFastQC                          # noqa: E402
 from repro.datasets import (                                      # noqa: E402
     get_spec,
     load_dataset,
-    load_dynamic,
     load_prepared,
 )
 from repro.engine import MQCEEngine, PreparedGraph                # noqa: E402
@@ -314,27 +313,30 @@ def run_engine_cache_suite(names, repeat: int = 1, verbose: bool = True) -> dict
 
 
 def run_dynamic_suite(names, repeat: int = 1, verbose: bool = True) -> dict:
-    """One edge update + requery: DynamicEngine vs full engine rebuild."""
+    """One edge update + requery: engine sync vs full engine rebuild."""
     rows = {}
     for name in names:
         spec = get_spec(name)
         gamma, theta = spec.default_gamma, spec.default_theta
         best = None
         for _ in range(repeat):
-            dynamic = load_dynamic(name)
-            baseline = dynamic.query(gamma, theta)
+            graph = load_dataset(name)
+            engine = MQCEEngine()
+            engine.prepare(graph, name=spec.name).prepare()
+            baseline = engine.query(graph, gamma, theta)
             result_sets = (list(baseline.maximal_quasi_cliques)
                            + list(baseline.candidate_quasi_cliques))
-            edge = next(((u, v) for u, v in dynamic.graph.edges()
+            edge = next(((u, v) for u, v in graph.edges()
                          if not any(u in s and v in s for s in result_sets)), None)
             assert edge is not None, f"{name}: no background edge available"
             start = time.perf_counter()
-            report = dynamic.remove_edge(*edge)
-            incremental_result = dynamic.query(gamma, theta)
+            graph.remove_edge(*edge)
+            report = engine.sync(graph)
+            incremental_result = engine.query(graph, gamma, theta)
             incremental = time.perf_counter() - start
             assert report.invalidated == 0 and report.retained >= 1, report
             start = time.perf_counter()
-            rebuilt = MQCEEngine().query(PreparedGraph(dynamic.graph), gamma, theta)
+            rebuilt = MQCEEngine().query(PreparedGraph(graph), gamma, theta)
             rebuild = time.perf_counter() - start
             assert rebuilt.maximal_quasi_cliques == incremental_result.maximal_quasi_cliques
             if best is None or incremental < best[0]:
@@ -353,7 +355,7 @@ def run_dynamic_suite(names, repeat: int = 1, verbose: bool = True) -> dict:
             print(f"dynamic    {name:14s} incremental {row['incremental_ms']:.1f} ms "
                   f"vs rebuild {row['rebuild_ms']:.1f} ms -> {row['speedup']}x")
     return {
-        "workload": "edge update + requery: DynamicEngine vs full rebuild",
+        "workload": "edge update + requery: engine sync vs full rebuild",
         "datasets": rows,
         "summary": {
             "geomean_speedup": round(

@@ -58,7 +58,7 @@ from .engine import (
     ResultStream,
     prepare_graph,
 )
-from .dynamic import DynamicEngine, DynamicPreparedGraph, UpdateReport
+from .dynamic import UpdateReport
 from .graph import GraphDelta, GraphMutation
 from .obs import (
     MetricsRegistry,
@@ -70,7 +70,7 @@ from .obs import (
 )
 from . import api, datasets, dynamic, engine, experiments, extensions, obs
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Graph",
@@ -110,8 +110,6 @@ __all__ = [
     "ResultCache",
     "ResultStream",
     "prepare_graph",
-    "DynamicEngine",
-    "DynamicPreparedGraph",
     "UpdateReport",
     "GraphDelta",
     "GraphMutation",

@@ -16,9 +16,8 @@ Terminal operations:
     Execute and return the workload-shaped value: an
     :class:`~repro.pipeline.results.EnumerationResult` for enumerate, a list
     of frozensets for top-k / containment, an int for count.  With an
-    ``engine`` — an :class:`~repro.engine.MQCEEngine` or, for mutable graphs,
-    a :class:`repro.dynamic.DynamicEngine` bound to this graph — the query is
-    planned and served through its cache.
+    ``engine`` (an :class:`~repro.engine.MQCEEngine`, which also follows a
+    mutated graph) the query is planned and served through its cache.
 ``result(engine=None)``
     Always the full :class:`EnumerationResult` envelope.
 ``stream(engine=None)``

@@ -24,9 +24,8 @@ Sub-commands
                artifacts and timings, or the metrics registry).
 ``dynamic``    Dynamic graph updates with incremental engine maintenance:
                ``dynamic apply`` (run an update script against a graph and
-               write/report the result) and ``dynamic stats`` (patch
-               counters, core drift and invalidation statistics after the
-               updates).
+               write/report the result) and ``dynamic stats`` (prepared
+               artifacts and sync statistics after the updates).
 ``serve``      Boot the long-lived query service: named graphs behind the
                line-delimited JSON protocol with single-flight coalescing,
                admission control, in-band mutations and a single-port HTTP
@@ -55,7 +54,7 @@ from .api import QuerySpec
 from .api.spec import SPEC_PARALLEL_MODES
 from .core.dcfastqc import DC_FRAMEWORKS
 from .datasets.registry import REGISTRY, get_spec, load_prepared
-from .dynamic import DynamicEngine, read_update_script
+from .dynamic import apply_updates, read_update_script
 from .engine import MQCEEngine, QueryRequest, prepare_graph
 from .errors import ReproError, SpecError
 from .experiments import figures as figure_module
@@ -442,16 +441,17 @@ def _command_engine_stats(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # The `dynamic` sub-command group (graph updates + incremental maintenance)
 # ----------------------------------------------------------------------
-def _load_dynamic(args: argparse.Namespace) -> DynamicEngine:
-    prepared = _load_graph(args)
-    return DynamicEngine(prepared.graph, name=prepared.name)
+def _sync_updates(args: argparse.Namespace, updates) -> tuple:
+    """Load the graph into an engine, apply ``updates`` and sync once."""
+    engine = MQCEEngine()
+    prepared = engine.prepare(_load_graph(args))
+    apply_updates(prepared.graph, updates)
+    return engine, prepared, engine.sync(prepared)
 
 
 def _command_dynamic_apply(args: argparse.Namespace) -> int:
-    dynamic = _load_dynamic(args)
-    updates = read_update_script(args.updates)
-    report = dynamic.apply(updates)
-    graph = dynamic.graph
+    _, prepared, report = _sync_updates(args, read_update_script(args.updates))
+    graph = prepared.graph
     if args.output:
         write_edge_list(graph, args.output)
     if args.json:
@@ -474,11 +474,9 @@ def _command_dynamic_apply(args: argparse.Namespace) -> int:
 
 
 def _command_dynamic_stats(args: argparse.Namespace) -> int:
-    dynamic = _load_dynamic(args)
-    if args.updates:
-        dynamic.apply(read_update_script(args.updates))
-    summary = dynamic.prepared.summary()
-    payload = {"prepared": summary, "dynamic": dynamic.stats()["dynamic"]}
+    updates = read_update_script(args.updates) if args.updates else []
+    engine, prepared, _ = _sync_updates(args, updates)
+    payload = {"prepared": prepared.summary(), "dynamic": engine.stats()["dynamic"]}
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -744,8 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     apply_sub.set_defaults(handler=_command_dynamic_apply)
 
     dstats_sub = dynamic_subparsers.add_parser(
-        "stats", help="print incremental-maintenance statistics (patch counters, "
-        "core drift, invalidations)")
+        "stats", help="print incremental-maintenance statistics (prepared "
+        "artifacts, syncs, invalidations)")
     _add_graph_arguments(dstats_sub)
     dstats_sub.add_argument("--updates", "-u", help="update script applied first")
     dstats_sub.set_defaults(handler=_command_dynamic_stats)

@@ -293,8 +293,8 @@ class CSRGraph(Graph):
         """Return a mutable dict/bitmask :class:`Graph` with the same content.
 
         This re-enters the O(n^2)-bit representation — the documented path
-        for callers that must mutate (e.g. handing a small ingested graph to
-        :class:`repro.dynamic.DynamicEngine`), not for large-graph hot paths.
+        for callers that must mutate (e.g. serving a small ingested graph
+        under updates), not for large-graph hot paths.
         """
         graph = Graph(vertices=self._labels)
         indptr, indices, labels = self.indptr, self.indices, self._labels

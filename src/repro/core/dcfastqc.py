@@ -184,10 +184,9 @@ class DCFastQC:
     ----------
     graph:
         The input graph, or an engine
-        :class:`~repro.engine.prepared.PreparedGraph` of it: an exact
-        preparation's memoized core mask then replaces the core peel of
-        line 1 (a :class:`~repro.dynamic.DynamicPreparedGraph` only bounds its
-        cores, so the graph is peeled as usual).
+        :class:`~repro.engine.prepared.PreparedGraph` of it: the
+        preparation's memoized core mask (exact at every graph version) then
+        replaces the core peel of line 1.
     gamma, theta:
         The MQCE parameters (gamma in [0.5, 1], theta >= 1).
     branching:
@@ -404,11 +403,11 @@ class DCFastQC:
     def _core_reduction_mask(self) -> int:
         """Line 1 of Algorithm 3: keep only the ``ceil(gamma*(theta-1))``-core.
 
-        An exact, unmodified preparation already holds this mask (the planner
-        memoizes it for every plan), so it is reused instead of re-peeling.
+        A preparation already holds this mask (the planner memoizes it for
+        every plan), so it is reused instead of re-peeling.
         """
         prepared = self.prepared
-        if prepared is not None and prepared.exact_cores and prepared.check_unmodified():
+        if prepared is not None:
             mask = prepared.core_mask(self.gamma, self.theta)
             kept = mask.bit_count()
         else:

@@ -9,7 +9,6 @@ from .registry import (
     default_parameters,
     get_spec,
     load_dataset,
-    load_dynamic,
     load_prepared,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "default_parameters",
     "get_spec",
     "load_dataset",
-    "load_dynamic",
     "load_prepared",
 ]

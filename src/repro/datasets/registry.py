@@ -168,19 +168,6 @@ def load_prepared(name: str):
     return PreparedGraph(load_dataset(name), name=get_spec(name).name)
 
 
-def load_dynamic(name: str):
-    """Build a registered dataset wrapped in a :class:`~repro.dynamic.DynamicEngine`.
-
-    Convenience for update workloads: the returned engine serves queries over
-    the dataset graph and absorbs ``add_edge`` / ``remove_edge`` /
-    ``add_vertex`` / ``remove_vertex`` mutations with incremental artifact
-    patching and selective cache invalidation.
-    """
-    from ..dynamic.engine import DynamicEngine  # lazy: dynamic builds on datasets users
-
-    return DynamicEngine(load_dataset(name), name=get_spec(name).name)
-
-
 def default_parameters(name: str) -> tuple[float, int]:
     """Return the (gamma, theta) defaults of a registered dataset."""
     spec = get_spec(name)

@@ -1,42 +1,48 @@
-"""Dynamic graph updates with incremental engine maintenance.
+"""Dynamic graph updates: update scripts and selective cache invalidation.
 
-This subsystem turns the batch reproduction into a servable system for graphs
-that change: :class:`DynamicEngine` binds a mutable graph to an
-:class:`~repro.engine.MQCEEngine`, patches the prepared-graph artifacts from
-the graph's mutation changelog, and invalidates the result cache *selectively*
-through a vertex → cached-entry inverted index — entries untouched by a
-mutation survive (re-addressed to the new content fingerprint) and keep their
-warm-hit speedup.
+A mutable :class:`~repro.graph.Graph` is served by the one
+:class:`~repro.engine.MQCEEngine`: callers mutate the graph itself, and the
+engine's :meth:`~repro.engine.MQCEEngine.sync` (run by every query) replays
+the graph's changelog into its preparation and invalidates the result cache
+*selectively* through a vertex → cached-entry inverted index — entries
+untouched by a mutation survive (re-addressed to the new content fingerprint)
+and keep their warm-hit speedup.
 
 Quickstart
 ----------
->>> from repro import Graph
->>> from repro.dynamic import DynamicEngine
+>>> from repro import Graph, MQCEEngine
 >>> graph = Graph(edges=[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 4)])
->>> dynamic = DynamicEngine(graph)
->>> dynamic.query(0.9, 3).maximal_quasi_cliques
+>>> engine = MQCEEngine()
+>>> engine.query(graph, 0.9, 3).maximal_quasi_cliques
 [frozenset({1, 2, 3, 4})]
->>> report = dynamic.remove_edge(1, 4)
->>> sorted(sorted(h) for h in dynamic.query(0.9, 3).maximal_quasi_cliques)
+>>> graph.remove_edge(1, 4)
+>>> sorted(sorted(h) for h in engine.query(graph, 0.9, 3).maximal_quasi_cliques)
 [[1, 2, 3], [2, 3, 4]]
 """
 
-from .engine import DynamicEngine, UpdateReport, UpdateStats
-from .fingerprint import IncrementalFingerprint
-from .index import CacheIndex, EntryMeta
-from .prepared import DynamicPreparedGraph
-from .updates import UpdateError, UpdateOp, normalise_update, parse_updates, read_update_script
+from .index import CacheIndex, EntryMeta, UpdateReport, UpdateStats
+from .updates import (UpdateError, UpdateOp, apply_updates, normalise_update,
+                      parse_updates, read_update_script)
+
+
+def DynamicEngine(graph, name: str | None = None):
+    """Return an :class:`~repro.engine.MQCEEngine` with ``graph`` prepared eagerly."""
+    from ..engine.engine import MQCEEngine  # lazy: the engine imports this package
+
+    engine = MQCEEngine()
+    engine.prepare(graph, name=name).prepare()
+    return engine
+
 
 __all__ = [
-    "DynamicEngine",
-    "DynamicPreparedGraph",
     "CacheIndex",
+    "DynamicEngine",
     "EntryMeta",
-    "IncrementalFingerprint",
     "UpdateError",
     "UpdateOp",
     "UpdateReport",
     "UpdateStats",
+    "apply_updates",
     "normalise_update",
     "parse_updates",
     "read_update_script",

@@ -1,4 +1,4 @@
-"""Vertex → cached-entry inverted index for selective cache invalidation.
+"""Selective cache invalidation: the vertex → entry index and the sync report.
 
 A cached :class:`~repro.pipeline.results.EnumerationResult` concerns a
 *vertex region*: the union of the vertices of its maximal quasi-cliques and
@@ -7,22 +7,101 @@ its MQCE-S1 candidates.  For γ >= 0.5 every quasi-clique has diameter at most
 maximal quasi-clique that appears or disappears when an edge is touched lies
 entirely inside the 2-hop neighbourhood of the touched endpoints.  The
 :class:`CacheIndex` maps every vertex label to the cache entries whose region
-contains it, so the dynamic engine can find the entries a mutation *might*
-affect in time proportional to the touched neighbourhood — every other entry
-provably still holds the exact answer and survives (re-addressed to the new
-graph fingerprint).
+contains it, so :meth:`repro.engine.MQCEEngine.sync` can find the entries a
+mutation *might* affect in time proportional to the touched neighbourhood —
+every other entry provably still holds the exact answer and survives
+(re-addressed to the new graph fingerprint).
 
 The index stores metadata only; result lists are shared by reference with the
 :class:`~repro.engine.cache.ResultCache` values, so memory overhead is one
 posting set per distinct vertex plus one small record per entry.
+:class:`UpdateReport` describes one sync and :class:`UpdateStats` sums them
+(and feeds the ``repro_dynamic_*`` metric families).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, Iterable
 
+from ..obs.metrics import REGISTRY
 from ..pipeline.results import EnumerationResult
+
+# Process-wide dynamic-maintenance metrics.  invalidated vs. retained is the
+# invalidation *selectivity*: how much of the warm cache each sync preserved.
+_SYNCS = REGISTRY.counter("repro_dynamic_syncs_total",
+                          "Engine syncs that drained pending mutations")
+_MUTATIONS = REGISTRY.counter("repro_dynamic_mutations_total",
+                              "Graph mutations reconciled by engine syncs, by op")
+_INVALIDATED = REGISTRY.counter("repro_dynamic_entries_invalidated_total",
+                                "Cache entries dropped by selective invalidation")
+_RETAINED = REGISTRY.counter("repro_dynamic_entries_retained_total",
+                             "Cache entries that survived an engine sync")
+_REKEYED = REGISTRY.counter("repro_dynamic_entries_rekeyed_total",
+                            "Surviving entries re-addressed to the new fingerprint")
+_FULL_REBUILDS = REGISTRY.counter("repro_dynamic_full_rebuilds_total",
+                                  "Syncs that fell back to a full rebuild")
+
+
+@dataclass(frozen=True)
+class UpdateReport:
+    """What one :meth:`repro.engine.MQCEEngine.sync` accomplished."""
+
+    mutations: int = 0
+    added_vertices: int = 0
+    removed_vertices: int = 0
+    added_edges: int = 0
+    removed_edges: int = 0
+    entries_before: int = 0
+    invalidated: int = 0
+    retained: int = 0
+    rekeyed: int = 0
+    full_rebuild: bool = False
+    old_fingerprint: str = ""
+    new_fingerprint: str = ""
+    seconds: float = 0.0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass
+class UpdateStats:
+    """Cumulative counters across every sync of one engine."""
+
+    syncs: int = 0
+    mutations: int = 0
+    entries_invalidated: int = 0
+    entries_retained: int = 0
+    entries_rekeyed: int = 0
+    full_rebuilds: int = 0
+    operations: Counter = field(default_factory=Counter)
+
+    def absorb(self, report: UpdateReport, by_op: Counter) -> None:
+        self.syncs += 1
+        self.mutations += report.mutations
+        self.entries_invalidated += report.invalidated
+        self.entries_retained += report.retained
+        self.entries_rekeyed += report.rekeyed
+        self.full_rebuilds += 1 if report.full_rebuild else 0
+        self.operations.update(by_op)
+        _SYNCS.inc()
+        for op, count in by_op.items():
+            _MUTATIONS.inc(count, op=op)
+        if report.invalidated:
+            _INVALIDATED.inc(report.invalidated)
+        if report.retained:
+            _RETAINED.inc(report.retained)
+        if report.rekeyed:
+            _REKEYED.inc(report.rekeyed)
+        if report.full_rebuild:
+            _FULL_REBUILDS.inc()
+
+    def as_dict(self) -> dict:
+        data = asdict(self)
+        data["operations"] = dict(self.operations)
+        return data
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Parsing and normalisation of graph update operations.
+"""Parsing, normalisation and application of graph update operations.
 
-The dynamic engine and the ``repro dynamic`` CLI accept updates in two forms:
+The serve layer and the ``repro dynamic`` CLI accept updates in two forms:
 
 * **tuples** — ``("add_edge", u, v)``, ``("remove_edge", u, v)``,
   ``("add_vertex", u)``, ``("remove_vertex", u)``, with the short aliases
@@ -16,7 +16,9 @@ The dynamic engine and the ``repro dynamic`` CLI accept updates in two forms:
       - 1 2
 
 Labels that parse as integers become ``int`` (matching the edge-list reader
-used everywhere else); everything else stays a string.
+used everywhere else); everything else stays a string.  :func:`apply_updates`
+applies a batch to a graph; an engine then catches up with
+:meth:`repro.engine.MQCEEngine.sync`.
 """
 
 from __future__ import annotations
@@ -98,3 +100,14 @@ def read_update_script(path) -> list[UpdateOp]:
     """Read and parse an update script file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_updates(handle)
+
+
+def apply_updates(graph, updates: Iterable) -> None:
+    """Apply a batch of update operations (tuples or :class:`UpdateOp`) to ``graph``."""
+    for entry in updates:
+        update = normalise_update(entry)
+        mutator = getattr(graph, update.op)
+        if update.v is None:
+            mutator(update.u)
+        else:
+            mutator(update.u, update.v)

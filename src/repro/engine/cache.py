@@ -129,7 +129,7 @@ class ResultCache:
     def discard(self, key: Hashable) -> bool:
         """Remove an entry without touching the hit/miss counters.
 
-        Used by selective invalidation (:class:`repro.dynamic.DynamicEngine`):
+        Used by selective invalidation (:meth:`repro.engine.MQCEEngine.sync`):
         the entry is dropped because its graph changed, which is neither a
         lookup nor a capacity eviction.  Returns True when the key existed.
         """
@@ -141,7 +141,7 @@ class ResultCache:
     def rekey(self, old_key: Hashable, new_key: Hashable) -> bool:
         """Move an entry to a new key, preserving its value and recency.
 
-        The dynamic engine re-addresses cache entries that *survive* a graph
+        An engine sync re-addresses cache entries that *survive* a graph
         mutation from the old content fingerprint to the new one, so warm hits
         keep working without re-enumeration.  Returns True when the old key
         existed (the value now lives under ``new_key``); an existing entry at

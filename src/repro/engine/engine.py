@@ -9,6 +9,9 @@ through three stages:
    ordering, components, fingerprint).  A plain graph is prepared once and the
    preparation attached to the graph object itself, so it lives exactly as
    long as the graph does (and is shared by every engine that sees the graph).
+   A graph mutated since this engine last saw it is *synced* first
+   (:meth:`MQCEEngine.sync`): the preparation replays the graph's changelog
+   and this engine's cache is invalidated selectively.
 2. **Plan** — the :class:`~repro.engine.planner.QueryPlanner` picks the
    MQCE-S1 algorithm, branching rule and (for large cores) process-level
    parallelism from the prepared statistics; :meth:`MQCEEngine.explain`
@@ -23,10 +26,38 @@ Results are regular :class:`~repro.pipeline.results.EnumerationResult`
 objects, bit-identical in content to what ``run_enumeration`` returns for the
 same spec; cache hits hand out defensive copies so
 callers may mutate the lists they receive.
+
+Cache keys are content-addressed (fingerprint + resolved spec), so an entry is
+valid for every graph with that content.  A sync decides which entries a
+mutation may affect; for γ >= 0.5 every quasi-clique has diameter <= 2, so
+any maximal quasi-clique that appears or disappears lies inside the 2-hop
+neighbourhood of a touched edge.  The rules are conservative (they may
+invalidate a still-valid entry) but never retain a stale one:
+
+* *edge removed* ``(u, v)`` — removing an edge cannot create a new
+  quasi-clique, only kill answers containing both endpoints or promote their
+  subsets to maximal; an entry is stale iff one of its result sets contains
+  **both** ``u`` and ``v``.
+* *edge added* ``(u, v)`` — an entry is stale if its region intersects the
+  2-hop ball of ``{u, v}`` (an existing answer could be absorbed), or if a
+  *new* answer could have appeared: both endpoints survive the
+  ``ceil(gamma * (theta - 1))``-core of the subgraph induced by the ball and
+  that core is at least ``theta`` strong.
+* *vertex removed* — stale iff the vertex is in the entry's region (its
+  incident edge removals are handled by the rule above first).
+* *vertex added* — only entries with ``theta <= 1`` change (the new isolated
+  vertex is itself a maximal quasi-clique).
+
+Surviving entries are re-keyed to the new fingerprint.  When the graph's
+bounded changelog no longer reaches back to the engine's synced version,
+every entry of the old content is invalidated (a full rebuild).  An engine
+that never synced a mutation can only lose warm entries: its old entries
+become unreachable under the new fingerprint, never stale.
 """
 
 from __future__ import annotations
 
+import time
 import weakref
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
@@ -34,13 +65,18 @@ from dataclasses import dataclass
 
 from ..api.execute import containment_search, shape_result, topk_search
 from ..api.spec import QuerySpec, coerce_spec
+from ..dynamic.index import CacheIndex, UpdateReport, UpdateStats
 from ..errors import EngineError
 from ..extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
+from ..graph.core_decomposition import core_numbers
+from ..graph.delta import GraphMutation
 from ..graph.graph import Graph
+from ..graph.subgraph import two_hop_mask
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER
 from ..pipeline.mqce import canonical_order, run_enumeration
 from ..pipeline.results import EnumerationResult
+from ..quasiclique.definitions import degree_threshold
 from ..settrie.filter import filter_non_maximal
 from .cache import DEFAULT_CAPACITY, ResultCache
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
@@ -116,37 +152,193 @@ class MQCEEngine:
         self.cache = ResultCache(cache_size)
         self.workers = workers
         self.history: deque[QueryRecord] = deque(maxlen=HISTORY_LIMIT)
-        # Stats-only view of the preparations this engine has touched; each
-        # PreparedGraph is kept alive by its graph, never by the engine.
-        self._prepared: "weakref.WeakSet[PreparedGraph]" = weakref.WeakSet()
+        # Sync state: the (version, fingerprint) this engine last saw of each
+        # preparation (kept alive by its graph, never by the engine), and one
+        # selective-invalidation index per fingerprint.
+        self._synced: "weakref.WeakKeyDictionary[PreparedGraph, tuple[int, str]]" = (
+            weakref.WeakKeyDictionary())
+        self._indexes: dict[str, CacheIndex] = {}
+        self.update_stats = UpdateStats()
 
     # ------------------------------------------------------------------
     # Stage 1: preparation
     # ------------------------------------------------------------------
     def prepare(self, graph: Graph | PreparedGraph,
                 name: str | None = None) -> PreparedGraph:
-        """Return (and remember) the :class:`PreparedGraph` for ``graph``.
+        """Return the :class:`PreparedGraph` for ``graph``, synced (see :meth:`sync`).
 
         A plain :class:`Graph` is prepared on first sight and the preparation
         attached to the graph object, so every later call with the same object
-        (from this or any other engine) reuses it; if the graph was mutated in
-        between, it is transparently re-prepared.  An explicit
-        :class:`PreparedGraph` is the caller's responsibility: passing one
-        whose underlying graph changed raises :class:`EngineError`.
+        (from this or any other engine) reuses it.  An explicit
+        :class:`PreparedGraph` is used as given.
         """
+        prepared = self._preparation(graph, name)
+        self._sync(prepared)
+        return prepared
+
+    def sync(self, graph: Graph | PreparedGraph) -> UpdateReport:
+        """Bring ``graph``'s preparation and this engine's cache up to its current version.
+
+        The preparation replays the graph's changelog into its artifacts; then
+        this engine's cache entries for the old content are invalidated
+        selectively and the survivors re-keyed to the new fingerprint (see the
+        module docstring for the rules).  Queries sync on their own; call this
+        to sync eagerly, e.g. right after applying an update batch.
+        """
+        start = time.perf_counter()
+        prepared = self._preparation(graph)
+        report = self._sync(prepared)
+        if report is None:
+            fingerprint = prepared.fingerprint
+            index = self._indexes.get(fingerprint)
+            entries = len(index) if index is not None else 0
+            report = UpdateReport(entries_before=entries, retained=entries,
+                                  old_fingerprint=fingerprint,
+                                  new_fingerprint=fingerprint,
+                                  seconds=time.perf_counter() - start)
+        return report
+
+    def _preparation(self, graph: Graph | PreparedGraph,
+                     name: str | None = None) -> PreparedGraph:
         if isinstance(graph, PreparedGraph):
-            if not graph.check_unmodified():
-                raise EngineError(
-                    "the underlying graph of the PreparedGraph was mutated after "
-                    "preparation; build a new PreparedGraph for the new content")
-            self._prepared.add(graph)
             return graph
         prepared = getattr(graph, _PREPARED_ATTRIBUTE, None)
-        if not isinstance(prepared, PreparedGraph) or not prepared.check_unmodified():
+        if not isinstance(prepared, PreparedGraph):
             prepared = PreparedGraph(graph, name=name)
             setattr(graph, _PREPARED_ATTRIBUTE, prepared)
-        self._prepared.add(prepared)
         return prepared
+
+    def _sync(self, prepared: PreparedGraph) -> UpdateReport | None:
+        """Sync one preparation; None when this engine was already current."""
+        version = prepared.graph.version
+        state = self._synced.get(prepared)
+        if state is not None and state[0] == version:
+            return None
+        start = time.perf_counter()
+        new_fingerprint = prepared.fingerprint  # replays the changelog
+        self._synced[prepared] = (version, new_fingerprint)
+        if state is None:
+            return None
+        synced_version, old_fingerprint = state
+        pending = prepared.graph.delta.since(synced_version)
+        index = self._indexes.pop(old_fingerprint, None) or CacheIndex()
+        self._reconcile(index, old_fingerprint)
+        entries_before = len(index)
+        if pending is None:
+            stale = set(index.keys())
+        else:
+            stale = self._stale_entries(index, prepared.graph, pending)
+        for key in stale:
+            self.cache.discard(key)
+            index.discard(key)
+        rekeyed = 0
+        if old_fingerprint != new_fingerprint:
+            for key in index.keys():
+                new_key = (new_fingerprint,) + tuple(key[1:])
+                if self.cache.rekey(key, new_key):
+                    rekeyed += 1
+                    index.rekey(key, new_key)
+                else:
+                    index.discard(key)  # evicted by the LRU meanwhile
+        self._indexes[new_fingerprint] = index
+        by_op = Counter(mutation.op for mutation in pending or ())
+        report = UpdateReport(
+            mutations=len(pending or ()),
+            added_vertices=by_op.get("add_vertex", 0),
+            removed_vertices=by_op.get("remove_vertex", 0),
+            added_edges=by_op.get("add_edge", 0),
+            removed_edges=by_op.get("remove_edge", 0),
+            entries_before=entries_before,
+            invalidated=len(stale),
+            retained=len(index),
+            rekeyed=rekeyed,
+            full_rebuild=pending is None,
+            old_fingerprint=old_fingerprint,
+            new_fingerprint=new_fingerprint,
+            seconds=time.perf_counter() - start,
+        )
+        self.update_stats.absorb(report, by_op)
+        return report
+
+    def _reconcile(self, index: CacheIndex, fingerprint: str) -> None:
+        """Register the cache entries for ``fingerprint`` that ``index`` lacks.
+
+        Entries appear in the cache through ``query``, ``query_batch`` and
+        completed ``stream`` runs; scanning the (bounded) cache for keys under
+        the fingerprint keeps the index complete no matter which path
+        inserted them.  The spec-key layout puts gamma and theta right after
+        the ``"spec"`` tag (see :meth:`QuerySpec.cache_key`).
+        """
+        for key in self.cache.keys():
+            if not (isinstance(key, tuple) and len(key) >= 4
+                    and key[0] == fingerprint and key[1] == "spec"):
+                continue
+            if key in index:
+                continue
+            value = self.cache.peek(key)
+            if isinstance(value, EnumerationResult):
+                gamma, theta = key[2], key[3]
+                index.register(key, value, gamma, theta)
+
+    def _stale_entries(self, index: CacheIndex, graph: Graph,
+                       pending: list[GraphMutation]) -> set:
+        stale: set = set()
+        added_pairs = [(m.u, m.v) for m in pending if m.op == "add_edge"]
+        removed_pairs = [(m.u, m.v) for m in pending if m.op == "remove_edge"]
+        removed_vertices = [m.u for m in pending if m.op == "remove_vertex"]
+        vertex_added = any(m.op == "add_vertex" for m in pending)
+
+        # A new isolated vertex is itself a maximal quasi-clique when theta <= 1.
+        if vertex_added:
+            stale |= {key for key, meta in index.items() if meta.theta <= 1}
+
+        # A removed vertex takes every answer that mentioned it.
+        for label in removed_vertices:
+            stale |= index.touching((label,))
+
+        # Removal: answers only change where a result held both endpoints.
+        for u, v in removed_pairs:
+            for key in index.touching((u,)) & index.touching((v,)):
+                if key in stale:
+                    continue
+                meta = index.get(key)
+                if any(u in result and v in result for result in meta.result_sets):
+                    stale.add(key)
+
+        # Addition: region intersection with the 2-hop ball, plus the
+        # new-answer test on the ball's core.
+        for u, v in added_pairs:
+            if u not in graph or v not in graph or not graph.has_edge(u, v):
+                # The pair did not survive to the final graph; any transient
+                # effect is covered by the records that undid it.
+                continue
+            ball = self._touched_ball(graph, u, v)
+            stale |= index.touching(ball)
+            remaining = [(key, meta) for key, meta in index.items()
+                         if key not in stale]
+            if not remaining:
+                continue
+            ball_cores = core_numbers(graph.induced_subgraph(ball))
+            for key, meta in remaining:
+                threshold = degree_threshold(meta.gamma, meta.theta)
+                if threshold <= 0:
+                    stale.add(key)
+                    continue
+                if (ball_cores.get(u, 0) >= threshold
+                        and ball_cores.get(v, 0) >= threshold
+                        and sum(1 for core in ball_cores.values()
+                                if core >= threshold) >= meta.theta):
+                    stale.add(key)
+        return stale
+
+    @staticmethod
+    def _touched_ball(graph: Graph, u, v) -> frozenset:
+        """Labels within distance 2 of either endpoint, in the current graph."""
+        full = graph.full_mask()
+        iu, iv = graph.index_of(u), graph.index_of(v)
+        mask = (two_hop_mask(graph, iu, full) | two_hop_mask(graph, iv, full)
+                | (1 << iu) | (1 << iv))
+        return graph.labels_of_mask(mask)
 
     # ------------------------------------------------------------------
     # Stage 2: planning
@@ -287,18 +479,22 @@ class MQCEEngine:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Engine counters: queries served, cache behaviour, plan mix."""
+        """Engine counters: queries served, cache behaviour, plan mix, syncs."""
         algorithms = Counter(record.algorithm for record in self.history)
         cached = sum(1 for record in self.history if record.cached)
         stats = {
             "queries": len(self.history),
             "queries_cached": cached,
             "queries_executed": len(self.history) - cached,
-            "prepared_graphs": len(self._prepared),
+            "prepared_graphs": len(self._synced),
             "cache_entries": len(self.cache),
             "cache_capacity": self.cache.capacity,
             "cache": self.cache.stats.as_dict(),
             "plans_by_algorithm": dict(algorithms),
+            "dynamic": {
+                "indexed_entries": sum(map(len, self._indexes.values())),
+                "updates": self.update_stats.as_dict(),
+            },
         }
         if LAST_PARALLEL_RUN:
             # Telemetry of the most recent parallel enumeration (mode, steal
@@ -309,6 +505,7 @@ class MQCEEngine:
     def clear_cache(self) -> None:
         """Drop every cached result (the counters survive for ``stats()``)."""
         self.cache.clear()
+        self._indexes.clear()
 
     # ------------------------------------------------------------------
     # Internals
@@ -354,7 +551,7 @@ class MQCEEngine:
                 enumeration_seconds=enumerate_span.seconds,
                 filtering_seconds=filter_span.seconds)
         else:
-            # DCFastQC reuses the preparation's core mask (when exact).
+            # DCFastQC reuses the preparation's core mask.
             result = run_enumeration(prepared, resolved, tracer=tracer,
                                      progress=progress)
         if result.search_statistics is not None:
@@ -373,7 +570,7 @@ class MQCEEngine:
             algorithm=plan.algorithm, cached=cached, seconds=seconds))
 
     def __repr__(self) -> str:
-        return (f"MQCEEngine(prepared={len(self._prepared)}, "
+        return (f"MQCEEngine(prepared={len(self._synced)}, "
                 f"cache={len(self.cache)}/{self.cache.capacity}, "
                 f"queries={len(self.history)})")
 

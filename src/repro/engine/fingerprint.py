@@ -12,6 +12,15 @@ Labels are serialised with ``repr``, so labels must have a stable ``repr``
 order matters: the same edge set added in a different vertex order is a
 different prepared object (its bitmask layout differs), and the fingerprint
 reflects that.
+
+A mutated graph keeps the digest of the content it was prepared with and adds
+an :class:`IncrementalFingerprint` of the edits since: each vertex label and
+each edge is hashed independently (128 bits each) and the hashes are XORed
+into two accumulators, so one edit costs O(1), and reverting an edit restores
+the accumulators (and with them the original digest).  Because the graph is
+simple, every element is present 0 or 1 times, which makes XOR an exact
+multiset digest here; accidental cancellation between *distinct* elements is
+a 2^-128 event, negligible for an in-process result cache.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ from ..graph.graph import Graph
 #: Number of hex digits kept from the SHA-256 digest (64 bits of collision
 #: resistance, plenty for a per-process result cache).
 FINGERPRINT_LENGTH = 16
+
+#: Bytes per per-element hash / accumulator.
+_ACC_BYTES = 16
 
 
 def graph_fingerprint(graph: Graph, length: int = FINGERPRINT_LENGTH) -> str:
@@ -42,3 +54,45 @@ def graph_fingerprint(graph: Graph, length: int = FINGERPRINT_LENGTH) -> str:
             if i < j:
                 hasher.update(f"{i},{j};".encode())
     return hasher.hexdigest()[:length]
+
+
+def _element_hash(data: bytes) -> int:
+    return int.from_bytes(hashlib.sha256(data).digest()[:_ACC_BYTES], "big")
+
+
+class IncrementalFingerprint:
+    """An XOR-of-hashes digest of graph edits with O(1) cost per edit."""
+
+    __slots__ = ("_vertex_acc", "_edge_acc")
+
+    def __init__(self) -> None:
+        self._vertex_acc = 0
+        self._edge_acc = 0
+
+    def toggle_vertex(self, label) -> None:
+        """XOR one vertex label in (when absent) or out (when present)."""
+        self._vertex_acc ^= _element_hash(b"v\x00" + repr(label).encode())
+
+    def toggle_edge(self, u, v) -> None:
+        """XOR one undirected edge in or out (endpoint order canonicalised)."""
+        a, b = sorted((repr(u), repr(v)))
+        self._edge_acc ^= _element_hash(f"e\x00{a}\x00{b}".encode())
+
+    def hexdigest(self, base: str = "", length: int = FINGERPRINT_LENGTH) -> str:
+        """The digest of ``base`` (a content fingerprint) and the edits."""
+        payload = (base.encode() + b"\x00"
+                   + self._vertex_acc.to_bytes(_ACC_BYTES, "big")
+                   + self._edge_acc.to_bytes(_ACC_BYTES, "big"))
+        return hashlib.sha256(payload).hexdigest()[:length]
+
+    def __bool__(self) -> bool:
+        """True while some edit is not reverted."""
+        return bool(self._vertex_acc or self._edge_acc)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IncrementalFingerprint)
+                and self._vertex_acc == other._vertex_acc
+                and self._edge_acc == other._edge_acc)
+
+    def __repr__(self) -> str:
+        return f"IncrementalFingerprint({self.hexdigest()})"

@@ -162,10 +162,11 @@ class QueryPlanner:
         # (and cache-hit) queries skip the per-component eligibility scan.
         # The histogram version is part of the key: a completed run that
         # records fresh branch counts re-opens the parallel decision instead
-        # of serving a plan made without them.
+        # of serving a plan made without them.  So is the graph version
+        # (reading it syncs the preparation, which drops older plans).
         cache_key = (self.config, gamma_fraction(gamma), int(theta),
                      algorithm, branching, workers, parallel,
-                     prepared.histogram_version)
+                     prepared.histogram_version, prepared.version)
         memoized = prepared.plan_cache.get(cache_key)
         if memoized is not None:
             _PLANS.inc(algorithm=memoized.algorithm, source="memoized")

@@ -1,4 +1,4 @@
-"""Prepared graphs: compute the expensive per-graph artifacts once, reuse forever.
+"""Prepared graphs: compute the expensive per-graph artifacts once, reuse them.
 
 The one-shot pipeline (:func:`repro.pipeline.mqce.run_enumeration`)
 recomputes the same per-graph preprocessing on every call: core decomposition, degeneracy ordering, connected components and
@@ -6,7 +6,7 @@ degree arrays.  For a query engine serving many ``(gamma, theta)`` queries over
 the same graph that work should be paid once.  :class:`PreparedGraph` wraps a
 :class:`~repro.graph.graph.Graph` and memoizes
 
-* the content :func:`~repro.engine.fingerprint.graph_fingerprint` (cache key),
+* the content fingerprint (cache key),
 * the core decomposition (core numbers, degeneracy, per-threshold core masks),
 * the degeneracy ordering,
 * the connected-component split, and
@@ -16,32 +16,45 @@ Everything is computed lazily on first access; :meth:`PreparedGraph.prepare`
 forces all artifacts eagerly (and records how long each took) for callers that
 want the cost up front, e.g. at service start-up.
 
-A prepared graph assumes the underlying graph is *frozen*.  Every graph
-mutation bumps :attr:`repro.graph.Graph.version`, so :meth:`check_unmodified`
-detects mutation exactly — including add/remove pairs that restore the vertex
-and edge counts, which the historical count-based snapshot missed; the engine
-re-prepares automatically when it trips.  For graphs that are *expected* to
-change, :class:`repro.dynamic.DynamicPreparedGraph` patches these artifacts
-incrementally instead of recomputing them.
+The graph may change after preparation.  Every artifact read first replays
+the graph's :class:`~repro.graph.delta.GraphDelta` records since the synced
+version (:meth:`PreparedGraph.sync`), so the artifacts always describe the
+current content.  A replay patches these artifacts:
+
+* **fingerprint** — the SHA digest of the content it was first computed on
+  (:func:`~repro.engine.fingerprint.graph_fingerprint`), combined with an
+  :class:`~repro.engine.fingerprint.IncrementalFingerprint` of the edits since;
+  the SHA alone while no edit is pending, so a revert restores the old key;
+* **core numbers** — exact at every version: after a single edge record the
+  traversal of Sarıyüce et al. ("Streaming Algorithms for k-core
+  Decomposition", VLDB 2013) re-derives the few vertices whose core moves, and
+  the memoized per-threshold core masks follow them;
+* **degrees and components** — patched per edge record (a component split
+  re-walks only the touched component).
+
+Any other artifact, and any of these when the batch holds records they cannot
+replay (vertex records, several records for the cores), is dropped and
+recomputed exactly on its next read.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import cached_property
 
 from ..core.stats import SizeHistogram
-from ..graph.core_decomposition import core_numbers, degeneracy_ordering
-from ..graph.graph import Graph, VertexLabel
-from ..graph.statistics import GraphStatistics, graph_statistics
+from ..graph.core_decomposition import _degeneracy_order_and_cores, degeneracy_ordering
+from ..graph.graph import Graph, VertexLabel, iter_bits
+from ..graph.statistics import GraphStatistics
 from ..graph.subgraph import connected_components
 from ..quasiclique.definitions import degree_threshold, gamma_fraction
-from .fingerprint import graph_fingerprint
+from .fingerprint import IncrementalFingerprint, graph_fingerprint
 
 #: Names of the lazily computed artifacts, in the order ``prepare`` forces them.
 ARTIFACTS = ("fingerprint", "degrees", "core_numbers", "degeneracy",
              "degeneracy_order", "components", "statistics")
+
+_EDGE_OPS = ("add_edge", "remove_edge")
 
 
 class PreparedGraph:
@@ -50,23 +63,24 @@ class PreparedGraph:
     Parameters
     ----------
     graph:
-        The graph to prepare.  It must not be mutated afterwards (see
-        :meth:`check_unmodified`).
+        The graph to prepare.  Later mutations are replayed into the
+        artifacts on the next read (see :meth:`sync`).
     name:
         Optional human-readable name (e.g. the registry dataset name), used in
         ``repr`` and the engine's explain output.
     """
 
-    #: :meth:`core_mask` is the exact core, so
-    #: :class:`~repro.core.dcfastqc.DCFastQC` reuses it instead of peeling
-    #: the graph again (dynamic preparations only keep upper bounds).
-    exact_cores = True
-
     def __init__(self, graph: Graph, name: str | None = None) -> None:
         self.graph = graph
         self.name = name
-        self._snapshot = graph.version
+        # Attach the graph's changelog now: only mutations recorded from this
+        # point on can be replayed into the artifacts.
+        graph.delta
+        self._version = graph.version
+        self._artifacts: dict[str, object] = {}
         self._core_masks: dict[int, int] = {}
+        self._base_fingerprint = ""
+        self._edits = IncrementalFingerprint()
         self.preparation_seconds: dict[str, float] = {}
         #: Memoized QueryPlans, populated by QueryPlanner.plan (plans are
         #: deterministic in the prepared graph and the query configuration).
@@ -82,44 +96,80 @@ class PreparedGraph:
     # ------------------------------------------------------------------
     # Lazily computed artifacts
     # ------------------------------------------------------------------
-    @cached_property
+    def _artifact(self, name: str):
+        self.sync()
+        try:
+            return self._artifacts[name]
+        except KeyError:
+            value = self._artifacts[name] = getattr(self, "_compute_" + name)()
+            return value
+
+    @property
     def fingerprint(self) -> str:
         """Content fingerprint of the graph (the cache-key component)."""
-        return graph_fingerprint(self.graph)
+        return self._artifact("fingerprint")
 
-    @cached_property
+    @property
     def degrees(self) -> tuple[int, ...]:
         """Vertex degrees in index order (CSR-backed graphs read indptr diffs
         instead of materialising per-vertex sets)."""
-        return tuple(self.graph.degree_sequence())
+        return self._artifact("degrees")
 
-    @cached_property
+    @property
     def core_numbers(self) -> dict[VertexLabel, int]:
-        """Core number of every vertex (Batagelj–Zaversnik)."""
-        return core_numbers(self.graph)
+        """Core number of every vertex (Batagelj–Zaversnik, then maintained)."""
+        return self._artifact("core_numbers")
 
-    @cached_property
+    @property
     def degeneracy(self) -> int:
         """The degeneracy ``omega`` of the graph."""
-        if not self.core_numbers:
-            return 0
-        return max(self.core_numbers.values())
+        return self._artifact("degeneracy")
 
-    @cached_property
+    @property
     def degeneracy_order(self) -> tuple[VertexLabel, ...]:
         """A degeneracy ordering of the whole graph."""
-        return tuple(degeneracy_ordering(self.graph))
+        return self._artifact("degeneracy_order")
 
-    @cached_property
+    @property
     def components(self) -> tuple[frozenset[VertexLabel], ...]:
         """Connected components as label sets, largest first."""
-        split = connected_components(self.graph)
-        return tuple(sorted(split, key=len, reverse=True))
+        return self._artifact("components")
 
-    @cached_property
+    @property
     def statistics(self) -> GraphStatistics:
         """Table-1 style graph statistics (|V|, |E|, density, max degree, omega)."""
-        return graph_statistics(self.graph)
+        return self._artifact("statistics")
+
+    def _compute_fingerprint(self) -> str:
+        self._base_fingerprint = graph_fingerprint(self.graph)
+        self._edits = IncrementalFingerprint()
+        return self._base_fingerprint
+
+    def _compute_degrees(self) -> tuple[int, ...]:
+        return tuple(self.graph.degree_sequence())
+
+    def _compute_core_numbers(self) -> dict[VertexLabel, int]:
+        # One bucket pass yields the ordering too; keep it for this version.
+        order, cores = _degeneracy_order_and_cores(self.graph)
+        self._artifacts.setdefault("degeneracy_order", tuple(order))
+        return cores
+
+    def _compute_degeneracy(self) -> int:
+        return max(self.core_numbers.values(), default=0)
+
+    def _compute_degeneracy_order(self) -> tuple[VertexLabel, ...]:
+        return tuple(degeneracy_ordering(self.graph))
+
+    def _compute_components(self) -> tuple[frozenset[VertexLabel], ...]:
+        return _largest_first(connected_components(self.graph))
+
+    def _compute_statistics(self) -> GraphStatistics:
+        graph = self.graph
+        return GraphStatistics(vertex_count=graph.vertex_count,
+                               edge_count=graph.edge_count,
+                               edge_density=graph.density(),
+                               max_degree=graph.max_degree(),
+                               degeneracy=self.degeneracy)
 
     # ------------------------------------------------------------------
     # Parameter-dependent artifacts (memoized per threshold)
@@ -132,14 +182,18 @@ class PreparedGraph:
         derived from the memoized core numbers without re-running the bucket
         algorithm.
         """
-        threshold = degree_threshold(gamma, theta)
+        self.sync()
+        return self._threshold_mask(degree_threshold(gamma, theta))
+
+    def _threshold_mask(self, threshold: int) -> int:
+        """Bitmask of the vertices of core >= ``threshold``, memoized."""
         mask = self._core_masks.get(threshold)
         if mask is None:
             if threshold <= 0:
                 mask = self.graph.full_mask()
             else:
-                kept = [v for v, core in self.core_numbers.items() if core >= threshold]
-                mask = self.graph.mask_of(kept)
+                mask = self.graph.mask_of(
+                    v for v, core in self.core_numbers.items() if core >= threshold)
             self._core_masks[threshold] = mask
         return mask
 
@@ -159,6 +213,141 @@ class PreparedGraph:
             return 0
         bound = int(math.floor(self.degeneracy / gamma_fraction(gamma))) + 1
         return min(bound, self.graph.vertex_count)
+
+    # ------------------------------------------------------------------
+    # Following the graph's mutations
+    # ------------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        """The graph version the artifacts describe (synced first)."""
+        self.sync()
+        return self._version
+
+    def check_unmodified(self) -> bool:
+        """Return True iff no graph mutation is waiting to be synced."""
+        return self.graph.version == self._version
+
+    def sync(self) -> None:
+        """Replay the graph's mutations since the synced version into the artifacts.
+
+        When the graph's bounded changelog no longer reaches back that far,
+        every artifact is dropped and recomputed on its next read.
+        """
+        version = self.graph.version
+        if version == self._version:
+            return
+        pending = self.graph.delta.since(self._version)
+        self._version = version
+        self.plan_cache.clear()
+        if pending is None:
+            self._artifacts.clear()
+            self._core_masks.clear()
+            return
+        artifacts = self._artifacts
+        kept = {}
+        if "fingerprint" in artifacts:
+            for mutation in pending:
+                if mutation.op in _EDGE_OPS:
+                    self._edits.toggle_edge(mutation.u, mutation.v)
+                else:
+                    self._edits.toggle_vertex(mutation.u)
+            kept["fingerprint"] = (self._edits.hexdigest(self._base_fingerprint)
+                                   if self._edits else self._base_fingerprint)
+        if all(mutation.op in _EDGE_OPS for mutation in pending):
+            if "degrees" in artifacts:
+                kept["degrees"] = self._patched_degrees(pending)
+            if "components" in artifacts:
+                kept["components"] = self._patched_components(pending)
+            if len(pending) == 1 and "core_numbers" in artifacts:
+                kept["core_numbers"] = self._patched_cores(pending[0])
+        if "core_numbers" not in kept:
+            self._core_masks.clear()
+        self._artifacts = kept
+
+    def _patched_degrees(self, pending) -> tuple[int, ...]:
+        degrees = list(self._artifacts["degrees"])
+        index_of = self.graph.index_of
+        for mutation in pending:
+            step = 1 if mutation.op == "add_edge" else -1
+            degrees[index_of(mutation.u)] += step
+            degrees[index_of(mutation.v)] += step
+        return tuple(degrees)
+
+    def _patched_components(self, pending) -> tuple[frozenset[VertexLabel], ...]:
+        """Merge the two cells on an insertion; re-split one cell on a removal.
+
+        The re-split walks the final adjacency, which yields the end-state
+        partition for any order of edge records.
+        """
+        graph = self.graph
+        cells = list(self._artifacts["components"])
+        for mutation in pending:
+            first = next(i for i, cell in enumerate(cells) if mutation.u in cell)
+            if mutation.op == "add_edge":
+                if mutation.v not in cells[first]:
+                    second = next(i for i, cell in enumerate(cells) if mutation.v in cell)
+                    merged = cells[first] | cells[second]
+                    for i in sorted((first, second), reverse=True):
+                        del cells[i]
+                    cells.append(merged)
+            else:
+                cell = cells.pop(first)
+                cells.extend(connected_components(graph, within_mask=graph.mask_of(cell)))
+        return _largest_first(cells)
+
+    def _patched_cores(self, mutation) -> dict[VertexLabel, int]:
+        """Move the core numbers (and the threshold masks) across one edge record.
+
+        Only vertices of core ``k = min(core(u), core(v))`` can move, by one.
+        A removal can only lower a core-k vertex that keeps fewer than k
+        neighbours of core >= k; the walk starts at the endpoints and goes on
+        only from the vertices that fall.  An insertion can only raise a
+        core-k vertex with more than k such neighbours that reaches an
+        endpoint through vertices that rise too; the walk collects them and
+        peeling at ``k`` leaves the ones that rise.
+        """
+        graph = self.graph
+        cores = self._artifacts["core_numbers"]
+        u, v = mutation.u, mutation.v
+        k = min(cores[u], cores[v])
+        at_least = self._threshold_mask(k)
+        above = self._threshold_mask(k + 1)
+        shell = at_least & ~above
+        adjacency = graph.adjacency_mask
+        stack = [i for i in (graph.index_of(u), graph.index_of(v)) if shell >> i & 1]
+        if mutation.op == "remove_edge":
+            fallen = 0
+            while stack:
+                i = stack.pop()
+                if not shell >> i & 1 or (adjacency(i) & at_least).bit_count() >= k:
+                    continue
+                at_least ^= 1 << i
+                shell ^= 1 << i
+                fallen |= 1 << i
+                stack.extend(iter_bits(adjacency(i) & shell))
+            self._core_masks[k] = at_least
+            moved, core = fallen, k - 1
+        else:
+            risen = 0
+            seen = sum(1 << i for i in stack)
+            while stack:
+                i = stack.pop()
+                if (adjacency(i) & at_least).bit_count() > k:
+                    risen |= 1 << i
+                    fresh = adjacency(i) & shell & ~seen
+                    seen |= fresh
+                    stack.extend(iter_bits(fresh))
+            peel = list(iter_bits(risen))
+            while peel:
+                i = peel.pop()
+                if risen >> i & 1 and (adjacency(i) & (above | risen)).bit_count() <= k:
+                    risen ^= 1 << i
+                    peel.extend(iter_bits(adjacency(i) & risen))
+            self._core_masks[k + 1] = above | risen
+            moved, core = risen, k + 1
+        for i in iter_bits(moved):
+            cores[graph.label_of(i)] = core
+        return cores
 
     # ------------------------------------------------------------------
     # Observed work (the planner's parallel-gate evidence)
@@ -201,18 +390,8 @@ class PreparedGraph:
         return self
 
     def materialized_artifacts(self) -> tuple[str, ...]:
-        """Names of the artifacts that have been computed so far."""
-        return tuple(a for a in ARTIFACTS if a in self.__dict__)
-
-    def check_unmodified(self) -> bool:
-        """Return True iff the underlying graph still matches the snapshot.
-
-        Compares the graph's monotonically increasing mutation ``version``, so
-        *any* mutation since preparation is caught — even a mutation sequence
-        that restores the original vertex and edge counts (the stale-cache
-        hazard of the historical count-based snapshot).
-        """
-        return self.graph.version == self._snapshot
+        """Names of the artifacts computed at the synced version."""
+        return tuple(a for a in ARTIFACTS if a in self._artifacts)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -223,6 +402,7 @@ class PreparedGraph:
         return {
             "name": self.name,
             "fingerprint": self.fingerprint,
+            "version": self._version,
             "vertices": stats.vertex_count,
             "edges": stats.edge_count,
             "edge_density": stats.edge_density,
@@ -238,6 +418,10 @@ class PreparedGraph:
         return (f"PreparedGraph({label}|V|={self.graph.vertex_count}, "
                 f"|E|={self.graph.edge_count}, "
                 f"artifacts={len(self.materialized_artifacts())}/{len(ARTIFACTS)})")
+
+
+def _largest_first(cells) -> tuple[frozenset[VertexLabel], ...]:
+    return tuple(sorted(map(frozenset, cells), key=len, reverse=True))
 
 
 def prepare_graph(graph: Graph | PreparedGraph, name: str | None = None) -> PreparedGraph:

@@ -97,9 +97,9 @@ class ResultStream(Iterator[frozenset]):
         self._deadline: Deadline | None = None
         self._start = time.perf_counter()
         # The graph version the cache key was derived from.  Caching on
-        # completion is gated on this exact version — not on the prepared
-        # graph's own snapshot, which a dynamic prepared graph legitimately
-        # advances while patching itself mid-stream.
+        # completion is gated on this exact version — not on the
+        # preparation's synced version, which a sync legitimately advances
+        # mid-stream.
         self._graph_version = prepared.graph.version
 
         if spec.contains or spec.k is not None:

@@ -16,8 +16,7 @@ guessing which submodule complained:
     A structurally invalid :class:`repro.api.QuerySpec` (bad field values or
     combinations).  A :class:`QueryError` subclass.
 ``EngineError``
-    Invalid use of the persistent :class:`repro.engine.MQCEEngine` (e.g.
-    querying a prepared graph whose underlying graph was mutated).
+    Invalid use of the persistent :class:`repro.engine.MQCEEngine`.
 
 All of these also subclass :class:`ValueError`, preserving the exception types
 the pre-``repro.errors`` releases raised; ``except ValueError`` code keeps
@@ -46,7 +45,7 @@ class SpecError(QueryError):
 
 
 class EngineError(QueryError):
-    """Raised for invalid engine usage (e.g. querying a mutated prepared graph)."""
+    """Raised for invalid engine usage."""
 
 
 class ServiceOverloadedError(ReproError):

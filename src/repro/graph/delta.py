@@ -12,7 +12,8 @@ Recording is *lazily attached*: a graph only counts versions (one integer
 increment per mutation) until the first access to ``graph.delta`` materialises
 the changelog, so the enumeration hot paths — which build and discard many
 internal subgraphs — never pay for records nobody will read.  Consumers
-(notably :class:`repro.dynamic.DynamicEngine`) attach the changelog when they
+(notably :class:`repro.engine.PreparedGraph` and the
+:class:`repro.engine.MQCEEngine` syncs over it) attach the changelog when they
 bind to the graph, snapshot ``graph.version``, and later poll
 :meth:`GraphDelta.since` for the mutations applied after that version.  The
 log is bounded: for versions older than its retained history — including

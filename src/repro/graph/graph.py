@@ -19,8 +19,8 @@ Every successful mutation bumps the monotonically increasing
 :attr:`Graph.version` counter; once a consumer has attached the
 :class:`~repro.graph.delta.GraphDelta` changelog (first access to
 :attr:`Graph.delta`), mutations are additionally recorded there — which is how
-:class:`repro.dynamic.DynamicEngine` maintains its memoized artifacts and
-result cache incrementally.  Unwatched graphs (including the many internal
+:class:`repro.engine.PreparedGraph` and :class:`repro.engine.MQCEEngine`
+maintain their memoized artifacts and result cache incrementally.  Unwatched graphs (including the many internal
 subgraphs the enumeration algorithms build and discard) pay only the integer
 increment.  Enumeration algorithms treat the graph as read-only while they
 run.

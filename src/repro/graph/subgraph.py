@@ -179,8 +179,8 @@ def connected_components(graph: Graph,
     """Return the connected components of the graph as label sets.
 
     With ``within_mask``, connectivity is computed inside the induced
-    subgraph ``G[within_mask]`` only — used by the dynamic prepared graph to
-    re-split a single touched component without scanning the whole graph.
+    subgraph ``G[within_mask]`` only — used by a prepared graph to re-split
+    a single touched component without scanning the whole graph.
     """
     if getattr(graph, "indptr", None) is not None:
         from ..core.csr import csr_connected_components

@@ -14,10 +14,9 @@ graph — parameter sweeps, interactive exploration, serving traffic — use
 :class:`~repro.engine.prepared.PreparedGraph` (preprocessing computed once), a
 cost-based :class:`~repro.engine.planner.QueryPlanner` (algorithm / branching /
 parallelism selection) and an LRU :class:`~repro.engine.cache.ResultCache`
-(identical queries are served without re-enumeration).  For repeated queries
-over a graph that *changes* in between, use
-:class:`repro.dynamic.DynamicEngine`, which additionally patches the prepared
-artifacts per mutation and invalidates the cache selectively.
+(identical queries are served without re-enumeration).  The same engine
+serves a graph that *changes* in between: it patches the prepared artifacts
+per mutation and invalidates the cache selectively.
 """
 
 from __future__ import annotations

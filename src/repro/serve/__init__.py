@@ -4,7 +4,7 @@ This package turns the engine stack into a server process:
 
 * :mod:`repro.serve.protocol` — the line-delimited JSON wire format;
 * :mod:`repro.serve.service` — the asyncio server (:class:`ReproService`):
-  one :class:`~repro.dynamic.DynamicEngine` per named graph, streaming
+  one :class:`~repro.engine.MQCEEngine` per named graph, streaming
   queries, mutations under a writer-priority gate, and a single-port HTTP
   shim for ``GET /metrics`` scrapes;
 * :mod:`repro.serve.coalesce` — single-flight coalescing (a stampede of

@@ -30,7 +30,7 @@ Requests
 ``{"op": "mutate", "graph": NAME, "updates": [["add_edge", 1, 2], ...]}``
     Apply a batch of graph mutations (the :mod:`repro.dynamic.updates`
     spellings; a ``"script"`` string of update-script lines is also accepted)
-    through the graph's :class:`repro.dynamic.DynamicEngine` — selective
+    to the graph, then sync its :class:`repro.engine.MQCEEngine` — selective
     cache invalidation included.  Answered by one ``report`` frame.
 ``{"op": "graphs" | "stats" | "ping" | "flush" | "shutdown"}``
     Introspection and control.  ``flush`` drops cached results (named

@@ -1,7 +1,7 @@
 """The long-lived query service: ``repro serve``.
 
 :class:`ReproService` turns the engine stack into a server process.  It owns
-one :class:`repro.dynamic.DynamicEngine` per named graph and multiplexes any
+one :class:`repro.engine.MQCEEngine` per named graph and multiplexes any
 number of client connections over one asyncio event loop:
 
 * **queries** stream through the engine's :class:`~repro.engine.stream.ResultStream`
@@ -23,9 +23,10 @@ number of client connections over one asyncio event loop:
   the protocol's ``resume_from`` field, and the hot paths carry named
   :func:`repro.resilience.faults.fault_point` sites so chaos tests schedule
   exactly these failures deterministically;
-* **mutations** apply between queries under a per-graph writer-priority
-  read/write gate, flowing through the dynamic engine's selective cache
-  invalidation, so warm entries survive updates exactly as in-process;
+* **mutations** apply to the graph between queries under a per-graph
+  writer-priority read/write gate, and the engine syncs right away
+  (:meth:`~repro.engine.MQCEEngine.sync`: selective cache invalidation), so
+  warm entries survive updates exactly as in-process;
 * the same TCP port answers plain HTTP ``GET /metrics`` (Prometheus text
   exposition of the process :data:`~repro.obs.metrics.REGISTRY`),
   ``GET /healthz`` and ``GET /stats`` — the scrape endpoint the metrics
@@ -48,8 +49,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager, suppress
 
 from ..api.spec import QuerySpec
-from ..dynamic import DynamicEngine
-from ..dynamic.updates import parse_updates, normalise_update
+from ..dynamic.updates import apply_updates, normalise_update, parse_updates
+from ..engine.engine import MQCEEngine
 from ..errors import (CircuitOpenError, DeadlineExceededError, ReproError,
                       ServiceOverloadedError)
 from ..graph.graph import Graph
@@ -130,11 +131,14 @@ class _ReadWriteGate:
 
 
 class GraphHost:
-    """One served graph: its dynamic engine plus the per-graph gate."""
+    """One served graph: the graph, its engine and the per-graph gate."""
 
     def __init__(self, name: str, graph: Graph) -> None:
         self.name = name
-        self.engine = DynamicEngine(graph, name=name)
+        self.graph = graph
+        self.engine = MQCEEngine()
+        # Prepared eagerly, so the first query does not pay for it.
+        self.prepared = self.engine.prepare(graph, name=name).prepare()
         self.gate = _ReadWriteGate()
         self.queries = 0
         self.mutations = 0
@@ -149,17 +153,18 @@ class GraphHost:
         differently-budgeted queries deliver different frame sequences and
         must not share one.
         """
-        plan = self.engine.explain(spec=spec)
-        return (self.name, self.engine.prepared.fingerprint, spec.resolved(plan))
+        plan = self.engine.explain(self.graph, spec=spec)
+        return (self.name, self.prepared.fingerprint, spec.resolved(plan))
 
     def open_stream(self, spec: QuerySpec, tracer=None):
         """Create the engine stream for one admitted query (on the loop)."""
-        return self.engine.stream(spec=spec, trace=tracer)
+        return self.engine.stream(self.graph, spec=spec, trace=tracer)
 
     def apply_updates(self, updates):
-        """Apply one mutation batch through the dynamic engine."""
+        """Apply one mutation batch to the graph and sync the engine."""
         self.mutations += 1
-        return self.engine.apply(updates)
+        apply_updates(self.graph, updates)
+        return self.engine.sync(self.graph)
 
 
 class ReproService:
@@ -379,9 +384,9 @@ class ReproService:
 
     async def _op_graphs(self, payload: dict, writer) -> None:
         graphs = {
-            name: {"vertices": host.engine.graph.vertex_count,
-                   "edges": host.engine.graph.edge_count,
-                   "version": host.engine.graph.version,
+            name: {"vertices": host.graph.vertex_count,
+                   "edges": host.graph.edge_count,
+                   "version": host.graph.version,
                    "queries": host.queries, "mutations": host.mutations}
             for name, host in sorted(self.hosts.items())}
         await self._write(writer, {"type": "graphs", "graphs": graphs})
@@ -395,8 +400,8 @@ class ReproService:
         flushed = 0
         for name in names:
             host = self._host(name)
-            flushed += len(host.engine.engine.cache)
-            host.engine.engine.clear_cache()
+            flushed += len(host.engine.cache)
+            host.engine.clear_cache()
         await self._write(writer, {"type": "flushed", "entries": flushed})
 
     async def _op_shutdown(self, payload: dict, writer) -> bool:
@@ -444,8 +449,8 @@ class ReproService:
             # mid-plan); the enumeration itself re-acquires the read gate in
             # the leader task for its whole duration.
             async with host.gate.reading():
-                resolved = spec.resolved(host.engine.explain(spec=spec))
-                fingerprint = host.engine.prepared.fingerprint
+                resolved = spec.resolved(host.engine.explain(host.graph, spec=spec))
+                fingerprint = host.prepared.fingerprint
             # The breaker key deliberately drops the content fingerprint:
             # a (graph, resolved spec) that keeps faulting stays open across
             # mutations until its reset timeout, unlike the flight key.

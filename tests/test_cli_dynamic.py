@@ -122,12 +122,14 @@ class TestDynamicStats:
         code = main(["dynamic", "stats", "-i", str(graph_file), "-u", str(updates_file)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["prepared"]["patch_counts"]["remove_edge"] == 1
-        assert payload["prepared"]["version"] > 0
         assert payload["dynamic"]["updates"]["mutations"] == 3
+        assert payload["dynamic"]["updates"]["operations"] == {
+            "remove_edge": 1, "add_vertex": 1, "add_edge": 1}
+        assert payload["prepared"]["version"] == read_edge_list(graph_file).version + 3
 
     def test_stats_without_updates(self, graph_file, capsys):
         code = main(["dynamic", "stats", "-i", str(graph_file)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["prepared"]["patch_counts"] == {}
+        assert payload["dynamic"]["updates"]["mutations"] == 0
+        assert payload["prepared"]["version"] == read_edge_list(graph_file).version

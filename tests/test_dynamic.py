@@ -6,16 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from repro import Graph, MQCEEngine, Q
+from repro import Graph, MQCEEngine, PreparedGraph, Q
 from repro.api import QuerySpec
 from repro.dynamic import (
-    DynamicEngine,
-    DynamicPreparedGraph,
     UpdateError,
+    apply_updates,
     normalise_update,
     parse_updates,
 )
-from repro.errors import EngineError
 from repro.graph import connected_components, core_numbers, degeneracy
 from repro.pipeline.mqce import run_enumeration
 
@@ -40,214 +38,201 @@ def clique_and_path() -> Graph:
 
 class TestDynamicPreparedGraph:
     def test_artifacts_match_fresh_preparation(self, clique_and_path):
-        prepared = DynamicPreparedGraph(clique_and_path)
+        prepared = PreparedGraph(clique_and_path).prepare()
         clique_and_path.remove_edge("p2", "p3")
         clique_and_path.add_edge("a0", "p0")
         clique_and_path.remove_vertex("p7")
-        prepared.apply(clique_and_path.delta.since(prepared._snapshot))
+        prepared.sync()
         graph = clique_and_path
         assert prepared.check_unmodified()
         assert prepared.degrees == tuple(
             len(graph.adjacency_set(i)) for i in range(graph.vertex_count))
         assert (sorted(map(sorted, prepared.components))
                 == sorted(map(sorted, connected_components(graph))))
+        assert prepared.core_numbers == core_numbers(graph)
 
     def test_fingerprint_tracks_content_not_history(self):
         graph = Graph(edges=[(1, 2), (2, 3)])
-        prepared = DynamicPreparedGraph(graph)
+        prepared = PreparedGraph(graph)
         original = prepared.fingerprint
-        version = graph.version
         graph.add_edge(1, 3)
+        assert prepared.fingerprint != original
         graph.remove_edge(1, 3)
-        prepared.apply(graph.delta.since(version))
         assert prepared.fingerprint == original  # content reverted
-        version = graph.version
         graph.add_edge(3, 4)
-        prepared.apply(graph.delta.since(version))
         assert prepared.fingerprint != original
 
-    def test_core_bounds_stay_upper_bounds(self, clique_and_path):
-        prepared = DynamicPreparedGraph(clique_and_path)
-        version = clique_and_path.version
-        clique_and_path.add_edge("p0", "p2")
-        clique_and_path.add_edge("p0", "p3")
-        clique_and_path.remove_edge("a0", "a1")
-        prepared.apply(clique_and_path.delta.since(version))
-        exact = core_numbers(clique_and_path)
-        for label, core in exact.items():
-            assert prepared.core_bound(label) >= core
-        assert prepared.degeneracy >= degeneracy(clique_and_path)
-
-    def test_drift_triggers_exact_rebuild(self):
-        graph = Graph(vertices=range(12))
-        prepared = DynamicPreparedGraph(graph, core_rebuild_inserts=3)
-        version = graph.version
-        for u, v in clique_edges(range(6)):
-            graph.add_edge(u, v)
-        prepared.apply(graph.delta.since(version))
-        assert prepared.patch_counts["core_rebuilds"] >= 1
-        assert prepared.core_drift == (0, 0)
-        assert prepared.core_numbers == core_numbers(graph)
+    def test_cores_stay_exact_across_edge_records(self, clique_and_path):
+        graph = clique_and_path
+        prepared = PreparedGraph(graph)
+        prepared.core_mask(0.9, 4)  # memoize the 3-core mask before the edits
+        for op, u, v in [("add_edge", "p0", "p2"), ("add_edge", "p1", "p3"),
+                         ("add_edge", "p0", "p3"), ("remove_edge", "a0", "a1"),
+                         ("remove_edge", "p0", "p2"), ("add_edge", "a0", "a1")]:
+            getattr(graph, op)(u, v)
+            assert prepared.core_numbers == core_numbers(graph)
+            assert prepared.degeneracy == degeneracy(graph)
+            assert prepared.core_mask(0.9, 4) == graph.mask_of(
+                label for label, core in core_numbers(graph).items() if core >= 3)
 
     def test_component_merge_and_split(self, two_triangles):
-        prepared = DynamicPreparedGraph(two_triangles)
+        prepared = PreparedGraph(two_triangles)
         assert len(prepared.components) == 2
-        version = two_triangles.version
         two_triangles.add_edge(0, 3)
-        prepared.apply(two_triangles.delta.since(version))
         assert len(prepared.components) == 1
-        version = two_triangles.version
         two_triangles.remove_edge(0, 3)
-        prepared.apply(two_triangles.delta.since(version))
         assert (sorted(map(sorted, prepared.components))
                 == sorted(map(sorted, connected_components(two_triangles))))
 
     def test_memoized_artifacts_survive_pre_sync_reads(self, clique_and_path):
-        # A read between a direct graph mutation and the sync memoizes the
-        # stale value under the final graph version; apply() must drop it.
-        dynamic = DynamicEngine(clique_and_path)
+        # A read between a direct graph mutation and the engine's sync
+        # replays the changelog into the preparation; the engine's own sync
+        # must still see the mutation.
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        prepared = engine.prepare(clique_and_path)
         clique_and_path.remove_vertex("a4")
-        stale = dynamic.prepared.components  # pre-sync read, stale partition
-        assert any("a4" in cell for cell in stale)
-        dynamic.sync()
-        assert not any("a4" in cell for cell in dynamic.prepared.components)
-        result = dynamic.query(0.9, 3)  # planner walks components; must not crash
+        assert not any("a4" in cell for cell in prepared.components)
+        report = engine.sync(clique_and_path)
+        assert report.removed_vertices == 1 and report.invalidated == 1
+        result = engine.query(clique_and_path, 0.9, 3)
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
-
-    def test_summary_reports_dynamic_state(self, triangle):
-        prepared = DynamicPreparedGraph(triangle, name="tri")
-        summary = prepared.summary()
-        assert summary["version"] == triangle.version
-        assert summary["core_drift"] == {"inserts": 0, "removals": 0}
-        assert set(summary["artifacts"]) >= {"fingerprint", "components"}
 
 
 class TestSelectiveInvalidation:
     def test_far_removal_retains_entry_and_serves_warm(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        first = dynamic.query(0.9, 3)
-        hits = dynamic.engine.cache.stats.hits
-        report = dynamic.remove_edge("p3", "p4")
+        engine = MQCEEngine()
+        first = engine.query(clique_and_path, 0.9, 3)
+        hits = engine.cache.stats.hits
+        clique_and_path.remove_edge("p3", "p4")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 0
         assert report.retained == 1
         assert report.rekeyed == 1
-        second = dynamic.query(0.9, 3)
+        second = engine.query(clique_and_path, 0.9, 3)
         # The retained entry (re-addressed to the new fingerprint) must serve
         # the repeat without re-enumerating: the hit counter proves it.
-        assert dynamic.engine.cache.stats.hits == hits + 1
+        assert engine.cache.stats.hits == hits + 1
         assert second.maximal_quasi_cliques == first.maximal_quasi_cliques
         assert second.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
     def test_far_sparse_addition_retains_entry(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        dynamic.query(0.9, 3)
-        hits = dynamic.engine.cache.stats.hits
-        report = dynamic.add_edge("p0", "p6")  # ball is a tree: no new QC possible
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        hits = engine.cache.stats.hits
+        clique_and_path.add_edge("p0", "p6")  # ball is a tree: no new QC possible
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 0 and report.retained == 1
-        result = dynamic.query(0.9, 3)
-        assert dynamic.engine.cache.stats.hits == hits + 1
+        result = engine.query(clique_and_path, 0.9, 3)
+        assert engine.cache.stats.hits == hits + 1
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
     def test_removal_inside_result_invalidates(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        dynamic.query(0.9, 3)
-        report = dynamic.remove_edge("a0", "a1")
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        clique_and_path.remove_edge("a0", "a1")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 1
-        result = dynamic.query(0.9, 3)
+        result = engine.query(clique_and_path, 0.9, 3)
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
     def test_addition_creating_new_answer_invalidates(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        baseline = dynamic.query(0.9, 3)
+        engine = MQCEEngine()
+        baseline = engine.query(clique_and_path, 0.9, 3)
         assert len(baseline.maximal_quasi_cliques) == 1
         # Close a triangle on the path: a brand-new maximal QC appears in a
         # region no previous result touches — the ball-core rule must catch it.
-        report = dynamic.add_edge("p1", "p3")
+        clique_and_path.add_edge("p1", "p3")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 1
-        result = dynamic.query(0.9, 3)
+        result = engine.query(clique_and_path, 0.9, 3)
         expected = fresh_answer(clique_and_path, 0.9, 3)
         assert result.maximal_quasi_cliques == expected
         assert frozenset({"p1", "p2", "p3"}) in result.maximal_quasi_cliques
 
     def test_vertex_addition_only_touches_theta_one(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        dynamic.query(0.9, 3)
-        dynamic.query(0.9, 1)
-        dynamic.sync()  # registers both entries
-        report = dynamic.add_vertex("lonely")
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, 0.9, 1)
+        clique_and_path.add_vertex("lonely")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 1  # the theta=1 entry only
         assert report.retained == 1
         for theta in (1, 3):
-            assert (dynamic.query(0.9, theta).maximal_quasi_cliques
+            assert (engine.query(clique_and_path, 0.9, theta).maximal_quasi_cliques
                     == fresh_answer(clique_and_path, 0.9, theta))
 
     def test_vertex_removal_invalidates_touching_entries(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        dynamic.query(0.9, 3)
-        report = dynamic.remove_vertex("a4")
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        clique_and_path.remove_vertex("a4")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 1
-        assert (dynamic.query(0.9, 3).maximal_quasi_cliques
+        assert (engine.query(clique_and_path, 0.9, 3).maximal_quasi_cliques
                 == fresh_answer(clique_and_path, 0.9, 3))
 
     def test_containment_entry_survives_far_mutation(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
+        engine = MQCEEngine()
         spec = QuerySpec(gamma=0.9, theta=3, contains=("a0",))
-        first = dynamic.query(spec)
-        hits = dynamic.engine.cache.stats.hits
-        report = dynamic.remove_edge("p5", "p6")
+        first = engine.query(clique_and_path, spec)
+        hits = engine.cache.stats.hits
+        clique_and_path.remove_edge("p5", "p6")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 0 and report.retained == 1
-        assert dynamic.query(spec).maximal_quasi_cliques == first.maximal_quasi_cliques
-        assert dynamic.engine.cache.stats.hits == hits + 1
+        assert (engine.query(clique_and_path, spec).maximal_quasi_cliques
+                == first.maximal_quasi_cliques)
+        assert engine.cache.stats.hits == hits + 1
 
     def test_multiple_entries_split_by_region(self, clique_and_path):
         # Two disjoint result regions via containment specs; mutating one
         # region must only invalidate its entry.
         for u, v in clique_edges([f"p{i}" for i in range(3)]):
             clique_and_path.add_edge(u, v)  # make p0..p2 a triangle
-        dynamic = DynamicEngine(clique_and_path)
+        engine = MQCEEngine()
         spec_a = QuerySpec(gamma=0.9, theta=3, contains=("a0",))
         spec_p = QuerySpec(gamma=0.9, theta=3, contains=("p1",))
-        dynamic.query(spec_a)
-        dynamic.query(spec_p)
-        report = dynamic.remove_edge("a0", "a1")
+        engine.query(clique_and_path, spec_a)
+        engine.query(clique_and_path, spec_p)
+        clique_and_path.remove_edge("a0", "a1")
+        report = engine.sync(clique_and_path)
         assert report.invalidated == 1
         assert report.retained == 1
         for spec in (spec_a, spec_p):
-            fresh = run_enumeration  # readability only
-            del fresh
-            assert dynamic.query(spec).maximal_quasi_cliques  # still answerable
+            assert engine.query(clique_and_path, spec).maximal_quasi_cliques
 
 
 class TestDynamicEngineLifecycle:
     def test_direct_graph_mutation_is_synced_on_query(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        dynamic.query(0.9, 3)
-        clique_and_path.remove_edge("a0", "a1")  # behind the engine's back
-        assert dynamic.pending_mutations > 0
-        result = dynamic.query(0.9, 3)
-        assert dynamic.pending_mutations == 0
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        clique_and_path.remove_edge("a0", "a1")
+        result = engine.query(clique_and_path, 0.9, 3)
+        assert engine.update_stats.syncs == 1
+        assert engine.update_stats.entries_invalidated == 1
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
     def test_delta_gap_falls_back_to_full_rebuild(self):
         graph = Graph(edges=clique_edges(range(5)), delta_capacity=4)
-        dynamic = DynamicEngine(graph)
-        dynamic.query(0.9, 3)
+        engine = MQCEEngine()
+        engine.query(graph, 0.9, 3)
         for i in range(6):
             graph.add_edge(10 + i, 11 + i)  # overflow the tiny changelog
-        report = dynamic.sync()
+        report = engine.sync(graph)
         assert report.full_rebuild
-        assert dynamic.update_stats.full_rebuilds == 1
-        assert (dynamic.query(0.9, 3).maximal_quasi_cliques
+        assert engine.update_stats.full_rebuilds == 1
+        assert (engine.query(graph, 0.9, 3).maximal_quasi_cliques
                 == fresh_answer(graph, 0.9, 3))
 
     def test_apply_batch_and_report(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        report = dynamic.apply([
+        engine = MQCEEngine()
+        engine.prepare(clique_and_path)
+        apply_updates(clique_and_path, [
             ("add", "x", "y"),
             ("remove", "p0", "p1"),
             ("add-vertex", "z"),
             ("remove-vertex", "x"),
         ])
+        report = engine.sync(clique_and_path)
         assert report.added_edges == 1
         assert report.removed_edges == 2  # explicit one + x-y via remove-vertex
         assert report.added_vertices == 3  # x, y, z
@@ -255,47 +240,76 @@ class TestDynamicEngineLifecycle:
         assert "z" in clique_and_path and "x" not in clique_and_path
 
     def test_noop_sync_is_cheap_and_stable(self, triangle):
-        dynamic = DynamicEngine(triangle)
-        fingerprint = dynamic.prepared.fingerprint
-        report = dynamic.sync()
+        engine = MQCEEngine()
+        fingerprint = engine.prepare(triangle).fingerprint
+        report = engine.sync(triangle)
         assert report.mutations == 0
         assert report.new_fingerprint == fingerprint
-        assert dynamic.update_stats.syncs == 0  # no-ops are not counted
+        assert engine.update_stats.syncs == 0  # no-ops are not counted
 
     def test_stats_surface(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path, name="fixture")
-        dynamic.query(0.9, 3)
-        dynamic.remove_edge("p0", "p1")
-        stats = dynamic.stats()
-        assert stats["dynamic"]["graph_version"] == clique_and_path.version
-        assert stats["dynamic"]["updates"]["syncs"] >= 1
-        assert stats["dynamic"]["prepared_patches"]["remove_edge"] == 1
-        assert "queries" in stats  # MQCEEngine counters still present
-
-    def test_rejects_foreign_graph(self, triangle, clique5):
-        dynamic = DynamicEngine(triangle)
-        with pytest.raises(EngineError):
-            dynamic.query(clique5, 0.9, 3)
+        engine = MQCEEngine()
+        engine.query(clique_and_path, 0.9, 3)
+        clique_and_path.remove_edge("p0", "p1")
+        engine.sync(clique_and_path)
+        stats = engine.stats()
+        assert stats["dynamic"]["updates"]["syncs"] == 1
+        assert stats["dynamic"]["updates"]["operations"] == {"remove_edge": 1}
+        assert stats["dynamic"]["indexed_entries"] == 1
+        assert "queries" in stats  # the query counters sit beside the block
 
     def test_builder_integration(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        result = Q(clique_and_path).gamma(0.9).theta(3).run(engine=dynamic)
+        engine = MQCEEngine()
+        builder = Q(clique_and_path).gamma(0.9).theta(3)
+        builder.run(engine=engine)
+        clique_and_path.add_edge("p1", "p3")
+        result = builder.run(engine=engine)
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
-        streamed = list(Q(clique_and_path).gamma(0.9).theta(3).stream(engine=dynamic))
+        streamed = list(builder.stream(engine=engine))
         assert frozenset(streamed) == frozenset(result.maximal_quasi_cliques)
 
     def test_stream_entries_join_index_on_next_sync(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        list(dynamic.stream(0.9, 3))  # completes -> populates the cache
-        report = dynamic.remove_edge("p6", "p7")  # reconcile happens here
+        engine = MQCEEngine()
+        list(engine.stream(clique_and_path, 0.9, 3))  # completes -> populates the cache
+        clique_and_path.remove_edge("p6", "p7")
+        report = engine.sync(clique_and_path)  # reconcile happens here
         assert report.entries_before == 1
         assert report.retained == 1
 
     def test_query_batch(self, clique_and_path):
-        dynamic = DynamicEngine(clique_and_path)
-        results = dynamic.query_batch([(0.9, 3), (0.9, 4), (0.9, 3)])
+        engine = MQCEEngine()
+        results = engine.query_batch(clique_and_path, [(0.9, 3), (0.9, 4), (0.9, 3)])
         assert len(results) == 3
         assert results[0].maximal_quasi_cliques == results[2].maximal_quasi_cliques
+
+
+class TestSharedPreparation:
+    """Engines that share one graph's preparation never serve a stale answer."""
+
+    def test_other_engine_sync_never_serves_stale(self, clique_and_path):
+        graph = clique_and_path
+        touched, far = QuerySpec(gamma=0.9, theta=3), QuerySpec(gamma=0.9, theta=5)
+        engine_a, engine_b = MQCEEngine(), MQCEEngine()
+        for engine in (engine_a, engine_b):
+            for spec in (touched, far):
+                engine.query(graph, spec)
+        assert engine_a.prepare(graph) is engine_b.prepare(graph)
+
+        graph.add_edge("p1", "p3")  # a new answer: the triangle p1-p2-p3
+        assert engine_a.sync(graph).invalidated == 1
+        fresh = fresh_answer(graph, 0.9, 3)
+        assert frozenset({"p1", "p2", "p3"}) in fresh
+        assert engine_b.query(graph, touched).maximal_quasi_cliques == fresh
+        assert set(engine_b.stream(graph, touched)) == set(fresh)
+
+        graph.remove_edge("p1", "p3")  # revert: the old fingerprint is back
+        engine_a.sync(graph)
+        hits = engine_b.cache.stats.hits
+        for spec in (touched, far):
+            assert (engine_b.query(graph, spec).maximal_quasi_cliques
+                    == fresh_answer(graph, spec.gamma, spec.theta))
+        # The far entry was computed before the mutation and survived both syncs.
+        assert engine_b.cache.stats.hits == hits + 1
 
 
 class TestUpdateParsing:
@@ -343,9 +357,7 @@ class TestStaleCacheRegression:
         assert frozenset(range(5)) not in second.maximal_quasi_cliques
         assert frozenset({10, 11, 12}) in second.maximal_quasi_cliques
 
-    def test_explicit_prepared_graph_rejected_after_count_restoring_mutation(self):
-        from repro import PreparedGraph
-
+    def test_explicit_prepared_graph_synced_after_count_restoring_mutation(self):
         graph = Graph(edges=clique_edges(range(4)) + [(8, 9), (9, 10)])
         prepared = PreparedGraph(graph)
         engine = MQCEEngine()
@@ -353,8 +365,9 @@ class TestStaleCacheRegression:
         graph.remove_edge(0, 1)
         graph.add_edge(8, 10)  # counts restored, content changed
         assert not prepared.check_unmodified()
-        with pytest.raises(EngineError):
-            engine.query(prepared, 0.9, 3)
+        answer = engine.query(prepared, 0.9, 3).maximal_quasi_cliques
+        assert answer == fresh_answer(graph, 0.9, 3)
+        assert frozenset({8, 9, 10}) in answer
 
     def test_completed_stream_does_not_cache_across_mutation(self):
         graph = Graph(edges=clique_edges(range(5)))
@@ -366,17 +379,18 @@ class TestStaleCacheRegression:
         assert len(engine.cache) == 0
 
     def test_stream_across_engine_mediated_mutation_does_not_poison_cache(self):
-        # The DynamicEngine patches its prepared graph during a mid-stream
-        # sync, so the stream cannot rely on the prepared snapshot: it must
-        # gate caching on the graph version it derived its key from.
+        # A mid-stream sync advances the preparation, so the stream cannot
+        # rely on the preparation's version: it must gate caching on the graph
+        # version it derived its key from.
         graph = Graph(edges=clique_edges(range(6)) + clique_edges(range(10, 17)))
-        dynamic = DynamicEngine(graph)
-        stream = dynamic.stream(0.9, 4, algorithm="dcfastqc")
+        engine = MQCEEngine()
+        stream = engine.stream(graph, 0.9, 4, algorithm="dcfastqc")
         next(stream)
-        dynamic.remove_edge(10, 11)  # syncs (and re-snapshots) mid-stream
+        graph.remove_edge(10, 11)
+        engine.sync(graph)  # re-snapshots mid-stream
         list(stream)
-        assert len(dynamic.engine.cache) == 0
-        dynamic.add_edge(10, 11)  # revert: the old fingerprint matches again
-        answer = dynamic.query(0.9, 4).maximal_quasi_cliques
+        assert len(engine.cache) == 0
+        graph.add_edge(10, 11)  # revert: the old fingerprint matches again
+        answer = engine.query(graph, 0.9, 4).maximal_quasi_cliques
         assert frozenset(range(10, 17)) in answer
         assert answer == fresh_answer(graph, 0.9, 4)

@@ -7,7 +7,6 @@ import pytest
 from repro import Graph, Q, QuerySpec, community_of, run_enumeration
 from repro.datasets import dataset_names, get_spec, load_dataset, load_prepared
 from repro.engine import (
-    EngineError,
     MQCEEngine,
     PlannerConfig,
     PreparedGraph,
@@ -19,6 +18,7 @@ from repro.engine import (
     prepare_graph,
 )
 from repro.extensions.topk import largest_quasi_clique_size
+from repro.graph import core_numbers
 from repro.quasiclique.definitions import ParameterError
 
 
@@ -266,19 +266,24 @@ class TestMQCEEngineQueries:
         assert engine.stats()["queries"] == 0
 
     def test_mutated_plain_graph_is_reprepared(self, small_graph):
+        # The attached preparation follows the graph: it is synced, not rebuilt.
         engine = MQCEEngine()
         first = engine.prepare(small_graph)
+        before = first.fingerprint
         small_graph.add_edge(0, 4)
         second = engine.prepare(small_graph)
-        assert second is not first
+        assert second is first
         assert second.check_unmodified()
+        assert second.fingerprint != before
+        assert second.core_numbers == core_numbers(small_graph)
 
-    def test_mutated_prepared_graph_is_rejected(self, small_graph):
+    def test_mutated_prepared_graph_is_synced(self, small_graph):
         prepared = PreparedGraph(small_graph)
         prepared.fingerprint  # force
         small_graph.add_edge(0, 4)
-        with pytest.raises(EngineError):
-            MQCEEngine().query(prepared, 0.9, 3)
+        result = MQCEEngine().query(prepared, 0.9, 3)
+        assert result.maximal_quasi_cliques == run_enumeration(
+            small_graph, QuerySpec(0.9, 3)).maximal_quasi_cliques
 
     def test_transient_graphs_are_not_retained_by_the_engine(self):
         import gc
@@ -310,9 +315,9 @@ class TestMQCEEngineQueries:
 
 
 class TestPreparedCoreReuse:
-    """Engine queries on an exact preparation reuse its memoized core mask
-    instead of re-peeling the graph; dynamic preparations (upper-bound cores)
-    still peel.  Either way the run equals the one-shot pipeline's."""
+    """Engine queries reuse the preparation's memoized core mask instead of
+    re-peeling the graph, also after a mutation (the cores stay exact).  The
+    run equals the one-shot pipeline's either way."""
 
     @staticmethod
     def observed(result, tracer) -> tuple:
@@ -335,9 +340,14 @@ class TestPreparedCoreReuse:
         graph = load_dataset(name)
         spec = get_spec(name)
         query = QuerySpec(spec.default_gamma, spec.default_theta)
-        tracer = Tracer()
-        expected = self.observed(run_enumeration(graph, query, tracer=tracer), tracer)
-        assert expected[3] > 0  # the core reduction removes vertices here
+
+        def expected():
+            tracer = Tracer()
+            return self.observed(run_enumeration(graph.copy(), query, tracer=tracer),
+                                 tracer)
+
+        before = expected()
+        assert before[3] > 0  # the core reduction removes vertices here
 
         peels = []
         peel = dcfastqc_module.k_core_vertices
@@ -347,17 +357,19 @@ class TestPreparedCoreReuse:
             return peel(target, k)
 
         monkeypatch.setattr(dcfastqc_module, "k_core_vertices", counting_peel)
+        engine = DynamicEngine(graph)  # an MQCEEngine, prepared eagerly
         tracer = Tracer()
-        static = MQCEEngine().query(PreparedGraph(graph), spec=query,
-                                    use_cache=False, trace=tracer)
+        result = engine.query(graph, spec=query, use_cache=False, trace=tracer)
         assert peels == []
-        assert self.observed(static, tracer) == expected
+        assert self.observed(result, tracer) == before
 
+        # One edge toggle: the query's sync patches the cores; still no peel.
+        graph.remove_edge(*graph.edges()[0])
         tracer = Tracer()
-        dynamic = DynamicEngine(graph.copy()).query(spec=query, use_cache=False,
-                                                    trace=tracer)
-        assert peels
-        assert self.observed(dynamic, tracer) == expected
+        result = engine.query(graph, spec=query, use_cache=False, trace=tracer)
+        assert peels == []
+        monkeypatch.undo()
+        assert self.observed(result, tracer) == expected()
 
 
 class TestEngineAwareExtensions:

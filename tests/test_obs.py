@@ -386,15 +386,15 @@ class TestEngineMetrics:
         assert hits.value() == hits_before + 1
 
     def test_dynamic_sync_metrics(self):
-        from repro import DynamicEngine
-
         syncs = REGISTRY.counter("repro_dynamic_syncs_total")
         mutations = REGISTRY.counter("repro_dynamic_mutations_total")
         before = syncs.value()
         mutations_before = mutations.value(op="add_edge")
         graph = Graph(edges=[(1, 2), (2, 3), (1, 3)])
-        dynamic = DynamicEngine(graph)
-        dynamic.add_edge(3, 4)
+        engine = MQCEEngine()
+        engine.prepare(graph)
+        graph.add_edge(3, 4)
+        engine.sync(graph)
         assert syncs.value() == before + 1
         assert mutations.value(op="add_edge") == mutations_before + 1
 
