@@ -31,12 +31,14 @@ BENCH_FILE = "BENCH_core.json"
 
 #: Stable column order for the trend table (suites absent from a run show "—").
 SUITE_ORDER = ("core-enumeration", "quickplus-kernel", "engine-cache",
-               "dynamic-updates")
+               "dynamic-updates", "large-graph", "parallel")
 SUITE_HEADERS = {
     "core-enumeration": "core (ledger/ref)",
     "quickplus-kernel": "quickplus (ledger/ref)",
     "engine-cache": "cache (warm/cold)",
     "dynamic-updates": "dynamic (incr/rebuild)",
+    "large-graph": "large graph (dict/CSR RSS)",
+    "parallel": "parallel (seq/branch)",
 }
 
 

@@ -34,7 +34,9 @@ trajectory record to ``BENCH_core.json`` at the repository root:
 
 Committing the file after a perf-relevant change gives the repo a recorded
 perf trajectory that later PRs can regress against — one file, every
-subsystem.
+subsystem.  A run writes only the suites it selected: the other suites keep
+their recorded rows, and every suite carries the ``quick`` / ``repeat`` it
+was measured with.
 
 Usage::
 
@@ -81,8 +83,11 @@ from repro.engine import MQCEEngine, PreparedGraph                # noqa: E402
 from repro.graph import preferential_attachment_edges             # noqa: E402
 from repro.oracle import ReferenceDCFastQC, ReferenceQuickPlus    # noqa: E402
 
-SUITES = ("core", "quickplus", "engine-cache", "dynamic-updates",
-          "large-graph", "parallel")
+#: ``--suite`` name -> the suite's key in the record, in record order.
+SUITE_KEYS = {"core": "core-enumeration", "quickplus": "quickplus-kernel",
+              "engine-cache": "engine-cache", "dynamic-updates": "dynamic-updates",
+              "large-graph": "large-graph", "parallel": "parallel"}
+SUITES = tuple(SUITE_KEYS)
 
 #: Core suite: (dataset, gamma, theta) chosen so enumeration — not
 #: preprocessing — dominates (hundreds to thousands of branches each).
@@ -606,6 +611,29 @@ def _assert_parallel_floor(record: dict, floor: float | None,
                   f"(>= {floor}x)")
 
 
+def merge_into_existing(path: Path, record: dict) -> dict:
+    """The record at ``path`` with this run's suites replacing their old rows.
+
+    Suites this run did not select keep their recorded rows, each stamped
+    with the ``quick`` / ``repeat`` it was measured with (older files kept
+    one pair for the whole record).  ``peak_rss_bytes`` is this run's.
+    """
+    try:
+        existing = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        existing = {}
+    old_suites = existing.get("suites", {}) if isinstance(existing, dict) else {}
+    suites = {}
+    for key in SUITE_KEYS.values():
+        if key in record["suites"]:
+            suites[key] = record["suites"][key]
+        elif key in old_suites:
+            suites[key] = old_suites[key]
+            for stamp in ("quick", "repeat"):
+                suites[key].setdefault(stamp, existing.get(stamp))
+    return {"suites": suites, "peak_rss_bytes": record["peak_rss_bytes"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--suite", action="append", choices=SUITES + ("all",),
@@ -650,7 +678,7 @@ def main(argv=None) -> int:
 
     from repro.obs.process import peak_rss_bytes
 
-    record: dict = {"suites": {}, "quick": quick, "repeat": args.repeat}
+    record: dict = {"suites": {}}
     if "core" in selected:
         record["suites"]["core-enumeration"] = run_core_suite(
             CORE_QUICK if quick else CORE_FULL, repeat=args.repeat)
@@ -670,6 +698,9 @@ def main(argv=None) -> int:
     if "parallel" in selected:
         record["suites"]["parallel"] = run_parallel_suite(
             PARALLEL_QUICK if quick else PARALLEL_FULL, repeat=args.repeat)
+    for suite in record["suites"].values():
+        suite["quick"] = quick
+        suite["repeat"] = args.repeat
 
     # Process high-water mark after every suite ran (None on platforms
     # without getrusage) — part of the recorded trajectory, like the timings.
@@ -682,8 +713,10 @@ def main(argv=None) -> int:
               f"over {len(suite['datasets'])} datasets")
 
     if str(args.output) != "-":
-        args.output.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"wrote {args.output}")
+        merged = merge_into_existing(args.output, record)
+        args.output.write_text(json.dumps(merged, indent=2) + "\n")
+        print(f"wrote {args.output} (suites this run: "
+              f"{', '.join(record['suites'])})")
 
     failures: list[str] = []
     _assert_floor(record, "core-enumeration", args.assert_speedup,

@@ -28,9 +28,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from ..graph.graph import Graph, VertexLabel
+from ..graph.graph import Graph, VertexLabel, iter_bits
 from ..quasiclique.definitions import validate_parameters
-from ..quasiclique.maximality import mask_satisfies_maximality_necessary_condition
+from ..quasiclique.maximality import (
+    ledger_satisfies_maximality_necessary_condition,
+    mask_satisfies_maximality_necessary_condition,
+)
 from .branch import Branch
 from .branching import BRANCHING_METHODS
 from .kernel import (
@@ -40,7 +43,6 @@ from .kernel import (
     pivot_from_state,
     refine_state,
     terminates_by_theta_state,
-    union_min_degree,
 )
 from .stats import SearchStatistics
 
@@ -71,7 +73,9 @@ class FastQC:
         subproblem's ball plus one-hop halo
         (:meth:`~repro.core.dcfastqc.CompactSubproblem.build_maximality_graph`,
         used on CSR graphs and by work-stealing workers).  Both make
-        suppression decisions identical to a whole-graph run.
+        suppression decisions identical to a whole-graph run.  Every label of
+        ``graph`` must be a vertex of it; the local-to-target index table is
+        derived from the labels once, here.
     on_output:
         Optional callback invoked with each output vertex set (as a frozenset
         of labels) as it is found.
@@ -103,6 +107,7 @@ class FastQC:
         self.branching = branching
         self.maximality_filter = maximality_filter
         self.maximality_graph = maximality_graph if maximality_graph is not None else graph
+        self._maximality_index = _index_table(graph, self.maximality_graph)
         self.on_output = on_output
         self.should_stop = should_stop
         self.progress = progress
@@ -188,8 +193,9 @@ class FastQC:
         self.statistics.branches_explored += 1
 
         # Lines 3-7: progressive refinement and necessary-condition checking.
-        pruned, tau_value, _rounds, removed1, removed2 = refine_state(
-            state, self.gamma, self.theta)
+        # Refinement's last pass also finds the union's minimum degree.
+        (pruned, tau_value, _rounds, removed1, removed2,
+         min_deg_union, pivot_vertex) = refine_state(state, self.gamma, self.theta)
         self.statistics.candidates_removed_by_refinement += removed1 + removed2
         if pruned:
             self.statistics.branches_pruned_by_condition += 1
@@ -197,11 +203,10 @@ class FastQC:
 
         # Lines 8-10: termination T1 -- the whole branch is a quasi-clique.
         union_size = state.s_size + state.c_size
-        min_deg_union, pivot_vertex = union_min_degree(state)
         if union_size - min_deg_union <= tau_value:
             self.statistics.branches_terminated_t1 += 1
             if union_size:
-                return self._emit(state.union_mask)
+                return self._emit(state.union_mask, state.deg_in_union)
             return False
 
         # Line 11: termination T2 -- the size threshold cannot be met.
@@ -209,9 +214,9 @@ class FastQC:
             self.statistics.branches_terminated_t2 += 1
             return False
 
-        # Lines 12-18: pivot selection and branching.  The union scan above
-        # already found the pivot (the first vertex with the most
-        # disconnections, which exceeds the budget because T1 failed).
+        # Lines 12-18: pivot selection and branching.  Refinement already
+        # found the pivot (the first vertex with the most disconnections,
+        # which exceeds the budget because T1 failed).
         pivot = pivot_from_state(state, pivot_vertex, tau_value)
         children = generate_child_states(state, pivot, self.branching)
 
@@ -235,41 +240,61 @@ class FastQC:
 
         return mask_is_quasi_clique(self.graph, subset_mask, self.gamma)
 
-    def _emit(self, subset_mask: int) -> bool:
+    def _emit(self, subset_mask: int, degrees=None) -> bool:
         """Record an output set; returns True iff the branch holds a QC.
 
         Following Algorithm 2 the return value of the *branch* is True whenever
         the branch holds a QC, even when the output itself is suppressed by the
         size threshold or the maximality necessary condition (the suppressed
         set still proves that every subset-branch output would be non-maximal).
-        The size and dedup checks run first so that repeat emissions of the
-        same mask never pay for label materialisation or a maximality check;
-        suppressed masks are remembered the same way.
+        Size, dedup and maximality all run on the local mask (suppressed
+        masks are remembered too, so a repeat emission costs one set lookup);
+        labels are built only for kept outputs.  ``degrees`` is the T1
+        state's ``deg_in_union`` ledger, exact for every member of the mask.
         """
         if subset_mask.bit_count() < self.theta:
             return True
         if subset_mask in self._seen_masks:
             return True
         self._seen_masks.add(subset_mask)
-        labels = self.graph.labels_of_mask(subset_mask)
-        if self.maximality_filter and not self._passes_maximality(subset_mask, labels):
+        if self.maximality_filter and not self._passes_maximality(subset_mask, degrees):
             self.statistics.outputs_suppressed_by_maximality += 1
             return True
+        labels = self.graph.labels_of_mask(subset_mask)
         self._results.append(labels)
         self.statistics.outputs += 1
         if self.on_output is not None:
             self.on_output(labels)
         return True
 
-    def _passes_maximality(self, subset_mask: int, labels: frozenset) -> bool:
+    def _passes_maximality(self, subset_mask: int, degrees=None) -> bool:
         """The single-vertex-extension necessary condition of maximality.
 
-        A bitmask check, translating local masks to the maximality graph's
-        index space when the two differ.
+        With ``degrees`` (a T1 output) the check reads the ledger; without
+        (a ``G[S]`` output) it is the bit-sliced mask check.  Both run on
+        :attr:`maximality_graph`, reached through the local index table.
         """
-        target = self.maximality_graph
-        mask = subset_mask if target is self.graph else target.mask_of(labels)
-        return mask_satisfies_maximality_necessary_condition(target, mask, self.gamma)
+        index = self._maximality_index
+        if degrees is not None:
+            return ledger_satisfies_maximality_necessary_condition(
+                self.maximality_graph, subset_mask, degrees, self.gamma, index)
+        if index is not None:
+            subset_mask = sum(1 << index[v] for v in iter_bits(subset_mask))
+        return mask_satisfies_maximality_necessary_condition(
+            self.maximality_graph, subset_mask, self.gamma)
+
+
+def _index_table(graph: Graph, target: Graph) -> list[int] | None:
+    """``target``'s index of every vertex of ``graph``; None when they agree.
+
+    A ball-plus-halo maximality graph lists the ball first, in the
+    subproblem's order, so only the full input graph (DCFastQC on a dict
+    graph) needs a table.
+    """
+    if target is graph:
+        return None
+    table = [target.index_of(label) for label in graph.vertices()]
+    return None if table == list(range(len(table))) else table
 
 
 def fastqc_enumerate(graph: Graph, gamma: float, theta: int,

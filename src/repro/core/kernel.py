@@ -271,14 +271,22 @@ class BranchState:
 # ----------------------------------------------------------------------
 def refine_state(state: BranchState, gamma: float, theta: int,
                  max_rounds: int | None = None
-                 ) -> tuple[bool, int, int, int, int]:
+                 ) -> tuple[bool, int, int, int, int, int, int]:
     """Refine a branch state in place until the C1&2 / Rules 1–2 fixpoint.
 
-    Returns ``(pruned, tau_value, rounds, removed_by_rule1, removed_by_rule2)``
-    with exactly the semantics of
-    :func:`repro.oracle.refinement.progressively_refine`: same prune decisions,
-    same surviving candidate set, same final disconnection budget.  All checks
-    are O(|S|) / O(|C|) ledger scans; each removal costs O(deg).
+    Returns ``(pruned, tau_value, rounds, removed_by_rule1, removed_by_rule2,
+    min_deg_union, min_vertex)``.  The first five have exactly the semantics
+    of :func:`repro.oracle.refinement.progressively_refine`: same prune
+    decisions, same surviving candidate set, same final disconnection budget.
+    The last two are what :func:`union_min_degree` returns for the refined
+    state (the pivot of :func:`pivot_from_state`); they are ``(-1, -1)`` when
+    the branch is pruned.  All checks are O(|S|) / O(|C|) ledger scans; each
+    removal costs O(deg).
+
+    Each round reads every C member once: Rule 1, Rule 2 and the union
+    minimum share that pass.  Rule 2's removals from it are exact when Rule 1
+    removed nothing; otherwise Rule 2 runs again on the shrunken union.  The
+    final round removes nothing, so its pass already saw the minimum.
 
     ``sigma(B)`` and ``tau(sigma(B))`` are evaluated in exact integer
     arithmetic over ``gamma = p/q`` instead of :class:`fractions.Fraction`
@@ -299,12 +307,14 @@ def refine_state(state: BranchState, gamma: float, theta: int,
         rounds += 1
         s_size = state.s_size
         union_size = s_size + state.c_size
+        # The union minimum over S (lowest index on ties); C's comes later.
+        min_deg_u = union_size + 1
+        min_vertex = -1
         if s_size == 0:
             sigma_num, sigma_den = union_size, 1
             delta_s = 0
         else:
             min_deg_s = s_size
-            min_deg_u = union_size
             remaining = state.s_mask
             while remaining:
                 low = remaining & -remaining
@@ -316,6 +326,7 @@ def refine_state(state: BranchState, gamma: float, theta: int,
                 du = deg_in_union[v]
                 if du < min_deg_u:
                     min_deg_u = du
+                    min_vertex = v
             delta_s = s_size - min_deg_s
             # sigma = min(|S ∪ C|, d_min/gamma + 1): compare via cross products.
             alt_num = min_deg_u * q + p        # (d_min*q + p) / p
@@ -325,7 +336,7 @@ def refine_state(state: BranchState, gamma: float, theta: int,
                 sigma_num, sigma_den = alt_num, p
         tau_value = ((q - p) * sigma_num + p * sigma_den) // (q * sigma_den)
         if sigma_num < s_size * sigma_den or delta_s > tau_value:
-            return True, tau_value, rounds, removed_rule1, removed_rule2
+            return True, tau_value, rounds, removed_rule1, removed_rule2, -1, -1
 
         # Rule 1: v ∈ C falls when delta_bar(v, S) + 1 > tau, or when some
         # u ∈ S already sitting at the budget is not adjacent to v.
@@ -337,7 +348,12 @@ def refine_state(state: BranchState, gamma: float, theta: int,
                 remaining ^= low
                 if s_size - deg_in_s[bit_length(low) - 1] >= tau_value:
                     critical_mask |= low
-        removal_mask = 0
+        # Rule 2: v ∈ C falls when delta(v, S ∪ C) < theta - tau.  Survivors
+        # of both rules feed C's union minimum.
+        required = theta - tau_value
+        rule1_mask = rule2_mask = 0
+        min_deg_c = union_size + 1
+        min_vertex_c = -1
         threshold = tau_value - 1  # delta_bar(v, S) + 1 > tau  <=>  s - deg > tau - 1
         remaining = state.c_mask
         while remaining:
@@ -345,33 +361,36 @@ def refine_state(state: BranchState, gamma: float, theta: int,
             remaining ^= low
             v = bit_length(low) - 1
             if s_size - deg_in_s[v] > threshold or (critical_mask & ~masks[v]):
-                removal_mask |= low
-        removed_this_round = 0
-        if removal_mask:
-            removed_this_round = removal_mask.bit_count()
-            removed_rule1 += removed_this_round
-            state.remove_mask(removal_mask)
+                rule1_mask |= low
+            else:
+                du = deg_in_union[v]
+                if du < required:
+                    rule2_mask |= low
+                elif du < min_deg_c:
+                    min_deg_c = du
+                    min_vertex_c = v
+        if not (rule1_mask or rule2_mask):
+            if min_deg_c < min_deg_u or (min_deg_c == min_deg_u
+                                         and min_vertex_c < min_vertex):
+                min_deg_u, min_vertex = min_deg_c, min_vertex_c
+            return (False, tau_value, rounds, removed_rule1, removed_rule2,
+                    min_deg_u, min_vertex)
+        if rule1_mask:
+            removed_rule1 += rule1_mask.bit_count()
+            state.remove_mask(rule1_mask)
+            if required > 0:
+                # The ledger changed: re-read Rule 2 on the shrunken union.
+                rule2_mask = 0
+                remaining = state.c_mask
+                while remaining:
+                    low = remaining & -remaining
+                    remaining ^= low
+                    if deg_in_union[bit_length(low) - 1] < required:
+                        rule2_mask |= low
+        if rule2_mask:
+            removed_rule2 += rule2_mask.bit_count()
+            state.remove_mask(rule2_mask)
 
-        # Rule 2: v ∈ C falls when delta(v, S ∪ C) < theta - tau (the union —
-        # hence the ledger — already reflects the Rule 1 removals).
-        required = theta - tau_value
-        if required > 0:
-            removal_mask = 0
-            remaining = state.c_mask
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                v = bit_length(low) - 1
-                if deg_in_union[v] < required:
-                    removal_mask |= low
-            if removal_mask:
-                dropped = removal_mask.bit_count()
-                removed_rule2 += dropped
-                removed_this_round += dropped
-                state.remove_mask(removal_mask)
-
-        if removed_this_round == 0:
-            return False, tau_value, rounds, removed_rule1, removed_rule2
         if max_rounds is not None and rounds >= max_rounds:
             s_size = state.s_size
             union_size = s_size + state.c_size
@@ -388,8 +407,10 @@ def refine_state(state: BranchState, gamma: float, theta: int,
                 else:
                     sigma_num, sigma_den = alt_num, p
             tau_value = ((q - p) * sigma_num + p * sigma_den) // (q * sigma_den)
-            pruned = sigma_num < s_size * sigma_den or delta_s > tau_value
-            return pruned, tau_value, rounds, removed_rule1, removed_rule2
+            if sigma_num < s_size * sigma_den or delta_s > tau_value:
+                return True, tau_value, rounds, removed_rule1, removed_rule2, -1, -1
+            return (False, tau_value, rounds, removed_rule1, removed_rule2,
+                    *union_min_degree(state))
 
 
 # ----------------------------------------------------------------------

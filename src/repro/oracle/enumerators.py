@@ -76,10 +76,10 @@ class ReferenceFastQC(FastQC):
                 return True
         return False
 
-    def _passes_maximality(self, subset_mask: int, labels: frozenset) -> bool:
-        """The original label-space check (decides like the bitmask one)."""
+    def _passes_maximality(self, subset_mask: int, degrees=None) -> bool:
+        """The original label-space check (decides like the index-space ones)."""
         return satisfies_maximality_necessary_condition(
-            self.maximality_graph, labels, self.gamma)
+            self.maximality_graph, self.graph.labels_of_mask(subset_mask), self.gamma)
 
 
 class ReferenceDCFastQC(DCFastQC):

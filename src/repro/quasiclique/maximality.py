@@ -3,9 +3,13 @@
 Checking whether a quasi-clique is *maximal* in the input graph is NP-hard
 (Section 2.1), so the library offers three tools:
 
-* :func:`satisfies_maximality_necessary_condition` — the polynomial check used
-  by FastQC's output filter (Algorithm 2, line 9/22): ``H`` may be maximal only
+* :func:`satisfies_maximality_necessary_condition` — the polynomial check of
+  FastQC's output filter (Algorithm 2, line 9/22): ``H`` may be maximal only
   if no single vertex ``v`` outside ``H`` makes ``G[H ∪ {v}]`` a quasi-clique.
+  FastQC runs its index-space forms: the ledger-driven
+  :func:`ledger_satisfies_maximality_necessary_condition` on T1 outputs and
+  the bit-sliced :func:`mask_satisfies_maximality_necessary_condition`
+  otherwise.
 * :func:`is_maximal_quasi_clique` — an exact (exponential) check, intended for
   small graphs and for tests.
 * :func:`extending_vertices` — the witnesses that the necessary condition
@@ -14,7 +18,7 @@ Checking whether a quasi-clique is *maximal* in the input graph is NP-hard
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from ..graph.graph import Graph, VertexLabel, iter_bits
@@ -57,12 +61,13 @@ def mask_satisfies_maximality_necessary_condition(graph: Graph, subset_mask: int
     Valid for the library's gamma range (``gamma >= 0.5``), where the degree
     condition alone forces connectivity, so ``G[H ∪ {v}]`` is a quasi-clique
     iff every member of ``H ∪ {v}`` has at least ``ceil(gamma * |H|)``
-    neighbours inside it.  This is the hot emission-path check of the ledger
-    kernel.  The degree filter over the extension candidates is bit-sliced:
-    ``|Γ(v) ∩ H|`` is accumulated for every vertex simultaneously in binary
-    counter planes (one ripple-carry add per member of ``H``), so candidates
-    below the degree requirement never cost a per-vertex popcount; only the
-    few survivors run the exact per-member verification.
+    neighbours inside it.  FastQC runs it on ``G[S]`` outputs and on the T1
+    outputs where :func:`ledger_satisfies_maximality_necessary_condition` finds
+    no critical member.  The degree filter over the extension candidates is
+    bit-sliced: ``|Γ(v) ∩ H|`` is accumulated for every vertex simultaneously
+    in binary counter planes (one ripple-carry add per member of ``H``), so
+    candidates below the degree requirement never cost a per-vertex popcount;
+    only the few survivors run the exact per-member verification.
     """
     if subset_mask == 0:
         return True
@@ -109,6 +114,56 @@ def mask_satisfies_maximality_necessary_condition(graph: Graph, subset_mask: int
                 break
         else:
             # The candidate itself passed the degree filter already.
+            return False  # it extends H to a larger quasi-clique
+    return True
+
+
+def ledger_satisfies_maximality_necessary_condition(
+        graph: Graph, subset_mask: int, degrees: Sequence[int], gamma: float,
+        index: Sequence[int] | None = None) -> bool:
+    """:func:`mask_satisfies_maximality_necessary_condition` from known degrees.
+
+    ``subset_mask`` is ``H`` in a local index space and ``degrees[u]`` is
+    ``|Γ(u) ∩ H|`` for every member ``u`` (FastQC's ``deg_in_union`` ledger
+    when termination T1 fires).  ``index[u]`` is ``graph``'s index of local
+    vertex ``u``; ``None`` means the two index spaces agree.
+
+    ``H ∪ {v}`` is a quasi-clique iff every member of it has at least
+    ``r = ceil(gamma * |H|)`` neighbours there.  A member with ``r - 1``
+    neighbours in ``H`` is *critical*: ``v`` must be adjacent to it.  A member
+    with fewer can never be lifted, so nothing extends ``H``.  The candidates
+    are therefore the AND of the critical members' adjacency rows, minus
+    ``H``, and each costs one popcount.  One pass over ``H`` finds the
+    critical members; only when there is none does the bit-sliced general
+    check run.
+    """
+    required = degree_threshold(gamma, subset_mask.bit_count() + 1)
+    masks = graph.adjacency_masks()
+    bit_length = int.bit_length
+    candidates = -1  # AND of the critical members' rows; -1: none seen yet
+    target = subset_mask if index is None else 0  # H in graph's index space
+    remaining = subset_mask
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        u = bit_length(low) - 1
+        degree = degrees[u]
+        if index is not None:
+            u = index[u]
+            target |= 1 << u
+        if degree < required:
+            if degree < required - 1:
+                return True
+            candidates &= masks[u]
+            if not candidates:
+                return True
+    if candidates == -1:
+        return mask_satisfies_maximality_necessary_condition(graph, target, gamma)
+    candidates &= ~target
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        if (masks[bit_length(low) - 1] & target).bit_count() >= required:
             return False  # it extends H to a larger quasi-clique
     return True
 

@@ -403,27 +403,62 @@ def test_planted_skew_csr_batches_match_dict_batches(planted_skew):
     assert counters[2] > 0  # the halo check really suppressed outputs
 
 
+MAXIMALITY_CHECKS = ("ledger_satisfies_maximality_necessary_condition",
+                     "mask_satisfies_maximality_necessary_condition")
+
+
 def test_sequential_csr_run_checks_maximality_against_halo_graphs(
         planted_skew, monkeypatch):
-    """Guard: every maximality check of a sequential CSR run targets one
+    """Guard: every maximality decision of a sequential CSR run (the ledger
+    check on T1 outputs, the mask check on G[S] outputs) targets one
     subproblem's ball-plus-halo graph, never the |V|-vertex input graph."""
     _graph, csr = planted_skew
     targets = []
-    check = fastqc_module.mask_satisfies_maximality_necessary_condition
 
-    def recording(graph, subset_mask, gamma):
-        targets.append((graph is csr, graph.vertex_count))
-        return check(graph, subset_mask, gamma)
+    def recording(check):
+        def record(graph, *args):
+            targets.append((graph is csr, graph.vertex_count))
+            return check(graph, *args)
+        return record
 
-    monkeypatch.setattr(fastqc_module,
-                        "mask_satisfies_maximality_necessary_condition", recording)
-    DCFastQC(csr, SKEW_GAMMA, SKEW_THETA).enumerate()
+    for name in MAXIMALITY_CHECKS:
+        monkeypatch.setattr(fastqc_module, name,
+                            recording(getattr(fastqc_module, name)))
+    dc = DCFastQC(csr, SKEW_GAMMA, SKEW_THETA)
+    dc.enumerate()
     halo_sizes = {len(payload.labels) + len(payload.halo_labels) for payload in
                   DCFastQC(csr, SKEW_GAMMA, SKEW_THETA).iter_compact_subproblems()}
-    assert targets
+    stats = dc.statistics
+    assert len(targets) == stats.outputs + stats.outputs_suppressed_by_maximality
     assert not any(is_input for is_input, _ in targets)
     assert {vertex_count for _, vertex_count in targets} <= halo_sizes
     assert max(halo_sizes) < csr.vertex_count
+
+
+def test_sequential_csr_run_builds_labels_only_for_kept_outputs(
+        planted_skew, monkeypatch):
+    """Guard without wall-clock time: the emission path decides size, dedup
+    and maximality on local masks.  Subproblem graphs build labels once per
+    kept output, and nothing maps labels back to a mask."""
+    _graph, csr = planted_skew
+    calls = {"labels_of_mask": 0, "mask_of": 0}
+
+    def counting(name, method):
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+
+    # Subproblem and ball-plus-halo graphs are plain Graphs.  The CSR input
+    # graph overrides both methods, so the core reduction's own calls on it
+    # are not counted.
+    for name in calls:
+        monkeypatch.setattr(Graph, name, counting(name, getattr(Graph, name)))
+    dc = DCFastQC(csr, SKEW_GAMMA, SKEW_THETA)
+    dc.enumerate()
+    stats = dc.statistics
+    assert stats.outputs_suppressed_by_maximality > 0
+    assert calls == {"labels_of_mask": stats.outputs, "mask_of": 0}
 
 
 def test_engine_stream_over_csr_yields_the_answer(planted_skew):

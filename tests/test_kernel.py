@@ -7,10 +7,12 @@ Three layers of guarantees:
    scratch (the property the whole kernel rests on).
 2. **Component parity** — refinement, pivot selection and branch generation
    agree with their mask-based :mod:`repro.oracle` counterparts on random
-   branches.
+   branches, and the union minimum refinement hands over equals a fresh
+   :func:`union_min_degree` scan.
 3. **Driver behaviour** — the explicit work stack searches arbitrarily deep
    branch trees without touching the Python recursion limit, and the emit
-   path dedups before any label/maximality work.
+   path dedups and checks maximality on masks, building labels only for kept
+   outputs.
 """
 
 from __future__ import annotations
@@ -130,14 +132,15 @@ class TestKernelReferenceParity:
 
     def test_refine_state_matches_progressively_refine(self):
         rng = random.Random(99)
+        unpruned = 0
         for trial in range(30):
             graph = erdos_renyi_gnp(12, rng.uniform(0.25, 0.7), seed=1300 + trial)
             branch = _random_branch(graph, rng)
             gamma, theta = rng.choice(self.GRID)
             reference = progressively_refine(graph, branch, gamma, theta)
             state = BranchState.from_branch(graph, branch)
-            pruned, tau_value, rounds, removed1, removed2 = refine_state(
-                state, gamma, theta)
+            (pruned, tau_value, rounds, removed1, removed2,
+             min_deg, argmin) = refine_state(state, gamma, theta)
             assert pruned == reference.pruned
             assert tau_value == reference.tau_value
             assert rounds == reference.rounds
@@ -146,22 +149,35 @@ class TestKernelReferenceParity:
             assert state.s_mask == reference.branch.s_mask
             assert state.c_mask == reference.branch.c_mask
             _assert_ledgers_match(graph, state)
+            if not pruned:
+                # Refinement hands over the pivot scan's minimum and argmin.
+                assert (min_deg, argmin) == union_min_degree(state)
+                unpruned += 1
+        assert unpruned >= 5
 
     def test_refine_state_honours_max_rounds(self):
         rng = random.Random(17)
+        capped = 0
         for trial in range(20):
             graph = erdos_renyi_gnp(11, rng.uniform(0.3, 0.7), seed=1500 + trial)
             branch = _random_branch(graph, rng)
             gamma, theta = rng.choice(self.GRID)
+            uncapped = progressively_refine(graph, branch, gamma, theta)
             for cap in (1, 2):
                 reference = progressively_refine(graph, branch, gamma, theta,
                                                  max_rounds=cap)
                 state = BranchState.from_branch(graph, branch)
-                pruned, tau_value, rounds, _, _ = refine_state(
+                pruned, tau_value, rounds, _, _, min_deg, argmin = refine_state(
                     state, gamma, theta, max_rounds=cap)
                 assert (pruned, tau_value, rounds) == (
                     reference.pruned, reference.tau_value, reference.rounds)
                 assert state.c_mask == reference.branch.c_mask
+                if not pruned:
+                    assert (min_deg, argmin) == union_min_degree(state)
+                if uncapped.rounds > cap:
+                    capped += 1
+        # The cap must really cut refinement short on part of the grid.
+        assert capped >= 5
 
     def test_pivot_and_children_match_reference(self):
         rng = random.Random(55)
