@@ -20,8 +20,8 @@ the CSR layout cannot absorb edits in place; :meth:`CSRGraph.thaw` is the
 documented escape hatch back to a mutable dict/bitmask graph.
 
 The facade is exact: adjacency masks, neighbour orderings and therefore
-every content-deterministic tie-break (degeneracy ordering, compact
-subgraph local index assignment, pivot selection) are identical to what a
+every content-deterministic tie-break (degeneracy ordering, subproblem
+local index assignment, pivot selection) are identical to what a
 dict-backed :class:`Graph` of the same content produces, so CSR-backed
 queries return answers identical to dict-backed ones.  The CSR-native
 algorithm variants in this module (degeneracy/cores, restricted ordering,
@@ -441,7 +441,8 @@ class CSRGraph(Graph):
 
 def csr_degeneracy_order_and_cores(graph: CSRGraph) -> tuple[list[int], list[int]]:
     """Index-space ``(order, core_numbers)``; the Batagelj–Zaversnik buckets
-    of ``_degeneracy_order_and_cores`` run over CSR rows instead of bitmasks."""
+    of ``repro.graph.core_decomposition._bucket_peel`` run over CSR rows
+    instead of bitmasks."""
     n = graph.vertex_count
     if n == 0:
         return [], []
@@ -484,10 +485,12 @@ def csr_degeneracy_order_and_cores(graph: CSRGraph) -> tuple[list[int], list[int
 def csr_restricted_degeneracy_order(graph: CSRGraph, mask: int) -> list[int]:
     """Degeneracy ordering of ``G[mask]`` as global indices, CSR-native.
 
-    Produces exactly the sequence ``degeneracy_ordering(compact_subgraph(
-    graph, mask))`` would (mapped back to global indices): compact local
-    indices are monotone in global indices, so ascending-global scans here
-    equal ascending-local scans there.
+    Produces exactly the sequence :func:`~repro.graph.degeneracy_ordering`
+    returns on a rebuilt copy of ``G[mask]`` whose local indices ascend by
+    global index (mapped back to global indices): ascending-global scans
+    here equal ascending-local scans there.  The dict route of
+    :func:`~repro.graph.degeneracy_ordering_within` peels the same way over
+    bitmask rows.
     """
     members = list(iter_mask_indices(mask))
     if not members:

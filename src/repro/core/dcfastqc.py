@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ..graph.graph import Graph, VertexLabel, iter_bits
 from ..graph.core_decomposition import degeneracy_ordering_within, k_core_vertices
-from ..graph.subgraph import ball_and_halo, compact_subgraph, two_hop_mask
+from ..graph.subgraph import ball_and_halo, two_hop_mask
 from ..obs.trace import NULL_TRACER
 from ..quasiclique.definitions import degree_threshold, gamma_pq, validate_parameters
 from .branch import Branch
@@ -53,14 +53,16 @@ class SubproblemRecord:
 
 @dataclass(frozen=True)
 class CompactSubproblem:
-    """One divide-and-conquer subproblem remapped to a dense local index space.
+    """One divide-and-conquer subproblem in a dense local index space, which
+    :class:`~repro.core.fastqc.FastQC` searches directly.
 
-    ``labels[i]`` is the original label of local index ``i`` and
-    ``adjacency_masks[i]`` its neighbour bitmask *within the subproblem*, so
-    bitmask and ledger widths track ``len(labels)`` instead of the input
-    graph's vertex count.  The payload is a plain tuple-of-ints structure on
-    purpose: :mod:`repro.extensions.stealing` copies it into one shared-memory
-    segment per subproblem for its worker processes.
+    ``labels[i]`` is the original label of local index ``i`` and ``rows[i]``
+    its neighbour bitmask *within the subproblem*; local indices ascend by
+    global index.  The payload provides the part of the :class:`Graph`
+    interface a branch reads, so bitmask and ledger widths track
+    ``len(labels)`` and no graph is built per subproblem.  It is a plain
+    tuple-of-ints structure on purpose: :mod:`repro.extensions.stealing`
+    copies it into one shared-memory segment per subproblem.
 
     ``halo_labels`` / ``halo_adjacency`` carry the subproblem's **one-hop
     maximality halo**: every full-graph neighbour of a subproblem member that
@@ -68,65 +70,101 @@ class CompactSubproblem:
     *into* the subproblem (a bitmask over the local ball indices).  Any
     single-vertex extension of a candidate ``H ⊆`` ball is adjacent to ``H``,
     so it lives in the ball or the halo, and deciding whether it extends
-    ``H`` only consults edges into the ball — the halo therefore lets an
-    engine that never sees the full graph reproduce the full-graph
-    maximality filtering exactly.
+    ``H`` only consults edges into the ball — :meth:`maximality_rows`
+    therefore lets a search that never sees the full graph reproduce the
+    full-graph maximality filtering exactly.
     """
 
     root_local: int                 # local index of the subproblem root v_i
     labels: tuple                   # local index -> original label
-    adjacency_masks: tuple[int, ...]
+    rows: tuple[int, ...]           # local index -> neighbours in the ball
     halo_labels: tuple = ()         # one-hop neighbours outside the ball
     halo_adjacency: tuple[int, ...] = ()  # their adjacency into the ball
 
     @classmethod
     def from_ball(cls, graph: Graph, root_index: int,
                   ball_mask: int) -> "CompactSubproblem":
-        """Extract the subproblem on ``ball_mask`` (rooted at ``root_index``).
+        """The subproblem on ``ball_mask`` (rooted at ``root_index``), with its halo.
 
-        Ball adjacency and halo come from one walk over the members'
-        neighbours (:func:`~repro.graph.subgraph.ball_and_halo`):
+        Ball rows and halo come from one walk over the members' neighbours
+        (:func:`~repro.graph.subgraph.ball_and_halo`):
         ``O(Σ deg(ball))``, with no ``|V|``-wide mask on a CSR-backed graph.
-        Local indices follow ascending global index, as in
-        :func:`~repro.graph.subgraph.compact_subgraph`.
         """
-        members, adjacency, halo = ball_and_halo(graph, ball_mask)
+        members, rows, halo = ball_and_halo(graph, ball_mask)
         halo_order = sorted(halo)
         label_of = graph.label_of
         return cls(root_local=members.index(root_index),
                    labels=tuple(label_of(index) for index in members),
-                   adjacency_masks=tuple(adjacency),
+                   rows=tuple(rows),
                    halo_labels=tuple(label_of(index) for index in halo_order),
                    halo_adjacency=tuple(halo[index] for index in halo_order))
 
-    def build_graph(self) -> Graph:
-        """Materialise the subproblem graph (labels preserved)."""
-        return Graph.from_dense_adjacency(self.labels, self.adjacency_masks)
+    @classmethod
+    def from_members(cls, graph: Graph, root_index: int, members: list[int],
+                     mask: int) -> "CompactSubproblem":
+        """The subproblem on ``mask`` (``members``: its bits ascending), no halo.
 
-    def build_maximality_graph(self) -> Graph:
-        """Materialise the ball plus its one-hop halo (maximality surrogate).
-
-        Halo vertices occupy the local indices after the ball; halo–halo
-        edges are intentionally absent (the necessary-condition check adds
-        one vertex at a time to a set inside the ball, so it never reads
-        them).  Without a recorded halo this is just the ball graph.
+        For a graph whose rows exist as bitmasks: each edge is read once, from
+        its lower endpoint's ``adjacency_mask(g) & mask``.
         """
-        if not self.halo_labels:
-            return self.build_graph()
+        local_of = {index: local for local, index in enumerate(members)}
+        masks = graph.adjacency_masks()
+        bit_length = int.bit_length
+        rows = [0] * len(members)
+        later = mask
+        for local, index in enumerate(members):
+            later ^= 1 << index
+            walk = masks[index] & later
+            row = rows[local]
+            bit = 1 << local
+            while walk:
+                low = walk & -walk
+                walk ^= low
+                neighbour = local_of[bit_length(low) - 1]
+                rows[neighbour] |= bit
+                row |= 1 << neighbour
+            rows[local] = row
+        return cls(root_local=local_of[root_index],
+                   labels=tuple(map(graph.label_of, members)),
+                   rows=tuple(rows))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.labels)
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        return self.rows
+
+    def adjacency_mask(self, index: int) -> int:
+        return self.rows[index]
+
+    def labels_of_mask(self, mask: int) -> frozenset:
+        """The original labels of the local indices set in ``mask``."""
+        labels = self.labels
+        return frozenset(labels[i] for i in iter_bits(mask))
+
+    def maximality_rows(self) -> tuple[int, ...] | list[int]:
+        """The ball's rows with halo vertex ``j`` spliced in as index
+        ``len(labels) + j``, then the halo's rows: what the maximality filter
+        reads.  Halo–halo edges are absent (the check adds one vertex at a
+        time to a set inside the ball, so it never reads them).
+        """
+        if not self.halo_adjacency:
+            return self.rows
         ball_size = len(self.labels)
-        combined = list(self.adjacency_masks)
-        for offset, ball_adjacency in enumerate(self.halo_adjacency):
+        combined = list(self.rows)
+        for offset, into_ball in enumerate(self.halo_adjacency):
             halo_bit = 1 << (ball_size + offset)
-            combined.append(ball_adjacency)
-            for member in iter_bits(ball_adjacency):
+            for member in iter_bits(into_ball):
                 combined[member] |= halo_bit
-        return Graph.from_dense_adjacency(self.labels + self.halo_labels, combined)
+        combined.extend(self.halo_adjacency)
+        return combined
 
     def initial_branch(self) -> Branch:
         """The branch ``(S = {root}, C = rest, D = ∅)`` in local index space.
 
         The globally-excluded prior vertices of Equation 19 simply do not
-        exist in the compact graph, so D starts empty.
+        exist in the compact index space, so D starts empty.
         """
         root_bit = 1 << self.root_local
         full = (1 << len(self.labels)) - 1
@@ -175,10 +213,9 @@ def two_hop_pruning_threshold(gamma: float, theta: int, max_size: int) -> int:
 class DCFastQC:
     """Divide-and-conquer MQCE-S1 enumerator built on top of :class:`FastQC`.
 
-    Each subproblem is remapped to a compact dense index space, so bitmask
-    and ledger widths track the subproblem size, not the graph; on a
-    CSR-backed graph it is enumerated as a :class:`CompactSubproblem`, the
-    way work-stealing workers do.
+    Each subproblem is searched as a :class:`CompactSubproblem` in a dense
+    local index space, so bitmask and ledger widths track the subproblem
+    size, not the graph, and no :class:`Graph` is built per subproblem.
 
     Parameters
     ----------
@@ -294,47 +331,46 @@ class DCFastQC:
         yield from self._iter_batches()
 
     def _iter_batches(self) -> Iterator[list[frozenset]]:
-        """One batch per subproblem, each run on its own compact graph.
+        """One batch per subproblem, each searched on its compact payload.
 
-        The per-subproblem FastQC engines carry ledgers and bitmasks whose
-        width is the subproblem size.  The maximality filter checks the
-        subproblem's ball plus one-hop halo on a CSR-backed graph (a
-        full-graph check there builds ``|V|``-wide masks per candidate) and
-        the full graph on a dict graph, where the masks already exist and
-        most subproblems check too few candidates to repay a halo.  Both
-        decide like a whole-graph check, so the emitted candidate sets do not
-        depend on the graph backend.  Statistics from every subproblem engine
-        are merged into :attr:`statistics`.
+        On a dict graph the maximality filter reads the full graph's rows
+        through the member list: they already exist, and a halo measured
+        slower.  A CSR-backed graph has no bitmask rows, so its payloads
+        carry a halo and the filter reads their
+        :meth:`~CompactSubproblem.maximality_rows`.  Both decide like a
+        whole-graph check.  Every engine's statistics merge into
+        :attr:`statistics`.
         """
         self.statistics = SearchStatistics()
         if self.progress is not None:
             # The run-wide aggregate drives the heartbeat counter snapshot;
             # per-subproblem engine statistics must not displace it.
             self.progress.attach_statistics(self.statistics)
-        use_halo = getattr(self.graph, "indptr", None) is not None
+        graph = self.graph
+        full_rows = (None if getattr(graph, "indptr", None) is not None
+                     else graph.adjacency_masks())
         for root_index, refined_mask, _prior_mask in self._iter_subproblems():
             if self.stopped:
                 return
-            if use_halo:
-                payload = CompactSubproblem.from_ball(self.graph, root_index, refined_mask)
-                subgraph, root_local = payload.build_graph(), payload.root_local
-                maximality_graph = payload.build_maximality_graph()
+            if full_rows is None:
+                payload = CompactSubproblem.from_ball(graph, root_index, refined_mask)
+                maximality_rows, maximality_index = payload.maximality_rows(), None
             else:
-                subgraph = compact_subgraph(self.graph, refined_mask)
-                root_local = (refined_mask & ((1 << root_index) - 1)).bit_count()
-                maximality_graph = self.graph
+                members = list(iter_bits(refined_mask))
+                payload = CompactSubproblem.from_members(
+                    graph, root_index, members, refined_mask)
+                maximality_rows, maximality_index = full_rows, members
             engine = self._engine_class(
-                subgraph, self.gamma, self.theta, branching=self.branching,
+                payload, self.gamma, self.theta, branching=self.branching,
                 maximality_filter=self.maximality_filter,
-                maximality_graph=maximality_graph,
+                maximality_rows=maximality_rows,
+                maximality_index=maximality_index,
                 on_output=self.on_output, should_stop=self.should_stop,
                 progress=self.progress)
-            root_bit = 1 << root_local
-            branch = Branch(root_bit, subgraph.full_mask() & ~root_bit, 0)
             with self.tracer.span("subproblem", stats=engine.statistics,
-                                  root=str(self.graph.label_of(root_index)),
-                                  size=subgraph.vertex_count):
-                batch = engine.enumerate_branch(branch)
+                                  root=str(graph.label_of(root_index)),
+                                  size=payload.vertex_count):
+                batch = engine.enumerate_branch(payload.initial_branch())
             self.statistics.merge(engine.statistics)
             self.statistics.subproblem_branches.record(
                 engine.statistics.branches_explored)
@@ -350,9 +386,9 @@ class DCFastQC:
         :class:`repro.extensions.parallel.ParallelDCFastQC` — the parent
         process runs the cheap global preprocessing (core reduction, ordering,
         two-hop shrinking) and ships each subproblem as dense local-index
-        adjacency plus its one-hop halo, so worker enumeration cost scales
-        with the subproblem, not the graph.  The sequential driver on a
-        CSR-backed graph enumerates the same payloads (:meth:`_iter_batches`).
+        rows plus its one-hop halo, so worker enumeration cost scales with
+        the subproblem, not the graph.  The sequential driver on a CSR-backed
+        graph searches the same payloads (:meth:`_iter_batches`).
         """
         for root_index, refined_mask, _prior_mask in self._iter_subproblems():
             if self.stopped:
@@ -362,8 +398,9 @@ class DCFastQC:
     def _iter_subproblems(self) -> Iterator[tuple[int, int, int]]:
         """Lines 2-6 of Algorithm 3: yield ``(root_index, refined_mask, prior_mask)``.
 
-        Trivial subproblems (refined size below theta, or the root pruned by
-        its own shrinking) are recorded in the DC statistics but not yielded.
+        Every root's sizes go to the DC statistics' subproblem records; the
+        trivial ones (refined size below theta, or the root pruned by its own
+        shrinking) are not yielded.
         Sets :attr:`stopped` when ``should_stop`` fires between subproblems.
         """
         with self.tracer.span("decompose") as decompose_span:
@@ -391,7 +428,6 @@ class DCFastQC:
             self.dc_statistics.subproblem_records.append(SubproblemRecord(
                 root=root, initial_size=initial_size,
                 refined_size=refined_mask.bit_count()))
-            self.statistics.subproblem_sizes.record(refined_mask.bit_count())
             prior_mask |= 1 << root_index
             if refined_mask.bit_count() < self.theta or not (refined_mask >> root_index) & 1:
                 continue
@@ -420,16 +456,16 @@ class DCFastQC:
 
     def _vertex_ordering(self, core_mask: int) -> list[VertexLabel]:
         """Line 2 of Algorithm 3: degeneracy ordering ("dc") or degree ordering ("basic-dc")."""
-        kept_labels = self.graph.labels_of_mask(core_mask)
-        if not kept_labels:
+        if not core_mask:
             return []
+        graph = self.graph
         if self.framework == "basic-dc":
-            return sorted(kept_labels, key=lambda v: (self.graph.degree(v), self.graph.index_of(v)))
-        # Restricted ordering without extracting the whole core as a compact
-        # graph (O(core^2) bits — prohibitive on CSR-backed large graphs).
-        # The tie-breaks are content-deterministic, so this equals ordering a
-        # rebuilt copy of G[core_mask].
-        return degeneracy_ordering_within(self.graph, core_mask)
+            return sorted(graph.labels_of_mask(core_mask),
+                          key=lambda v: (graph.degree(v), graph.index_of(v)))
+        # Restricted ordering in the graph's own index space: no graph of the
+        # core is built.  The tie-breaks are content-deterministic, so this
+        # equals ordering a rebuilt copy of G[core_mask].
+        return degeneracy_ordering_within(graph, core_mask)
 
     def _shrink_subproblem(self, root_index: int, subproblem_mask: int) -> int:
         """Lines 5-6 of Algorithm 3: one-hop and two-hop pruning for MAX_ROUND rounds.

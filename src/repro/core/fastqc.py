@@ -18,15 +18,16 @@ form of the same search as the differential-testing oracle.)  The search
 runs on an explicit work stack
 (:func:`repro.core.kernel.depth_first_enumerate`), so deep branch trees no
 longer consume Python stack frames and no recursion-limit manipulation is
-needed.  The engine works on branches over the input graph and never
-materialises subgraphs itself, so it serves both the standalone FastQC entry
-point and the DCFastQC divide-and-conquer driver (which seeds it with one
-compact subproblem graph per subproblem).
+needed.  A branch reads only ``vertex_count``, ``adjacency_masks()``,
+``adjacency_mask(i)`` and ``labels_of_mask(mask)`` from the search input: a
+:class:`~repro.graph.graph.Graph`, or the
+:class:`~repro.core.dcfastqc.CompactSubproblem` that DCFastQC and the
+work-stealing workers search per subproblem without building a graph of it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 from ..graph.graph import Graph, VertexLabel, iter_bits
 from ..quasiclique.definitions import validate_parameters
@@ -53,7 +54,9 @@ class FastQC:
     Parameters
     ----------
     graph:
-        The input graph.
+        The search input: a graph, or a
+        :class:`~repro.core.dcfastqc.CompactSubproblem` (searched from an
+        explicit branch with :meth:`enumerate_branch`).
     gamma:
         Degree fraction threshold, in ``[0.5, 1]``.
     theta:
@@ -65,17 +68,16 @@ class FastQC:
         When True (default), outputs must pass the polynomial necessary
         condition of maximality, which discards many non-maximal QCs without
         ever discarding a maximal one.
-    maximality_graph:
-        The graph the maximality filter checks extensions against; defaults
-        to ``graph``.  While ``graph`` is a compact DC subproblem, this must
-        hold every edge between the subproblem and its outside neighbours:
-        either the full input graph (DCFastQC on dict graphs) or the
-        subproblem's ball plus one-hop halo
-        (:meth:`~repro.core.dcfastqc.CompactSubproblem.build_maximality_graph`,
-        used on CSR graphs and by work-stealing workers).  Both make
-        suppression decisions identical to a whole-graph run.  Every label of
-        ``graph`` must be a vertex of it; the local-to-target index table is
-        derived from the labels once, here.
+    maximality_rows, maximality_index:
+        The adjacency rows the maximality filter checks extensions against
+        (default ``graph.adjacency_masks()``), and the row index of each
+        vertex of ``graph`` in them (None: the index spaces agree).  For a
+        compact DC subproblem the rows must hold every edge between it and
+        its outside neighbours: the full input graph's rows through the
+        member list (DCFastQC on dict graphs), or the ball plus one-hop halo
+        (:meth:`~repro.core.dcfastqc.CompactSubproblem.maximality_rows`, on
+        CSR graphs and in work-stealing workers).  Both make suppression
+        decisions identical to a whole-graph run.
     on_output:
         Optional callback invoked with each output vertex set (as a frozenset
         of labels) as it is found.
@@ -94,7 +96,8 @@ class FastQC:
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
                  branching: str = "hybrid", maximality_filter: bool = True,
-                 maximality_graph: Graph | None = None,
+                 maximality_rows: Sequence[int] | None = None,
+                 maximality_index: Sequence[int] | None = None,
                  on_output: Callable[[frozenset], None] | None = None,
                  should_stop: Callable[[], bool] | None = None,
                  progress=None) -> None:
@@ -106,8 +109,9 @@ class FastQC:
         self.theta = theta
         self.branching = branching
         self.maximality_filter = maximality_filter
-        self.maximality_graph = maximality_graph if maximality_graph is not None else graph
-        self._maximality_index = _index_table(graph, self.maximality_graph)
+        self._maximality_rows = (graph.adjacency_masks() if maximality_rows is None
+                                 else maximality_rows)
+        self._maximality_index = maximality_index
         self.on_output = on_output
         self.should_stop = should_stop
         self.progress = progress
@@ -271,30 +275,17 @@ class FastQC:
         """The single-vertex-extension necessary condition of maximality.
 
         With ``degrees`` (a T1 output) the check reads the ledger; without
-        (a ``G[S]`` output) it is the bit-sliced mask check.  Both run on
-        :attr:`maximality_graph`, reached through the local index table.
+        (a ``G[S]`` output) it is the bit-sliced mask check.  Both read the
+        maximality rows, through the maximality index when there is one.
         """
-        index = self._maximality_index
+        rows, index = self._maximality_rows, self._maximality_index
         if degrees is not None:
             return ledger_satisfies_maximality_necessary_condition(
-                self.maximality_graph, subset_mask, degrees, self.gamma, index)
+                rows, subset_mask, degrees, self.gamma, index)
         if index is not None:
             subset_mask = sum(1 << index[v] for v in iter_bits(subset_mask))
         return mask_satisfies_maximality_necessary_condition(
-            self.maximality_graph, subset_mask, self.gamma)
-
-
-def _index_table(graph: Graph, target: Graph) -> list[int] | None:
-    """``target``'s index of every vertex of ``graph``; None when they agree.
-
-    A ball-plus-halo maximality graph lists the ball first, in the
-    subproblem's order, so only the full input graph (DCFastQC on a dict
-    graph) needs a table.
-    """
-    if target is graph:
-        return None
-    table = [target.index_of(label) for label in graph.vertices()]
-    return None if table == list(range(len(table))) else table
+            rows, subset_mask, self.gamma)
 
 
 def fastqc_enumerate(graph: Graph, gamma: float, theta: int,

@@ -89,10 +89,14 @@ class BranchState:
     The masks mirror :class:`repro.core.branch.Branch` (same index space, same
     invariants); on top of them the state maintains, for every member of the
     union, ``deg_in_s[v]`` and ``deg_in_union[v]`` — the number of neighbours
-    of ``v`` inside ``S`` and inside ``S ∪ C``.  Ledger entries of vertices
-    outside ``S ∪ C`` are never read: single-vertex moves update them anyway
-    (the updates are symmetric), while :meth:`remove_mask`'s mass-removal
-    path deliberately lets them go stale.
+    of ``v`` inside ``S`` and inside ``S ∪ C``.  ``graph`` is the search
+    input, a :class:`Graph` or a
+    :class:`~repro.core.dcfastqc.CompactSubproblem`; the state reads only its
+    ``vertex_count``, ``adjacency_masks()`` and ``adjacency_mask(i)``.
+    Ledger entries of vertices outside ``S ∪ C`` are never read:
+    single-vertex moves update them anyway (the updates are symmetric),
+    while :meth:`remove_mask`'s mass-removal path deliberately lets them go
+    stale.
 
     States are mutable; :meth:`copy` is an O(n) flat-buffer copy used when a
     branch forks into children, after which each single-vertex move costs

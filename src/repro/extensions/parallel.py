@@ -15,8 +15,8 @@ degeneracy ordering, per-root two-hop shrinking) exactly once and publishes
 each subproblem as a *compact* payload
 (:class:`~repro.core.dcfastqc.CompactSubproblem`): the subproblem's vertices
 remapped to a dense local index space with their within-subproblem adjacency
-bitmasks.  Workers therefore enumerate graphs whose bitmask and ledger widths
-track the subproblem size, not the input graph.
+bitmasks.  Workers search those payloads directly, so bitmask and ledger
+widths track the subproblem size, not the input graph.
 
 Each payload also carries the subproblem's **one-hop maximality halo** (the
 outside neighbours of the ball with their adjacency into it), so workers apply
@@ -86,19 +86,17 @@ def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
                            ) -> tuple[list[frozenset], SearchStatistics]:
     """Enumerate one compact DC subproblem in-process (the per-subproblem reference).
 
-    The maximality filter checks single-vertex extensions against the ball
-    plus its one-hop halo, which decides exactly like a full-graph check (any
-    extension vertex is adjacent to the candidate set, hence inside ball ∪
-    halo) — so the emitted candidate sets are *identical* to sequential
-    DCFastQC's for this root.  Returns the candidate sets and the run's
+    FastQC searches the payload itself.  The maximality filter checks
+    single-vertex extensions against the ball plus its one-hop halo
+    (:meth:`CompactSubproblem.maximality_rows`), which decides exactly like a
+    full-graph check (any extension vertex is adjacent to the candidate set,
+    hence inside ball ∪ halo) — so the emitted candidate sets are
+    *identical* to sequential DCFastQC's for this root.  Returns the candidate sets and the run's
     :class:`SearchStatistics`; the work-stealing parity tests compare
     branch-parallel runs against both.
     """
-    graph = subproblem.build_graph()
-    maximality = (subproblem.build_maximality_graph()
-                  if subproblem.halo_labels else graph)
-    engine = FastQC(graph, gamma, theta, branching=branching,
-                    maximality_graph=maximality)
+    engine = FastQC(subproblem, gamma, theta, branching=branching,
+                    maximality_rows=subproblem.maximality_rows())
     chunk = engine.enumerate_branch(subproblem.initial_branch())
     return chunk, engine.statistics
 

@@ -100,7 +100,7 @@ def encode_subproblem(subproblem: CompactSubproblem) -> bytes:
     _HEADER.pack_into(buffer, 0, _MAGIC, ball, halo, row_bytes,
                       subproblem.root_local, len(labels_blob))
     offset = _HEADER.size
-    for mask in subproblem.adjacency_masks:
+    for mask in subproblem.rows:
         buffer[offset:offset + row_bytes] = mask.to_bytes(row_bytes, "little")
         offset += row_bytes
     for mask in subproblem.halo_adjacency:
@@ -125,7 +125,7 @@ def decode_subproblem(buffer: bytes) -> CompactSubproblem:
         bytes(buffer[offset:offset + labels_len]))
     return CompactSubproblem(
         root_local=root_local, labels=labels,
-        adjacency_masks=tuple(rows[:ball]),
+        rows=tuple(rows[:ball]),
         halo_labels=halo_labels, halo_adjacency=tuple(rows[ball:]))
 
 
@@ -308,12 +308,9 @@ class _WorkerRuntime:
         engine = self.engines.get(token)
         if engine is None:
             subproblem = self.cache.get(token)
-            graph = subproblem.build_graph()
-            maximality = (subproblem.build_maximality_graph()
-                          if subproblem.halo_labels else graph)
-            engine = FastQC(graph, self.config.gamma, self.config.theta,
+            engine = FastQC(subproblem, self.config.gamma, self.config.theta,
                             branching=self.config.branching,
-                            maximality_graph=maximality,
+                            maximality_rows=subproblem.maximality_rows(),
                             on_output=self.emissions.append)
             self.engines[token] = engine
         return engine
@@ -604,7 +601,7 @@ class InlineStealRuntime:
 
     Drives the *same* scheduler/driver surfaces as the multiprocessing
     runtime, but a "stolen" subtree is enumerated immediately by a fresh
-    sequential thief engine over the same compact graphs, and its exact driver
+    sequential thief engine over the same compact payload, and its exact driver
     verdict is contributed straight back.  With a seeded
     :class:`ForcedStealSchedule` the steal points are fully deterministic,
     which is what the branch-for-branch differential tests sweep.

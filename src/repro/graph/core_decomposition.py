@@ -54,63 +54,16 @@ def _degeneracy_order_and_cores(graph: Graph) -> tuple[list[VertexLabel], dict[V
         return [], {}
     if getattr(graph, "indptr", None) is not None:
         # CSR-backed graph: run the bucket algorithm over the flat rows.
-        # Building the mask list below would transiently materialise O(n^2)
-        # bits — exactly what the CSR tier exists to avoid.  The native
-        # variant mirrors this function's scan order bit for bit (ascending
-        # bucket init, LIFO pops with the stale skip, ascending neighbour
-        # walks over the sorted rows), so orderings and core numbers are
-        # identical for identical content.
+        # Bitmask rows would transiently materialise O(n^2) bits — exactly
+        # what the CSR tier exists to avoid.  The native variant mirrors
+        # _bucket_peel's scan order bit for bit, so orderings and core
+        # numbers are identical for identical content.
         from ..core.csr import csr_degeneracy_order_and_cores
 
         order_indices, core_of_index = csr_degeneracy_order_and_cores(graph)
-        order = [graph.label_of(i) for i in order_indices]
-        cores = {graph.label_of(i): core_of_index[i] for i in range(n)}
-        return order, cores
-    masks = graph.adjacency_masks()
-    degrees = [mask.bit_count() for mask in masks]
-    max_degree = max(degrees)
-    buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
-    for index, degree in enumerate(degrees):
-        buckets[degree].append(index)
-    position_removed = [False] * n
-    current_degree = list(degrees)
-    order_indices: list[int] = []
-    core_of_index = [0] * n
-    current_core = 0
-    pointer = 0
-    removed = 0
-    bit_length = int.bit_length
-    while removed < n:
-        # Find the non-empty bucket with the smallest degree.
-        while pointer <= max_degree and not buckets[pointer]:
-            pointer += 1
-        vertex = buckets[pointer].pop()
-        if position_removed[vertex] or current_degree[vertex] != pointer:
-            # Stale entry (the vertex's degree changed after it was bucketed).
-            continue
-        position_removed[vertex] = True
-        removed += 1
-        current_core = max(current_core, pointer)
-        core_of_index[vertex] = current_core
-        order_indices.append(vertex)
-        # Neighbour walks run over the adjacency bitmask in ascending index
-        # order, so the ordering is a pure function of the graph's *content*
-        # — identically-built graphs (e.g. an induced subgraph vs a compact
-        # remap of the same vertex set) order identically, whereas Python
-        # set iteration would leak each graph object's insertion history
-        # into the tie-breaks.
-        remaining = masks[vertex]
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            neighbour = bit_length(low) - 1
-            if position_removed[neighbour]:
-                continue
-            current_degree[neighbour] -= 1
-            new_degree = current_degree[neighbour]
-            buckets[new_degree].append(neighbour)
-            if new_degree < pointer:
-                pointer = new_degree
+    else:
+        order_indices, core_of_index = _bucket_peel(graph.adjacency_masks(),
+                                                    graph.full_mask())
     order = [graph.label_of(i) for i in order_indices]
     cores = {graph.label_of(i): core_of_index[i] for i in range(n)}
     return order, cores
@@ -119,26 +72,80 @@ def _degeneracy_order_and_cores(graph: Graph) -> tuple[list[VertexLabel], dict[V
 def degeneracy_ordering_within(graph: Graph, mask: int) -> list[VertexLabel]:
     """Degeneracy ordering of the induced subgraph ``G[mask]``, as labels.
 
-    For the full mask this is just :func:`degeneracy_ordering`.  On a
-    CSR-backed graph the restricted bucket algorithm runs natively over the
-    flat rows — O(|mask| + restricted edges) — instead of first extracting a
-    compact dict/bitmask subgraph of the whole core (O(core^2) bits, the step
-    that would dominate DCFastQC's decompose phase on 10^5-vertex graphs).
-    Because compact local indices are assigned in increasing global index,
-    the native ordering is exactly what ``degeneracy_ordering(
-    compact_subgraph(graph, mask))`` returns; dict-backed graphs simply take
-    that compact route.
+    For the full mask this is just :func:`degeneracy_ordering`.  Otherwise
+    the bucket algorithm peels ``G[mask]`` in the graph's own index space,
+    with no graph of ``G[mask]`` built: natively over the flat rows on a
+    CSR-backed graph, over the bitmask rows restricted to ``mask``
+    otherwise.  Both keep :func:`degeneracy_ordering`'s scan order, so the
+    result is exactly its ordering of a rebuilt ``G[mask]`` whose indices
+    ascend by global index.
     """
     if mask == graph.full_mask():
         return degeneracy_ordering(graph)
     if getattr(graph, "indptr", None) is not None:
         from ..core.csr import csr_restricted_degeneracy_order
 
-        return [graph.label_of(i)
-                for i in csr_restricted_degeneracy_order(graph, mask)]
-    from .subgraph import compact_subgraph
+        order = csr_restricted_degeneracy_order(graph, mask)
+    else:
+        order, _cores = _bucket_peel(graph.adjacency_masks(), mask)
+    label_of = graph.label_of
+    return [label_of(index) for index in order]
 
-    return degeneracy_ordering(compact_subgraph(graph, mask))
+
+def _bucket_peel(masks, mask: int) -> tuple[list[int], dict[int, int]]:
+    """Bucket peel of ``G[mask]`` over bitmask rows: the order and every
+    member's core number, by global index.
+
+    Ascending bucket initialisation, LIFO pops with the stale-entry skip and
+    ascending neighbour walks make the order a pure function of the graph's
+    *content* (a rebuilt ``G[mask]`` with ascending indices orders
+    identically); set iteration would leak insertion history into the
+    tie-breaks.  A peeled vertex leaves ``alive`` and gets degree -1.
+    """
+    degrees: dict[int, int] = {}
+    remaining = mask
+    bit_length = int.bit_length
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        vertex = bit_length(low) - 1
+        degrees[vertex] = (masks[vertex] & mask).bit_count()
+    if not degrees:
+        return [], {}
+    max_degree = max(degrees.values())
+    buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
+    for vertex, degree in degrees.items():  # ascending index
+        buckets[degree].append(vertex)
+    alive = mask
+    order: list[int] = []
+    core_of: dict[int, int] = {}
+    core = 0
+    pointer = 0
+    left = len(degrees)
+    while left:
+        while not buckets[pointer]:
+            pointer += 1
+        vertex = buckets[pointer].pop()
+        if degrees[vertex] != pointer:
+            continue  # stale entry, or already peeled
+        degrees[vertex] = -1
+        alive ^= 1 << vertex
+        left -= 1
+        order.append(vertex)
+        if pointer > core:
+            core = pointer
+        core_of[vertex] = core
+        walk = masks[vertex] & alive
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            neighbour = bit_length(low) - 1
+            degree = degrees[neighbour] - 1
+            degrees[neighbour] = degree
+            buckets[degree].append(neighbour)
+            if degree < pointer:
+                pointer = degree
+    return order, core_of
 
 
 def k_core(graph: Graph, k: int) -> Graph:

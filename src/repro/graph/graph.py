@@ -211,10 +211,9 @@ class Graph:
 
         ``adjacency_masks[i]`` is the neighbour bitmask of ``labels[i]`` in the
         new graph's own index space.  The masks must describe a simple
-        undirected graph (symmetric, no self-loop bits); the caller is trusted
-        because this is the hot constructor for per-subproblem compact
-        subgraphs — it installs adjacency wholesale instead of re-inserting
-        every edge through :meth:`add_edge`.
+        undirected graph (symmetric, no self-loop bits); the caller is
+        trusted, and the adjacency is installed wholesale instead of
+        re-inserting every edge through :meth:`add_edge`.
         """
         graph = cls()
         labels = list(labels)

@@ -65,41 +65,6 @@ def induced_subgraph_mask(graph: Graph, mask: int) -> Graph:
     return graph.induced_subgraph(graph.labels_of_mask(mask))
 
 
-def compact_subgraph(graph: Graph, mask: int) -> Graph:
-    """Return ``G[mask]`` remapped onto a dense local index space.
-
-    Local indices are assigned by increasing global index, so any algorithm
-    whose tie-breaks follow index order (pivot selection, candidate orderings)
-    behaves identically on the compact graph and on the original.  Labels are
-    preserved, which is what lets DCFastQC enumerate a subproblem on its own
-    small graph — bitmask and ledger widths track ``|mask|`` instead of
-    ``|V(G)|`` — while still emitting answers in the original label space.
-
-    Cost: one pass over the members' restricted adjacency, ``O(sum of
-    deg(v in G[mask]))``, instead of :meth:`Graph.induced_subgraph`'s full
-    edge scan.
-
-    On a CSR-backed graph the extraction scans the flat rows directly
-    (:func:`ball_and_halo`) and still returns a small dict/bitmask graph —
-    subproblems are exactly where the bitmask kernel's branch inner loops
-    should keep running.
-    """
-    if getattr(graph, "indptr", None) is not None:
-        members, local_masks, _halo = ball_and_halo(graph, mask)
-        return Graph.from_dense_adjacency(
-            [graph.label_of(global_index) for global_index in members], local_masks)
-    members = list(iter_bits(mask))
-    local_of = {global_index: local for local, global_index in enumerate(members)}
-    local_masks = []
-    for global_index in members:
-        local_mask = 0
-        for neighbour in iter_bits(graph.adjacency_mask(global_index) & mask):
-            local_mask |= 1 << local_of[neighbour]
-        local_masks.append(local_mask)
-    return Graph.from_dense_adjacency(
-        [graph.label_of(global_index) for global_index in members], local_masks)
-
-
 def ball_and_halo(graph: Graph, mask: int) -> tuple[list[int], list[int], dict[int, int]]:
     """Split every neighbour of ``mask``'s members into ball or halo, in one pass.
 

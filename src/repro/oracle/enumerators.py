@@ -77,9 +77,10 @@ class ReferenceFastQC(FastQC):
         return False
 
     def _passes_maximality(self, subset_mask: int, degrees=None) -> bool:
-        """The original label-space check (decides like the index-space ones)."""
+        """The original label-space check on the whole graph, which a
+        reference engine always searches (decides like the index-space ones)."""
         return satisfies_maximality_necessary_condition(
-            self.maximality_graph, self.graph.labels_of_mask(subset_mask), self.gamma)
+            self.graph, self.graph.labels_of_mask(subset_mask), self.gamma)
 
 
 class ReferenceDCFastQC(DCFastQC):

@@ -6,7 +6,7 @@ Checking whether a quasi-clique is *maximal* in the input graph is NP-hard
 * :func:`satisfies_maximality_necessary_condition` — the polynomial check of
   FastQC's output filter (Algorithm 2, line 9/22): ``H`` may be maximal only
   if no single vertex ``v`` outside ``H`` makes ``G[H ∪ {v}]`` a quasi-clique.
-  FastQC runs its index-space forms: the ledger-driven
+  FastQC runs its index-space forms over adjacency rows: the ledger-driven
   :func:`ledger_satisfies_maximality_necessary_condition` on T1 outputs and
   the bit-sliced :func:`mask_satisfies_maximality_necessary_condition`
   otherwise.
@@ -54,31 +54,31 @@ def satisfies_maximality_necessary_condition(graph: Graph, subset: Iterable[Vert
     return not extending_vertices(graph, subset, gamma)
 
 
-def mask_satisfies_maximality_necessary_condition(graph: Graph, subset_mask: int,
+def mask_satisfies_maximality_necessary_condition(rows: Sequence[int], subset_mask: int,
                                                   gamma: float) -> bool:
     """Bitmask form of :func:`satisfies_maximality_necessary_condition`.
 
-    Valid for the library's gamma range (``gamma >= 0.5``), where the degree
-    condition alone forces connectivity, so ``G[H ∪ {v}]`` is a quasi-clique
-    iff every member of ``H ∪ {v}`` has at least ``ceil(gamma * |H|)``
-    neighbours inside it.  FastQC runs it on ``G[S]`` outputs and on the T1
-    outputs where :func:`ledger_satisfies_maximality_necessary_condition` finds
-    no critical member.  The degree filter over the extension candidates is
-    bit-sliced: ``|Γ(v) ∩ H|`` is accumulated for every vertex simultaneously
-    in binary counter planes (one ripple-carry add per member of ``H``), so
-    candidates below the degree requirement never cost a per-vertex popcount;
-    only the few survivors run the exact per-member verification.
+    ``rows[v]`` is vertex ``v``'s neighbour bitmask (``adjacency_masks()`` or
+    any row list).  Valid for the library's gamma range (``gamma >= 0.5``),
+    where the degree condition alone forces connectivity, so ``G[H ∪ {v}]`` is
+    a quasi-clique iff every member of ``H ∪ {v}`` has at least
+    ``ceil(gamma * |H|)`` neighbours inside it.  FastQC runs it on ``G[S]``
+    outputs and on the T1 outputs where the ledger check finds no critical
+    member.  The degree filter over the extension candidates is bit-sliced:
+    ``|Γ(v) ∩ H|`` is accumulated for every vertex simultaneously in binary
+    counter planes (one ripple-carry add per member of ``H``), so candidates
+    below the degree requirement never cost a per-vertex popcount; only the
+    few survivors run the exact per-member verification.
     """
     if subset_mask == 0:
         return True
-    masks = graph.adjacency_masks()
     members = list(iter_bits(subset_mask))
     required = degree_threshold(gamma, len(members) + 1)
     if required <= 0:
         candidates = 0
         neighbourhood = 0
         for u in members:
-            neighbourhood |= masks[u]
+            neighbourhood |= rows[u]
         candidates = neighbourhood & ~subset_mask
     else:
         # Vertical counters: plane i holds bit i of |Γ(v) ∩ H| per vertex v.
@@ -86,7 +86,7 @@ def mask_satisfies_maximality_necessary_condition(graph: Graph, subset_mask: int
         sat = 0
         top = len(planes) - 1
         for u in members:
-            carry = masks[u]
+            carry = rows[u]
             for i, plane in enumerate(planes):
                 planes[i] = plane ^ carry
                 carry &= plane
@@ -110,7 +110,7 @@ def mask_satisfies_maximality_necessary_condition(graph: Graph, subset_mask: int
         candidates ^= low
         extended = subset_mask | low
         for u in members:
-            if bit_count(masks[u] & extended) < required:
+            if bit_count(rows[u] & extended) < required:
                 break
         else:
             # The candidate itself passed the degree filter already.
@@ -119,14 +119,14 @@ def mask_satisfies_maximality_necessary_condition(graph: Graph, subset_mask: int
 
 
 def ledger_satisfies_maximality_necessary_condition(
-        graph: Graph, subset_mask: int, degrees: Sequence[int], gamma: float,
+        rows: Sequence[int], subset_mask: int, degrees: Sequence[int], gamma: float,
         index: Sequence[int] | None = None) -> bool:
     """:func:`mask_satisfies_maximality_necessary_condition` from known degrees.
 
     ``subset_mask`` is ``H`` in a local index space and ``degrees[u]`` is
     ``|Γ(u) ∩ H|`` for every member ``u`` (FastQC's ``deg_in_union`` ledger
-    when termination T1 fires).  ``index[u]`` is ``graph``'s index of local
-    vertex ``u``; ``None`` means the two index spaces agree.
+    when termination T1 fires).  ``index[u]`` is the row index of local
+    vertex ``u`` in ``rows``; ``None`` means the two index spaces agree.
 
     ``H ∪ {v}`` is a quasi-clique iff every member of it has at least
     ``r = ceil(gamma * |H|)`` neighbours there.  A member with ``r - 1``
@@ -138,10 +138,9 @@ def ledger_satisfies_maximality_necessary_condition(
     check run.
     """
     required = degree_threshold(gamma, subset_mask.bit_count() + 1)
-    masks = graph.adjacency_masks()
     bit_length = int.bit_length
     candidates = -1  # AND of the critical members' rows; -1: none seen yet
-    target = subset_mask if index is None else 0  # H in graph's index space
+    target = subset_mask if index is None else 0  # H in the rows' index space
     remaining = subset_mask
     while remaining:
         low = remaining & -remaining
@@ -154,16 +153,16 @@ def ledger_satisfies_maximality_necessary_condition(
         if degree < required:
             if degree < required - 1:
                 return True
-            candidates &= masks[u]
+            candidates &= rows[u]
             if not candidates:
                 return True
     if candidates == -1:
-        return mask_satisfies_maximality_necessary_condition(graph, target, gamma)
+        return mask_satisfies_maximality_necessary_condition(rows, target, gamma)
     candidates &= ~target
     while candidates:
         low = candidates & -candidates
         candidates ^= low
-        if (masks[bit_length(low) - 1] & target).bit_count() >= required:
+        if (rows[bit_length(low) - 1] & target).bit_count() >= required:
             return False  # it extends H to a larger quasi-clique
     return True
 

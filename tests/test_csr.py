@@ -11,12 +11,14 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.dcfastqc as dcfastqc_module
 import repro.core.fastqc as fastqc_module
 import repro.resilience.retry as retry_module
 from repro import Graph, GraphError, MQCEEngine
 from repro.api import QuerySpec
-from repro.core.dcfastqc import DCFastQC
+from repro.core.dcfastqc import CompactSubproblem, DCFastQC
 from repro.core.csr import (
     CSRGraph,
     build_csr_arrays,
@@ -43,9 +45,10 @@ from repro.graph import (
 from repro.graph.generators import (
     barabasi_albert,
     erdos_renyi_gnm,
+    erdos_renyi_gnp,
     planted_quasi_clique_graph,
 )
-from repro.graph.subgraph import compact_subgraph
+from repro.extensions.parallel import run_compact_subproblem
 from repro.pipeline.mqce import run_enumeration
 
 try:
@@ -278,26 +281,49 @@ def test_two_hop_mask_matches(pair):
 
 
 def test_compact_subgraph_matches(pair):
+    """Subproblem rows walked from CSR rows equal those read from bitmasks."""
     graph, csr = pair
     mask = graph.mask_of(graph.vertices()[20:60])
-    from_dict = compact_subgraph(graph, mask)
-    from_csr = compact_subgraph(csr, mask)
-    assert from_csr.vertices() == from_dict.vertices()
-    assert list(from_csr.adjacency_masks()) == list(from_dict.adjacency_masks())
-    assert type(from_csr) is Graph  # subproblems return to the bitmask kernel
+    members = list(iter_bits(mask))
+    from_dict = CompactSubproblem.from_members(graph, members[3], members, mask)
+    from_csr = CompactSubproblem.from_ball(csr, members[3], mask)
+    assert from_csr.labels == from_dict.labels
+    assert from_csr.rows == from_dict.rows
+    assert from_csr.root_local == from_dict.root_local == 3
 
 
-def test_restricted_degeneracy_order_equals_compact_route(pair):
-    graph, csr = pair
-    mask = graph.mask_of(graph.vertices()[10:90])
-    expected = degeneracy_ordering(compact_subgraph(graph, mask))
+def rebuilt_subgraph(graph: Graph, mask: int) -> Graph:
+    """``G[mask]`` as a new graph whose indices ascend by global index."""
+    members = list(iter_bits(mask))
+    local_of = {index: local for local, index in enumerate(members)}
+    rows = [sum(1 << local_of[j] for j in iter_bits(graph.adjacency_mask(i) & mask))
+            for i in members]
+    return Graph.from_dense_adjacency([graph.label_of(i) for i in members], rows)
+
+
+@st.composite
+def graphs_and_masks(draw) -> tuple[Graph, int]:
+    n = draw(st.integers(min_value=0, max_value=40))
+    p = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    graph = erdos_renyi_gnp(n, p, seed=draw(st.integers(min_value=0, max_value=10_000)))
+    full = graph.full_mask()
+    mask = draw(st.one_of(st.just(0), st.just(full),
+                          st.integers(min_value=0, max_value=full)))
+    return graph, mask
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=graphs_and_masks())
+def test_restricted_degeneracy_order_equals_compact_route(case):
+    """Both routes of the restricted ordering, and the CSR-native peel, order
+    ``G[mask]`` exactly like :func:`degeneracy_ordering` on a rebuilt copy."""
+    graph, mask = case
+    csr = csr_of(graph)
+    expected = degeneracy_ordering(rebuilt_subgraph(graph, mask))
     assert degeneracy_ordering_within(graph, mask) == expected
     assert degeneracy_ordering_within(csr, mask) == expected
-    native = [csr.label_of(i)
-              for i in csr_restricted_degeneracy_order(csr, mask)]
+    native = [csr.label_of(i) for i in csr_restricted_degeneracy_order(csr, mask)]
     assert native == expected
-    assert degeneracy_ordering_within(csr, csr.full_mask()) == \
-        degeneracy_ordering(graph)
 
 
 def test_restricted_counts_match_mask_popcounts(pair):
@@ -383,7 +409,7 @@ def test_registry_payloads_match_dict_field_for_field(name):
     for mine, theirs in zip(actual, expected):
         assert mine.root_local == theirs.root_local
         assert mine.labels == theirs.labels
-        assert mine.adjacency_masks == theirs.adjacency_masks
+        assert mine.rows == theirs.rows
         assert mine.halo_labels == theirs.halo_labels  # same order, too
         assert mine.halo_adjacency == theirs.halo_adjacency
 
@@ -416,9 +442,9 @@ def test_sequential_csr_run_checks_maximality_against_halo_graphs(
     targets = []
 
     def recording(check):
-        def record(graph, *args):
-            targets.append((graph is csr, graph.vertex_count))
-            return check(graph, *args)
+        def record(rows, *args):
+            targets.append((rows is csr.adjacency_masks(), len(rows)))
+            return check(rows, *args)
         return record
 
     for name in MAXIMALITY_CHECKS:
@@ -431,7 +457,7 @@ def test_sequential_csr_run_checks_maximality_against_halo_graphs(
     stats = dc.statistics
     assert len(targets) == stats.outputs + stats.outputs_suppressed_by_maximality
     assert not any(is_input for is_input, _ in targets)
-    assert {vertex_count for _, vertex_count in targets} <= halo_sizes
+    assert {row_count for _, row_count in targets} <= halo_sizes
     assert max(halo_sizes) < csr.vertex_count
 
 
@@ -449,16 +475,74 @@ def test_sequential_csr_run_builds_labels_only_for_kept_outputs(
             return method(self, *args)
         return counted
 
-    # Subproblem and ball-plus-halo graphs are plain Graphs.  The CSR input
-    # graph overrides both methods, so the core reduction's own calls on it
+    # Subproblems are searched as compact payloads.  The CSR input graph
+    # overrides both Graph methods, so the core reduction's own calls on it
     # are not counted.
     for name in calls:
         monkeypatch.setattr(Graph, name, counting(name, getattr(Graph, name)))
+    monkeypatch.setattr(CompactSubproblem, "labels_of_mask",
+                        counting("labels_of_mask", CompactSubproblem.labels_of_mask))
     dc = DCFastQC(csr, SKEW_GAMMA, SKEW_THETA)
     dc.enumerate()
     stats = dc.statistics
     assert stats.outputs_suppressed_by_maximality > 0
     assert calls == {"labels_of_mask": stats.outputs, "mask_of": 0}
+
+
+def test_dc_queries_build_no_graph_per_subproblem(monkeypatch):
+    """Guard without wall-clock time: DC searches the compact rows and orders
+    the core in index space.  No Graph is built (CSRGraph and
+    ``from_dense_adjacency`` run ``Graph.__init__`` too) during a DC query on
+    a dict graph or its CSR twin, nor by the per-subproblem reference over
+    the payloads; the restricted ordering runs once per query, through the
+    module namespace the perfbench timers wrap."""
+    graph = load_dataset("enron")
+    gamma, theta = default_parameters("enron")
+    csr = csr_of(graph)
+    built: list[str] = []
+    orderings: list[int] = []
+    graph_init = Graph.__init__
+    ordering_within = dcfastqc_module.degeneracy_ordering_within
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        graph_init(self, *args, **kwargs)
+
+    def counting_ordering(*args):
+        orderings.append(1)
+        return ordering_within(*args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(dcfastqc_module, "degeneracy_ordering_within",
+                        counting_ordering)
+    for target in (graph, csr):
+        dc = DCFastQC(target, gamma, theta)
+        assert dc.enumerate()
+        assert dc.statistics.subproblems > 1
+    assert built == []
+    assert len(orderings) == 2
+    payloads = list(DCFastQC(graph, gamma, theta).iter_compact_subproblems())
+    for payload in payloads:
+        run_compact_subproblem(payload, gamma, theta)
+    assert len(payloads) > 1 and built == []
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr"])
+def test_subproblem_sizes_count_each_searched_subproblem_once(backend):
+    """The size histogram holds one entry per searched subproblem; every
+    root's sizes stay in the DC statistics' subproblem records."""
+    graph = load_dataset("enron")
+    theta = 6
+    dc = DCFastQC(graph if backend == "dict" else csr_of(graph), 0.9, theta)
+    dc.enumerate()
+    stats = dc.statistics
+    records = dc.dc_statistics.subproblem_records
+    searched = [record.refined_size for record in records
+                if record.refined_size >= theta]
+    assert len(records) > len(searched) == stats.subproblems > 0
+    assert stats.subproblem_sizes.count == stats.subproblems
+    assert stats.subproblem_sizes.total == sum(searched)
+    assert stats.as_dict()["max_subproblem_size"] == max(searched)
 
 
 def test_engine_stream_over_csr_yields_the_answer(planted_skew):

@@ -44,7 +44,7 @@ from repro.core.kernel import (
 from repro.core.stats import SearchStatistics
 from repro.graph.generators import erdos_renyi_gnm, erdos_renyi_gnp
 from repro.graph.graph import Graph, iter_bits
-from repro.graph.subgraph import compact_subgraph, two_hop_mask
+from repro.graph.subgraph import two_hop_mask
 from repro.oracle import (
     ReferenceDCFastQC,
     ReferenceFastQC,
@@ -327,6 +327,7 @@ class TestEmitPath:
 
 class TestCompactSubproblems:
     def test_compact_subgraph_matches_induced(self):
+        """A halo-free payload's rows are the induced subgraph ``G[mask]``."""
         rng = random.Random(5)
         for trial in range(10):
             graph = erdos_renyi_gnp(15, rng.uniform(0.2, 0.6), seed=1800 + trial)
@@ -334,14 +335,19 @@ class TestCompactSubproblems:
             for index in range(graph.vertex_count):
                 if rng.random() < 0.6:
                     mask |= 1 << index
-            compact = compact_subgraph(graph, mask)
+            if not mask:
+                continue
+            members = list(iter_bits(mask))
+            payload = CompactSubproblem.from_members(graph, members[0], members, mask)
             induced = graph.induced_subgraph(graph.labels_of_mask(mask))
-            assert set(compact.vertices()) == set(induced.vertices())
-            assert set(map(frozenset, compact.edges())) \
-                == set(map(frozenset, induced.edges()))
             # Local index order follows global index order (tie-break parity).
-            globals_sorted = sorted(iter_bits(mask))
-            assert compact.vertices() == [graph.label_of(i) for i in globals_sorted]
+            assert list(payload.labels) == [graph.label_of(i) for i in members]
+            assert payload.vertex_count == induced.vertex_count
+            edges = {frozenset((payload.labels[u], payload.labels[v]))
+                     for u in range(payload.vertex_count)
+                     for v in iter_bits(payload.adjacency_mask(u))}
+            assert edges == set(map(frozenset, induced.edges()))
+            assert payload.halo_labels == () and payload.maximality_rows() is payload.rows
 
     def test_from_dense_adjacency_round_trip(self):
         graph = erdos_renyi_gnm(12, 30, seed=46)
@@ -360,13 +366,12 @@ class TestCompactSubproblems:
         merged: list[frozenset] = []
         for payload in payloads:
             assert isinstance(payload, CompactSubproblem)
-            subgraph = payload.build_graph()
-            assert subgraph.vertex_count == len(payload.labels)
-            engine = FastQC(subgraph, 0.8, 4)
+            assert payload.vertex_count == len(payload.labels)
+            engine = FastQC(payload, 0.8, 4)
             merged.extend(engine.enumerate_branch(payload.initial_branch()))
-        # Worker-style per-subproblem enumeration finds every sequential
-        # candidate (the sequential driver may suppress a few more via its
-        # full-graph maximality filter).
+        # A search that checks maximality against the ball alone finds every
+        # sequential candidate (the sequential driver may suppress a few more
+        # via its full-graph maximality filter).
         assert set(DCFastQC(graph, 0.8, 4).enumerate()) <= set(merged)
 
 
@@ -533,10 +538,12 @@ class TestMaximalityHalo:
         for root in list(iter_bits(core))[:10]:
             ball = two_hop_mask(graph, root, core)
             payload = CompactSubproblem.from_ball(graph, root, ball)
-            compact = compact_subgraph(graph, ball)
-            assert payload.labels == tuple(compact.vertices())
-            assert payload.adjacency_masks == tuple(compact.adjacency_masks())
-            assert payload.root_local == (ball & ((1 << root) - 1)).bit_count()
+            members = list(iter_bits(ball))
+            halo_free = CompactSubproblem.from_members(graph, root, members, ball)
+            assert payload.labels == halo_free.labels
+            assert payload.rows == halo_free.rows
+            assert payload.root_local == halo_free.root_local \
+                == (ball & ((1 << root) - 1)).bit_count()
             local_of = {g: local for local, g in enumerate(iter_bits(ball))}
             outside = 0
             for member in local_of:
@@ -552,7 +559,10 @@ class TestMaximalityHalo:
         graph = erdos_renyi_gnm(30, 90, seed=48)
         driver = DCFastQC(graph, 0.8, 3)
         payload = next(iter(driver.iter_compact_subproblems()))
-        combined = payload.build_maximality_graph()
+        assert payload.halo_labels
+        rows = payload.maximality_rows()
+        assert rows[:payload.vertex_count] != list(payload.rows)  # halo bits spliced in
+        combined = Graph.from_dense_adjacency(payload.labels + payload.halo_labels, rows)
         assert set(combined.vertices()) \
             == set(payload.labels) | set(payload.halo_labels)
         for u, v in combined.edges():
@@ -576,9 +586,8 @@ class TestMaximalityHalo:
         payloads = list(driver.iter_compact_subproblems())
         assert len(payloads) == len(batches)
         for payload, batch in zip(payloads, batches):
-            subgraph = payload.build_graph()
-            engine = FastQC(subgraph, gamma, theta,
-                            maximality_graph=payload.build_maximality_graph())
+            engine = FastQC(payload, gamma, theta,
+                            maximality_rows=payload.maximality_rows())
             assert engine.enumerate_branch(payload.initial_branch()) == batch
 
 

@@ -134,8 +134,7 @@ class TestLedgerMaximalityCheck:
         """Compact subproblems checked against their ball plus halo."""
         for payload in DCFastQC(graph, gamma, theta).iter_compact_subproblems():
             engine = T1RecordingFastQC(
-                payload.build_graph(), gamma, theta,
-                maximality_graph=payload.build_maximality_graph())
+                payload, gamma, theta, maximality_rows=payload.maximality_rows())
             assert engine._maximality_index is None
             engine.enumerate_branch(payload.initial_branch())
             _assert_t1_decisions_match(engine, graph, gamma)
@@ -153,9 +152,9 @@ class TestLedgerMaximalityCheck:
             for u, v in graph.edges():
                 if u in local and v in local:
                     local.add_edge(u, v)
-            engine = T1RecordingFastQC(local, gamma, theta, maximality_graph=graph)
-            if len(members) > 1:
-                assert engine._maximality_index == members
+            engine = T1RecordingFastQC(local, gamma, theta,
+                                       maximality_rows=graph.adjacency_masks(),
+                                       maximality_index=members)
             root_bit = 1 << members.index(root)
             engine.enumerate_branch(Branch(root_bit, local.full_mask() & ~root_bit, 0))
             _assert_t1_decisions_match(engine, graph, gamma)
@@ -187,5 +186,5 @@ class TestLedgerMaximalityCheck:
         degrees = [size - 1] * size + [0] * outside
         assert min(degrees[:size]) >= degree_threshold(gamma, size + 1)
         assert ledger_satisfies_maximality_necessary_condition(
-            graph, mask, degrees, gamma) == \
+            graph.adjacency_masks(), mask, degrees, gamma) == \
             satisfies_maximality_necessary_condition(graph, range(size), gamma)

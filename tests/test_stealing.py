@@ -70,7 +70,7 @@ class TestCodec:
             clone = decode_subproblem(encode_subproblem(subproblem))
             assert clone.root_local == subproblem.root_local
             assert clone.labels == subproblem.labels
-            assert clone.adjacency_masks == subproblem.adjacency_masks
+            assert clone.rows == subproblem.rows
             assert clone.halo_labels == subproblem.halo_labels
             assert clone.halo_adjacency == subproblem.halo_adjacency
 
@@ -100,16 +100,14 @@ class TestInlineStealParity:
             self, subproblems, every, offset):
         total_steals = 0
         for subproblem in subproblems:
-            local = subproblem.build_graph()
-            maximality = (subproblem.build_maximality_graph()
-                          if subproblem.halo_labels else local)
-            reference = FastQC(local, GAMMA, THETA, maximality_graph=maximality)
+            maximality = subproblem.maximality_rows()
+            reference = FastQC(subproblem, GAMMA, THETA, maximality_rows=maximality)
             expected = set(reference.enumerate_branch(subproblem.initial_branch()))
 
             emissions: list[frozenset] = []
 
             def make_engine():
-                return FastQC(local, GAMMA, THETA, maximality_graph=maximality,
+                return FastQC(subproblem, GAMMA, THETA, maximality_rows=maximality,
                               on_output=emissions.append)
 
             donor = make_engine()
