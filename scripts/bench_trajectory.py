@@ -216,7 +216,6 @@ def run_core_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             "shrink_rounds": stats.shrink_rounds,
             "shrink_removed": (stats.shrink_removed_one_hop
                                + stats.shrink_removed_two_hop),
-            "shrink_ledger_updates": stats.shrink_ledger_updates,
         }
         rows[name] = row
         if verbose:

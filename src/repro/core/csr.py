@@ -408,18 +408,16 @@ class CSRGraph(Graph):
     # Batched restricted counting (the kernel's one-hop shrink hook)
     # ------------------------------------------------------------------
     def restricted_counts(self, members_mask: int,
-                          target_mask: int | None = None) -> dict[int, int]:
+                          target_mask: int) -> dict[int, int]:
         """Return ``{v: |Γ(v) ∩ target|}`` for every member of ``members_mask``.
 
         One byte-buffer membership test per neighbour entry — O(n/8 + Σ
         deg(member)) small-int operations, with no full-width mask involved.
-        :class:`repro.core.kernel.ShrinkLedgers` uses this to batch the
-        one-hop degree pass, replacing one O(n/64) popcount (plus an O(deg +
-        n/8) lazy mask build) per scanned member.  ``target_mask`` defaults
-        to ``members_mask`` itself.
+        :func:`repro.core.kernel.one_hop_pass` uses this to batch the
+        degree count, replacing one O(n/64) popcount (plus an O(deg + n/8)
+        lazy mask build) per scanned member.
         """
-        target = members_mask if target_mask is None else target_mask
-        tbytes = target.to_bytes(self._mask_nbytes, "little")
+        tbytes = target_mask.to_bytes(self._mask_nbytes, "little")
         indptr, indices = self.indptr, self.indices
         counts: dict[int, int] = {}
         for v in iter_mask_indices(members_mask):

@@ -32,7 +32,7 @@ from ..quasiclique.definitions import degree_threshold, gamma_pq, validate_param
 from .branch import Branch
 from .branching import BRANCHING_METHODS
 from .fastqc import FastQC
-from .kernel import ShrinkLedgers
+from .kernel import one_hop_pass, two_hop_pass
 from .stats import SearchStatistics
 
 #: Supported divide-and-conquer frameworks (Figure 12 ablation).
@@ -470,30 +470,34 @@ class DCFastQC:
     def _shrink_subproblem(self, root_index: int, subproblem_mask: int) -> int:
         """Lines 5-6 of Algorithm 3: one-hop and two-hop pruning for MAX_ROUND rounds.
 
-        Runs the :class:`ShrinkLedgers` rules: store-free fused first passes,
-        a bit-sliced bulk two-hop pass, and ledger reads from the second pass
-        of a rule on, so no round re-popcounts every member.
+        Each round runs the store-free :func:`~repro.core.kernel.one_hop_pass`
+        and, for ``framework="dc"``, :func:`~repro.core.kernel.two_hop_pass`
+        at the threshold of the current alive count.  A pass recounts
+        against its pass-start alive set and removes simultaneously, as the
+        mask-based reference does; only the alive mask carries over.
         """
-        if self.max_rounds == 0:
-            return subproblem_mask
+        graph = self.graph
         use_two_hop = self.framework == "dc"
         required_degree = degree_threshold(self.gamma, self.theta)
         stats = self.statistics
-        ledgers = ShrinkLedgers(self.graph, root_index, subproblem_mask,
-                                stats=stats, track_common=use_two_hop)
+        alive = subproblem_mask
         for _ in range(self.max_rounds):
             stats.shrink_rounds += 1
-            removed = ledgers.one_hop_round(required_degree)
+            removal = one_hop_pass(graph, root_index, alive, required_degree)
+            alive ^= removal
+            removed = removal.bit_count()
             stats.shrink_removed_one_hop += removed
             if use_two_hop:
                 threshold = two_hop_pruning_threshold(
-                    self.gamma, self.theta, ledgers.alive_count)
-                dropped = ledgers.two_hop_round(threshold)
+                    self.gamma, self.theta, alive.bit_count())
+                removal = two_hop_pass(graph, root_index, alive, threshold)
+                alive ^= removal
+                dropped = removal.bit_count()
                 stats.shrink_removed_two_hop += dropped
                 removed += dropped
             if removed == 0:
                 break
-        return ledgers.alive_mask
+        return alive
 
 
 def dcfastqc_enumerate(graph: Graph, gamma: float, theta: int,

@@ -19,9 +19,10 @@ three branch-and-bound algorithms (FastQC, DCFastQC and Quick+):
   |S ∪ C| - deg_in_union[v]``, so C1&2, Refinement Rules 1–2, Quick+'s
   Type I/II rules, T1/T2 and pivot selection become plain ``O(|S|)`` /
   ``O(|C|)`` flat-array scans with integer threshold arithmetic.
-* :class:`ShrinkLedgers` kernelizes DCFastQC's subproblem shrinking: fused
-  store-free first passes, a bit-sliced bulk two-hop rule, and lazily
-  reconciled degree/common-neighbour ledgers for the later rounds.
+* :func:`one_hop_pass` and :func:`two_hop_pass` are DCFastQC's subproblem
+  shrinking rules as store-free passes: a fused popcount-and-decide loop
+  (one batched row scan on a CSR-backed graph) and a bit-sliced bulk
+  common-neighbour count.  No state survives a pass.
 * The ledger buffers are flat ``array('i')`` buffers for wide states and
   plain lists for compact subproblem states (the width rule at
   :data:`AUTO_ARRAY_MIN_WIDTH`).
@@ -54,19 +55,18 @@ from .stats import SearchStatistics
 # ----------------------------------------------------------------------
 # Ledger buffers
 # ----------------------------------------------------------------------
-#: Ledger buffers switch from Python lists to flat ``array('i')`` buffers at
-#: this width.  Copies/resets favour arrays (one memcpy vs a
+#: Branch-state ledgers switch from Python lists to flat ``array('i')``
+#: buffers at this width.  Copies favour arrays (one memcpy vs a
 #: pointer-by-pointer loop: 206 ns vs 81 ns at width 128, 33 us vs 1.8 us at
 #: 16384) while indexed ``buf[i] += 1`` updates favour lists (~29 ns vs
 #: ~94 ns — arrays box an int per access), so the winner depends on touches
-#: per copy.  Measured on a 12k-vertex power-law graph: the kernelized
-#: shrink pass does ~0.5 indexed updates per full-width reset, and the
-#: break-even rate crosses that between widths 64 and 96 (1.9 touches/copy
-#: at 128, rising linearly with width).  128 keeps ~4x margin for
-#: update-heavier branch-ledger workloads while compact DC subproblem
-#: states — small and touch-dominated — stay on lists; end-to-end, the
-#: width rule matches all-array buffers (1.50 s vs all-list buffers' 2.05 s
-#: cold DCFastQC at n=12000).
+#: per copy.  Only whole-graph branch states reach the rule: Quick+,
+#: ``framework="none"`` and standalone FastQC.  DC subproblem states are at
+#: most 32 wide on every measured workload and stay lists.  Best of 3, three
+#: alternating runs on 2 CPUs (Python 3.11): whole-graph FastQC on kmer
+#: (520 vertices) at (0.51, 6) took 2.6-3.7 s with the rule against
+#: 4.6-5.4 s with every ledger a list; Quick+ on enron at (0.9, 9) was
+#: mixed, 269-361 ms against 340-347 ms.
 AUTO_ARRAY_MIN_WIDTH = 128
 
 
@@ -75,12 +75,6 @@ def _make_ledger(values) -> "array | list[int]":
     if len(values) >= AUTO_ARRAY_MIN_WIDTH:
         return array("i", values)
     return values
-
-
-def _zero_ledger(length: int) -> "array | list[int]":
-    if length >= AUTO_ARRAY_MIN_WIDTH:
-        return array("i", bytes(4 * length))
-    return [0] * length
 
 
 class BranchState:
@@ -273,8 +267,7 @@ class BranchState:
 # ----------------------------------------------------------------------
 # Kernelized refinement (mirrors repro.oracle.refinement.progressively_refine)
 # ----------------------------------------------------------------------
-def refine_state(state: BranchState, gamma: float, theta: int,
-                 max_rounds: int | None = None
+def refine_state(state: BranchState, gamma: float, theta: int
                  ) -> tuple[bool, int, int, int, int, int, int]:
     """Refine a branch state in place until the C1&2 / Rules 1–2 fixpoint.
 
@@ -394,27 +387,6 @@ def refine_state(state: BranchState, gamma: float, theta: int,
         if rule2_mask:
             removed_rule2 += rule2_mask.bit_count()
             state.remove_mask(rule2_mask)
-
-        if max_rounds is not None and rounds >= max_rounds:
-            s_size = state.s_size
-            union_size = s_size + state.c_size
-            if s_size == 0:
-                sigma_num, sigma_den = union_size, 1
-                delta_s = 0
-            else:
-                min_deg_s = min(deg_in_s[v] for v in iter_bits(state.s_mask))
-                min_deg_u = min(deg_in_union[v] for v in iter_bits(state.s_mask))
-                delta_s = s_size - min_deg_s
-                alt_num = min_deg_u * q + p
-                if union_size * p <= alt_num:
-                    sigma_num, sigma_den = union_size, 1
-                else:
-                    sigma_num, sigma_den = alt_num, p
-            tau_value = ((q - p) * sigma_num + p * sigma_den) // (q * sigma_den)
-            if sigma_num < s_size * sigma_den or delta_s > tau_value:
-                return True, tau_value, rounds, removed_rule1, removed_rule2, -1, -1
-            return (False, tau_value, rounds, removed_rule1, removed_rule2,
-                    *union_min_degree(state))
 
 
 # ----------------------------------------------------------------------
@@ -603,351 +575,112 @@ def generate_child_states(state: BranchState, pivot: PivotInfo,
 
 
 # ----------------------------------------------------------------------
-# Kernelized subproblem shrinking (mirrors the oracle's mask rounds,
-# Lines 5-6 of Algorithm 3)
+# Subproblem shrinking passes (mirror the oracle's mask rounds, Lines 5-6
+# of Algorithm 3)
 # ----------------------------------------------------------------------
-class ShrinkLedgers:
-    """Adaptive degree / common-neighbour ledgers for subproblem shrinking.
+# Each pass counts against its pass-start alive set and returns the removal
+# mask without applying it, so a pass removes exactly the vertices the
+# mask-based reference drops in one simultaneous sweep.  Nothing is stored
+# between passes: after round 1 few vertices survive per ball (p50 1, p90 11
+# on the registry grid), so recounting them costs less than keeping
+# per-vertex counts up to date across passes.
 
-    Mirrors the oracle's ``ReferenceDCFastQC._one_hop_prune`` /
-    ``_two_hop_prune`` bit-for-bit while eliminating redundant full-width
-    popcount rescans:
+def one_hop_pass(graph: Graph, root_index: int, alive: int,
+                 required_degree: int) -> int:
+    """One-hop (degree) rule: the mask of non-root ``v`` in ``alive`` with
+    fewer than ``required_degree`` neighbours in ``alive``.
 
-    * The **first** pass of each rule runs store-free: one restricted popcount
-      per scanned vertex, fused with the removal decision, in a tight
-      bit-extraction loop.  On a fresh 2-hop ball this pass typically removes
-      most members, so recording per-vertex values would be wasted work.
-    * From each rule's **second** pass on, the values live in dense flat
-      buffers (same width rule as :class:`BranchState`) that are reconciled with
-      the alive set lazily: few deaths since the last reconcile decrement only
-      the dead vertices' still-alive neighbours (``O(deg ∩ ball)`` per death),
-      a gutted ball recomputes the few survivors fused into the reading pass,
-      and a pass over an unchanged alive set is pure array reads — the
-      "round ``k+1`` never re-popcounts what round ``k`` established" path.
-    Every pass collects its removals before applying any of them, so the
-    surviving vertex set is exactly the one the mask-based reference produces
-    (each pass is a simultaneous removal against the pass-start set).
-    Entries of dead vertices (and of the root, which no rule ever tests) are
-    stale by design.
+    Not bit-sliced like :func:`two_hop_pass`: here the accumulation set
+    equals the scan set, so the plane adds would cost as much as the
+    popcounts they replace.
     """
-
-    __slots__ = ("graph", "stats", "root_clear", "root_adjacency",
-                 "alive_mask", "alive_count", "deg", "common", "fresh_mask",
-                 "common_seeded", "track_common", "_deg_passes",
-                 "_common_passes", "_counts")
-
-    def __init__(self, graph: Graph, root_index: int, ball_mask: int,
-                 stats: SearchStatistics | None = None,
-                 track_common: bool = True) -> None:
-        self.graph = graph
-        self.stats = stats
-        # CSR-backed graphs expose `restricted_counts`, which batches an
-        # entire counting pass over flat adjacency rows with byte-buffer
-        # membership tests.  On wide graphs that replaces, per scanned
-        # vertex, one lazy O(deg + n/8) mask build plus an O(n/64) full-width
-        # popcount.  (Bit-slicing the one-hop pass — the other candidate
-        # batching — does not pay here: unlike the two-hop rule, the
-        # accumulation set equals the scan set, so the plane adds cost as
-        # much as the popcounts they replace.)
-        self._counts = getattr(graph, "restricted_counts", None)
-        self.root_clear = ~(1 << root_index)
-        self.root_adjacency = graph.adjacency_mask(root_index)
-        self.alive_mask = ball_mask
-        self.alive_count = ball_mask.bit_count()
-        self.track_common = track_common
-        # Buffers allocate lazily: balls whose shrinking finishes within the
-        # store-free first passes never pay for them.
-        self.deg = None
-        self.common = None
-        # None: the ledgers have never been seeded.  Otherwise: the alive mask
-        # the degree ledger (and the common ledger, when ``common_seeded``)
-        # was last reconciled against.
-        self.fresh_mask = None
-        self.common_seeded = False
-        self._deg_passes = 0
-        self._common_passes = 0
-
-    # ------------------------------------------------------------------
-    # Removal application and freshness bookkeeping
-    # ------------------------------------------------------------------
-    def remove_vertices(self, removals) -> None:
-        """Clear removed bits; ledgers go stale until the next reconcile."""
-        alive = self.alive_mask
-        count = 0
-        for v in removals:
-            alive &= ~(1 << v)
-            count += 1
-        self.alive_mask = alive
-        self.alive_count -= count
-
-    def _needs_reseed(self) -> bool:
-        """True when reconciling should recompute survivors outright (never
-        seeded, or a mass removal made decrements the dearer option)."""
-        fresh = self.fresh_mask
-        if fresh is None:
-            return True
-        dead = (fresh & ~self.alive_mask).bit_count()
-        return dead * 3 >= self.alive_count
-
-    def _decrement_walk(self) -> None:
-        """Reconcile the ledgers by walking the dead vertices' neighbours."""
-        alive = self.alive_mask
-        masks = self.graph.adjacency_masks()
-        deg = self.deg
-        common = self.common
-        update_common = self.common_seeded
-        root_adjacency = self.root_adjacency
-        updates = 0
-        dead = self.fresh_mask & ~alive
-        while dead:
-            low = dead & -dead
-            v = low.bit_length() - 1
-            dead ^= low
-            drop_common = update_common and low & root_adjacency
-            remaining = masks[v] & alive
-            while remaining:
-                bit = remaining & -remaining
-                u = bit.bit_length() - 1
-                remaining ^= bit
-                deg[u] -= 1
-                if drop_common:
-                    # v stops being a common neighbour of the root and u.
-                    common[u] -= 1
-                updates += 1
-        self.fresh_mask = alive
-        if self.stats is not None:
-            self.stats.shrink_ledger_updates += updates
-
-    def refresh(self) -> None:
-        """Force the ledgers fresh against the current alive set (seeds them
-        on first use).  The pruning passes prefer fusing a reseed into their
-        own scan; this is the standalone hook for tests and direct users."""
-        alive = self.alive_mask
-        if self.fresh_mask == alive and (self.common_seeded
-                                         or not self.track_common):
-            return
-        if self.fresh_mask is not None and not self._needs_reseed() and (
-                self.common_seeded or not self.track_common):
-            self._decrement_walk()
-            return
-        self._reseed(alive)
-
-    def _reseed(self, alive: int) -> None:
-        """Recompute both ledgers for every alive vertex (fused popcounts)."""
-        masks = self.graph.adjacency_masks()
-        if self.deg is None:
-            self.deg = _zero_ledger(self.graph.vertex_count)
-        deg = self.deg
-        common = None
-        if self.track_common:
-            if self.common is None:
-                self.common = _zero_ledger(self.graph.vertex_count)
-            common = self.common
-        root_alive = self.root_adjacency & alive
-        updates = 0
-        if self._counts is not None:
-            for v, value in self._counts(alive).items():
-                deg[v] = value
-                updates += 1
-            if common is not None:
-                for v, value in self._counts(alive, root_alive).items():
-                    common[v] = value
-        else:
-            remaining = alive
-            while remaining:
-                low = remaining & -remaining
-                v = low.bit_length() - 1
-                remaining ^= low
-                restricted = masks[v] & alive
-                deg[v] = restricted.bit_count()
-                if common is not None:
-                    common[v] = (restricted & root_alive).bit_count()
-                updates += 1
-        self.fresh_mask = alive
-        if common is not None:
-            self.common_seeded = True
-        if self.stats is not None:
-            self.stats.shrink_ledger_updates += updates
-
-    # ------------------------------------------------------------------
-    # Pruning passes
-    # ------------------------------------------------------------------
-    def one_hop_round(self, required_degree: int) -> int:
-        """One simultaneous pass of the one-hop (degree) pruning rule."""
-        alive = self.alive_mask
-        scan = alive & self.root_clear
-        removals = []
-        if self.fresh_mask == alive:
-            deg = self.deg
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if deg[v] < required_degree:
-                    removals.append(v)
-        elif self.fresh_mask is not None and not self._needs_reseed():
-            self._decrement_walk()
-            deg = self.deg
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if deg[v] < required_degree:
-                    removals.append(v)
-        elif self._deg_passes == 0:
-            if self._counts is not None:
-                # CSR batching: one row scan per member against the alive
-                # byte buffer, no per-member mask build or wide popcount.
-                for v, value in self._counts(scan, alive).items():
-                    if value < required_degree:
-                        removals.append(v)
-            else:
-                # First pass: store-free fused popcount + decide (the hottest
-                # loop of the shrinking phase — everything prebound).
-                masks = self.graph.adjacency_masks()
-                bit_length = int.bit_length
-                bit_count = int.bit_count
-                append = removals.append
-                while scan:
-                    low = scan & -scan
-                    scan ^= low
-                    v = bit_length(low) - 1
-                    if bit_count(masks[v] & alive) < required_degree:
-                        append(v)
-        else:
-            self._reseed(alive)
-            deg = self.deg
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if deg[v] < required_degree:
-                    removals.append(v)
-        self._deg_passes += 1
-        if removals:
-            self.remove_vertices(removals)
-        return len(removals)
-
-    def _two_hop_bulk(self, scan: int, threshold: int,
-                      threshold_plus: int) -> int:
-        """Bit-sliced two-hop pass: return the mask of vertices to remove.
-
-        Accumulates, for every graph vertex simultaneously, the count
-        ``|Γ(v) ∩ R|`` (``R = Γ(root) ∩ alive``) in vertical binary counter
-        planes: adding one ``w ∈ R`` is a ripple-carry over ``k`` full-width
-        masks, so the whole pass costs ``O(|R| * k)`` big-int operations with
-        ``k = (threshold + 2).bit_length()``, independent of the scan size.
-        The comparison against the two thresholds is plane logic; saturated
-        counters (``>= 2**k > threshold_plus``) always survive.
-        """
-        if threshold_plus <= 0:
-            return 0
-        root_adjacency = self.root_adjacency
-        k = threshold_plus.bit_length()
-        planes = [0] * k
-        sat = 0
-        masks = self.graph.adjacency_masks()
-        members = root_adjacency & self.alive_mask
-        while members:
-            low = members & -members
-            members ^= low
-            carry = masks[low.bit_length() - 1]
-            for i in range(k):
-                plane = planes[i]
-                planes[i] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                sat |= carry
-        removed = 0
-        non_adjacent = scan & ~root_adjacency
-        if non_adjacent:
-            removed = non_adjacent & ~self._ge_mask(planes, sat, threshold_plus)
-        if threshold > 0:
-            adjacent = scan & root_adjacency
-            if adjacent:
-                removed |= adjacent & ~self._ge_mask(planes, sat, threshold)
+    scan = alive & ~(1 << root_index)
+    removed = 0
+    counts = getattr(graph, "restricted_counts", None)
+    if counts is not None:
+        # CSR batching: one row scan per member against the alive byte
+        # buffer, no per-member mask build or wide popcount.
+        for v, value in counts(scan, alive).items():
+            if value < required_degree:
+                removed |= 1 << v
         return removed
+    # Store-free fused popcount + decide: the hottest loop of the shrinking
+    # phase, everything prebound.
+    masks = graph.adjacency_masks()
+    bit_length = int.bit_length
+    bit_count = int.bit_count
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        if bit_count(masks[bit_length(low) - 1] & alive) < required_degree:
+            removed |= low
+    return removed
 
-    @staticmethod
-    def _ge_mask(planes: list[int], sat: int, value: int) -> int:
-        """Positions whose plane-encoded counter is ``>= value`` (value >= 1).
 
-        Standard bitwise magnitude comparison, most significant plane first;
-        ``value`` must be representable in ``len(planes)`` bits.
-        """
-        greater = 0
-        equal = -1  # arbitrary-precision all-ones
-        for i in range(len(planes) - 1, -1, -1):
+def two_hop_pass(graph: Graph, root_index: int, alive: int,
+                 threshold: int) -> int:
+    """Two-hop (common-neighbour) rule: the mask of non-root ``v`` in
+    ``alive`` with too few common neighbours with the root inside ``alive``.
+
+    ``threshold`` applies to root neighbours; non-neighbours of the root need
+    two more (the intermediate vertices of two disjoint 2-hop paths).
+
+    Bit-sliced: ``common(v) = |Γ(v) ∩ R|`` with ``R = Γ(root) ∩ alive`` is
+    accumulated for every graph vertex at once in vertical binary counter
+    planes.  ``R`` is bounded by the root's degree, so adding each ``w ∈ R``'s
+    adjacency mask as a ripple-carry over ``k = (threshold + 2).bit_length()``
+    full-width masks costs ``O(|R| * k)`` big-int operations, independent of
+    the scan size, and plane logic reads off the removals.  Saturated
+    counters (``>= 2**k > threshold + 2``) always survive.
+    """
+    threshold_plus = threshold + 2
+    if threshold_plus <= 0:
+        return 0
+    root_adjacency = graph.adjacency_mask(root_index)
+    k = threshold_plus.bit_length()
+    planes = [0] * k
+    sat = 0
+    masks = graph.adjacency_masks()
+    members = root_adjacency & alive
+    while members:
+        low = members & -members
+        members ^= low
+        carry = masks[low.bit_length() - 1]
+        for i in range(k):
             plane = planes[i]
-            if (value >> i) & 1:
-                equal &= plane
-            else:
-                greater |= equal & plane
-        return greater | equal | sat
-
-    def two_hop_round(self, threshold: int) -> int:
-        """One simultaneous pass of the two-hop (common-neighbour) rule.
-
-        ``threshold`` applies to root neighbours; non-neighbours of the root
-        need two more common neighbours (the intermediate vertices of two
-        disjoint 2-hop paths), exactly as in the mask-based rule.
-        """
-        alive = self.alive_mask
-        root_adjacency = self.root_adjacency
-        threshold_plus = threshold + 2
-        scan = alive & self.root_clear
-        removals = []
-        if self.common_seeded and self.fresh_mask == alive:
-            common = self.common
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if common[v] < (threshold if low & root_adjacency
-                                else threshold_plus):
-                    removals.append(v)
-        elif self.common_seeded and not self._needs_reseed():
-            self._decrement_walk()
-            common = self.common
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if common[v] < (threshold if low & root_adjacency
-                                else threshold_plus):
-                    removals.append(v)
-        elif self._common_passes == 0:
-            # First pass, bit-sliced: common(v) = |Γ(v) ∩ R| with
-            # R = Γ(root) ∩ alive.  R is small (it is bounded by the root's
-            # degree), so instead of one popcount per scanned member we add
-            # each w ∈ R's adjacency mask into binary counter planes — one
-            # vertical counter per graph vertex, O(|R| * log threshold)
-            # full-width mask operations total — and read off the removal
-            # set with plane logic.  No per-member loop at all.
-            self._common_passes += 1
-            removed_mask = self._two_hop_bulk(scan, threshold, threshold_plus)
-            if removed_mask:
-                self.alive_mask = alive & ~removed_mask
-                dropped = removed_mask.bit_count()
-                self.alive_count -= dropped
-                return dropped
-            return 0
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
         else:
-            self._reseed(alive)
-            common = self.common
-            while scan:
-                low = scan & -scan
-                v = low.bit_length() - 1
-                scan ^= low
-                if common[v] < (threshold if low & root_adjacency
-                                else threshold_plus):
-                    removals.append(v)
-        self._common_passes += 1
-        if removals:
-            self.remove_vertices(removals)
-        return len(removals)
+            sat |= carry
+    scan = alive & ~(1 << root_index)
+    removed = 0
+    non_adjacent = scan & ~root_adjacency
+    if non_adjacent:
+        removed = non_adjacent & ~_ge_mask(planes, sat, threshold_plus)
+    if threshold > 0:
+        adjacent = scan & root_adjacency
+        if adjacent:
+            removed |= adjacent & ~_ge_mask(planes, sat, threshold)
+    return removed
+
+
+def _ge_mask(planes: list[int], sat: int, value: int) -> int:
+    """Positions whose plane-encoded counter is ``>= value`` (value >= 1).
+
+    Standard bitwise magnitude comparison, most significant plane first;
+    ``value`` must be representable in ``len(planes)`` bits.
+    """
+    greater = 0
+    equal = -1  # arbitrary-precision all-ones
+    for i in range(len(planes) - 1, -1, -1):
+        plane = planes[i]
+        if (value >> i) & 1:
+            equal &= plane
+        else:
+            greater |= equal & plane
+    return greater | equal | sat
 
 
 # ----------------------------------------------------------------------

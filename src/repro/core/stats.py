@@ -75,13 +75,11 @@ class SearchStatistics:
     #: neighbour ledger entries touched (0 for the mask-based reference path).
     ledger_moves: int = 0
     ledger_updates: int = 0
-    #: Kernelized subproblem shrinking (DCFastQC ledger path only): pruning
-    #: rounds run, vertices dropped per rule, and the neighbour ledger entries
-    #: decremented while doing so (0 for the mask-based reference shrinking).
+    #: DCFastQC subproblem shrinking: pruning rounds run and vertices
+    #: dropped per rule (0 for the oracle's mask-based shrinking).
     shrink_rounds: int = 0
     shrink_removed_one_hop: int = 0
     shrink_removed_two_hop: int = 0
-    shrink_ledger_updates: int = 0
     #: Branch-parallel runs only: subtrees stolen between workers and the
     #: summed worker busy wall-clock (both 0 for sequential runs).
     steals: int = 0
@@ -120,7 +118,6 @@ class SearchStatistics:
         self.shrink_rounds += other.shrink_rounds
         self.shrink_removed_one_hop += other.shrink_removed_one_hop
         self.shrink_removed_two_hop += other.shrink_removed_two_hop
-        self.shrink_ledger_updates += other.shrink_ledger_updates
         self.steals += other.steals
         self.parallel_busy_seconds += other.parallel_busy_seconds
         self.subproblem_sizes.merge(other.subproblem_sizes)

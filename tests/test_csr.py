@@ -334,7 +334,7 @@ def test_restricted_counts_match_mask_popcounts(pair):
     assert set(counts) == set(iter_bits(members))
     for v in iter_bits(members):
         assert counts[v] == (graph.adjacency_mask(v) & target).bit_count()
-    self_counts = csr.restricted_counts(members)
+    self_counts = csr.restricted_counts(members, members)
     for v in iter_bits(members):
         assert self_counts[v] == (graph.adjacency_mask(v) & members).bit_count()
 

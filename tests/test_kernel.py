@@ -25,6 +25,7 @@ import pytest
 from repro.core import kernel as kernel_module
 from repro.core.branch import Branch
 from repro.core.branching import BRANCHING_METHODS
+from repro.core.csr import CSRGraph
 from repro.core.dcfastqc import (
     CompactSubproblem,
     DCFastQC,
@@ -33,12 +34,13 @@ from repro.core.dcfastqc import (
 from repro.core.fastqc import FastQC
 from repro.core.kernel import (
     BranchState,
-    ShrinkLedgers,
     depth_first_enumerate,
     generate_child_states,
+    one_hop_pass,
     pivot_from_state,
     refine_state,
     terminates_by_theta_state,
+    two_hop_pass,
     union_min_degree,
 )
 from repro.core.stats import SearchStatistics
@@ -154,30 +156,6 @@ class TestKernelReferenceParity:
                 assert (min_deg, argmin) == union_min_degree(state)
                 unpruned += 1
         assert unpruned >= 5
-
-    def test_refine_state_honours_max_rounds(self):
-        rng = random.Random(17)
-        capped = 0
-        for trial in range(20):
-            graph = erdos_renyi_gnp(11, rng.uniform(0.3, 0.7), seed=1500 + trial)
-            branch = _random_branch(graph, rng)
-            gamma, theta = rng.choice(self.GRID)
-            uncapped = progressively_refine(graph, branch, gamma, theta)
-            for cap in (1, 2):
-                reference = progressively_refine(graph, branch, gamma, theta,
-                                                 max_rounds=cap)
-                state = BranchState.from_branch(graph, branch)
-                pruned, tau_value, rounds, _, _, min_deg, argmin = refine_state(
-                    state, gamma, theta, max_rounds=cap)
-                assert (pruned, tau_value, rounds) == (
-                    reference.pruned, reference.tau_value, reference.rounds)
-                assert state.c_mask == reference.branch.c_mask
-                if not pruned:
-                    assert (min_deg, argmin) == union_min_degree(state)
-                if uncapped.rounds > cap:
-                    capped += 1
-        # The cap must really cut refinement short on part of the grid.
-        assert capped >= 5
 
     def test_pivot_and_children_match_reference(self):
         rng = random.Random(55)
@@ -376,7 +354,7 @@ class TestCompactSubproblems:
 
 
 class TestShrinkLedgers:
-    """The incremental shrinking ledgers against brute mask recomputation."""
+    """The store-free shrinking passes against the oracle's mask rules."""
 
     GRID = [(0.5, 2), (0.7, 3), (0.8, 4), (0.9, 5), (1.0, 3)]
 
@@ -391,78 +369,53 @@ class TestShrinkLedgers:
         root = rng.choice(list(iter_bits(ball)))
         return root, ball
 
-    @staticmethod
-    def _assert_fresh_ledgers_match(graph: Graph, ledgers: ShrinkLedgers,
-                                    root: int) -> None:
-        masks = graph.adjacency_masks()
-        alive = ledgers.alive_mask
-        assert ledgers.alive_count == alive.bit_count()
-        root_alive = masks[root] & alive
-        for v in iter_bits(alive):
-            restricted = masks[v] & alive
-            assert ledgers.deg[v] == restricted.bit_count()
-            assert ledgers.common[v] == (restricted & root_alive).bit_count()
-
-    def test_property_random_prune_sequences_match_recomputation(self):
-        """After arbitrary removal batches, a refresh reproduces exactly the
-        degrees and common-neighbour counts recomputed from the masks."""
-        rng = random.Random(123)
-        for trial in range(20):
-            graph = erdos_renyi_gnp(18, rng.uniform(0.2, 0.6), seed=4000 + trial)
-            root, ball = self._random_ball(graph, rng)
-            ledgers = ShrinkLedgers(graph, root, ball)
-            while ledgers.alive_count > 1:
-                pool = [v for v in iter_bits(ledgers.alive_mask) if v != root]
-                if not pool:
-                    break
-                batch = rng.sample(pool, k=rng.randint(1, len(pool)))
-                ledgers.remove_vertices(batch)
-                ledgers.refresh()  # exercises both the walk and reseed paths
-                self._assert_fresh_ledgers_match(graph, ledgers, root)
-
     def test_rounds_match_mask_rules_pass_for_pass(self):
         """Random interleavings of one-hop and two-hop passes survive exactly
-        the vertices the mask-based reference rules keep."""
+        the vertices the mask-based reference rules keep, on the dict graph
+        and on its CSR twin (whose one-hop pass reads ``restricted_counts``)."""
         rng = random.Random(5)
         for trial in range(25):
             graph = erdos_renyi_gnp(16, rng.uniform(0.2, 0.6), seed=4300 + trial)
+            twin = CSRGraph.from_edge_stream(graph.edges(),
+                                             vertices=graph.vertices())
             gamma, theta = rng.choice(self.GRID)
             oracle = ReferenceDCFastQC(graph, gamma, theta)
             required = degree_threshold(gamma, theta)
             root, ball = self._random_ball(graph, rng)
-            ledgers = ShrinkLedgers(graph, root, ball)
+            alive = ball
             for _ in range(4):
-                before = ledgers.alive_count
                 if rng.random() < 0.5:
-                    expected = oracle._one_hop_prune(root, ledgers.alive_mask,
-                                                     required)
-                    removed = ledgers.one_hop_round(required)
+                    expected = oracle._one_hop_prune(root, alive, required)
+                    removals = [one_hop_pass(backend, root, alive, required)
+                                for backend in (graph, twin)]
                 else:
                     threshold = two_hop_pruning_threshold(
-                        gamma, theta, ledgers.alive_count)
-                    expected = oracle._two_hop_prune(root, ledgers.alive_mask)
-                    removed = ledgers.two_hop_round(threshold)
-                assert ledgers.alive_mask == expected
-                assert ledgers.alive_count == expected.bit_count()
-                assert removed == before - ledgers.alive_count
+                        gamma, theta, alive.bit_count())
+                    expected = oracle._two_hop_prune(root, alive)
+                    removals = [two_hop_pass(backend, root, alive, threshold)
+                                for backend in (graph, twin)]
+                for removal in removals:
+                    assert removal & ~alive == 0
+                    assert alive & ~removal == expected
+                alive = expected
 
     def test_full_shrink_matches_reference_kernel(self):
-        """DCFastQC's ledger shrinking equals the oracle's mask rounds bit-for-bit."""
+        """DCFastQC's shrinking equals the oracle's mask rounds bit-for-bit."""
         rng = random.Random(9)
         for trial in range(20):
             graph = erdos_renyi_gnp(20, rng.uniform(0.2, 0.55), seed=4600 + trial)
             gamma, theta = rng.choice(self.GRID)
             for framework in ("dc", "basic-dc"):
                 for max_rounds in (0, 1, 2, 4):
-                    ledger = DCFastQC(graph, gamma, theta, framework=framework,
+                    kernel = DCFastQC(graph, gamma, theta, framework=framework,
                                       max_rounds=max_rounds)
                     reference = ReferenceDCFastQC(graph, gamma, theta,
                                                   framework=framework,
                                                   max_rounds=max_rounds)
-                    core = ledger._core_reduction_mask()
+                    core = kernel._core_reduction_mask()
                     for root in iter_bits(core):
                         ball = two_hop_mask(graph, root, core)
-                        assert (ledger._shrink_subproblem(root, ball)
+                        assert (kernel._shrink_subproblem(root, ball)
                                 == reference._shrink_subproblem(root, ball)), (
                             trial, gamma, theta, framework, max_rounds, root)
 
@@ -475,7 +428,6 @@ class TestShrinkLedgers:
         reference = ReferenceDCFastQC(graph, 0.8, 4)
         reference.enumerate()
         assert reference.statistics.shrink_rounds == 0
-        assert reference.statistics.shrink_ledger_updates == 0
 
 
 class TestLedgerBackends:
@@ -487,8 +439,6 @@ class TestLedgerBackends:
         wide = kernel_module.AUTO_ARRAY_MIN_WIDTH
         assert isinstance(kernel_module._make_ledger([0] * 4), list)
         assert isinstance(kernel_module._make_ledger([0] * wide), array.array)
-        assert isinstance(kernel_module._zero_ledger(4), list)
-        assert isinstance(kernel_module._zero_ledger(wide), array.array)
 
     @pytest.mark.parametrize("backend", ["array", "list"])
     def test_enumeration_identical_under_every_backend(self, backend, monkeypatch):
