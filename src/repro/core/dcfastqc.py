@@ -62,7 +62,7 @@ class CompactSubproblem:
     interface a branch reads, so bitmask and ledger widths track
     ``len(labels)`` and no graph is built per subproblem.  It is a plain
     tuple-of-ints structure on purpose: :mod:`repro.extensions.stealing`
-    copies it into one shared-memory segment per subproblem.
+    workers inherit it by fork, and it pickles where fork is unavailable.
 
     ``halo_labels`` / ``halo_adjacency`` carry the subproblem's **one-hop
     maximality halo**: every full-graph neighbour of a subproblem member that

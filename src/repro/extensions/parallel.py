@@ -11,8 +11,8 @@ one dominant subproblem is split across workers instead of serializing the
 run.  The outputs are merged before the usual MQCE-S2 filter.
 
 The parent process does the cheap global preprocessing (core reduction,
-degeneracy ordering, per-root two-hop shrinking) exactly once and publishes
-each subproblem as a *compact* payload
+degeneracy ordering, per-root two-hop shrinking) exactly once and hands the
+workers each subproblem as a *compact* payload
 (:class:`~repro.core.dcfastqc.CompactSubproblem`): the subproblem's vertices
 remapped to a dense local index space with their within-subproblem adjacency
 bitmasks.  Workers search those payloads directly, so bitmask and ledger
@@ -110,8 +110,8 @@ class ParallelDCFastQC:
     deterministic steal trigger for tests; default: the idle-worker signal).
 
     With ``workers=1`` or nothing to enumerate, everything runs in-process —
-    no worker is ever spawned.  A crashed worker, or a platform without POSIX
-    shared memory, falls back to the sequential driver.  After ``enumerate``,
+    no worker is ever spawned.  A crashed worker, or a fork that fails, falls
+    back to the sequential driver.  After ``enumerate``,
     :attr:`statistics` holds the parent shrink-phase counters merged with
     every worker's counters (branch counts add up exactly to a sequential
     run's) and :attr:`mode_selected` names the path actually taken
@@ -165,9 +165,9 @@ class ParallelDCFastQC:
                 branching=self.branching, workers=self.workers,
                 steal_schedule=self.steal_schedule)
         except (WorkerCrash, OSError, ValueError):
-            # A dead worker (or a platform without POSIX shared memory) must
-            # not cost the answer: rerun sequentially.  Segments were already
-            # unlinked by the coordinator's cleanup path.
+            # A dead worker (or a failed fork) must not cost the answer: rerun
+            # sequentially.  The coordinator has already joined its workers
+            # and closed its queues.
             return self._sequential()
         merged = driver.statistics
         merged.merge(worker_stats)

@@ -1,4 +1,4 @@
-"""Intra-subproblem work stealing over shared-memory compact subproblems.
+"""Intra-subproblem work stealing over fork-inherited compact subproblems.
 
 Handing *whole* DC subproblems to workers serializes the run whenever one
 subproblem dominates — the common case on skewed degree distributions, where
@@ -18,10 +18,11 @@ Three properties keep stolen subtrees exact:
   of the masks and the graph, so the steal payload is just three ints —
   O(|S| + |C|) bits, not O(subgraph) — and the thief rebuilds identical
   ledgers with ``BranchState.from_branch``.
-* **The maximality halo travels with the subproblem.**  Workers attach the
-  :class:`~repro.core.dcfastqc.CompactSubproblem` (ball + one-hop halo
-  adjacency) from a shared-memory segment, so a thief's maximality filtering
-  decides exactly like a full-graph check, wherever the subtree runs.
+* **The maximality halo travels with the subproblem.**  Workers inherit the
+  run's tuple of :class:`~repro.core.dcfastqc.CompactSubproblem` payloads
+  (ball + one-hop halo adjacency) by fork, and a task names its subproblem by
+  index, so a thief's maximality filtering decides exactly like a full-graph
+  check, wherever the subtree runs.
 * **Verdicts flow back.**  An ancestor's ``G[S]`` fallback emission depends on
   whether *any* descendant output a quasi-clique, so a donor parks the stolen
   subtree's parent frame (:class:`~repro.core.kernel.BranchFrame`) and the
@@ -42,26 +43,18 @@ tolerance (a thief's ``done`` may overtake the donor's ``steal`` announce).
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import struct
 import time
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from queue import Empty
 
 from ..core.branch import Branch
-from ..core.dcfastqc import CompactSubproblem
 from ..core.fastqc import FastQC
 from ..core.kernel import contribute_steal_result
 from ..core.stats import SearchStatistics
 from ..errors import ReproError
 from ..resilience.faults import fault_point
-
-#: Prefix of every shared-memory segment this module creates; the chaos tests
-#: and CI assert nothing matching ``/dev/shm/<prefix>*`` survives a run.
-SEGMENT_PREFIX = "repro-steal"
 
 #: How many branch expansions a worker runs between scheduler polls (inbox
 #: drain + hungry check).  Small enough to keep steal latency low, large
@@ -75,136 +68,6 @@ _STEAL_COOLDOWN_POLLS = 4
 
 class WorkerCrash(ReproError):
     """A branch-parallel worker died mid-run; the caller should fall back."""
-
-
-# ----------------------------------------------------------------------
-# Shared-memory codec: one segment per compact subproblem
-# ----------------------------------------------------------------------
-# Layout: header | ball adjacency rows | halo adjacency rows | labels pickle.
-# All rows are ``row_bytes`` wide (masks over ball indices), so a worker can
-# slice any row without parsing; labels are pickled once at the tail.
-_MAGIC = b"RQS1"
-_HEADER = struct.Struct("<4sIIIII")  # magic, ball, halo, row_bytes, root, labels_len
-
-
-def encode_subproblem(subproblem: CompactSubproblem) -> bytes:
-    """Serialise a compact subproblem into the shared-memory segment layout."""
-    ball = len(subproblem.labels)
-    halo = len(subproblem.halo_labels)
-    row_bytes = max(1, (ball + 7) // 8)
-    labels_blob = pickle.dumps(
-        (subproblem.labels, subproblem.halo_labels),
-        protocol=pickle.HIGHEST_PROTOCOL)
-    size = _HEADER.size + row_bytes * (ball + halo) + len(labels_blob)
-    buffer = bytearray(size)
-    _HEADER.pack_into(buffer, 0, _MAGIC, ball, halo, row_bytes,
-                      subproblem.root_local, len(labels_blob))
-    offset = _HEADER.size
-    for mask in subproblem.rows:
-        buffer[offset:offset + row_bytes] = mask.to_bytes(row_bytes, "little")
-        offset += row_bytes
-    for mask in subproblem.halo_adjacency:
-        buffer[offset:offset + row_bytes] = mask.to_bytes(row_bytes, "little")
-        offset += row_bytes
-    buffer[offset:] = labels_blob
-    return bytes(buffer)
-
-
-def decode_subproblem(buffer: bytes) -> CompactSubproblem:
-    """Inverse of :func:`encode_subproblem` (accepts any bytes-like view)."""
-    magic, ball, halo, row_bytes, root_local, labels_len = _HEADER.unpack_from(
-        buffer, 0)
-    if magic != _MAGIC:
-        raise ReproError("not a repro shared-memory subproblem segment")
-    offset = _HEADER.size
-    rows = []
-    for _ in range(ball + halo):
-        rows.append(int.from_bytes(buffer[offset:offset + row_bytes], "little"))
-        offset += row_bytes
-    labels, halo_labels = pickle.loads(
-        bytes(buffer[offset:offset + labels_len]))
-    return CompactSubproblem(
-        root_local=root_local, labels=labels,
-        rows=tuple(rows[:ball]),
-        halo_labels=halo_labels, halo_adjacency=tuple(rows[ball:]))
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without registering it for auto-unlink.
-
-    Only the coordinator owns segment lifetimes; a worker that also registered
-    the name with its resource tracker would race the parent's unlink and spam
-    "leaked shared_memory" warnings at exit.  Python 3.13 has ``track=False``
-    for exactly this; older versions need the documented unregister dance.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        # Python < 3.13: attach re-registers the name, but workers are forked
-        # so they share the coordinator's tracker process, whose cache is a
-        # set — the re-registration is idempotent and the coordinator's
-        # eventual unlink removes the single entry.  Unregistering here would
-        # strip the coordinator's own registration and make that unlink
-        # traceback inside the tracker.
-        return shared_memory.SharedMemory(name=name)
-
-
-class SharedSubproblemStore:
-    """Coordinator-side owner of the per-subproblem shared-memory segments.
-
-    ``publish`` copies one encoded subproblem into a fresh segment and returns
-    its name (the *token* shipped in task messages); ``close`` unlinks every
-    segment — it runs in a ``finally`` so a crashed run leaves ``/dev/shm``
-    clean.
-    """
-
-    def __init__(self) -> None:
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._sequence = 0
-
-    def publish(self, subproblem: CompactSubproblem) -> str:
-        blob = encode_subproblem(subproblem)
-        self._sequence += 1
-        name = (f"{SEGMENT_PREFIX}-{os.getpid()}-{self._sequence}-"
-                f"{os.urandom(3).hex()}")
-        segment = shared_memory.SharedMemory(name=name, create=True,
-                                             size=len(blob))
-        segment.buf[:len(blob)] = blob
-        self._segments[segment.name] = segment
-        return segment.name
-
-    def close(self) -> None:
-        for segment in self._segments.values():
-            try:
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-
-
-class SubproblemCache:
-    """Worker-side attach-once cache: token -> decoded subproblem."""
-
-    def __init__(self) -> None:
-        self._attached: dict[str, tuple] = {}
-
-    def get(self, token: str) -> CompactSubproblem:
-        hit = self._attached.get(token)
-        if hit is not None:
-            return hit[1]
-        segment = _attach_segment(token)
-        subproblem = decode_subproblem(segment.buf)
-        self._attached[token] = (segment, subproblem)
-        return subproblem
-
-    def close(self) -> None:
-        for segment, _ in self._attached.values():
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - shutdown best-effort
-                pass
-        self._attached.clear()
 
 
 # ----------------------------------------------------------------------
@@ -276,27 +139,27 @@ class _BranchWorkerConfig:
 class _WorkerRuntime:
     """Everything one branch-parallel worker process owns.
 
-    One :class:`FastQC` engine per attached subproblem (reused across tasks of
-    that subproblem, so per-worker ``_seen_masks`` dedup and statistics
-    accumulate across its tasks); one global emission buffer
+    One :class:`FastQC` engine per subproblem index it runs (reused across
+    tasks of that subproblem, so per-worker ``_seen_masks`` dedup and
+    statistics accumulate across its tasks); one global emission buffer
     flushed with each ``done`` event; and a ``parked`` table mapping published
     steal ids to the frames awaiting the thief's verdict.
     """
 
-    def __init__(self, worker_id: int, tasks, events, inbox, hungry,
-                 config: _BranchWorkerConfig) -> None:
+    def __init__(self, worker_id: int, subproblems: tuple, tasks, events,
+                 inbox, hungry, config: _BranchWorkerConfig) -> None:
         self.worker_id = worker_id
+        self.subproblems = subproblems
         self.tasks = tasks
         self.events = events
         self.inbox = inbox
         self.hungry = hungry
         self.config = config
-        self.cache = SubproblemCache()
         self.scheduler = StealScheduler(self, period=config.poll_period)
-        self.engines: dict[str, FastQC] = {}
+        self.engines: dict[int, FastQC] = {}
         self.emissions: list[frozenset] = []
         self.parked: dict[str, tuple] = {}
-        self.active_task: tuple[str, str] | None = None  # (task_id, token)
+        self.active_task: tuple[str, int] | None = None  # (task_id, index)
         self.steal_sequence = 0
         self.cooldown = 0
         self.busy_seconds = 0.0
@@ -304,19 +167,19 @@ class _WorkerRuntime:
         self.steals_published = 0
 
     # -- engine/task plumbing ------------------------------------------
-    def engine_for(self, token: str) -> FastQC:
-        engine = self.engines.get(token)
+    def engine_for(self, index: int) -> FastQC:
+        engine = self.engines.get(index)
         if engine is None:
-            subproblem = self.cache.get(token)
+            subproblem = self.subproblems[index]
             engine = FastQC(subproblem, self.config.gamma, self.config.theta,
                             branching=self.config.branching,
                             maximality_rows=subproblem.maximality_rows(),
                             on_output=self.emissions.append)
-            self.engines[token] = engine
+            self.engines[index] = engine
         return engine
 
     def bind_root_frame(self, root_frame) -> None:
-        task_id, _token = self.active_task
+        task_id, _index = self.active_task
         origin = self._origin_of(task_id)
 
         def task_resolved(found: bool, _task_id=task_id, _origin=origin) -> None:
@@ -341,11 +204,11 @@ class _WorkerRuntime:
         self.emissions.clear()
         return flushed
 
-    def run_task(self, task_id: str, token: str, s_mask: int, c_mask: int,
+    def run_task(self, task_id: str, index: int, s_mask: int, c_mask: int,
                  d_mask: int) -> None:
         fault_point("worker.task")
-        engine = self.engine_for(token)
-        self.active_task = (task_id, token)
+        engine = self.engine_for(index)
+        self.active_task = (task_id, index)
         started = time.perf_counter()
         engine.enumerate_branch(Branch(s_mask, c_mask, d_mask),
                                 scheduler=self.scheduler)
@@ -374,12 +237,12 @@ class _WorkerRuntime:
         self.steal_sequence += 1
         steal_id = f"{self.worker_id}:{self.steal_sequence}"
         task_id = f"steal-{steal_id}"
-        _active_id, token = self.active_task
+        _active_id, index = self.active_task
         self.parked[steal_id] = (frame, scheduler.close)
         # Announce first so the coordinator learns of the new task before any
         # chance of seeing its done; it still tolerates the reverse order.
         self.events.put(("steal", task_id))
-        self.tasks.put(("task", task_id, token,
+        self.tasks.put(("task", task_id, index,
                         state.s_mask, state.c_mask, state.d_mask))
         self.steals_published += 1
         return True
@@ -417,8 +280,8 @@ class _WorkerRuntime:
             idle_since = None
             if message[0] == "stop":
                 return
-            _kind, task_id, token, s_mask, c_mask, d_mask = message
-            self.run_task(task_id, token, s_mask, c_mask, d_mask)
+            _kind, task_id, index, s_mask, c_mask, d_mask = message
+            self.run_task(task_id, index, s_mask, c_mask, d_mask)
 
     def farewell(self) -> None:
         """Send this worker's accumulated statistics and telemetry."""
@@ -431,9 +294,10 @@ class _WorkerRuntime:
                          self.idle_gaps_ms))
 
 
-def _branch_worker_main(worker_id: int, tasks, events, inbox, hungry,
-                        config: _BranchWorkerConfig) -> None:
-    runtime = _WorkerRuntime(worker_id, tasks, events, inbox, hungry, config)
+def _branch_worker_main(worker_id: int, subproblems: tuple, tasks, events,
+                        inbox, hungry, config: _BranchWorkerConfig) -> None:
+    runtime = _WorkerRuntime(worker_id, subproblems, tasks, events, inbox,
+                             hungry, config)
     try:
         runtime.loop()
         if runtime.parked:  # pragma: no cover - protocol invariant
@@ -442,8 +306,6 @@ def _branch_worker_main(worker_id: int, tasks, events, inbox, hungry,
         runtime.farewell()
     except Exception:  # pragma: no cover - surfaced as WorkerCrash
         events.put(("error", worker_id, traceback.format_exc()))
-    finally:
-        runtime.cache.close()
 
 
 # ----------------------------------------------------------------------
@@ -470,14 +332,13 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     ``workers``, ``worker_branches``).
 
     Raises :class:`WorkerCrash` when a worker dies mid-run; the caller is
-    expected to fall back to the sequential driver.  Shared-memory segments
-    are unlinked on every path, including crashes.
+    expected to fall back to the sequential driver.  Workers are joined and
+    queues closed, with their feeder threads, on every path, including crashes.
     """
     if workers < 2:
         raise ValueError("branch-parallel enumeration needs >= 2 workers")
-    subproblems = list(subproblems)
+    subproblems = tuple(subproblems)
     context = _context()
-    store = SharedSubproblemStore()
     tasks = context.Queue()
     events = context.Queue()
     inboxes = [context.Queue() for _ in range(workers)]
@@ -486,8 +347,8 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
                                  poll_period=poll_period, steal_schedule=steal_schedule)
     processes = [
         context.Process(target=_branch_worker_main,
-                        args=(index, tasks, events, inboxes[index], hungry,
-                              config),
+                        args=(index, subproblems, tasks, events, inboxes[index],
+                              hungry, config),
                         daemon=True)
         for index in range(workers)
     ]
@@ -497,22 +358,19 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     telemetry = {"steals": 0, "busy_seconds": 0.0, "idle_gaps_ms": [],
                  "workers": workers, "wall_seconds": 0.0,
                  "worker_branches": {}}
+    crashed = True
     try:
-        # Publish every segment *before* forking: the first registration
-        # lazily spawns the parent's resource-tracker process, and workers
-        # must inherit that tracker — a worker whose first shm registration
-        # happens post-fork with no inherited tracker would spawn a private
-        # one that tries to "clean up" the parent's segments when it exits.
+        # Fork before the first put: a put starts the queue's feeder thread,
+        # and forking a process that runs threads may deadlock the child.
+        for process in processes:
+            process.start()
         announced: set[str] = set()
         for index, subproblem in enumerate(subproblems):
-            token = store.publish(subproblem)
             root = subproblem.initial_branch()
             task_id = f"init-{index}"
             announced.add(task_id)
-            tasks.put(("task", task_id, token,
+            tasks.put(("task", task_id, index,
                        root.s_mask, root.c_mask, root.d_mask))
-        for process in processes:
-            process.start()
         outstanding = len(announced)
         pending_dones: dict[str, tuple] = {}
 
@@ -582,12 +440,23 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
                                   f"raised:\n{message[2]}")
         for process in processes:
             process.join(timeout=10)
+        crashed = False
     finally:
         for process in processes:
             if process.is_alive():
                 process.terminate()
+            if process.pid is not None:
                 process.join(timeout=10)
-        store.close()
+                process.close()
+        for queue in (tasks, events, *inboxes):
+            if crashed:
+                # Nothing else reads the pipe now: empty it, or a feeder thread
+                # blocked on a full pipe never takes the close sentinel.
+                with suppress(Empty):
+                    while True:
+                        queue.get(timeout=0.05)
+            queue.close()
+            queue.join_thread()
     telemetry["steals"] = statistics.steals
     telemetry["wall_seconds"] = time.perf_counter() - started
     return results, statistics, telemetry

@@ -468,8 +468,8 @@ class TestMaximalityHalo:
             assert len(payload.halo_labels) == len(payload.halo_adjacency)
             ball = set(payload.labels)
             # Halo = outside neighbours of ball members, ascending by global
-            # index (the payload layout the shared-memory codec ships), with
-            # their adjacency into the ball.
+            # index (the payload layout steal workers inherit), with their
+            # adjacency into the ball.
             expected_halo = set()
             for label in payload.labels:
                 expected_halo |= graph.neighbors(label)

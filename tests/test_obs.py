@@ -7,9 +7,10 @@ import json
 
 import pytest
 
-from repro import Graph, MQCEEngine, Q, prepare_graph
+from repro import Graph, MQCEEngine, Q, QuerySpec, prepare_graph
 from repro.core.fastqc import FastQC
 from repro.core.stats import SearchStatistics
+from repro.datasets import load_dataset
 from repro.graph.generators import planted_quasi_clique_graph
 from repro.obs import (
     NULL_TRACER,
@@ -261,6 +262,32 @@ class TestPipelineTracing:
         enumerate_span = next(c for c in root.children if c.name == "enumerate")
         assert enumerate_span.attributes.get("workload") == "topk"
         assert any(c.name == "threshold_round" for c in enumerate_span.children)
+
+    @pytest.mark.parametrize("dataset, gamma, theta", [
+        ("enron", 0.85, 6), ("uk2002", 0.9, 7), ("pokec", 0.82, 9)])
+    def test_per_root_span_deltas_sum_to_the_run_totals(self, dataset, gamma,
+                                                         theta):
+        # Conservation: every branch, output and shrink removal of a DC run
+        # is counted in exactly one per-root span.
+        def spans(span, name):
+            if span.name == name:
+                yield span
+            for child in span.children:
+                yield from spans(child, name)
+
+        def summed(name, counter):
+            return sum(span.counters.get(counter, 0)
+                       for root in tracer.spans for span in spans(root, name))
+
+        tracer = Tracer()
+        result = MQCEEngine().query(
+            load_dataset(dataset), QuerySpec(gamma, theta, parallel="none"),
+            use_cache=False, trace=tracer)
+        stats = result.search_statistics
+        assert summed("subproblem", "branches_explored") == stats.branches_explored > 0
+        assert summed("subproblem", "outputs") == stats.outputs
+        assert summed("shrink", "shrink_removed_one_hop") == stats.shrink_removed_one_hop
+        assert summed("shrink", "shrink_removed_two_hop") == stats.shrink_removed_two_hop
 
 
 # ----------------------------------------------------------------------

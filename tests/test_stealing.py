@@ -1,4 +1,4 @@
-"""Work-stealing branch parallelism: codec, steal-protocol parity, recovery.
+"""Work-stealing branch parallelism: steal-protocol parity, transport, recovery.
 
 The differential heart of this file is *branch-for-branch* parity: a stolen
 subtree must reproduce exactly the candidate sets the sequential driver would
@@ -7,10 +7,22 @@ up to the sequential run's.  :class:`repro.extensions.stealing.InlineStealRuntim
 drives the real scheduler surfaces deterministically (seeded steal points via
 :class:`ForcedStealSchedule`), so the grid sweeps every steal cadence without
 multiprocessing nondeterminism; the multiprocess tests then cover the actual
-shared-memory transport, natural hungry-driven stealing and crash fallback.
+fork-inherited transport, natural hungry-driven stealing and crash fallback,
+and that every run gives back each process, thread and fd it took.
+
+Run as a script (``python tests/test_stealing.py SCENARIO`` with ``src`` on
+``PYTHONPATH``), this file is the fresh interpreter the resource tests start,
+so no earlier test's processes, threads or fds are in the baseline.
 """
 
-import glob
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +34,7 @@ from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.engine.prepared import PreparedGraph
 from repro.extensions.parallel import ParallelDCFastQC, run_compact_subproblem
 from repro.extensions.stealing import (ForcedStealSchedule, InlineStealRuntime,
-                                       SEGMENT_PREFIX, SharedSubproblemStore,
-                                       SubproblemCache, branch_parallel_enumerate,
-                                       decode_subproblem, encode_subproblem)
+                                       WorkerCrash, branch_parallel_enumerate)
 from repro.graph.generators import barabasi_albert
 from repro.obs import Tracer
 from repro.resilience.faults import install_plan, reset_plan
@@ -37,8 +47,72 @@ def _subproblems(graph, gamma=GAMMA, theta=THETA):
     return tuple(DCFastQC(graph, gamma, theta).iter_compact_subproblems())
 
 
-def _shm_segments():
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
+def _live_children() -> list[int]:
+    """Pids of running processes whose parent is this interpreter.
+
+    A ``/proc`` scan rather than ``multiprocessing.active_children()``, which
+    misses helpers multiprocessing starts outside its child table (its
+    resource tracker).  Zombies are skipped: they hold nothing but a pid.
+    """
+    me = str(os.getpid())
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii",
+                      errors="replace") as handle:
+                state, parent = handle.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if parent == me and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+def _resources() -> tuple[list[int], int, int]:
+    """(live children, live threads, open fds) of this interpreter."""
+    return (_live_children(), threading.active_count(),
+            len(os.listdir("/proc/self/fd")))
+
+
+def _resource_baseline() -> tuple[list[int], int, int]:
+    """:func:`_resources` once multiprocessing's shared-ctypes heap exists.
+
+    The heap keeps its first arena (an fd plus its mmap's duplicate) for the
+    life of the process, so it is allocated here, before counting.
+    """
+    multiprocessing.get_context("fork").Value("i", 0)
+    return _resources()
+
+
+def _assert_released(before) -> None:
+    """No child process, thread or fd beyond those ``before`` counted.
+
+    Inside the shared test process another test's garbage may be freed
+    meanwhile, so counts may fall; the fresh-interpreter tests require them
+    equal.
+    """
+    children, threads, fds = _resources()
+    assert set(children) <= set(before[0])
+    assert threads <= before[1] and fds <= before[2]
+
+
+def _in_fresh_interpreter(scenario: str) -> dict:
+    """Run one of this file's :data:`_SCENARIOS` in a new interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    completed = subprocess.run([sys.executable, __file__, scenario], env=env,
+                               capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _maximal(candidates):
+    return filter_non_maximal(
+        sorted(candidates, key=lambda h: (-len(h), sorted(map(str, h)))),
+        theta=THETA)
 
 
 def _sequential_answer(graph, gamma=GAMMA, theta=THETA):
@@ -49,9 +123,13 @@ def _sequential_answer(graph, gamma=GAMMA, theta=THETA):
     return candidates
 
 
+def _fixture_graph():
+    return barabasi_albert(160, attachment=8, seed=3)
+
+
 @pytest.fixture(scope="module")
 def graph():
-    return barabasi_albert(160, attachment=8, seed=3)
+    return _fixture_graph()
 
 
 @pytest.fixture(scope="module")
@@ -59,35 +137,6 @@ def subproblems(graph):
     found = _subproblems(graph)
     assert found, "fixture graph must decompose into nontrivial subproblems"
     return found
-
-
-# ----------------------------------------------------------------------
-# Shared-memory codec
-# ----------------------------------------------------------------------
-class TestCodec:
-    def test_roundtrip_preserves_every_field(self, subproblems):
-        for subproblem in subproblems:
-            clone = decode_subproblem(encode_subproblem(subproblem))
-            assert clone.root_local == subproblem.root_local
-            assert clone.labels == subproblem.labels
-            assert clone.rows == subproblem.rows
-            assert clone.halo_labels == subproblem.halo_labels
-            assert clone.halo_adjacency == subproblem.halo_adjacency
-
-    def test_store_publish_attach_and_unlink(self, subproblems):
-        store = SharedSubproblemStore()
-        cache = SubproblemCache()
-        try:
-            tokens = [store.publish(s) for s in subproblems[:4]]
-            assert len(_shm_segments()) >= len(tokens)
-            for token, original in zip(tokens, subproblems[:4]):
-                assert cache.get(token).labels == original.labels
-            # Attach-once: repeated gets hand back the same decoded object.
-            assert cache.get(tokens[0]) is cache.get(tokens[0])
-        finally:
-            cache.close()
-            store.close()
-        assert _shm_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -131,21 +180,23 @@ class TestBranchParallel:
     def test_forced_aggressive_stealing_matches_sequential(self, graph,
                                                            subproblems):
         expected = _sequential_answer(graph)
+        before = _resource_baseline()
         results, stats, telemetry = branch_parallel_enumerate(
             subproblems, GAMMA, THETA, workers=3,
             steal_schedule=ForcedStealSchedule(every=1))
+        _assert_released(before)
         assert set(results) == expected
         assert stats.steals > 0
         assert telemetry["steals"] == stats.steals
-        assert _shm_segments() == []
 
     def test_natural_hungry_driven_stealing_matches_sequential(
             self, graph, subproblems):
         expected = _sequential_answer(graph)
+        before = _resource_baseline()
         results, stats, _ = branch_parallel_enumerate(
             subproblems, GAMMA, THETA, workers=3)
+        _assert_released(before)
         assert set(results) == expected
-        assert _shm_segments() == []
 
     def test_branch_counts_add_up_to_sequential(self, graph, subproblems):
         sequential_branches = 0
@@ -157,25 +208,63 @@ class TestBranchParallel:
             steal_schedule=ForcedStealSchedule(every=2))
         assert stats.branches_explored == sequential_branches
 
+    def test_engine_branch_query_conserves_the_sequential_counts(self, graph):
+        def run(parallel):
+            engine = MQCEEngine(workers=2)
+            result = engine.query(graph, QuerySpec(GAMMA, THETA, parallel=parallel,
+                                                   include_candidates=True),
+                                  use_cache=False)
+            stats = result.search_statistics
+            return engine.stats()["parallel"].get("mode"), (
+                stats.branches_explored, stats.outputs,
+                stats.shrink_removed_one_hop, stats.shrink_removed_two_hop,
+                set(result.candidate_quasi_cliques))
+
+        branch_mode, branch_counts = run("branch")
+        _, sequential_counts = run("none")
+        assert branch_mode == "branch"
+        assert branch_counts == sequential_counts
+
+    def test_workers_fork_from_a_single_threaded_coordinator(self):
+        # Python 3.12+ warns once per fork of a multi-threaded process, which
+        # a queue put before forking makes the coordinator.
+        report = _in_fresh_interpreter("fork-warnings")
+        assert report["fork_warnings"] == []
+
 
 # ----------------------------------------------------------------------
 # Crash recovery (reuses the PR-9 worker.task fault site)
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
     def test_killed_worker_falls_back_sequential_without_shm_leak(self, graph):
-        expected = filter_non_maximal(
-            sorted(_sequential_answer(graph),
-                   key=lambda h: (-len(h), sorted(map(str, h)))),
-            theta=THETA)
+        expected = _maximal(_sequential_answer(graph))
+        before = _resource_baseline()
         install_plan("worker.task:kill:times=1")
         try:
             runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
             answers = runner.find_maximal()
         finally:
             reset_plan()
+        _assert_released(before)
         assert runner.mode_selected == "sequential"
         assert sorted(map(sorted, answers)) == sorted(map(sorted, expected))
-        assert _shm_segments() == []
+
+    def test_runs_give_back_every_process_thread_and_fd(self):
+        # In a fresh interpreter, so nothing an earlier test started (such as
+        # a resource tracker) hides in the baseline.
+        report = _in_fresh_interpreter("release")
+        before = report["before"]
+        assert before[0] == []
+        assert report["after_run"] == before
+        assert report["mode"] == "sequential"
+        assert report["after_kill"] == before
+
+    def test_killed_worker_with_a_deep_backlog_lets_the_interpreter_exit(self):
+        # More queued tasks than one pipe holds: with the workers dead, only
+        # the coordinator can read them, or its feeder thread blocks the
+        # interpreter's exit (the subprocess timeout fails the test).
+        report = _in_fresh_interpreter("deep-backlog-kill")
+        assert report["crashed"] and report["tasks"] >= 4000
 
 
 # ----------------------------------------------------------------------
@@ -241,10 +330,8 @@ class TestPlannerModeSelection:
                                           max_workers=4))
 
     def test_every_fan_out_plan_runs_branch_mode(self, graph):
-        expected = set(filter_non_maximal(
-            sorted(_sequential_answer(graph),
-                   key=lambda h: (-len(h), sorted(map(str, h)))),
-            theta=THETA))
+        expected = set(_maximal(_sequential_answer(graph)))
+        before = _resource_baseline()
         observed = PreparedGraph(graph)
         observed.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
         cases = ((self._size_gate(), PreparedGraph(graph), "auto"),
@@ -263,7 +350,7 @@ class TestPlannerModeSelection:
             assert enumerate_span.get("attributes", {}).get("mode") == "branch"
             assert engine.stats()["parallel"]["mode"] == "branch"
             assert set(result.maximal_quasi_cliques) == expected
-        assert _shm_segments() == []
+        _assert_released(before)
 
     def test_explain_names_the_evidence_that_opened_the_gate(self, graph):
         by_size = self._size_gate().plan(PreparedGraph(graph), GAMMA, THETA)
@@ -297,3 +384,53 @@ class TestPlannerModeSelection:
         prepared.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
         warm = planner.plan(prepared, GAMMA, THETA, workers=4)
         assert warm.parallel and warm.workers == 4
+
+
+# ----------------------------------------------------------------------
+# Fresh-interpreter scenarios (``python tests/test_stealing.py SCENARIO``)
+# ----------------------------------------------------------------------
+def _scenario_release() -> dict:
+    """Resources before, after a normal run and after the kill fallback."""
+    graph = _fixture_graph()
+    before = _resource_baseline()
+    branch_parallel_enumerate(_subproblems(graph), GAMMA, THETA, workers=2)
+    after_run = _resources()
+    install_plan("worker.task:kill:times=1")
+    try:
+        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
+        runner.enumerate()
+    finally:
+        reset_plan()
+    return {"before": before, "after_run": after_run,
+            "after_kill": _resources(), "mode": runner.mode_selected}
+
+
+def _scenario_deep_backlog_kill() -> dict:
+    """Kill the workers while ~4,000 tasks (several pipes' worth) are queued."""
+    subproblems = _subproblems(_fixture_graph())
+    backlog = subproblems * (4000 // len(subproblems) + 1)
+    install_plan("worker.task:kill:times=1")
+    try:
+        branch_parallel_enumerate(backlog, GAMMA, THETA, workers=2)
+    except WorkerCrash:
+        return {"crashed": True, "tasks": len(backlog)}
+    return {"crashed": False, "tasks": len(backlog)}
+
+
+def _scenario_fork_warnings() -> dict:
+    """Every warning a branch-parallel run raises that names ``fork()``."""
+    subproblems = _subproblems(_fixture_graph())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        branch_parallel_enumerate(subproblems, GAMMA, THETA, workers=2)
+    return {"fork_warnings": [str(warning.message) for warning in caught
+                              if "fork()" in str(warning.message)]}
+
+
+_SCENARIOS = {"release": _scenario_release,
+              "deep-backlog-kill": _scenario_deep_backlog_kill,
+              "fork-warnings": _scenario_fork_warnings}
+
+
+if __name__ == "__main__":
+    print(json.dumps(_SCENARIOS[sys.argv[1]]()))
