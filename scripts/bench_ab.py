@@ -6,8 +6,13 @@ Usage (from the repository root):
     python3 scripts/bench_ab.py --base main --workload registry-cold \\
         --pairs 10 --seconds 10 --first-seed 101 --claim query_p50_ms
 
-The base revision is checked out with ``git worktree add --detach`` into a
-temporary directory, which is removed on every exit path.  Each pair runs
+Both sides run from fresh trees in one temporary directory, which is removed
+on every exit path.  The base revision is checked out there with
+``git worktree add --detach``.  The change is a copy of this checkout's
+working tree: the files ``git ls-files --cached --others --exclude-standard``
+lists (tracked, and untracked but not ignored), minus paths deleted in the
+working tree.  So neither side runs with this checkout's bytecode caches or
+other leftovers.  Each pair runs
 ``python3 <tree>/perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once per side with the same seed; which side goes first alternates between
 pairs.  For every end-to-end metric of ``BENCHMARK.json`` the summary gives
@@ -29,6 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -150,6 +157,23 @@ def git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy ``root``'s tracked and untracked-but-not-ignored files into ``dest``.
+
+    Paths deleted in the working tree are skipped.
+    """
+    listed = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in {os.fsdecode(raw) for raw in listed.split(b"\0") if raw}:
+        source = root / name
+        if not source.is_file():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -173,25 +197,25 @@ def main(argv=None) -> int:
 
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
-        base_tree = Path(scratch) / "base"
-        git("worktree", "add", "--detach", str(base_tree), revision)
+        trees = {"base": Path(scratch) / "base", "change": Path(scratch) / "change"}
+        copy_working_tree(ROOT, trees["change"])
+        git("worktree", "add", "--detach", str(trees["base"]), revision)
         try:
             for pair in range(args.pairs):
                 seed = args.first_seed + pair
                 order = ["base", "change"] if pair % 2 == 0 else ["change", "base"]
                 records = {}
                 for side in order:
-                    tree = base_tree if side == "base" else ROOT
                     print(f"# pair {pair + 1}/{args.pairs} seed {seed}: {side}",
                           file=sys.stderr, flush=True)
-                    records[side] = run_once(tree, args.workload, seed,
+                    records[side] = run_once(trees[side], args.workload, seed,
                                              args.seconds, args.trace)
                 runs.append({"pair": pair + 1, "seed": seed, "first": order[0], **records})
         finally:
-            git("worktree", "remove", "--force", str(base_tree))
+            git("worktree", "remove", "--force", str(trees["base"]))
             git("worktree", "prune")
 
-    print(f"# {args.workload}, base {args.base} ({revision[:10]}) vs this checkout, "
+    print(f"# {args.workload}, base {args.base} ({revision[:10]}) vs this working tree, "
           f"{args.pairs} pairs, --seconds {args.seconds:g} --trace {args.trace}")
     print(format_runs(runs))
     print()

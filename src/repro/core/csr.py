@@ -25,10 +25,11 @@ local index assignment, pivot selection) are identical to what a
 dict-backed :class:`Graph` of the same content produces, so CSR-backed
 queries return answers identical to dict-backed ones.  The CSR-native
 algorithm variants in this module (degeneracy/cores, restricted ordering,
-connected components, 2-hop balls) mirror the reference implementations'
-scan orders step for step to preserve that guarantee while running in
-O(V + E) instead of O(n^2 / 64); subproblem extraction walks the same rows
-(:func:`repro.graph.subgraph.ball_and_halo`).
+2-hop balls) mirror the reference implementations' scan orders step for step
+to preserve that guarantee while running in O(V + E) instead of
+O(n^2 / 64); subproblem extraction and connectivity walk the same rows
+through code both backends share (:func:`repro.graph.subgraph.ball_and_halo`,
+:func:`repro.graph.subgraph.connected_components`).
 
 numpy, when importable, accelerates only the *construction* (sort + dedupe
 of the symmetrised endpoint arrays); the stored arrays are always stdlib
@@ -532,74 +533,6 @@ def csr_restricted_degeneracy_order(graph: CSRGraph, mask: int) -> list[int]:
             if new_degree < pointer:
                 pointer = new_degree
     return order
-
-
-def csr_connected_components(graph: CSRGraph,
-                             within_mask: int | None = None
-                             ) -> list[frozenset[VertexLabel]]:
-    """Connected components via CSR BFS, ordered by smallest member index
-    (the same order the mask-based BFS produces)."""
-    n = graph.vertex_count
-    indptr, indices, labels = graph.indptr, graph.indices, graph._labels
-    allowed = (within_mask.to_bytes((n + 7) // 8, "little")
-               if within_mask is not None else None)
-    seen = bytearray(n)
-    components: list[frozenset[VertexLabel]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        if allowed is not None and not (allowed[start >> 3] >> (start & 7)) & 1:
-            continue
-        seen[start] = 1
-        stack = [start]
-        component = [start]
-        while stack:
-            vertex = stack.pop()
-            for k in range(indptr[vertex], indptr[vertex + 1]):
-                j = indices[k]
-                if seen[j]:
-                    continue
-                if allowed is not None and not (allowed[j >> 3] >> (j & 7)) & 1:
-                    continue
-                seen[j] = 1
-                component.append(j)
-                stack.append(j)
-        components.append(frozenset(labels[i] for i in component))
-    return components
-
-
-def csr_is_connected(graph: CSRGraph, allowed_mask: int | None = None) -> bool:
-    """Connectivity of ``G`` (or ``G[allowed_mask]``) via one CSR BFS."""
-    n = graph.vertex_count
-    if n == 0:
-        return True
-    indptr, indices = graph.indptr, graph.indices
-    if allowed_mask is None:
-        start = 0
-        allowed = None
-        total = n
-    else:
-        if allowed_mask == 0:
-            return True
-        allowed = allowed_mask.to_bytes((n + 7) // 8, "little")
-        start = next(iter_mask_indices(allowed_mask))
-        total = allowed_mask.bit_count()
-    seen = bytearray(n)
-    seen[start] = 1
-    reached = 1
-    stack = [start]
-    while stack:
-        vertex = stack.pop()
-        for k in range(indptr[vertex], indptr[vertex + 1]):
-            j = indices[k]
-            if seen[j]:
-                continue
-            if allowed is not None and not (allowed[j >> 3] >> (j & 7)) & 1:
-                continue
-            seen[j] = 1
-            reached += 1
-            stack.append(j)
-    return reached == total
 
 
 def csr_two_hop_mask(graph: CSRGraph, center_index: int, allowed_mask: int) -> int:

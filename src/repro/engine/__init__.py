@@ -4,12 +4,12 @@ The one-shot pipeline (:func:`repro.run_enumeration`) re-validates, re-prunes
 and re-enumerates from scratch on every call.  This package adds
 what a database engine adds on top of an algorithm:
 
-* :class:`PreparedGraph` — per-graph preprocessing (core decomposition,
-  degeneracy ordering, components, content fingerprint) computed once,
-* :class:`QueryPlanner` / :class:`QueryPlan` — explainable cost-based
-  selection of algorithm, branching rule and parallelism,
+* :class:`PreparedGraph` — per-graph preprocessing (content fingerprint,
+  core decomposition) computed once,
+* :class:`QueryPlanner` / :class:`QueryPlan` — explainable selection of
+  algorithm, branching rule and parallelism,
 * :class:`ResultCache` — a bounded LRU over
-  ``(fingerprint, gamma, theta, algorithm)`` with hit/miss/eviction counters,
+  ``(fingerprint, resolved spec)`` with hit/miss/eviction counters,
 * :class:`MQCEEngine` — the facade tying them together, with ``query()``,
   ``stream()`` (a :class:`ResultStream`: incremental delivery of a
   :class:`repro.api.QuerySpec`), ``query_batch()``, ``explain()`` and

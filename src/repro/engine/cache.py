@@ -1,11 +1,12 @@
 """Bounded LRU cache for MQCE query results.
 
-Results are keyed by ``(fingerprint, gamma, theta, algorithm, branching,
-framework)`` — everything that determines the *content* of an
-:class:`~repro.pipeline.results.EnumerationResult`.  The gamma component is
-normalised through :func:`~repro.quasiclique.definitions.gamma_fraction`, so
-``0.9`` and ``Fraction(9, 10)`` address the same entry, exactly as they define
-the same quasi-clique threshold.
+Results are keyed by :meth:`ResultCache.spec_key`: the content fingerprint
+plus the resolved spec's :meth:`~repro.api.QuerySpec.cache_key` — everything
+that determines the *content* of an
+:class:`~repro.pipeline.results.EnumerationResult`.  The spec normalises gamma
+through :func:`~repro.quasiclique.definitions.gamma_fraction`, so ``0.9`` and
+``Fraction(9, 10)`` address the same entry, exactly as they define the same
+quasi-clique threshold.
 
 The cache is a plain ``OrderedDict`` LRU with hit / miss / eviction / insert
 counters; it stores whatever the engine puts in it and never copies — the
@@ -19,7 +20,6 @@ from dataclasses import dataclass, asdict
 from typing import Any, Hashable
 
 from ..obs.metrics import REGISTRY
-from ..quasiclique.definitions import gamma_fraction
 
 DEFAULT_CAPACITY = 128
 
@@ -72,17 +72,6 @@ class ResultCache:
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.stats = CacheStats()
-
-    @staticmethod
-    def make_key(fingerprint: str, gamma: float, theta: int, algorithm: str,
-                 branching: str, framework: str) -> tuple:
-        """Build the PR-1 positional cache key (kept for backwards compatibility).
-
-        The engine itself now keys on :meth:`spec_key`; this helper remains
-        for callers that address the cache with bare parameters.
-        """
-        return (fingerprint, gamma_fraction(gamma), int(theta),
-                algorithm, branching, framework)
 
     @staticmethod
     def spec_key(fingerprint: str, spec) -> tuple:

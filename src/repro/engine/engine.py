@@ -5,8 +5,8 @@
 through three stages:
 
 1. **Prepare** — the graph is wrapped in a
-   :class:`~repro.engine.prepared.PreparedGraph` (memoized core decomposition,
-   ordering, components, fingerprint).  A plain graph is prepared once and the
+   :class:`~repro.engine.prepared.PreparedGraph` (memoized fingerprint and
+   core decomposition).  A plain graph is prepared once and the
    preparation attached to the graph object itself, so it lives exactly as
    long as the graph does (and is shared by every engine that sees the graph).
    A graph mutated since this engine last saw it is *synced* first

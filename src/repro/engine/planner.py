@@ -1,7 +1,8 @@
-"""Cost-based query planning: choose how to execute one MQCE query.
+"""Query planning: choose how to execute one MQCE query.
 
 Given a :class:`~repro.engine.prepared.PreparedGraph` and ``(gamma, theta)``,
-:class:`QueryPlanner` inspects the memoized graph artifacts — never the
+:class:`QueryPlanner` reads the graph's size, the memoized core reduction and
+degeneracy bound, and the branch counts of earlier completed runs — never the
 enumeration itself — and produces an explainable :class:`QueryPlan` that fixes
 
 * the MQCE-S1 **algorithm** (``dcfastqc`` / ``fastqc`` / ``quickplus`` /
@@ -15,7 +16,9 @@ Every choice is exact — all four MQCE-S1 algorithms enumerate the same maximal
 quasi-cliques after MQCE-S2 filtering — so planning only affects cost, never
 answers.  The decisions follow the paper's experiments: DCFastQC with hybrid
 branching wins at scale (Figures 7 and 12), while its core reduction and
-ordering overhead is wasted on cores too small to decompose.
+ordering overhead is wasted on cores too small to decompose.  A plan states
+its decisions and their reasons (:attr:`QueryPlan.reasons`,
+:meth:`QueryPlan.describe`); it carries no cost estimate.
 """
 
 from __future__ import annotations
@@ -45,13 +48,10 @@ DEFAULT_PARALLEL_MIN_VERTICES = 2048
 DEFAULT_PARALLEL_MIN_BRANCHES = 4096
 DEFAULT_MAX_WORKERS = 8
 
-#: Cap on the exponent used by the relative cost estimate.
-_COST_EXPONENT_CAP = 24
-
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Tunable thresholds of the cost model."""
+    """Tunable thresholds of the planner's decisions."""
 
     small_graph_vertices: int = DEFAULT_SMALL_GRAPH_VERTICES
     parallel_min_vertices: int = DEFAULT_PARALLEL_MIN_VERTICES
@@ -77,10 +77,7 @@ class QueryPlan:
     graph_edges: int
     core_vertices_kept: int
     core_vertices_removed: int
-    component_count: int
-    eligible_components: int
     size_upper_bound: int
-    estimated_cost: float
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -103,11 +100,8 @@ class QueryPlan:
             f"  reduction:  core keeps {self.core_vertices_kept} of "
             f"{self.graph_vertices} vertices "
             f"({self.core_vertices_removed} pruned before enumeration)",
-            f"  components: {self.eligible_components} of {self.component_count} "
-            f"can hold a quasi-clique of size >= {self.theta}",
             f"  size bound: no gamma-quasi-clique larger than "
             f"{self.size_upper_bound} vertices (degeneracy bound)",
-            f"  est. cost:  {self.estimated_cost:.3g} relative units",
         ]
         if self.trivial:
             lines.append("  verdict:    TRIVIAL — the answer is provably empty; "
@@ -158,8 +152,7 @@ class QueryPlanner:
             raise ValueError(f"unknown parallel mode {parallel!r}; "
                              f"expected one of {SPEC_PARALLEL_MODES}")
         # Plans are deterministic in the prepared graph and this configuration,
-        # so they are memoized alongside the other prepared artifacts; repeated
-        # (and cache-hit) queries skip the per-component eligibility scan.
+        # so they are memoized alongside the other prepared artifacts.
         # The histogram version is part of the key: a completed run that
         # records fresh branch counts re-opens the parallel decision instead
         # of serving a plan made without them.  So is the graph version
@@ -175,13 +168,6 @@ class QueryPlanner:
 
         core_kept = prepared.core_size(gamma, theta)
         core_removed = prepared.graph.vertex_count - core_kept
-        core_mask = prepared.core_mask(gamma, theta)
-        eligible = 0
-        for component in prepared.components:
-            component_core = sum(
-                1 for v in component if (core_mask >> prepared.graph.index_of(v)) & 1)
-            if component_core >= theta:
-                eligible += 1
         bound = prepared.size_upper_bound(gamma)
 
         chosen = algorithm
@@ -246,19 +232,25 @@ class QueryPlanner:
                     f"{effective_workers} work-stealing workers")
         elif parallel == "none" and requested > 1 and chosen == "dcfastqc":
             reasons.append("parallelism disabled by the caller (parallel='none')")
+        elif requested > 1 and chosen == "dcfastqc":
+            # parallel="auto" with both gates shut: name each against its bound.
+            evidence = (f"a completed run explored {observed_branches} branches <"
+                        if branch_evidence else
+                        "no completed run yet has counted branches for")
+            reasons.append(
+                f"parallelism declined despite {requested} workers: core of "
+                f"{core_kept} vertices < parallel_min_vertices "
+                f"({self.config.parallel_min_vertices}), and {evidence} "
+                f"parallel_min_branches ({self.config.parallel_min_branches})")
         elif workers is not None and workers > 1:
             reasons.append(
-                f"parallelism declined despite workers={workers}: core of "
-                f"{core_kept} vertices is below the threshold "
-                f"({self.config.parallel_min_vertices}) or the algorithm is "
-                "not divide-and-conquer")
+                f"parallelism declined despite workers={workers}: only "
+                f"divide-and-conquer plans fan out, and {chosen!r} is not one")
 
-        estimated_cost = self._estimate_cost(prepared, core_kept, chosen)
         if core_kept < theta or bound < theta:
             reasons.append(
                 f"trivial: the {'core reduction' if core_kept < theta else 'size bound'} "
                 f"proves no quasi-clique of size >= {theta} exists")
-            estimated_cost = 0.0
 
         plan = QueryPlan(
             gamma=gamma, theta=theta, algorithm=chosen, branching=branching,
@@ -267,10 +259,7 @@ class QueryPlanner:
             graph_vertices=prepared.graph.vertex_count,
             graph_edges=prepared.graph.edge_count,
             core_vertices_kept=core_kept, core_vertices_removed=core_removed,
-            component_count=len(prepared.components),
-            eligible_components=eligible,
             size_upper_bound=bound,
-            estimated_cost=estimated_cost,
             reasons=tuple(reasons),
         )
         prepared.plan_cache[cache_key] = plan
@@ -280,21 +269,3 @@ class QueryPlanner:
         if plan.trivial:
             _TRIVIAL_PLANS.inc()
         return plan
-
-    # ------------------------------------------------------------------
-    def _estimate_cost(self, prepared: PreparedGraph, core_kept: int,
-                       algorithm: str) -> float:
-        """A relative cost figure in the spirit of the paper's O(n * 2^(a*w*d)) bound.
-
-        Only meaningful for comparing plans on the same graph; the exponent is
-        capped so the figure stays printable.
-        """
-        if core_kept == 0:
-            return 0.0
-        omega = prepared.degeneracy
-        exponent = min(omega, _COST_EXPONENT_CAP)
-        base = core_kept * float(2 ** exponent)
-        if algorithm in ("quickplus", "naive"):
-            # No divide-and-conquer confinement: the whole core is one subproblem.
-            base *= max(1, core_kept // max(1, omega + 1))
-        return base

@@ -1,16 +1,14 @@
 """Prepared graphs: compute the expensive per-graph artifacts once, reuse them.
 
 The one-shot pipeline (:func:`repro.pipeline.mqce.run_enumeration`)
-recomputes the same per-graph preprocessing on every call: core decomposition, degeneracy ordering, connected components and
-degree arrays.  For a query engine serving many ``(gamma, theta)`` queries over
-the same graph that work should be paid once.  :class:`PreparedGraph` wraps a
-:class:`~repro.graph.graph.Graph` and memoizes
+recomputes the same per-graph preprocessing on every call.  For a query
+engine serving many ``(gamma, theta)`` queries over the same graph that work
+should be paid once.  :class:`PreparedGraph` wraps a
+:class:`~repro.graph.graph.Graph` and memoizes what a query reads:
 
-* the content fingerprint (cache key),
-* the core decomposition (core numbers, degeneracy, per-threshold core masks),
-* the degeneracy ordering,
-* the connected-component split, and
-* the degree array and Table-1 style graph statistics.
+* the content fingerprint (cache key), and
+* the core decomposition: core numbers, the degeneracy, and the
+  per-threshold core masks of DCFastQC's line 1.
 
 Everything is computed lazily on first access; :meth:`PreparedGraph.prepare`
 forces all artifacts eagerly (and records how long each took) for callers that
@@ -28,13 +26,11 @@ current content.  A replay patches these artifacts:
 * **core numbers** — exact at every version: after a single edge record the
   traversal of Sarıyüce et al. ("Streaming Algorithms for k-core
   Decomposition", VLDB 2013) re-derives the few vertices whose core moves, and
-  the memoized per-threshold core masks follow them;
-* **degrees and components** — patched per edge record (a component split
-  re-walks only the touched component).
+  the memoized per-threshold core masks follow them.
 
-Any other artifact, and any of these when the batch holds records they cannot
-replay (vertex records, several records for the cores), is dropped and
-recomputed exactly on its next read.
+The degeneracy is re-derived from the cores on its next read.  The cores
+themselves are dropped, and recomputed exactly on their next read, when the
+batch holds records they cannot replay (vertex records, several records).
 """
 
 from __future__ import annotations
@@ -43,16 +39,13 @@ import math
 import time
 
 from ..core.stats import SizeHistogram
-from ..graph.core_decomposition import _degeneracy_order_and_cores, degeneracy_ordering
+from ..graph.core_decomposition import core_numbers
 from ..graph.graph import Graph, VertexLabel, iter_bits
-from ..graph.statistics import GraphStatistics
-from ..graph.subgraph import connected_components
 from ..quasiclique.definitions import degree_threshold, gamma_fraction
 from .fingerprint import IncrementalFingerprint, graph_fingerprint
 
 #: Names of the lazily computed artifacts, in the order ``prepare`` forces them.
-ARTIFACTS = ("fingerprint", "degrees", "core_numbers", "degeneracy",
-             "degeneracy_order", "components", "statistics")
+ARTIFACTS = ("fingerprint", "core_numbers", "degeneracy")
 
 _EDGE_OPS = ("add_edge", "remove_edge")
 
@@ -110,12 +103,6 @@ class PreparedGraph:
         return self._artifact("fingerprint")
 
     @property
-    def degrees(self) -> tuple[int, ...]:
-        """Vertex degrees in index order (CSR-backed graphs read indptr diffs
-        instead of materialising per-vertex sets)."""
-        return self._artifact("degrees")
-
-    @property
     def core_numbers(self) -> dict[VertexLabel, int]:
         """Core number of every vertex (Batagelj–Zaversnik, then maintained)."""
         return self._artifact("core_numbers")
@@ -125,51 +112,16 @@ class PreparedGraph:
         """The degeneracy ``omega`` of the graph."""
         return self._artifact("degeneracy")
 
-    @property
-    def degeneracy_order(self) -> tuple[VertexLabel, ...]:
-        """A degeneracy ordering of the whole graph."""
-        return self._artifact("degeneracy_order")
-
-    @property
-    def components(self) -> tuple[frozenset[VertexLabel], ...]:
-        """Connected components as label sets, largest first."""
-        return self._artifact("components")
-
-    @property
-    def statistics(self) -> GraphStatistics:
-        """Table-1 style graph statistics (|V|, |E|, density, max degree, omega)."""
-        return self._artifact("statistics")
-
     def _compute_fingerprint(self) -> str:
         self._base_fingerprint = graph_fingerprint(self.graph)
         self._edits = IncrementalFingerprint()
         return self._base_fingerprint
 
-    def _compute_degrees(self) -> tuple[int, ...]:
-        return tuple(self.graph.degree_sequence())
-
     def _compute_core_numbers(self) -> dict[VertexLabel, int]:
-        # One bucket pass yields the ordering too; keep it for this version.
-        order, cores = _degeneracy_order_and_cores(self.graph)
-        self._artifacts.setdefault("degeneracy_order", tuple(order))
-        return cores
+        return core_numbers(self.graph)
 
     def _compute_degeneracy(self) -> int:
         return max(self.core_numbers.values(), default=0)
-
-    def _compute_degeneracy_order(self) -> tuple[VertexLabel, ...]:
-        return tuple(degeneracy_ordering(self.graph))
-
-    def _compute_components(self) -> tuple[frozenset[VertexLabel], ...]:
-        return _largest_first(connected_components(self.graph))
-
-    def _compute_statistics(self) -> GraphStatistics:
-        graph = self.graph
-        return GraphStatistics(vertex_count=graph.vertex_count,
-                               edge_count=graph.edge_count,
-                               edge_density=graph.density(),
-                               max_degree=graph.max_degree(),
-                               degeneracy=self.degeneracy)
 
     # ------------------------------------------------------------------
     # Parameter-dependent artifacts (memoized per threshold)
@@ -253,47 +205,12 @@ class PreparedGraph:
                     self._edits.toggle_vertex(mutation.u)
             kept["fingerprint"] = (self._edits.hexdigest(self._base_fingerprint)
                                    if self._edits else self._base_fingerprint)
-        if all(mutation.op in _EDGE_OPS for mutation in pending):
-            if "degrees" in artifacts:
-                kept["degrees"] = self._patched_degrees(pending)
-            if "components" in artifacts:
-                kept["components"] = self._patched_components(pending)
-            if len(pending) == 1 and "core_numbers" in artifacts:
-                kept["core_numbers"] = self._patched_cores(pending[0])
+        if (len(pending) == 1 and pending[0].op in _EDGE_OPS
+                and "core_numbers" in artifacts):
+            kept["core_numbers"] = self._patched_cores(pending[0])
         if "core_numbers" not in kept:
             self._core_masks.clear()
         self._artifacts = kept
-
-    def _patched_degrees(self, pending) -> tuple[int, ...]:
-        degrees = list(self._artifacts["degrees"])
-        index_of = self.graph.index_of
-        for mutation in pending:
-            step = 1 if mutation.op == "add_edge" else -1
-            degrees[index_of(mutation.u)] += step
-            degrees[index_of(mutation.v)] += step
-        return tuple(degrees)
-
-    def _patched_components(self, pending) -> tuple[frozenset[VertexLabel], ...]:
-        """Merge the two cells on an insertion; re-split one cell on a removal.
-
-        The re-split walks the final adjacency, which yields the end-state
-        partition for any order of edge records.
-        """
-        graph = self.graph
-        cells = list(self._artifacts["components"])
-        for mutation in pending:
-            first = next(i for i, cell in enumerate(cells) if mutation.u in cell)
-            if mutation.op == "add_edge":
-                if mutation.v not in cells[first]:
-                    second = next(i for i, cell in enumerate(cells) if mutation.v in cell)
-                    merged = cells[first] | cells[second]
-                    for i in sorted((first, second), reverse=True):
-                        del cells[i]
-                    cells.append(merged)
-            else:
-                cell = cells.pop(first)
-                cells.extend(connected_components(graph, within_mask=graph.mask_of(cell)))
-        return _largest_first(cells)
 
     def _patched_cores(self, mutation) -> dict[VertexLabel, int]:
         """Move the core numbers (and the threshold masks) across one edge record.
@@ -398,18 +315,16 @@ class PreparedGraph:
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         """A flat dictionary for CLI output and engine statistics."""
-        stats = self.statistics
+        graph = self.graph
         return {
             "name": self.name,
             "fingerprint": self.fingerprint,
             "version": self._version,
-            "vertices": stats.vertex_count,
-            "edges": stats.edge_count,
-            "edge_density": stats.edge_density,
-            "max_degree": stats.max_degree,
+            "vertices": graph.vertex_count,
+            "edges": graph.edge_count,
+            "edge_density": graph.density(),
+            "max_degree": graph.max_degree(),
             "degeneracy": self.degeneracy,
-            "components": len(self.components),
-            "largest_component": len(self.components[0]) if self.components else 0,
             "artifacts": list(self.materialized_artifacts()),
         }
 
@@ -418,10 +333,6 @@ class PreparedGraph:
         return (f"PreparedGraph({label}|V|={self.graph.vertex_count}, "
                 f"|E|={self.graph.edge_count}, "
                 f"artifacts={len(self.materialized_artifacts())}/{len(ARTIFACTS)})")
-
-
-def _largest_first(cells) -> tuple[frozenset[VertexLabel], ...]:
-    return tuple(sorted(map(frozenset, cells), key=len, reverse=True))
 
 
 def prepare_graph(graph: Graph | PreparedGraph, name: str | None = None) -> PreparedGraph:

@@ -227,7 +227,7 @@ class _WorkerRuntime:
     def _should_offer(self) -> bool:
         if self.config.steal_schedule is not None:
             return self.config.steal_schedule(self)
-        return self.hungry is not None and self.hungry.value > 0
+        return self.hungry.get_value() > 0
 
     def _publish_steal(self, scheduler: StealScheduler) -> bool:
         stolen = scheduler.steal()
@@ -264,16 +264,12 @@ class _WorkerRuntime:
             self.drain_inbox()
             if idle_since is None:
                 idle_since = time.perf_counter()
-                if self.hungry is not None:
-                    with self.hungry.get_lock():
-                        self.hungry.value += 1
+                self.hungry.release()
             try:
                 message = self.tasks.get(timeout=0.02)
             except Empty:
                 continue
-            if self.hungry is not None:
-                with self.hungry.get_lock():
-                    self.hungry.value -= 1
+            self.hungry.acquire(False)
             gap_ms = int((time.perf_counter() - idle_since) * 1000)
             if len(self.idle_gaps_ms) < 512:
                 self.idle_gaps_ms.append(gap_ms)
@@ -342,7 +338,11 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     tasks = context.Queue()
     events = context.Queue()
     inboxes = [context.Queue() for _ in range(workers)]
-    hungry = context.Value("i", 0)
+    # Counts idle workers.  A semaphore, not a shared-ctypes Value: the
+    # latter's heap keeps its first arena (an fd and its mmap's duplicate)
+    # open for the rest of the process.  get_value() needs sem_getvalue,
+    # which Linux has.
+    hungry = context.Semaphore(0)
     config = _BranchWorkerConfig(gamma=gamma, theta=theta, branching=branching,
                                  poll_period=poll_period, steal_schedule=steal_schedule)
     processes = [

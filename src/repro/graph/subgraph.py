@@ -4,6 +4,8 @@ DCFastQC (Algorithm 3) builds, for each vertex ``v_i`` in the degeneracy
 ordering, the subgraph induced by the 2-hop neighbourhood of ``v_i`` minus the
 vertices that precede ``v_i`` in the ordering (Equation 19).  These helpers
 compute 1-hop and 2-hop neighbourhoods both in label space and as bitmasks.
+Connectivity (:func:`is_connected`, :func:`connected_components`) is one walk
+over neighbour rows that dict and CSR graphs share.
 """
 
 from __future__ import annotations
@@ -114,57 +116,38 @@ def neighborhood_intersection(graph: Graph, u: VertexLabel, v: VertexLabel,
 
 def is_connected(graph: Graph, labels: Iterable[VertexLabel] | None = None) -> bool:
     """Return True if ``G`` (or ``G[labels]``) is connected; empty graphs count as connected."""
-    if getattr(graph, "indptr", None) is not None:
-        from ..core.csr import csr_is_connected
-
-        return csr_is_connected(
-            graph, None if labels is None else graph.mask_of(labels))
-    if labels is None:
-        allowed = graph.full_mask()
-    else:
-        allowed = graph.mask_of(labels)
-    if allowed == 0:
+    allowed = None if labels is None else graph.indices_of(labels)
+    total = graph.vertex_count if allowed is None else len(allowed)
+    if total == 0:
         return True
-    masks = graph.adjacency_masks()
-    start = (allowed & -allowed).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        reach = 0
-        for vertex in iter_bits(frontier):
-            reach |= masks[vertex]
-        reach &= allowed
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == allowed
+    start = 0 if allowed is None else next(iter(allowed))
+    return len(_reach(graph, start, allowed)) == total
 
 
-def connected_components(graph: Graph,
-                         within_mask: int | None = None) -> list[frozenset[VertexLabel]]:
-    """Return the connected components of the graph as label sets.
-
-    With ``within_mask``, connectivity is computed inside the induced
-    subgraph ``G[within_mask]`` only — used by a prepared graph to re-split
-    a single touched component without scanning the whole graph.
-    """
-    if getattr(graph, "indptr", None) is not None:
-        from ..core.csr import csr_connected_components
-
-        return csr_connected_components(graph, within_mask)
-    remaining = graph.full_mask() if within_mask is None else within_mask
-    masks = graph.adjacency_masks()
+def connected_components(graph: Graph) -> list[frozenset[VertexLabel]]:
+    """Return the connected components as label sets, by smallest member index."""
+    seen: set[int] = set()
     components: list[frozenset[VertexLabel]] = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            reach = 0
-            for vertex in iter_bits(frontier):
-                reach |= masks[vertex]
-            reach &= remaining
-            frontier = reach & ~seen
-            seen |= frontier
-        components.append(graph.labels_of_mask(seen))
-        remaining &= ~seen
+    for start in range(graph.vertex_count):
+        if start not in seen:
+            component = _reach(graph, start)
+            seen |= component
+            components.append(graph.labels_of(component))
     return components
+
+
+def _reach(graph: Graph, start: int, allowed: frozenset[int] | None = None) -> set[int]:
+    """Indices reachable from ``start`` inside ``allowed`` (every vertex when None).
+
+    One walk over neighbour rows (``adjacency_set``), so dict and CSR graphs
+    share it and no ``|V|``-wide mask is built.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        fresh = graph.adjacency_set(stack.pop()) - seen
+        if allowed is not None:
+            fresh &= allowed
+        seen |= fresh
+        stack.extend(fresh)
+    return seen

@@ -143,19 +143,6 @@ class GraphHost:
         self.queries = 0
         self.mutations = 0
 
-    def flight_key(self, spec: QuerySpec) -> tuple:
-        """The single-flight identity of ``spec`` on the current content.
-
-        Uses the *resolved* spec (planner knobs fixed), so an explicit
-        ``algorithm="dcfastqc"`` and an ``auto`` spec the planner resolves to
-        DCFastQC coalesce onto one flight — mirroring the cache-key rule.
-        Budgets stay part of the identity (the frozen spec hashes whole):
-        differently-budgeted queries deliver different frame sequences and
-        must not share one.
-        """
-        plan = self.engine.explain(self.graph, spec=spec)
-        return (self.name, self.prepared.fingerprint, spec.resolved(plan))
-
     def open_stream(self, spec: QuerySpec, tracer=None):
         """Create the engine stream for one admitted query (on the loop)."""
         return self.engine.stream(self.graph, spec=spec, trace=tracer)
@@ -458,6 +445,13 @@ class ReproService:
             breaker.allow()
             _CIRCUIT_STATE.set(breaker.state, graph=host.name)
             if self.single_flight:
+                # The single-flight identity on the current content.  The
+                # spec is the resolved one (planner knobs fixed), so an
+                # explicit algorithm="dcfastqc" and an "auto" spec the planner
+                # resolves to DCFastQC coalesce onto one flight, as cache keys
+                # do.  Budgets stay part of it (the frozen spec hashes whole):
+                # differently-budgeted queries deliver different frame
+                # sequences and must not share a flight.
                 key = (host.name, fingerprint, resolved)
             else:
                 self._flight_seq += 1

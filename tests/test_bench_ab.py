@@ -1,12 +1,15 @@
-"""The A/B runner's summary code (scripts/bench_ab.py) on canned records.
+"""The A/B runner (scripts/bench_ab.py): its summary code on canned records,
+and the working-tree copy the change side runs from.
 
-No git and no subprocess: the records stand in for perfbench's final JSON
-lines, one ``(base, change)`` pair per seed.
+The summary tests use no git and no subprocess: the records stand in for
+perfbench's final JSON lines, one ``(base, change)`` pair per seed.  The copy
+test builds a throwaway git repository.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,32 @@ def test_formatted_tables_name_every_metric_and_the_claim():
              "change": {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}}]
     table = bench_ab.format_runs(runs)
     assert "| 1 | 7 | base | 100/0 | 0/0 (not correct) |" in table
+
+
+def test_working_tree_copy_holds_tracked_and_untracked_files_only(tmp_path):
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    repo.mkdir()
+
+    def git(*args: str) -> None:
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=bench",
+                        "-c", "user.email=bench@example.invalid",
+                        "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    for name in ("committed.txt", "modified.txt", "deleted.txt"):
+        (repo / name).write_text("committed\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (repo / "modified.txt").write_text("modified\n")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "untracked.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("build output\n")
+    (repo / ".git" / "info" / "exclude").write_text("ignored.txt\n")
+    (repo / "deleted.txt").unlink()
+
+    bench_ab.copy_working_tree(repo, copy)
+    assert sorted(path.relative_to(copy).as_posix() for path in copy.rglob("*")
+                  if path.is_file()) == ["committed.txt", "modified.txt",
+                                         "pkg/untracked.txt"]
+    assert (copy / "modified.txt").read_text() == "modified\n"

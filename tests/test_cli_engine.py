@@ -140,4 +140,4 @@ class TestEngineStats:
         assert payload["name"] == "kmer"
         assert payload["fingerprint"]
         assert set(payload["preparation_seconds"]) == set(payload["artifacts"])
-        assert payload["components"] >= 1
+        assert payload["degeneracy"] >= 1

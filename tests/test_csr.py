@@ -260,11 +260,12 @@ def test_components_and_connectivity_match():
     csr = csr_of(graph)
     assert connected_components(csr) == connected_components(graph)
     assert is_connected(csr) == is_connected(graph)
-    sub = [1, 2, 3]
-    assert is_connected(csr, sub) == is_connected(graph, sub)
-    mask = graph.mask_of([10, 11, 12])
-    assert connected_components(csr, within_mask=mask) == \
-        connected_components(graph, within_mask=mask)
+    for sub in ([1, 2, 3], [10, 11, 12], [1, 2, 10, 11]):
+        assert is_connected(csr, sub) == is_connected(graph, sub)
+    assert not is_connected(csr, [1, 2, 10, 11])
+    for backend in (graph, csr):
+        with pytest.raises(GraphError):
+            is_connected(backend, [1, 2, 404])
     single = csr_of(Graph([(1, 2), (2, 3)]))
     assert is_connected(single)
 

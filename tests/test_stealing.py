@@ -16,7 +16,6 @@ so no earlier test's processes, threads or fds are in the baseline.
 """
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -74,16 +73,6 @@ def _resources() -> tuple[list[int], int, int]:
     """(live children, live threads, open fds) of this interpreter."""
     return (_live_children(), threading.active_count(),
             len(os.listdir("/proc/self/fd")))
-
-
-def _resource_baseline() -> tuple[list[int], int, int]:
-    """:func:`_resources` once multiprocessing's shared-ctypes heap exists.
-
-    The heap keeps its first arena (an fd plus its mmap's duplicate) for the
-    life of the process, so it is allocated here, before counting.
-    """
-    multiprocessing.get_context("fork").Value("i", 0)
-    return _resources()
 
 
 def _assert_released(before) -> None:
@@ -180,7 +169,7 @@ class TestBranchParallel:
     def test_forced_aggressive_stealing_matches_sequential(self, graph,
                                                            subproblems):
         expected = _sequential_answer(graph)
-        before = _resource_baseline()
+        before = _resources()
         results, stats, telemetry = branch_parallel_enumerate(
             subproblems, GAMMA, THETA, workers=3,
             steal_schedule=ForcedStealSchedule(every=1))
@@ -192,7 +181,7 @@ class TestBranchParallel:
     def test_natural_hungry_driven_stealing_matches_sequential(
             self, graph, subproblems):
         expected = _sequential_answer(graph)
-        before = _resource_baseline()
+        before = _resources()
         results, stats, _ = branch_parallel_enumerate(
             subproblems, GAMMA, THETA, workers=3)
         _assert_released(before)
@@ -238,7 +227,7 @@ class TestBranchParallel:
 class TestCrashRecovery:
     def test_killed_worker_falls_back_sequential_without_shm_leak(self, graph):
         expected = _maximal(_sequential_answer(graph))
-        before = _resource_baseline()
+        before = _resources()
         install_plan("worker.task:kill:times=1")
         try:
             runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
@@ -331,7 +320,7 @@ class TestPlannerModeSelection:
 
     def test_every_fan_out_plan_runs_branch_mode(self, graph):
         expected = set(_maximal(_sequential_answer(graph)))
-        before = _resource_baseline()
+        before = _resources()
         observed = PreparedGraph(graph)
         observed.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
         cases = ((self._size_gate(), PreparedGraph(graph), "auto"),
@@ -364,6 +353,31 @@ class TestPlannerModeSelection:
         assert by_work.parallel
         assert "an observed run explored 50000 branches" in by_work.describe()
 
+    @pytest.mark.parametrize("workers", [2, None])
+    def test_declined_reason_names_both_gates(self, graph, monkeypatch,
+                                              workers):
+        import repro.engine.planner as planner_module
+        # Default workers are the affinity CPUs: make that 2 on any host.
+        monkeypatch.setattr(planner_module, "available_cpus", lambda: 2)
+        engine = MQCEEngine(workers=workers)
+        prepared = PreparedGraph(graph)
+        spec = QuerySpec(GAMMA, THETA)
+
+        def declined_reason():
+            plan = engine.explain(prepared, spec=spec)
+            assert not plan.parallel
+            [reason] = [r for r in plan.reasons if "parallelism declined" in r]
+            assert (f"core of {plan.core_vertices_kept} vertices < "
+                    "parallel_min_vertices (2048)") in reason
+            assert "parallel_min_branches (4096)" in reason
+            return reason
+
+        assert "no completed run yet" in declined_reason()
+        engine.query(prepared, spec=spec, use_cache=False)
+        total = prepared.subproblem_branch_histogram(GAMMA, THETA).total
+        assert (f"a completed run explored {total} branches < "
+                "parallel_min_branches (4096)") in declined_reason()
+
     def test_forced_modes_and_none(self, graph):
         prepared = PreparedGraph(graph)
         # Default thresholds: the 160-vertex fixture never opens the gate.
@@ -392,7 +406,7 @@ class TestPlannerModeSelection:
 def _scenario_release() -> dict:
     """Resources before, after a normal run and after the kill fallback."""
     graph = _fixture_graph()
-    before = _resource_baseline()
+    before = _resources()
     branch_parallel_enumerate(_subproblems(graph), GAMMA, THETA, workers=2)
     after_run = _resources()
     install_plan("worker.task:kill:times=1")
