@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from repro.api import QuerySpec
 from repro.datasets import get_spec, load_dataset
 from repro.engine import MQCEEngine, PreparedGraph
 
@@ -73,7 +74,7 @@ def _incremental_vs_rebuild(name: str):
     engine = MQCEEngine()
     engine.prepare(graph, name=spec.name).prepare()
     cold_start = time.perf_counter()
-    baseline = engine.query(graph, gamma, theta)
+    baseline = engine.query(graph, QuerySpec(gamma, theta))
     cold_seconds = time.perf_counter() - cold_start
     edge = _pick_survivable_edge(graph, baseline)
     assert edge is not None, f"{name}: no background edge outside the result regions"
@@ -82,14 +83,14 @@ def _incremental_vs_rebuild(name: str):
     start = time.perf_counter()
     graph.remove_edge(*edge)
     report = engine.sync(graph)
-    incremental_result = engine.query(graph, gamma, theta)
+    incremental_result = engine.query(graph, QuerySpec(gamma, theta))
     incremental_seconds = time.perf_counter() - start
     assert report.invalidated == 0 and report.retained >= 1, report
     assert engine.cache.stats.hits == hits_before + 1, \
         "the retained entry must serve the requery warm"
 
     start = time.perf_counter()
-    rebuilt = MQCEEngine().query(PreparedGraph(graph), gamma, theta)
+    rebuilt = MQCEEngine().query(PreparedGraph(graph), QuerySpec(gamma, theta))
     rebuild_seconds = time.perf_counter() - start
     assert rebuilt.maximal_quasi_cliques == incremental_result.maximal_quasi_cliques, \
         "incremental and rebuilt answers diverged"
@@ -133,7 +134,7 @@ def test_update_stream_throughput(benchmark):
     graph = load_dataset(name)
     engine = MQCEEngine()
     engine.prepare(graph, name=spec.name).prepare()
-    baseline = engine.query(graph, gamma, theta)
+    baseline = engine.query(graph, QuerySpec(gamma, theta))
     edges = []
     result_sets = (list(baseline.maximal_quasi_cliques)
                    + list(baseline.candidate_quasi_cliques))
@@ -148,7 +149,7 @@ def test_update_stream_throughput(benchmark):
         for u, v in edges:
             graph.remove_edge(u, v)
             engine.sync(graph)
-            engine.query(graph, gamma, theta)
+            engine.query(graph, QuerySpec(gamma, theta))
         return time.perf_counter() - start
 
     elapsed = run_once(benchmark, run_stream)

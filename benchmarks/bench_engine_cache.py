@@ -27,7 +27,8 @@ import time
 import pytest
 
 from repro.datasets import get_spec, load_prepared
-from repro.engine import MQCEEngine, QueryRequest
+from repro.api import QuerySpec
+from repro.engine import MQCEEngine
 
 from _bench_utils import attach_rows, run_once
 
@@ -47,10 +48,11 @@ def _cold_and_warm_seconds(name: str) -> tuple[float, float]:
     prepared = load_prepared(name)
     engine = MQCEEngine()
     start = time.perf_counter()
-    cold_result = engine.query(prepared, spec.default_gamma, spec.default_theta)
+    query = QuerySpec(spec.default_gamma, spec.default_theta)
+    cold_result = engine.query(prepared, query)
     cold = time.perf_counter() - start
     start = time.perf_counter()
-    warm_result = engine.query(prepared, spec.default_gamma, spec.default_theta)
+    warm_result = engine.query(prepared, query)
     warm = time.perf_counter() - start
     assert warm_result.maximal_quasi_cliques == cold_result.maximal_quasi_cliques
     assert engine.cache.stats.hits == 1
@@ -94,12 +96,12 @@ def test_batch_throughput(benchmark, name):
     prepared = load_prepared(name)
     gammas = (spec.default_gamma, min(1.0, round(spec.default_gamma + 0.02, 3)))
     thetas = (spec.default_theta, max(1, spec.default_theta - 1))
-    grid = [QueryRequest(gamma, theta) for gamma in gammas for theta in thetas]
+    grid = [QuerySpec(gamma, theta) for gamma in gammas for theta in thetas]
     engine = MQCEEngine()
 
     def run_batch():
         start = time.perf_counter()
-        results = engine.query_batch(prepared, grid * 5)
+        results = [engine.query(prepared, query) for query in grid * 5]
         elapsed = time.perf_counter() - start
         return len(results), elapsed
 

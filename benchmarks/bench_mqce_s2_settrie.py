@@ -15,7 +15,7 @@ import pytest
 
 from repro.datasets import DEFAULT_FIGURE_DATASETS, get_spec
 from repro.experiments import format_table, settrie_filtering_rows
-from repro.pipeline.mqce import enumerate_candidate_quasi_cliques
+from repro.pipeline.mqce import build_enumerator
 from repro.settrie import SetTrie, filter_non_maximal
 
 from _bench_utils import attach_rows, run_once
@@ -40,8 +40,8 @@ def test_settrie_filter_on_quickplus_output(benchmark, name):
     """Filter the (large) Quick+ candidate set of a dataset analogue."""
     spec = get_spec(name)
     graph = spec.build()
-    candidates, _ = enumerate_candidate_quasi_cliques(
-        graph, spec.default_gamma, spec.default_theta, algorithm="quickplus")
+    candidates = build_enumerator(
+        graph, spec.default_gamma, spec.default_theta, algorithm="quickplus").enumerate()
 
     result = run_once(benchmark, filter_non_maximal, candidates, theta=spec.default_theta)
     benchmark.extra_info["candidates"] = len(candidates)

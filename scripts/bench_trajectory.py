@@ -79,6 +79,7 @@ from repro.datasets import (                                      # noqa: E402
     load_dataset,
     load_prepared,
 )
+from repro.api import QuerySpec                                   # noqa: E402
 from repro.engine import MQCEEngine, PreparedGraph                # noqa: E402
 from repro.graph import preferential_attachment_edges             # noqa: E402
 from repro.oracle import ReferenceDCFastQC, ReferenceQuickPlus    # noqa: E402
@@ -285,10 +286,10 @@ def run_engine_cache_suite(names, repeat: int = 1, verbose: bool = True) -> dict
             prepared = load_prepared(name)
             engine = MQCEEngine()
             start = time.perf_counter()
-            cold_result = engine.query(prepared, gamma, theta)
+            cold_result = engine.query(prepared, QuerySpec(gamma, theta))
             cold = time.perf_counter() - start
             start = time.perf_counter()
-            warm_result = engine.query(prepared, gamma, theta)
+            warm_result = engine.query(prepared, QuerySpec(gamma, theta))
             warm = time.perf_counter() - start
             assert warm_result.maximal_quasi_cliques == cold_result.maximal_quasi_cliques
             assert engine.cache.stats.hits == 1
@@ -327,7 +328,7 @@ def run_dynamic_suite(names, repeat: int = 1, verbose: bool = True) -> dict:
             graph = load_dataset(name)
             engine = MQCEEngine()
             engine.prepare(graph, name=spec.name).prepare()
-            baseline = engine.query(graph, gamma, theta)
+            baseline = engine.query(graph, QuerySpec(gamma, theta))
             result_sets = (list(baseline.maximal_quasi_cliques)
                            + list(baseline.candidate_quasi_cliques))
             edge = next(((u, v) for u, v in graph.edges()
@@ -336,11 +337,11 @@ def run_dynamic_suite(names, repeat: int = 1, verbose: bool = True) -> dict:
             start = time.perf_counter()
             graph.remove_edge(*edge)
             report = engine.sync(graph)
-            incremental_result = engine.query(graph, gamma, theta)
+            incremental_result = engine.query(graph, QuerySpec(gamma, theta))
             incremental = time.perf_counter() - start
             assert report.invalidated == 0 and report.retained >= 1, report
             start = time.perf_counter()
-            rebuilt = MQCEEngine().query(PreparedGraph(graph), gamma, theta)
+            rebuilt = MQCEEngine().query(PreparedGraph(graph), QuerySpec(gamma, theta))
             rebuild = time.perf_counter() - start
             assert rebuilt.maximal_quasi_cliques == incremental_result.maximal_quasi_cliques
             if best is None or incremental < best[0]:
@@ -472,7 +473,7 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
     subtree.  ``affinity_cpus`` is the number of CPUs the run could use; with
     fewer than ``workers`` the wall clock cannot show a parallel win.
     """
-    from repro.engine.planner import PlannerConfig, QueryPlanner
+    from repro.engine.planner import QueryPlanner
     from repro.extensions.parallel import (LAST_PARALLEL_RUN, ParallelDCFastQC,
                                            available_cpus)
     from repro.graph.generators import planted_quasi_clique_graph
@@ -509,8 +510,8 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
         # parallel gate although the planted core is small.
         prepared = PreparedGraph(graph)
         prepared.record_subproblem_histogram(gamma, theta, branch_histogram)
-        plan = QueryPlanner(PlannerConfig(max_workers=PARALLEL_WORKERS)).plan(
-            prepared, gamma, theta, workers=PARALLEL_WORKERS)
+        plan = QueryPlanner().plan(prepared, QuerySpec(gamma, theta),
+                                   workers=PARALLEL_WORKERS)
 
         row = {
             "gamma": gamma,

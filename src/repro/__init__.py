@@ -8,10 +8,12 @@ provides
 * :class:`repro.QuerySpec` / :class:`repro.Q` — the declarative query API:
   one hashable spec for every workload (enumerate / top-k / containment /
   count) with budgets and streaming delivery,
-* :func:`repro.run_enumeration` — the one-shot MQCE pipeline for one spec,
-* :class:`repro.MQCEEngine` — the persistent query engine (prepared graphs,
-  cost-based plan selection, LRU result caching, ``stream()`` returning a
-  :class:`repro.ResultStream`) for repeated queries,
+* :class:`repro.MQCEEngine` — the query engine every spec runs through
+  (prepared graphs, plan selection, LRU result caching, ``stream()``
+  returning a :class:`repro.ResultStream`); ``Q``'s terminals use a fresh
+  single-worker one when given none,
+* :func:`repro.run_enumeration` — the MQCE pipeline the engine executes a
+  plan with (MQCE-S1, then MQCE-S2),
 * :class:`repro.FastQC`, :class:`repro.DCFastQC`, :class:`repro.QuickPlus` —
   the MQCE-S1 branch-and-bound algorithms,
 * :func:`repro.filter_non_maximal` — the set-trie based MQCE-S2 filter,
@@ -37,12 +39,7 @@ from .quasiclique import (
 from .core import DCFastQC, FastQC, SearchStatistics, branching_factor
 from .baselines import NaiveEnumerator, QuickPlus
 from .settrie import SetTrie, filter_non_maximal
-from .pipeline import (
-    ALGORITHMS,
-    EnumerationResult,
-    enumerate_candidate_quasi_cliques,
-    run_enumeration,
-)
+from .pipeline import ALGORITHMS, EnumerationResult, run_enumeration
 from .extensions import (
     ParallelDCFastQC,
     community_of,
@@ -95,7 +92,6 @@ __all__ = [
     "filter_non_maximal",
     "ALGORITHMS",
     "EnumerationResult",
-    "enumerate_candidate_quasi_cliques",
     "run_enumeration",
     "ParallelDCFastQC",
     "community_of",

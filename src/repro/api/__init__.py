@@ -12,14 +12,16 @@ budgets and output options.  Everything else keys on it:
       for community in Q(graph).gamma(0.9).theta(5).stream():
           print(sorted(community))
 
-* the CLI's ``repro query`` parses one from flags or a JSON file, and
-* :func:`execute` / :func:`shape_result` / :func:`result_value` run a spec
-  without an engine (one-shot).
+* the CLI's ``repro query`` parses one from flags or a JSON file.
+
+A spec runs only through an engine: without one, ``Q``'s terminals use a
+fresh single-worker :class:`~repro.engine.MQCEEngine`, so ``run()`` executes
+exactly the plan ``explain()`` prints.
 """
 
 from .builder import Q, QueryBuilder
-from .execute import containment_search, execute, result_value, shape_result, topk_search
-from .spec import SPEC_ALGORITHMS, WORKLOADS, QuerySpec, coerce_spec
+from .execute import containment_search, result_value, shape_result, topk_search
+from .spec import SPEC_ALGORITHMS, WORKLOADS, QuerySpec
 
 __all__ = [
     "Q",
@@ -27,9 +29,7 @@ __all__ = [
     "QuerySpec",
     "SPEC_ALGORITHMS",
     "WORKLOADS",
-    "coerce_spec",
     "containment_search",
-    "execute",
     "result_value",
     "shape_result",
     "topk_search",

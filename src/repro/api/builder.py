@@ -8,24 +8,25 @@ steps — every call returns a new builder, so partial chains can be reused::
     communities = base.containing("alice").run()
     biggest = base.top(3).run()
 
-Terminal operations:
+Terminal operations (``spec()`` aside) run through an
+:class:`~repro.engine.MQCEEngine`: the given ``engine`` (which plans, caches
+and follows a mutated graph), or else a fresh ``MQCEEngine(workers=1)``, so a
+one-shot query stays in this process and runs exactly the plan ``explain()``
+prints.
 
 ``spec()``
     The accumulated :class:`QuerySpec` (validated).
 ``run(engine=None)``
     Execute and return the workload-shaped value: an
     :class:`~repro.pipeline.results.EnumerationResult` for enumerate, a list
-    of frozensets for top-k / containment, an int for count.  With an
-    ``engine`` (an :class:`~repro.engine.MQCEEngine`, which also follows a
-    mutated graph) the query is planned and served through its cache.
+    of frozensets for top-k / containment, an int for count.
 ``result(engine=None)``
     Always the full :class:`EnumerationResult` envelope.
 ``stream(engine=None)``
     A :class:`~repro.engine.stream.ResultStream` of maximal quasi-cliques,
-    yielding incrementally (a fresh :class:`~repro.engine.MQCEEngine` serves
-    it when no ``engine`` is given).
+    yielding incrementally.
 ``explain(engine=None)``
-    The :class:`~repro.engine.planner.QueryPlan` the engine would use.
+    The :class:`~repro.engine.planner.QueryPlan` the query runs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import replace
 from typing import Any
 
 from ..graph.graph import Graph
-from .execute import execute, result_value, shape_result
+from .execute import result_value
 from .spec import QuerySpec
 
 
@@ -130,38 +131,30 @@ class Q:
 
     def result(self, engine=None):
         """Execute and return the full :class:`EnumerationResult` envelope."""
-        spec = self.spec()
-        if engine is not None:
-            return engine.query(self._graph, spec)
-        return shape_result(execute(self._plain_graph(), spec), spec)
+        return self._engine(engine).query(self._graph, self.spec())
 
     def run(self, engine=None):
         """Execute and return the workload-shaped value (see module docstring)."""
         spec = self.spec()
-        return result_value(self.result(engine), spec)
+        return result_value(self._engine(engine).query(self._graph, spec), spec)
 
     def stream(self, engine=None):
         """Execute incrementally: a :class:`ResultStream` of maximal quasi-cliques."""
         return self._engine(engine).stream(self._graph, self.spec())
 
     def explain(self, engine=None):
-        """Return the :class:`QueryPlan` an engine would choose for this spec."""
+        """Return the :class:`QueryPlan` this query runs (nothing is enumerated)."""
         return self._engine(engine).explain(self._graph, self.spec())
 
     @staticmethod
     def _engine(engine):
-        """The given engine, or a fresh :class:`MQCEEngine`."""
+        """The given engine, or a fresh single-worker :class:`MQCEEngine`."""
         if engine is not None:
             return engine
         # Lazy import: the engine package imports this module.
         from ..engine import MQCEEngine
 
-        return MQCEEngine()
-
-    def _plain_graph(self) -> Graph:
-        """Unwrap an engine ``PreparedGraph`` for the engine-free paths."""
-        graph = self._graph
-        return graph.graph if hasattr(graph, "graph") and not isinstance(graph, Graph) else graph
+        return MQCEEngine(workers=1)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{key}={value!r}" for key, value in self._fields.items())

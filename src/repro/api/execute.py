@@ -1,22 +1,19 @@
-"""Workload execution for :class:`~repro.api.spec.QuerySpec` (engine-free).
+"""The workloads of a :class:`~repro.api.spec.QuerySpec` beyond plain enumeration.
 
-This module is the single place that knows how to turn a spec into an
-:class:`~repro.pipeline.results.EnumerationResult`:
+:class:`repro.engine.MQCEEngine` runs the ``enumerate`` / ``count``
+workloads through :mod:`repro.pipeline.mqce` and these two through the
+functions here, after planning and around its cache:
 
-* ``enumerate`` / ``count`` — the classic MQCE pipeline
-  (:func:`repro.pipeline.mqce.run_enumeration`),
 * ``containment`` — the query-driven variant: seed FastQC with the required
   vertices, restrict to their joint 2-hop neighbourhood (legal for
   gamma >= 0.5 by the diameter-2 property), filter for global maximality,
 * ``topk`` — the shrinking-size-threshold search for the k largest maximal
   quasi-cliques (optionally started from a prepared graph's degeneracy bound).
 
-The persistent :class:`repro.engine.MQCEEngine` calls these same functions
-after planning and consults its cache around them; the one-shot helpers here
-(:func:`execute`, :func:`shape_result`, :func:`result_value`) are what the
-fluent builder uses without an engine.  A spec ``time_limit`` becomes a
-:class:`~repro.resilience.retry.Deadline` whose ``expired`` is the
-enumerator's cooperative ``should_stop``.
+:func:`shape_result` applies a spec's output options to a (possibly cached)
+result, and :func:`result_value` turns it into what ``Q(...).run()`` returns.
+A spec ``time_limit`` becomes a :class:`~repro.resilience.retry.Deadline`
+whose ``expired`` is the enumerator's cooperative ``should_stop``.
 """
 
 from __future__ import annotations
@@ -31,29 +28,13 @@ from ..errors import QueryError
 from ..graph.graph import Graph
 from ..graph.subgraph import two_hop_mask
 from ..obs.trace import NULL_TRACER
-from ..pipeline.mqce import build_enumerator, canonical_order, resolve_algorithm, run_enumeration
+from ..pipeline.mqce import build_enumerator, canonical_order, resolve_algorithm
 from ..pipeline.results import EnumerationResult
 from ..quasiclique.definitions import degree_threshold
 from ..quasiclique.maximality import satisfies_maximality_necessary_condition
 from ..resilience.retry import Deadline
 from ..settrie.filter import filter_non_maximal
 from .spec import QuerySpec
-
-
-def execute(graph: Graph, spec: QuerySpec) -> EnumerationResult:
-    """Run one spec against a graph, without planner or cache.
-
-    ``algorithm="auto"`` resolves to the paper's default (DCFastQC).  The
-    returned envelope is *unshaped*: budgets stopped the enumeration early if
-    they fired (``result.truncated``), but ``max_results`` trimming and
-    ``include_candidates`` dropping are left to :func:`shape_result` so a
-    caching layer can store the full result.
-    """
-    if spec.contains:
-        return containment_search(graph, spec)
-    if spec.k is not None:
-        return topk_search(graph, spec)
-    return run_enumeration(graph, spec)
 
 
 def shape_result(result: EnumerationResult, spec: QuerySpec) -> EnumerationResult:

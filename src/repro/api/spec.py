@@ -154,12 +154,12 @@ class QuerySpec:
         The result has no ``"auto"`` or ``None`` execution knobs left, so it
         identifies the exact computation — which is why cache keys are built
         from resolved specs: a forced ``algorithm="dcfastqc"`` and an ``auto``
-        plan that chose DCFastQC address the same cache entry.  An explicitly
-        forced ``framework`` survives (the planner only derives a default).
+        plan that chose DCFastQC address the same cache entry.  A plan keeps
+        a forced knob and fills in the algorithm's default for an unset one.
         """
         return dataclasses.replace(
             self, algorithm=plan.algorithm, branching=plan.branching,
-            framework=self.framework if self.framework is not None else plan.framework)
+            framework=plan.framework)
 
     def cache_key(self) -> tuple:
         """The semantic identity of this query: every field that changes the answer.
@@ -259,28 +259,3 @@ class QuerySpec:
 def _normalise_contains(labels: Iterable) -> tuple:
     """Deduplicate and order containment labels deterministically."""
     return tuple(sorted(set(labels), key=lambda label: (str(type(label)), str(label))))
-
-
-def coerce_spec(gamma, theta=None, algorithm: str = "auto",
-                branching: str | None = None, *, spec: QuerySpec | None = None,
-                **extra) -> QuerySpec:
-    """Accept either a ready :class:`QuerySpec` or the PR-1 kwargs calling style.
-
-    ``coerce_spec(spec)`` and ``coerce_spec(gamma, theta, ...)`` both return a
-    spec; mixing the two styles raises :class:`SpecError`.
-    """
-    if isinstance(gamma, QuerySpec):
-        if theta is not None or spec is not None:
-            raise SpecError("pass either a QuerySpec or (gamma, theta, ...), not both")
-        if algorithm != "auto" or branching is not None or extra:
-            raise SpecError("keyword parameters cannot override an explicit QuerySpec; "
-                            "use dataclasses.replace(spec, ...) instead")
-        return gamma
-    if spec is not None:
-        if gamma is not None or theta is not None:
-            raise SpecError("pass either spec=... or (gamma, theta, ...), not both")
-        return spec
-    if gamma is None or theta is None:
-        raise SpecError("a query needs gamma and theta (or an explicit QuerySpec)")
-    return QuerySpec(gamma=gamma, theta=theta, algorithm=algorithm,
-                     branching=branching, **extra)

@@ -17,23 +17,8 @@ containing — a large maximal quasi-clique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..quasiclique.definitions import degree_threshold, gamma_fraction, gamma_pq
-
-
-@dataclass(frozen=True)
-class PruningConfig:
-    """Which Quick+ pruning rules are active (all by default)."""
-
-    candidate_degree: bool = True
-    candidate_diameter: bool = True
-    candidate_non_neighbor: bool = True
-    branch_size: bool = True
-    branch_degree: bool = True
-    branch_upper_bound: bool = True
-    branch_non_neighbor: bool = True
-    critical_vertex: bool = True
 
 
 def minimum_required_degree(gamma: float, theta: int, partial_size: int,
@@ -86,8 +71,7 @@ def _size_upper_bound_state(state, p: int, q: int) -> int:
     return bound
 
 
-def type1_removals_mask_state(state, gamma: float, theta: int,
-                              config: PruningConfig = PruningConfig()) -> int:
+def type1_removals_mask_state(state, gamma: float, theta: int) -> int:
     """The candidate bits the Type I rules remove, read from the ledgers.
 
     Decides exactly ``c_mask & ~apply_type1_rules(...)`` of
@@ -105,30 +89,16 @@ def type1_removals_mask_state(state, gamma: float, theta: int,
     deg_in_s = state.deg_in_s
     deg_in_union = state.deg_in_union
     bit_length = int.bit_length
-    check_degree = config.candidate_degree
-    check_non_neighbor = config.candidate_non_neighbor
     removal_mask = 0
-    if check_degree and check_non_neighbor:
-        # Common all-rules configuration: branch-free fused scan.
-        s_minus_budget = s_size - non_neighbor_budget
-        remaining = state.c_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            v = bit_length(low) - 1
-            if deg_in_union[v] < required or deg_in_s[v] < s_minus_budget:
-                removal_mask |= low
-    elif check_degree or check_non_neighbor:
-        remaining = state.c_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            v = bit_length(low) - 1
-            if (check_degree and deg_in_union[v] < required) or (
-                    check_non_neighbor
-                    and s_size - deg_in_s[v] > non_neighbor_budget):
-                removal_mask |= low
-    if config.candidate_diameter and gamma >= 0.5 and state.s_mask:
+    s_minus_budget = s_size - non_neighbor_budget
+    remaining = state.c_mask
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        v = bit_length(low) - 1
+        if deg_in_union[v] < required or deg_in_s[v] < s_minus_budget:
+            removal_mask |= low
+    if gamma >= 0.5 and state.s_mask:
         masks = state.graph.adjacency_masks()
         union = state.s_mask | state.c_mask
         c_mask = state.c_mask
@@ -153,11 +123,10 @@ def type1_removals_mask_state(state, gamma: float, theta: int,
     return removal_mask
 
 
-def triggers_type2_rules_state(state, gamma: float, theta: int,
-                               config: PruningConfig = PruningConfig()) -> bool:
+def triggers_type2_rules_state(state, gamma: float, theta: int) -> bool:
     """Whether a Type II rule prunes the whole branch, read from the ledgers."""
     union_size = state.s_size + state.c_size
-    if config.branch_size and union_size < theta:
+    if union_size < theta:
         return True
     s_mask = state.s_mask
     if not s_mask:
@@ -173,24 +142,23 @@ def triggers_type2_rules_state(state, gamma: float, theta: int,
         low = remaining & -remaining
         remaining ^= low
         degree = deg_in_union[bit_length(low) - 1]
-        if config.branch_degree and degree < required:
+        if degree < required:
             return True
         if min_degree is None or degree < min_degree:
             min_degree = degree
     size_upper_bound = union_size
     if min_degree is not None:
         size_upper_bound = min(size_upper_bound, min_degree * q // p + 1)
-    if config.branch_upper_bound and size_upper_bound < max(theta, s_size):
+    if size_upper_bound < max(theta, s_size):
         return True
-    if config.branch_non_neighbor:
-        budget = (q - p) * max(0, size_upper_bound - 1) // q
-        deg_in_s = state.deg_in_s
-        remaining = s_mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            if s_size - deg_in_s[bit_length(low) - 1] - 1 > budget:
-                return True
+    budget = (q - p) * max(0, size_upper_bound - 1) // q
+    deg_in_s = state.deg_in_s
+    remaining = s_mask
+    while remaining:
+        low = remaining & -remaining
+        remaining ^= low
+        if s_size - deg_in_s[bit_length(low) - 1] - 1 > budget:
+            return True
     return False
 
 
@@ -212,5 +180,3 @@ def critical_vertex_forced_mask_state(state, gamma: float, theta: int) -> int:
         if deg_in_union[u] == required:
             forced |= masks[u] & state.c_mask
     return forced
-
-

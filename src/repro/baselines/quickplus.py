@@ -38,7 +38,6 @@ from ..core.kernel import (
 )
 from ..core.stats import SearchStatistics
 from .pruning_rules import (
-    PruningConfig,
     critical_vertex_forced_mask_state,
     triggers_type2_rules_state,
     type1_removals_mask_state,
@@ -55,7 +54,7 @@ class QuickPlus:
     """
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
-                 branching: str = "se", pruning: PruningConfig = PruningConfig(),
+                 branching: str = "se",
                  on_output: Callable[[frozenset], None] | None = None,
                  should_stop: Callable[[], bool] | None = None,
                  progress=None) -> None:
@@ -66,7 +65,6 @@ class QuickPlus:
         self.gamma = gamma
         self.theta = theta
         self.branching = branching
-        self.pruning = pruning
         self.on_output = on_output
         self.should_stop = should_stop
         self.progress = progress
@@ -138,24 +136,21 @@ class QuickPlus:
 
         # Critical-vertex rule: candidates that every large QC under the branch
         # must contain are moved into S before branching.
-        if self.pruning.critical_vertex:
-            forced = critical_vertex_forced_mask_state(state, self.gamma, self.theta)
-            while forced:
-                low = forced & -forced
-                forced ^= low
-                state.include(low.bit_length() - 1)
+        forced = critical_vertex_forced_mask_state(state, self.gamma, self.theta)
+        while forced:
+            low = forced & -forced
+            forced ^= low
+            state.include(low.bit_length() - 1)
 
         children = self._create_child_states(state)
         kept = []
         for child in children:
             # Pruning before the next recursion (lines 9-10).
-            removal_mask = type1_removals_mask_state(child, self.gamma,
-                                                     self.theta, self.pruning)
+            removal_mask = type1_removals_mask_state(child, self.gamma, self.theta)
             if removal_mask:
                 self.statistics.candidates_removed_by_type1 += removal_mask.bit_count()
                 child.remove_mask(removal_mask)
-            if triggers_type2_rules_state(child, self.gamma, self.theta,
-                                          self.pruning):
+            if triggers_type2_rules_state(child, self.gamma, self.theta):
                 self.statistics.branches_pruned_by_type2 += 1
                 continue
             kept.append(child)
@@ -198,9 +193,3 @@ class QuickPlus:
         self.statistics.outputs += 1
         if self.on_output is not None:
             self.on_output(labels)
-
-
-def quickplus_enumerate(graph: Graph, gamma: float, theta: int,
-                        branching: str = "se") -> list[frozenset]:
-    """Functional convenience wrapper around :class:`QuickPlus`."""
-    return QuickPlus(graph, gamma, theta, branching=branching).enumerate()

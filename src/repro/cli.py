@@ -55,7 +55,7 @@ from .api.spec import SPEC_PARALLEL_MODES
 from .core.dcfastqc import DC_FRAMEWORKS
 from .datasets.registry import REGISTRY, get_spec, load_prepared
 from .dynamic import apply_updates, read_update_script
-from .engine import MQCEEngine, QueryRequest, prepare_graph
+from .engine import MQCEEngine, prepare_graph
 from .errors import ReproError, SpecError
 from .experiments import figures as figure_module
 from .experiments.harness import format_table
@@ -391,16 +391,17 @@ def _command_engine_batch(args: argparse.Namespace) -> int:
         raise SystemExit("--gamma and --theta are required for --input graphs")
     gammas = _parse_float_list(args.gammas) if args.gammas else [defaults["gamma"]]
     thetas = _parse_int_list(args.thetas) if args.thetas else [defaults["theta"]]
-    requests = [QueryRequest(gamma, theta, algorithm=args.algorithm)
-                for gamma in gammas for theta in thetas]
+    specs = [QuerySpec(gamma=gamma, theta=theta, algorithm=args.algorithm)
+             for gamma in gammas for theta in thetas]
     engine = MQCEEngine()
     start = time.perf_counter()
-    results = engine.query_batch(prepared, requests * max(1, args.repeat))
+    results = [engine.query(prepared, spec)
+               for spec in specs * max(1, args.repeat)]
     elapsed = time.perf_counter() - start
     rows = []
-    for request, result in zip(requests, results):
+    for spec, result in zip(specs, results):
         rows.append({
-            "gamma": request.gamma, "theta": request.theta,
+            "gamma": spec.gamma, "theta": spec.theta,
             "algorithm": result.algorithm, "maximal": result.maximal_count,
             "seconds": round(result.total_seconds, 4),
         })
@@ -426,7 +427,8 @@ def _command_engine_stats(args: argparse.Namespace) -> int:
         # whole registry in Prometheus text exposition format.
         parameters = _parameters(args)
         if "gamma" in parameters and "theta" in parameters:
-            MQCEEngine().query(prepared, parameters["gamma"], parameters["theta"])
+            MQCEEngine().query(prepared, QuerySpec(gamma=parameters["gamma"],
+                                                   theta=parameters["theta"]))
         from .obs import render_prometheus
         sys.stdout.write(render_prometheus())
         return 0

@@ -8,14 +8,13 @@ from .kernel import (
     generate_child_states,
     refine_state,
 )
-from .fastqc import FastQC, fastqc_enumerate
+from .fastqc import FastQC
 from .dcfastqc import (
     DC_FRAMEWORKS,
     CompactSubproblem,
     DCFastQC,
     DCStatistics,
     SubproblemRecord,
-    dcfastqc_enumerate,
     two_hop_pruning_threshold,
 )
 from .complexity import (
@@ -39,13 +38,11 @@ __all__ = [
     "generate_child_states",
     "refine_state",
     "FastQC",
-    "fastqc_enumerate",
     "DC_FRAMEWORKS",
     "CompactSubproblem",
     "DCFastQC",
     "DCStatistics",
     "SubproblemRecord",
-    "dcfastqc_enumerate",
     "two_hop_pruning_threshold",
     "branching_factor",
     "characteristic_polynomial",

@@ -55,7 +55,7 @@ except ImportError:  # pragma: no cover - exercised via use_numpy=False tests
 #: 10^5 vertices one mask is ~12.5 KB, so the cache tops out around 13 MB —
 #: enough to keep a whole shrink phase's ball resident without ever scaling
 #: with |V| * |V|.
-DEFAULT_MASK_CACHE = 1024
+MASK_CACHE = 1024
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +208,7 @@ class CSRGraph(Graph):
     """
 
     def __init__(self, labels: Iterable[VertexLabel], indptr, indices, *,
-                 edge_count: int | None = None,
-                 mask_cache: int = DEFAULT_MASK_CACHE) -> None:
+                 edge_count: int | None = None) -> None:
         super().__init__()
         labels = list(labels)
         n = len(labels)
@@ -229,7 +228,6 @@ class CSRGraph(Graph):
         self._version = 1
         self._mask_nbytes = (n + 7) // 8
         self._mask_cache: OrderedDict[int, int] = OrderedDict()
-        self._mask_cache_capacity = mask_cache
         self._adjacency_sets = _LazySetTable(self)
         self._adjacency_masks = _LazyMaskTable(self)
 
@@ -332,7 +330,7 @@ class CSRGraph(Graph):
             buffer[j >> 3] |= 1 << (j & 7)
         mask = int.from_bytes(buffer, "little")
         cache[index] = mask
-        if len(cache) > self._mask_cache_capacity:
+        if len(cache) > MASK_CACHE:
             cache.popitem(last=False)
         return mask
 
@@ -399,8 +397,7 @@ class CSRGraph(Graph):
     def copy(self) -> "CSRGraph":
         """Cheap copy sharing the immutable CSR buffers."""
         return CSRGraph(self._labels, self.indptr, self.indices,
-                        edge_count=self._edge_count,
-                        mask_cache=self._mask_cache_capacity)
+                        edge_count=self._edge_count)
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.vertex_count}, |E|={self.edge_count})"

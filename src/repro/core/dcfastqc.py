@@ -498,11 +498,3 @@ class DCFastQC:
             if removed == 0:
                 break
         return alive
-
-
-def dcfastqc_enumerate(graph: Graph, gamma: float, theta: int,
-                       branching: str = "hybrid", framework: str = "dc",
-                       max_rounds: int = DEFAULT_MAX_ROUNDS) -> list[frozenset]:
-    """Functional convenience wrapper around :class:`DCFastQC`."""
-    return DCFastQC(graph, gamma, theta, branching=branching, framework=framework,
-                    max_rounds=max_rounds).enumerate()

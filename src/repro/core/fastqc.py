@@ -286,11 +286,3 @@ class FastQC:
             subset_mask = sum(1 << index[v] for v in iter_bits(subset_mask))
         return mask_satisfies_maximality_necessary_condition(
             rows, subset_mask, self.gamma)
-
-
-def fastqc_enumerate(graph: Graph, gamma: float, theta: int,
-                     branching: str = "hybrid",
-                     maximality_filter: bool = True) -> list[frozenset]:
-    """Functional convenience wrapper around :class:`FastQC`."""
-    return FastQC(graph, gamma, theta, branching=branching,
-                  maximality_filter=maximality_filter).enumerate()

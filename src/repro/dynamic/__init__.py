@@ -10,13 +10,13 @@ and keep their warm-hit speedup.
 
 Quickstart
 ----------
->>> from repro import Graph, MQCEEngine
+>>> from repro import Graph, MQCEEngine, QuerySpec
 >>> graph = Graph(edges=[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 4)])
->>> engine = MQCEEngine()
->>> engine.query(graph, 0.9, 3).maximal_quasi_cliques
+>>> engine, spec = MQCEEngine(), QuerySpec(gamma=0.9, theta=3)
+>>> engine.query(graph, spec).maximal_quasi_cliques
 [frozenset({1, 2, 3, 4})]
 >>> graph.remove_edge(1, 4)
->>> sorted(sorted(h) for h in engine.query(graph, 0.9, 3).maximal_quasi_cliques)
+>>> sorted(sorted(h) for h in engine.query(graph, spec).maximal_quasi_cliques)
 [[1, 2, 3], [2, 3, 4]]
 """
 

@@ -10,27 +10,27 @@ what a database engine adds on top of an algorithm:
   algorithm, branching rule and parallelism,
 * :class:`ResultCache` — a bounded LRU over
   ``(fingerprint, resolved spec)`` with hit/miss/eviction counters,
-* :class:`MQCEEngine` — the facade tying them together, with ``query()``,
-  ``stream()`` (a :class:`ResultStream`: incremental delivery of a
-  :class:`repro.api.QuerySpec`), ``query_batch()``, ``explain()`` and
-  ``stats()``.
+* :class:`MQCEEngine` — the facade tying them together: ``query()``,
+  ``stream()`` (a :class:`ResultStream`: incremental delivery) and
+  ``explain()`` each take a graph and a :class:`repro.api.QuerySpec`, and
+  ``stats()`` reports the counters.
 
 Quickstart
 ----------
->>> from repro import MQCEEngine
+>>> from repro import MQCEEngine, QuerySpec
 >>> from repro.datasets import load_dataset, get_spec
 >>> engine = MQCEEngine()
->>> spec = get_spec("ca-grqc")
->>> result = engine.query(load_dataset("ca-grqc"), spec.default_gamma,
-...                       spec.default_theta)        # cold: plans + enumerates
+>>> dataset = get_spec("ca-grqc")
+>>> spec = QuerySpec(gamma=dataset.default_gamma, theta=dataset.default_theta)
+>>> result = engine.query(load_dataset("ca-grqc"), spec)  # cold: plans + enumerates
 >>> result.maximal_count
 6
 """
 
 from .cache import CacheStats, ResultCache
-from .engine import EngineError, MQCEEngine, QueryRecord, QueryRequest
+from .engine import EngineError, MQCEEngine, QueryRecord
 from .fingerprint import graph_fingerprint
-from .planner import PlannerConfig, QueryPlan, QueryPlanner
+from .planner import QueryPlan, QueryPlanner
 from .prepared import PreparedGraph, as_plain_graph, prepare_graph
 from .stream import ResultStream
 
@@ -38,12 +38,10 @@ __all__ = [
     "CacheStats",
     "EngineError",
     "MQCEEngine",
-    "PlannerConfig",
     "PreparedGraph",
     "QueryPlan",
     "QueryPlanner",
     "QueryRecord",
-    "QueryRequest",
     "ResultCache",
     "ResultStream",
     "as_plain_graph",

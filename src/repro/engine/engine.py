@@ -1,7 +1,8 @@
 """The MQCE query engine: prepared graphs + plan selection + result caching.
 
-:class:`MQCEEngine` is the persistent facade the one-shot
-:func:`repro.run_enumeration` pipeline lacks.  A query flows
+:class:`MQCEEngine` is the persistent facade over the
+:func:`repro.run_enumeration` pipeline: ``query``, ``stream`` and ``explain``
+each take a graph and a :class:`~repro.api.spec.QuerySpec`.  A query flows
 through three stages:
 
 1. **Prepare** — the graph is wrapped in a
@@ -17,10 +18,12 @@ through three stages:
    parallelism from the prepared statistics; :meth:`MQCEEngine.explain`
    returns this plan without enumerating anything.
 3. **Execute or hit** — the plan key is looked up in the LRU
-   :class:`~repro.engine.cache.ResultCache`; on a miss the plan is executed
-   through the existing :mod:`repro.pipeline.mqce` internals (or
-   :class:`~repro.extensions.parallel.ParallelDCFastQC` when the plan says
-   so) and the result is cached.
+   :class:`~repro.engine.cache.ResultCache`; on a miss the spec, resolved by
+   the plan, runs through :mod:`repro.pipeline.mqce`: a sequential
+   enumerator, or a :class:`~repro.extensions.parallel.ParallelDCFastQC`
+   built from the same resolved spec when the plan fans out, both filtered by
+   the same :func:`~repro.pipeline.mqce.enumerate_and_filter`.  The result
+   is cached.
 
 Results are regular :class:`~repro.pipeline.results.EnumerationResult`
 objects, bit-identical in content to what ``run_enumeration`` returns for the
@@ -60,13 +63,12 @@ from __future__ import annotations
 import time
 import weakref
 from collections import Counter, deque
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from ..api.execute import containment_search, shape_result, topk_search
-from ..api.spec import QuerySpec, coerce_spec
+from ..api.spec import QuerySpec
 from ..dynamic.index import CacheIndex, UpdateReport, UpdateStats
-from ..errors import EngineError
+from ..errors import EngineError, SpecError
 from ..extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
 from ..graph.core_decomposition import core_numbers
 from ..graph.delta import GraphMutation
@@ -74,12 +76,11 @@ from ..graph.graph import Graph
 from ..graph.subgraph import two_hop_mask
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER
-from ..pipeline.mqce import canonical_order, run_enumeration
+from ..pipeline.mqce import enumerate_and_filter, run_enumeration
 from ..pipeline.results import EnumerationResult
 from ..quasiclique.definitions import degree_threshold
-from ..settrie.filter import filter_non_maximal
 from .cache import DEFAULT_CAPACITY, ResultCache
-from .planner import PlannerConfig, QueryPlan, QueryPlanner
+from .planner import QueryPlan, QueryPlanner
 from .prepared import PreparedGraph
 from .stream import ResultStream
 
@@ -96,26 +97,6 @@ HISTORY_LIMIT = 1024
 #: its Graph key), while the graph -> prepared -> graph reference cycle is
 #: ordinary garbage for the cycle collector once the caller drops the graph.
 _PREPARED_ATTRIBUTE = "_repro_prepared"
-
-
-@dataclass(frozen=True)
-class QueryRequest:
-    """One entry of a :meth:`MQCEEngine.query_batch` workload."""
-
-    gamma: float
-    theta: int
-    algorithm: str = "auto"
-    branching: str | None = None
-
-    @classmethod
-    def coerce(cls, entry: "QueryRequest | Mapping | tuple") -> "QueryRequest":
-        """Accept a QueryRequest, a ``{"gamma": .., "theta": ..}`` mapping or a tuple."""
-        if isinstance(entry, cls):
-            return entry
-        if isinstance(entry, Mapping):
-            return cls(**entry)
-        gamma, theta, *rest = entry
-        return cls(gamma, theta, *rest)
 
 
 @dataclass(frozen=True)
@@ -137,18 +118,15 @@ class MQCEEngine:
     ----------
     cache_size:
         Capacity of the LRU result cache (entries, not bytes).
-    planner:
-        A :class:`QueryPlanner`; defaults to one with the stock thresholds.
-        Pass ``QueryPlanner(PlannerConfig(...))`` to tune plan selection.
     workers:
         Default worker budget offered to the planner for parallel plans
-        (None: let the planner use the machine's CPU count).
+        (None: let the planner use the machine's CPU count; 1 keeps every
+        query in this process).
     """
 
     def __init__(self, cache_size: int = DEFAULT_CAPACITY,
-                 planner: QueryPlanner | None = None,
                  workers: int | None = None) -> None:
-        self.planner = planner or QueryPlanner()
+        self.planner = QueryPlanner()
         self.cache = ResultCache(cache_size)
         self.workers = workers
         self.history: deque[QueryRecord] = deque(maxlen=HISTORY_LIMIT)
@@ -263,8 +241,8 @@ class MQCEEngine:
     def _reconcile(self, index: CacheIndex, fingerprint: str) -> None:
         """Register the cache entries for ``fingerprint`` that ``index`` lacks.
 
-        Entries appear in the cache through ``query``, ``query_batch`` and
-        completed ``stream`` runs; scanning the (bounded) cache for keys under
+        Entries appear in the cache through ``query`` and completed
+        ``stream`` runs; scanning the (bounded) cache for keys under
         the fingerprint keeps the index complete no matter which path
         inserted them.  The spec-key layout puts gamma and theta right after
         the ``"spec"`` tag (see :meth:`QuerySpec.cache_key`).
@@ -343,37 +321,23 @@ class MQCEEngine:
     # ------------------------------------------------------------------
     # Stage 2: planning
     # ------------------------------------------------------------------
-    def explain(self, graph: Graph | PreparedGraph, gamma=None, theta: int | None = None,
-                algorithm: str = "auto", branching: str | None = None, *,
-                spec: QuerySpec | None = None) -> QueryPlan:
-        """Return the plan a query would use, without running the enumeration.
-
-        Accepts either the PR-1 parameters (``explain(graph, gamma, theta,
-        ...)``) or a :class:`QuerySpec` (``explain(graph, spec)``).
-        """
-        spec = coerce_spec(gamma, theta, algorithm, branching, spec=spec)
-        prepared = self.prepare(graph)
-        return self.planner.plan_spec(prepared, spec, workers=self.workers)
+    def explain(self, graph: Graph | PreparedGraph, spec: QuerySpec) -> QueryPlan:
+        """Return the plan :meth:`query` would run for ``spec``, without enumerating."""
+        spec = _require_spec(spec)
+        return self.planner.plan(self.prepare(graph), spec, workers=self.workers)
 
     # ------------------------------------------------------------------
     # Stage 3: execution
     # ------------------------------------------------------------------
-    def query(self, graph: Graph | PreparedGraph, gamma=None, theta: int | None = None,
-              algorithm: str = "auto", branching: str | None = None,
+    def query(self, graph: Graph | PreparedGraph, spec: QuerySpec,
               use_cache: bool = True, *,
-              spec: QuerySpec | None = None,
               trace=None, progress=None) -> EnumerationResult:
         """Solve one query described by a :class:`QuerySpec`, serving repeats from cache.
 
-        Both calling styles are supported — ``query(graph, spec)`` /
-        ``query(graph, spec=spec)`` with a :class:`repro.api.QuerySpec`, and
-        the PR-1 style ``query(graph, gamma, theta, algorithm=...,
-        branching=...)`` which builds the equivalent spec internally (both
-        styles address the same cache entries).
-
-        For the plain enumerate workload the returned
-        :class:`EnumerationResult` is content-identical to the one-shot
-        pipeline's result for the same parameters; the ``algorithm`` may
+        ``spec`` must be a :class:`repro.api.QuerySpec` (anything else raises
+        :class:`~repro.errors.SpecError`).  For the plain enumerate workload
+        the returned :class:`EnumerationResult` is content-identical to the
+        one-shot pipeline's result for the same spec; the ``algorithm`` may
         differ when the planner picked a cheaper exact one (all MQCE-S1
         algorithms agree after MQCE-S2 filtering).  Top-k and containment
         specs return the same envelope with their (ranked / constrained)
@@ -390,13 +354,13 @@ class MQCEEngine:
         ``progress`` is an optional :class:`repro.obs.ProgressTicker` fed by
         the branch loop (ignored on cache hits and parallel plans).
         """
+        spec = _require_spec(spec)
         tracer = trace if trace is not None else NULL_TRACER
         with tracer.span("query") as query_span:
-            spec = coerce_spec(gamma, theta, algorithm, branching, spec=spec)
             with tracer.span("prepare"):
                 prepared = self.prepare(graph)
             with tracer.span("plan") as plan_span:
-                plan = self.planner.plan_spec(prepared, spec, workers=self.workers)
+                plan = self.planner.plan(prepared, spec, workers=self.workers)
                 plan_span.annotate(algorithm=plan.algorithm,
                                    branching=plan.branching)
             resolved = spec.resolved(plan)
@@ -421,10 +385,8 @@ class MQCEEngine:
             self._record(plan, cached=False, seconds=query_span.elapsed())
             return shape_result(result, spec)
 
-    def stream(self, graph: Graph | PreparedGraph, gamma=None, theta: int | None = None,
-               algorithm: str = "auto", branching: str | None = None,
+    def stream(self, graph: Graph | PreparedGraph, spec: QuerySpec,
                use_cache: bool = True, *,
-               spec: QuerySpec | None = None,
                trace=None, progress=None) -> ResultStream:
         """Yield maximal quasi-cliques incrementally for one query.
 
@@ -436,7 +398,8 @@ class MQCEEngine:
         (``time_limit``, ``max_results``) stop the underlying enumeration
         cooperatively, and :meth:`ResultStream.cancel` aborts mid-flight.
         Every set yielded by an incremental (DC) stream is genuinely maximal
-        in the full answer, even when the stream is truncated.
+        in the full answer, even when the stream is truncated.  A stream
+        always enumerates in this process, whatever the plan's parallelism.
 
         ``trace`` attaches a :class:`repro.obs.Tracer` to the stream (exposed
         as :attr:`ResultStream.tracer`): the live path records an
@@ -444,36 +407,13 @@ class MQCEEngine:
         at a yield.  ``progress`` forwards a branch-tick hook to the
         underlying enumeration.
         """
-        spec = coerce_spec(gamma, theta, algorithm, branching, spec=spec)
+        spec = _require_spec(spec)
         prepared = self.prepare(graph)
-        plan = self.planner.plan_spec(prepared, spec, workers=self.workers)
+        plan = self.planner.plan(prepared, spec, workers=self.workers)
         resolved = spec.resolved(plan)
         key = ResultCache.spec_key(prepared.fingerprint, resolved)
         return ResultStream(self, prepared, spec, plan, key, use_cache=use_cache,
                             trace=trace, progress=progress)
-
-    def query_batch(self, graph: Graph | PreparedGraph,
-                    requests: Iterable[QuerySpec | QueryRequest | Mapping | tuple]
-                    ) -> list[EnumerationResult]:
-        """Run many queries against one graph, preparing it exactly once.
-
-        ``requests`` entries may be :class:`repro.api.QuerySpec` objects,
-        :class:`QueryRequest` objects, ``(gamma, theta[, algorithm[,
-        branching]])`` tuples or mappings with those keys.  Results come back
-        in request order; duplicates within the batch are served from the
-        cache.
-        """
-        prepared = self.prepare(graph)
-        results = []
-        for entry in requests:
-            if isinstance(entry, QuerySpec):
-                results.append(self.query(prepared, entry))
-                continue
-            request = QueryRequest.coerce(entry)
-            results.append(self.query(prepared, request.gamma, request.theta,
-                                      algorithm=request.algorithm,
-                                      branching=request.branching))
-        return results
 
     # ------------------------------------------------------------------
     # Introspection
@@ -533,23 +473,13 @@ class MQCEEngine:
             # The work-stealing driver has no cooperative-cancellation channel,
             # so budgeted queries always take the sequential path.  (It has no
             # branch-tick channel either; `progress` only applies below.)
-            runner = ParallelDCFastQC(prepared, plan.gamma, plan.theta,
-                                      branching=plan.branching, workers=plan.workers)
-            with tracer.span("enumerate", algorithm=plan.algorithm,
-                             parallel=True) as enumerate_span:
-                candidates = runner.enumerate()
-                enumerate_span.annotate(candidates=len(candidates),
-                                        mode=runner.mode_selected)
-            with tracer.span("filter") as filter_span:
-                maximal = filter_non_maximal(candidates, theta=plan.theta)
-                filter_span.annotate(maximal=len(maximal))
-            result = EnumerationResult(
-                maximal_quasi_cliques=canonical_order(maximal),
-                candidate_quasi_cliques=list(candidates),
-                algorithm=plan.algorithm, gamma=plan.gamma, theta=plan.theta,
-                search_statistics=runner.statistics,
-                enumeration_seconds=enumerate_span.seconds,
-                filtering_seconds=filter_span.seconds)
+            runner = ParallelDCFastQC(
+                prepared, resolved.gamma, resolved.theta,
+                branching=resolved.branching, framework=resolved.framework,
+                max_rounds=resolved.max_rounds,
+                maximality_filter=resolved.maximality_filter,
+                workers=plan.workers)
+            result = enumerate_and_filter(runner, resolved, tracer=tracer)
         else:
             # DCFastQC reuses the preparation's core mask.
             result = run_enumeration(prepared, resolved, tracer=tracer,
@@ -575,6 +505,12 @@ class MQCEEngine:
                 f"queries={len(self.history)})")
 
 
-# Re-exported here so `from repro.engine.engine import PlannerConfig` users see
-# the full tuning surface next to the facade.
-__all__ = ["EngineError", "MQCEEngine", "QueryRecord", "QueryRequest", "PlannerConfig"]
+def _require_spec(spec) -> QuerySpec:
+    """``spec`` itself when it is a :class:`QuerySpec`; a :class:`SpecError` otherwise."""
+    if not isinstance(spec, QuerySpec):
+        raise SpecError(f"a query is described by a QuerySpec, not "
+                        f"{type(spec).__name__}: use QuerySpec(gamma=..., theta=...)")
+    return spec
+
+
+__all__ = ["EngineError", "MQCEEngine", "QueryRecord"]

@@ -1,12 +1,13 @@
 """Query planning: choose how to execute one MQCE query.
 
-Given a :class:`~repro.engine.prepared.PreparedGraph` and ``(gamma, theta)``,
-:class:`QueryPlanner` reads the graph's size, the memoized core reduction and
-degeneracy bound, and the branch counts of earlier completed runs — never the
-enumeration itself — and produces an explainable :class:`QueryPlan` that fixes
+Given a :class:`~repro.engine.prepared.PreparedGraph` and a
+:class:`~repro.api.spec.QuerySpec`, :class:`QueryPlanner` reads the graph's
+size, the memoized core reduction and degeneracy bound, and the branch counts
+of earlier completed runs — never the enumeration itself — and produces an
+explainable :class:`QueryPlan` that fixes
 
 * the MQCE-S1 **algorithm** (``dcfastqc`` / ``fastqc`` / ``quickplus`` /
-  ``naive``) and its **framework** (divide-and-conquer or not),
+  ``naive``) and its **framework** (the spec's, or the algorithm's default),
 * the **branching** rule (``hybrid`` / ``sym-se`` / ``se``), and
 * whether to fan the divide-and-conquer subproblems out to
   :class:`~repro.extensions.parallel.ParallelDCFastQC`'s work-stealing
@@ -18,18 +19,17 @@ answers.  The decisions follow the paper's experiments: DCFastQC with hybrid
 branching wins at scale (Figures 7 and 12), while its core reduction and
 ordering overhead is wasted on cores too small to decompose.  A plan states
 its decisions and their reasons (:attr:`QueryPlan.reasons`,
-:meth:`QueryPlan.describe`); it carries no cost estimate.
+:meth:`QueryPlan.describe`); it carries no cost estimate.  The thresholds
+below are module constants, read when a plan is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
-from ..api.spec import SPEC_PARALLEL_MODES
 from ..extensions.parallel import available_cpus
 from ..obs.metrics import REGISTRY
-from ..pipeline.mqce import ALGORITHMS
-from ..quasiclique.definitions import gamma_fraction, validate_parameters
+from ..quasiclique.definitions import gamma_fraction
 from .prepared import PreparedGraph
 
 _PLANS = REGISTRY.counter(
@@ -42,23 +42,15 @@ _TRIVIAL_PLANS = REGISTRY.counter(
     "repro_planner_trivial_plans_total",
     "Plans where preprocessing proved the answer empty")
 
-#: Planner decision thresholds, overridable per engine instance.
-DEFAULT_SMALL_GRAPH_VERTICES = 64
-DEFAULT_PARALLEL_MIN_VERTICES = 2048
-DEFAULT_PARALLEL_MIN_BRANCHES = 4096
-DEFAULT_MAX_WORKERS = 8
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Tunable thresholds of the planner's decisions."""
-
-    small_graph_vertices: int = DEFAULT_SMALL_GRAPH_VERTICES
-    parallel_min_vertices: int = DEFAULT_PARALLEL_MIN_VERTICES
-    #: Observed branch counts above this open the parallel gate even when the
-    #: core is small — a 32-vertex core can still hold seconds of enumeration.
-    parallel_min_branches: int = DEFAULT_PARALLEL_MIN_BRANCHES
-    max_workers: int = DEFAULT_MAX_WORKERS
+#: Graphs with at most this many vertices run plain FastQC under "auto".
+SMALL_GRAPH_VERTICES = 64
+#: A core of at least this many vertices opens the parallel gate on size alone.
+PARALLEL_MIN_VERTICES = 2048
+#: Observed branch counts above this open the parallel gate even when the
+#: core is small — a 32-vertex core can still hold seconds of enumeration.
+PARALLEL_MIN_BRANCHES = 4096
+#: Cap on the default worker count (the CPUs this process may run on).
+MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -114,51 +106,31 @@ class QueryPlan:
 class QueryPlanner:
     """Chooses an execution plan from prepared-graph statistics alone."""
 
-    def __init__(self, config: PlannerConfig | None = None) -> None:
-        self.config = config or PlannerConfig()
+    def plan(self, prepared: PreparedGraph, spec,
+             workers: int | None = None) -> QueryPlan:
+        """Return the :class:`QueryPlan` for one :class:`~repro.api.QuerySpec`.
 
-    def plan_spec(self, prepared: PreparedGraph, spec,
-                  workers: int | None = None) -> QueryPlan:
-        """Plan one :class:`repro.api.QuerySpec` (the engine's planning entry).
-
-        Only the spec fields that influence plan selection are consulted
-        (gamma, theta, algorithm, branching, parallel); workload modifiers
-        and budgets do not change how the enumeration itself is best executed.
+        Only the spec fields that decide how the enumeration runs are read
+        (gamma, theta, algorithm, branching, framework, parallel); workload
+        modifiers and budgets do not change it.  ``algorithm="auto"`` lets the
+        planner decide, and a named algorithm, branching or framework is
+        honoured as given, as is an explicit ``workers`` count.  With
+        ``parallel="auto"`` the planner fans the divide-and-conquer
+        subproblems out to work-stealing workers when the core is large, or
+        when a completed run of this ``(gamma, theta)`` observed enough
+        branches.  Planning never runs the enumeration: it reads only
+        memoized artifacts.
         """
-        return self.plan(prepared, spec.gamma, spec.theta,
-                         algorithm=spec.algorithm, branching=spec.branching,
-                         workers=workers, parallel=spec.parallel)
-
-    def plan(self, prepared: PreparedGraph, gamma: float, theta: int,
-             algorithm: str = "auto", branching: str | None = None,
-             workers: int | None = None, parallel: str = "auto") -> QueryPlan:
-        """Return the :class:`QueryPlan` for one query.
-
-        ``algorithm="auto"`` lets the planner decide; naming one of
-        :data:`~repro.pipeline.mqce.ALGORITHMS` forces it.  ``branching``
-        and ``workers`` likewise override the planner when given.
-        ``parallel`` requests an execution mode
-        (:data:`~repro.api.spec.SPEC_PARALLEL_MODES`): with ``"auto"`` the
-        planner fans the divide-and-conquer subproblems out to work-stealing
-        workers when the core is large, or when a completed run of this
-        ``(gamma, theta)`` observed enough branches.  Planning never runs the
-        enumeration: it reads only memoized artifacts.
-        """
-        validate_parameters(gamma, theta)
-        if algorithm != "auto" and algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; expected 'auto' or one of {ALGORITHMS}")
-        if parallel not in SPEC_PARALLEL_MODES:
-            raise ValueError(f"unknown parallel mode {parallel!r}; "
-                             f"expected one of {SPEC_PARALLEL_MODES}")
-        # Plans are deterministic in the prepared graph and this configuration,
-        # so they are memoized alongside the other prepared artifacts.
+        gamma, theta = spec.gamma, spec.theta
+        algorithm, branching, parallel = spec.algorithm, spec.branching, spec.parallel
+        # Plans are deterministic in the prepared graph and these fields, so
+        # they are memoized alongside the other prepared artifacts.
         # The histogram version is part of the key: a completed run that
         # records fresh branch counts re-opens the parallel decision instead
         # of serving a plan made without them.  So is the graph version
         # (reading it syncs the preparation, which drops older plans).
-        cache_key = (self.config, gamma_fraction(gamma), int(theta),
-                     algorithm, branching, workers, parallel,
+        cache_key = (gamma_fraction(gamma), int(theta), algorithm, branching,
+                     spec.framework, parallel, workers,
                      prepared.histogram_version, prepared.version)
         memoized = prepared.plan_cache.get(cache_key)
         if memoized is not None:
@@ -172,11 +144,11 @@ class QueryPlanner:
 
         chosen = algorithm
         if algorithm == "auto":
-            if prepared.graph.vertex_count <= self.config.small_graph_vertices:
+            if prepared.graph.vertex_count <= SMALL_GRAPH_VERTICES:
                 chosen = "fastqc"
                 reasons.append(
                     f"graph has only {prepared.graph.vertex_count} vertices "
-                    f"(<= {self.config.small_graph_vertices}): plain FastQC avoids "
+                    f"(<= {SMALL_GRAPH_VERTICES}): plain FastQC avoids "
                     "the divide-and-conquer ordering overhead")
             else:
                 chosen = "dcfastqc"
@@ -187,7 +159,13 @@ class QueryPlanner:
         else:
             reasons.append(f"algorithm {chosen!r} forced by the caller")
 
-        framework = "dc" if chosen == "dcfastqc" else "none"
+        if spec.framework is None:
+            framework = "dc" if chosen == "dcfastqc" else "none"
+        else:
+            framework = spec.framework
+            reasons.append(f"framework {framework!r} forced by the caller")
+        # Only divide-and-conquer subproblems can fan out.
+        divides = chosen == "dcfastqc" and framework != "none"
 
         if branching is None:
             branching = "se" if chosen in ("quickplus", "naive") else "hybrid"
@@ -198,41 +176,41 @@ class QueryPlanner:
             reasons.append(f"branching {branching!r} forced by the caller")
 
         # An explicit worker count is honoured as-is; the default is the CPUs
-        # this process may run on, capped by the planner configuration.
+        # this process may run on, capped by MAX_WORKERS.
         requested = (workers if workers is not None
-                     else min(self.config.max_workers, available_cpus()))
+                     else min(MAX_WORKERS, available_cpus()))
         # The parallel gate opens on any of: a core big enough that fan-out is
         # worth it on size alone, observed work (branch counts from a completed
         # run — a tiny core can still hold seconds of enumeration), or an
         # explicit parallel="branch".
         branch_evidence = prepared.subproblem_branch_histogram(gamma, theta)
         observed_branches = branch_evidence.total if branch_evidence else 0
-        fan_out = (chosen == "dcfastqc"
+        fan_out = (divides
                    and requested > 1
                    and parallel != "none"
-                   and (core_kept >= self.config.parallel_min_vertices
-                        or observed_branches >= self.config.parallel_min_branches
+                   and (core_kept >= PARALLEL_MIN_VERTICES
+                        or observed_branches >= PARALLEL_MIN_BRANCHES
                         or parallel == "branch"))
         effective_workers = requested if fan_out else 1
         if fan_out:
-            if core_kept >= self.config.parallel_min_vertices:
+            if core_kept >= PARALLEL_MIN_VERTICES:
                 reasons.append(
                     f"core of {core_kept} vertices exceeds the parallel threshold "
-                    f"({self.config.parallel_min_vertices}): fanning DC subproblems "
+                    f"({PARALLEL_MIN_VERTICES}): fanning DC subproblems "
                     f"out to {effective_workers} work-stealing workers")
-            elif observed_branches >= self.config.parallel_min_branches:
+            elif observed_branches >= PARALLEL_MIN_BRANCHES:
                 reasons.append(
                     f"an observed run explored {observed_branches} branches "
-                    f"(>= {self.config.parallel_min_branches}): enough work to "
+                    f"(>= {PARALLEL_MIN_BRANCHES}): enough work to "
                     f"fan out to {effective_workers} work-stealing workers "
                     f"despite the {core_kept}-vertex core")
             if parallel == "branch":
                 reasons.append(
                     f"parallel mode 'branch' forced by the caller: "
                     f"{effective_workers} work-stealing workers")
-        elif parallel == "none" and requested > 1 and chosen == "dcfastqc":
+        elif parallel == "none" and requested > 1 and divides:
             reasons.append("parallelism disabled by the caller (parallel='none')")
-        elif requested > 1 and chosen == "dcfastqc":
+        elif requested > 1 and divides:
             # parallel="auto" with both gates shut: name each against its bound.
             evidence = (f"a completed run explored {observed_branches} branches <"
                         if branch_evidence else
@@ -240,12 +218,14 @@ class QueryPlanner:
             reasons.append(
                 f"parallelism declined despite {requested} workers: core of "
                 f"{core_kept} vertices < parallel_min_vertices "
-                f"({self.config.parallel_min_vertices}), and {evidence} "
-                f"parallel_min_branches ({self.config.parallel_min_branches})")
-        elif workers is not None and workers > 1:
+                f"({PARALLEL_MIN_VERTICES}), and {evidence} "
+                f"parallel_min_branches ({PARALLEL_MIN_BRANCHES})")
+        elif requested > 1 and (parallel == "branch" or workers is not None):
+            plain = (f"{chosen!r}" if chosen != "dcfastqc"
+                     else "framework 'none'")
             reasons.append(
-                f"parallelism declined despite workers={workers}: only "
-                f"divide-and-conquer plans fan out, and {chosen!r} is not one")
+                f"parallelism declined despite {requested} workers: only "
+                f"divide-and-conquer plans fan out, and {plain} is not one")
 
         if core_kept < theta or bound < theta:
             reasons.append(

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from ..datasets.registry import REGISTRY, get_spec
 from ..graph.statistics import graph_statistics, quasi_clique_statistics
-from ..pipeline.mqce import enumerate_candidate_quasi_cliques
+from ..pipeline.mqce import build_enumerator
 from ..settrie.filter import filter_non_maximal
 
 
@@ -24,8 +24,8 @@ def table1_row(name: str, include_quickplus: bool = True) -> dict:
     stats = graph_statistics(graph)
     gamma, theta = spec.default_gamma, spec.default_theta
 
-    dcfastqc_candidates, _ = enumerate_candidate_quasi_cliques(
-        graph, gamma, theta, algorithm="dcfastqc")
+    dcfastqc_candidates = build_enumerator(
+        graph, gamma, theta, algorithm="dcfastqc").enumerate()
     maximal = filter_non_maximal(dcfastqc_candidates, theta=theta)
     sizes = quasi_clique_statistics(maximal)
 
@@ -48,8 +48,8 @@ def table1_row(name: str, include_quickplus: bool = True) -> dict:
         "paper_mqc_count": spec.paper.mqc_count,
     }
     if include_quickplus:
-        quickplus_candidates, _ = enumerate_candidate_quasi_cliques(
-            graph, gamma, theta, algorithm="quickplus")
+        quickplus_candidates = build_enumerator(
+            graph, gamma, theta, algorithm="quickplus").enumerate()
         row["quickplus_count"] = len(quickplus_candidates)
     return row
 

@@ -14,7 +14,7 @@ from .topk import (
     top_k_summary,
 )
 from .query import QueryError, community_of
-from .parallel import ParallelDCFastQC, parallel_enumerate, run_compact_subproblem
+from .parallel import ParallelDCFastQC, run_compact_subproblem
 from .stealing import (ForcedStealSchedule, WorkerCrash,
                        branch_parallel_enumerate)
 
@@ -26,7 +26,6 @@ __all__ = [
     "QueryError",
     "community_of",
     "ParallelDCFastQC",
-    "parallel_enumerate",
     "run_compact_subproblem",
     "ForcedStealSchedule",
     "WorkerCrash",

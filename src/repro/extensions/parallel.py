@@ -109,9 +109,10 @@ class ParallelDCFastQC:
     :func:`available_cpus` capped at 8) and ``steal_schedule`` (a
     deterministic steal trigger for tests; default: the idle-worker signal).
 
-    With ``workers=1`` or nothing to enumerate, everything runs in-process —
-    no worker is ever spawned.  A crashed worker, or a fork that fails, falls
-    back to the sequential driver.  After ``enumerate``,
+    With ``workers=1``, ``framework="none"`` (no subproblems to fan out) or
+    nothing to enumerate, everything runs in-process — no worker is ever
+    spawned.  A crashed worker, or a fork that fails, falls back to the
+    sequential driver.  After ``enumerate``,
     :attr:`statistics` holds the parent shrink-phase counters merged with
     every worker's counters (branch counts add up exactly to a sequential
     run's) and :attr:`mode_selected` names the path actually taken
@@ -119,7 +120,9 @@ class ParallelDCFastQC:
     """
 
     def __init__(self, graph: Graph, gamma: float, theta: int,
-                 branching: str = "hybrid", max_rounds: int = DEFAULT_MAX_ROUNDS,
+                 branching: str = "hybrid", framework: str = "dc",
+                 max_rounds: int = DEFAULT_MAX_ROUNDS,
+                 maximality_filter: bool = True,
                  workers: int | None = None, steal_schedule=None) -> None:
         validate_parameters(gamma, theta)
         if workers is not None and workers < 1:
@@ -128,7 +131,9 @@ class ParallelDCFastQC:
         self.gamma = gamma
         self.theta = theta
         self.branching = branching
+        self.framework = framework
         self.max_rounds = max_rounds
+        self.maximality_filter = maximality_filter
         self.workers = workers if workers is not None else min(8, available_cpus())
         self.steal_schedule = steal_schedule
         self.statistics = SearchStatistics()
@@ -138,7 +143,8 @@ class ParallelDCFastQC:
     def _driver(self) -> DCFastQC:
         """A sequential driver with this configuration (preprocessing + fallback)."""
         return DCFastQC(self.graph, self.gamma, self.theta, branching=self.branching,
-                        max_rounds=self.max_rounds)
+                        framework=self.framework, max_rounds=self.max_rounds,
+                        maximality_filter=self.maximality_filter)
 
     def _sequential(self, driver: DCFastQC | None = None) -> list[frozenset]:
         """In-process run, reusing an existing driver if it has not started."""
@@ -152,7 +158,7 @@ class ParallelDCFastQC:
     def enumerate(self) -> list[frozenset]:
         """Return a set of QCs containing every large MQC (MQCE-S1), in parallel."""
         driver = self._driver()
-        if self.workers <= 1:
+        if self.workers <= 1 or self.framework == "none":
             return self._sequential(driver)
         subproblems = tuple(driver.iter_compact_subproblems())
         if not subproblems:
@@ -162,7 +168,8 @@ class ParallelDCFastQC:
         try:
             results, worker_stats, telemetry = branch_parallel_enumerate(
                 subproblems, self.gamma, self.theta,
-                branching=self.branching, workers=self.workers,
+                branching=self.branching,
+                maximality_filter=self.maximality_filter, workers=self.workers,
                 steal_schedule=self.steal_schedule)
         except (WorkerCrash, OSError, ValueError):
             # A dead worker (or a failed fork) must not cost the answer: rerun
@@ -210,9 +217,3 @@ def _record_parallel_run(subproblems: Sequence[CompactSubproblem],
         #: load balance.
         "worker_branches": dict(telemetry["worker_branches"]),
     })
-
-
-def parallel_enumerate(graph: Graph, gamma: float, theta: int, workers: int | None = None,
-                       **kwargs) -> list[frozenset]:
-    """Functional wrapper around :class:`ParallelDCFastQC.enumerate`."""
-    return ParallelDCFastQC(graph, gamma, theta, workers=workers, **kwargs).enumerate()

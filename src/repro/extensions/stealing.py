@@ -65,6 +65,10 @@ DEFAULT_POLL_PERIOD = 64
 #: another subtree, so one hungry signal does not flood the queue.
 _STEAL_COOLDOWN_POLLS = 4
 
+#: Seconds the coordinator waits for an event before checking that every
+#: worker is still alive.
+LIVENESS_INTERVAL = 0.2
+
 
 class WorkerCrash(ReproError):
     """A branch-parallel worker died mid-run; the caller should fall back."""
@@ -132,7 +136,7 @@ class _BranchWorkerConfig:
     gamma: float
     theta: int
     branching: str
-    poll_period: int
+    maximality_filter: bool
     steal_schedule: object | None  # picklable callable(runtime) -> bool
 
 
@@ -155,7 +159,7 @@ class _WorkerRuntime:
         self.inbox = inbox
         self.hungry = hungry
         self.config = config
-        self.scheduler = StealScheduler(self, period=config.poll_period)
+        self.scheduler = StealScheduler(self)
         self.engines: dict[int, FastQC] = {}
         self.emissions: list[frozenset] = []
         self.parked: dict[str, tuple] = {}
@@ -173,6 +177,7 @@ class _WorkerRuntime:
             subproblem = self.subproblems[index]
             engine = FastQC(subproblem, self.config.gamma, self.config.theta,
                             branching=self.config.branching,
+                            maximality_filter=self.config.maximality_filter,
                             maximality_rows=subproblem.maximality_rows(),
                             on_output=self.emissions.append)
             self.engines[index] = engine
@@ -314,10 +319,9 @@ def _context():
 
 
 def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
-                              branching: str = "hybrid", workers: int = 2,
-                              steal_schedule=None,
-                              poll_period: int = DEFAULT_POLL_PERIOD,
-                              liveness_interval: float = 0.2):
+                              branching: str = "hybrid",
+                              maximality_filter: bool = True, workers: int = 2,
+                              steal_schedule=None):
     """Enumerate compact subproblems with work-stealing branch parallelism.
 
     Returns ``(candidates, statistics, telemetry)``: the union of worker
@@ -344,7 +348,8 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     # which Linux has.
     hungry = context.Semaphore(0)
     config = _BranchWorkerConfig(gamma=gamma, theta=theta, branching=branching,
-                                 poll_period=poll_period, steal_schedule=steal_schedule)
+                                 maximality_filter=maximality_filter,
+                                 steal_schedule=steal_schedule)
     processes = [
         context.Process(target=_branch_worker_main,
                         args=(index, subproblems, tasks, events, inboxes[index],
@@ -392,7 +397,7 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
 
         while outstanding > 0 or pending_dones:
             try:
-                message = events.get(timeout=liveness_interval)
+                message = events.get(timeout=LIVENESS_INTERVAL)
             except Empty:
                 check_liveness()
                 continue
@@ -420,7 +425,7 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
         farewells = 0
         while farewells < len(processes):
             try:
-                message = events.get(timeout=liveness_interval)
+                message = events.get(timeout=LIVENESS_INTERVAL)
             except Empty:
                 check_liveness()
                 continue

@@ -18,6 +18,7 @@ import os
 from typing import TextIO, Union
 
 from .graph import Graph, GraphError
+from .io import _maybe_int
 
 PathLike = Union[str, os.PathLike]
 
@@ -26,13 +27,6 @@ def _open_for(path_or_file, mode: str):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return path_or_file, False
     return open(path_or_file, mode, encoding="utf-8"), True
-
-
-def _maybe_int(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
 
 
 # ----------------------------------------------------------------------

@@ -171,18 +171,17 @@ class ReferenceQuickPlus(QuickPlus):
 
         # Critical-vertex rule: candidates that every large QC under the branch
         # must contain are moved into S before branching.
-        if self.pruning.critical_vertex:
-            forced = critical_vertex_forced_mask(self.graph, branch, self.gamma, self.theta)
-            if forced:
-                branch = branch.include(forced)
+        forced = critical_vertex_forced_mask(self.graph, branch, self.gamma, self.theta)
+        if forced:
+            branch = branch.include(forced)
 
         children = []
         for child in self._create_children(branch):
             # Pruning before the next recursion (lines 9-10).
-            pruned_c = apply_type1_rules(self.graph, child, self.gamma, self.theta, self.pruning)
+            pruned_c = apply_type1_rules(self.graph, child, self.gamma, self.theta)
             self.statistics.candidates_removed_by_type1 += (child.c_mask ^ pruned_c).bit_count()
             child = child.with_candidates(pruned_c)
-            if triggers_type2_rules(self.graph, child, self.gamma, self.theta, self.pruning):
+            if triggers_type2_rules(self.graph, child, self.gamma, self.theta):
                 self.statistics.branches_pruned_by_type2 += 1
                 continue
             children.append(child)

@@ -6,11 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..baselines.pruning_rules import (
-    PruningConfig,
-    max_tolerable_non_neighbors,
-    minimum_required_degree,
-)
+from ..baselines.pruning_rules import max_tolerable_non_neighbors, minimum_required_degree
 from ..core.branch import Branch
 from ..graph.graph import Graph, iter_bits
 from ..quasiclique.definitions import gamma_fraction
@@ -34,8 +30,7 @@ def branch_size_upper_bound(graph: Graph, branch: Branch, gamma: float) -> int:
 
 
 
-def apply_type1_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
-                      config: PruningConfig = PruningConfig()) -> int:
+def apply_type1_rules(graph: Graph, branch: Branch, gamma: float, theta: int) -> int:
     """Return the candidate mask after the Type I rules.
 
     Rule I.a (degree): drop ``v ∈ C`` whose degree within ``G[S ∪ C]`` is below
@@ -57,15 +52,14 @@ def apply_type1_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
         gamma, branch_size_upper_bound(graph, branch, gamma))
     for v in iter_bits(branch.c_mask):
         adjacency = graph.adjacency_mask(v)
-        if config.candidate_degree and (adjacency & union).bit_count() < required:
+        if (adjacency & union).bit_count() < required:
             new_c_mask &= ~(1 << v)
             continue
-        if config.candidate_non_neighbor:
-            non_neighbors_in_s = (branch.s_mask & ~adjacency).bit_count()
-            if non_neighbors_in_s > non_neighbor_budget:
-                new_c_mask &= ~(1 << v)
-                continue
-        if config.candidate_diameter and gamma >= 0.5:
+        non_neighbors_in_s = (branch.s_mask & ~adjacency).bit_count()
+        if non_neighbors_in_s > non_neighbor_budget:
+            new_c_mask &= ~(1 << v)
+            continue
+        if gamma >= 0.5:
             for u in partial_vertices:
                 u_adjacency = graph.adjacency_mask(u)
                 if not (u_adjacency >> v) & 1 and not (adjacency & u_adjacency & union):
@@ -75,8 +69,7 @@ def apply_type1_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
 
 
 
-def triggers_type2_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
-                         config: PruningConfig = PruningConfig()) -> bool:
+def triggers_type2_rules(graph: Graph, branch: Branch, gamma: float, theta: int) -> bool:
     """Return True when a Type II rule prunes the whole branch.
 
     Rule II.a (size): ``|S ∪ C| < theta``.
@@ -94,7 +87,7 @@ def triggers_type2_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
     """
     union = branch.union_mask
     union_size = union.bit_count()
-    if config.branch_size and union_size < theta:
+    if union_size < theta:
         return True
     if not branch.s_mask:
         return False
@@ -102,7 +95,7 @@ def triggers_type2_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
     min_degree = None
     for u in iter_bits(branch.s_mask):
         degree = (graph.adjacency_mask(u) & union).bit_count()
-        if config.branch_degree and degree < required:
+        if degree < required:
             return True
         if min_degree is None or degree < min_degree:
             min_degree = degree
@@ -110,14 +103,13 @@ def triggers_type2_rules(graph: Graph, branch: Branch, gamma: float, theta: int,
     if min_degree is not None:
         size_upper_bound = min(size_upper_bound,
                                math.floor(Fraction(min_degree) / gamma_fraction(gamma)) + 1)
-    if config.branch_upper_bound and size_upper_bound < max(theta, branch.partial_size):
+    if size_upper_bound < max(theta, branch.partial_size):
         return True
-    if config.branch_non_neighbor:
-        budget = max_tolerable_non_neighbors(gamma, size_upper_bound)
-        for u in iter_bits(branch.s_mask):
-            non_neighbors_in_s = (branch.s_mask & ~graph.adjacency_mask(u)).bit_count() - 1
-            if non_neighbors_in_s > budget:
-                return True
+    budget = max_tolerable_non_neighbors(gamma, size_upper_bound)
+    for u in iter_bits(branch.s_mask):
+        non_neighbors_in_s = (branch.s_mask & ~graph.adjacency_mask(u)).bit_count() - 1
+        if non_neighbors_in_s > budget:
+            return True
     return False
 
 

@@ -7,7 +7,6 @@ from .mqce import (
     ALGORITHMS,
     build_enumerator,
     canonical_order,
-    enumerate_candidate_quasi_cliques,
     resolve_algorithm,
     run_enumeration,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "ALGORITHMS",
     "build_enumerator",
     "canonical_order",
-    "enumerate_candidate_quasi_cliques",
     "resolve_algorithm",
     "run_enumeration",
     "EnumerationResult",

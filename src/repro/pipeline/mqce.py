@@ -1,22 +1,21 @@
 """End-to-end MQCE pipeline: MQCE-S1 enumeration followed by MQCE-S2 filtering.
 
-This is the library's primary *one-shot* entry point.  It runs one of the
-MQCE-S1 algorithms (DCFastQC by default, FastQC or Quick+ on request), removes
-non-maximal quasi-cliques with the set-trie filter, and returns both the final
-maximal quasi-cliques and the intermediate candidate set together with timing
-and search statistics.
+:func:`run_enumeration` runs one of the MQCE-S1 algorithms (DCFastQC by
+default, FastQC or Quick+ on request) for a :class:`repro.api.QuerySpec`,
+removes non-maximal quasi-cliques with the set-trie filter, and returns both
+the final maximal quasi-cliques and the intermediate candidate set together
+with timing and search statistics.  :func:`enumerate_and_filter` is its second
+half, shared with every runner the engine builds: a sequential enumerator, a
+work-stealing :class:`~repro.extensions.parallel.ParallelDCFastQC` or a
+reference enumerator of :mod:`repro.oracle`.
 
-Every call re-validates the parameters and re-derives the per-graph
-preprocessing (core decomposition, ordering) from scratch, which is the right
-trade-off for a single enumeration.  For *repeated* queries over the same
-graph — parameter sweeps, interactive exploration, serving traffic — use
-:class:`repro.engine.MQCEEngine` instead: it wraps these same functions with a
-:class:`~repro.engine.prepared.PreparedGraph` (preprocessing computed once), a
-cost-based :class:`~repro.engine.planner.QueryPlanner` (algorithm / branching /
-parallelism selection) and an LRU :class:`~repro.engine.cache.ResultCache`
-(identical queries are served without re-enumeration).  The same engine
-serves a graph that *changes* in between: it patches the prepared artifacts
-per mutation and invalidates the cache selectively.
+No planner is involved at this level: a spec's ``algorithm="auto"`` means
+DCFastQC, and a bare graph has its preprocessing (core decomposition,
+ordering) derived again on every call.  Queries go through
+:class:`repro.engine.MQCEEngine`, which plans the spec on a
+:class:`~repro.engine.prepared.PreparedGraph` (preprocessing computed once,
+patched per mutation), serves repeats from an LRU
+:class:`~repro.engine.cache.ResultCache` and calls in here to execute.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from ..baselines.naive import NaiveEnumerator
 from ..baselines.quickplus import QuickPlus
 from ..core.dcfastqc import DCFastQC, DEFAULT_MAX_ROUNDS
 from ..core.fastqc import FastQC
-from ..core.stats import SearchStatistics
 from ..graph.graph import Graph
 from ..obs.trace import NULL_TRACER
 from ..quasiclique.definitions import validate_parameters
@@ -94,15 +92,6 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def enumerate_candidate_quasi_cliques(graph: Graph, gamma: float, theta: int,
-                                      algorithm: str = "dcfastqc", **kwargs
-                                      ) -> tuple[list[frozenset], SearchStatistics]:
-    """Solve MQCE-S1 only: return a superset of all large MQCs plus statistics."""
-    enumerator = build_enumerator(graph, gamma, theta, algorithm=algorithm, **kwargs)
-    candidates = enumerator.enumerate()
-    return candidates, enumerator.statistics
-
-
 def run_enumeration(graph: Graph, spec,
                     should_stop: Callable[[], bool] | None = None,
                     tracer=None, progress=None) -> EnumerationResult:
@@ -140,9 +129,11 @@ def run_enumeration(graph: Graph, spec,
 def enumerate_and_filter(enumerator, spec, tracer=None) -> EnumerationResult:
     """Run a built MQCE-S1 enumerator for ``spec``, then the set-trie filter.
 
-    The shared second half of :func:`run_enumeration`: enumerate, remove
-    non-maximal candidates (MQCE-S2) and pack both into an
-    :class:`EnumerationResult`.
+    The shared second half of :func:`run_enumeration` and of the engine's
+    parallel plans: enumerate, remove non-maximal candidates (MQCE-S2) and
+    pack both into an :class:`EnumerationResult`.  A work-stealing runner's
+    ``enumerate`` span is marked ``parallel`` with the ``mode`` it took; its
+    workers record no spans beneath it.
     """
     algorithm = resolve_algorithm(spec.algorithm)
     obs = tracer if tracer is not None else NULL_TRACER
@@ -150,6 +141,9 @@ def enumerate_and_filter(enumerator, spec, tracer=None) -> EnumerationResult:
                   algorithm=algorithm) as enumerate_span:
         candidates = enumerator.enumerate()
         enumerate_span.annotate(candidates=len(candidates))
+        mode = getattr(enumerator, "mode_selected", None)
+        if mode is not None:
+            enumerate_span.annotate(parallel=True, mode=mode)
     enumeration_seconds = enumerate_span.seconds
 
     with obs.span("filter", theta=spec.theta) as filter_span:
@@ -168,4 +162,3 @@ def enumerate_and_filter(enumerator, spec, tracer=None) -> EnumerationResult:
         filtering_seconds=filtering_seconds,
         truncated=getattr(enumerator, "stopped", False),
     )
-

@@ -25,10 +25,13 @@ Fault tolerance (see :mod:`repro.resilience`):
   remaining time — a query never runs server-side longer than the client
   will wait.
 
->>> with ServeClient(port=service.port) as client:
-...     cliques, done = client.query({"gamma": 0.9, "theta": 3},
-...                                  retry=RetryPolicy(max_attempts=4),
-...                                  deadline=30.0)
+Against a running server (``repro serve``, or
+:func:`~repro.serve.service.start_in_thread` in-process)::
+
+    with ServeClient(port=service.port) as client:
+        cliques, done = client.query({"gamma": 0.9, "theta": 3},
+                                     retry=RetryPolicy(max_attempts=4),
+                                     deadline=30.0)
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ from repro import (
     SpecError,
     run_enumeration,
 )
-from repro.api import coerce_spec, execute, result_value, shape_result
+from repro.api import result_value, shape_result
 from repro.datasets import get_spec, load_dataset
+import repro.engine.planner as planner_module
 from repro.engine import ResultCache
+from repro.extensions.parallel import LAST_PARALLEL_RUN
 
 
 @pytest.fixture
@@ -120,14 +122,15 @@ class TestQuerySpec:
         assert QuerySpec(gamma=0.9).cacheable
         assert not QuerySpec(gamma=0.9, time_limit=1.0).cacheable
 
-    def test_coerce_spec(self):
-        spec = QuerySpec(gamma=0.9, theta=5)
-        assert coerce_spec(spec) is spec
-        assert coerce_spec(0.9, 5) == spec
-        with pytest.raises(SpecError):
-            coerce_spec(spec, 5)
-        with pytest.raises(SpecError):
-            coerce_spec(None, None)
+    def test_engine_takes_only_a_spec(self, diamond):
+        engine = MQCEEngine()
+        with pytest.raises(SpecError, match="float"):
+            engine.query(diamond, 0.9, 3)
+        with pytest.raises(SpecError, match="float"):
+            engine.stream(diamond, 0.9)
+        with pytest.raises(SpecError, match="dict"):
+            engine.explain(diamond, {"gamma": 0.9, "theta": 3})
+        assert engine.stats()["queries"] == 0
 
 
 class TestErrorHierarchy:
@@ -189,11 +192,32 @@ class TestBuilder:
         plan = Q(diamond).gamma(0.6).theta(3).explain()
         assert plan.algorithm in ("fastqc", "dcfastqc")
 
+    def test_run_executes_the_plan_explain_prints(self):
+        # The README quickstart graph: four vertices, so the plan is FastQC.
+        graph = Graph(edges=[(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 4)])
+        query = Q(graph).gamma(0.6).theta(3)
+        plan = query.explain()
+        assert (plan.algorithm, plan.parallel) == ("fastqc", False)
+        assert query.result().algorithm == plan.algorithm
+
+    def test_one_shot_queries_stay_in_process(self, monkeypatch):
+        # With the size gate open, an engine with two workers fans out ...
+        monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", 1)
+        graph = load_dataset("twitter")
+        query = Q(graph).gamma(0.9).theta(5)
+        assert MQCEEngine(workers=2).explain(graph, query.spec()).parallel
+        # ... but Q without an engine plans and runs on one worker.
+        plan = query.explain()
+        assert (plan.algorithm, plan.parallel, plan.workers) == ("dcfastqc", False, 1)
+        LAST_PARALLEL_RUN.clear()
+        assert query.result().algorithm == plan.algorithm
+        assert not LAST_PARALLEL_RUN
+
 
 class TestShapeResult:
     def test_max_results_and_candidates(self, diamond):
         spec = QuerySpec(gamma=0.6, theta=2)
-        result = execute(diamond, spec)
+        result = run_enumeration(diamond, spec)
         shaped = shape_result(result, dataclasses.replace(
             spec, max_results=1, include_candidates=False))
         assert len(shaped.maximal_quasi_cliques) == 1
@@ -204,7 +228,7 @@ class TestShapeResult:
 
     def test_result_value_count(self, diamond):
         spec = QuerySpec(gamma=0.6, theta=3, count_only=True)
-        assert result_value(execute(diamond, spec), spec) == 1
+        assert result_value(run_enumeration(diamond, spec), spec) == 1
 
 
 class TestDeprecatedShims:
@@ -234,10 +258,10 @@ class TestEngineSpecCaching:
         assert engine.cache.stats.misses == 1
         assert first.maximal_quasi_cliques == second.maximal_quasi_cliques
 
-    def test_kwargs_and_spec_share_cache_entries(self):
+    def test_keyword_and_positional_specs_share_cache_entries(self):
         engine = MQCEEngine()
         graph = load_dataset("twitter")
-        engine.query(graph, 0.9, 5)
+        engine.query(graph, spec=QuerySpec(0.9, 5))
         engine.query(graph, QuerySpec(gamma=0.9, theta=5))
         assert engine.cache.stats.hits == 1
         assert len(engine.cache) == 1

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.registry import get_spec
-from repro.engine.planner import DEFAULT_PARALLEL_MIN_BRANCHES
+from repro.engine.planner import PARALLEL_MIN_BRANCHES
 from repro.graph import write_edge_list
 from repro.graph.generators import planted_quasi_clique_graph
 
@@ -56,14 +56,14 @@ class TestEngineQuery:
     def test_json_plan_is_the_plan_that_ran(self, capsys):
         # A sequential DC run records its branch histogram; on wordnet at
         # (0.7, 4) that is 8k+ branches, past the parallel gate's
-        # DEFAULT_PARALLEL_MIN_BRANCHES.  The JSON must report the serial
+        # PARALLEL_MIN_BRANCHES.  The JSON must report the serial
         # plan that ran, not a parallel plan made after the run.
         args = ["query", "-d", "wordnet", "-g", "0.7", "-t", "4", "--workers", "2"]
         assert main(args + ["--explain", "--json"]) == 0
         before = json.loads(capsys.readouterr().out)["plan"]
         assert main(args + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["result"]["branches_explored"] >= DEFAULT_PARALLEL_MIN_BRANCHES
+        assert payload["result"]["branches_explored"] >= PARALLEL_MIN_BRANCHES
         assert payload["plan"] == before
         assert payload["plan"]["parallel"] is False
         assert payload["plan"]["workers"] == 1

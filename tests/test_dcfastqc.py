@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro import DCFastQC, Graph, filter_non_maximal
-from repro.core import dcfastqc_enumerate, two_hop_pruning_threshold
+from repro import DCFastQC, Graph, QuickPlus, filter_non_maximal
+from repro.core import FastQC, two_hop_pruning_threshold
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
 from repro.quasiclique import (
     enumerate_maximal_quasi_cliques_bruteforce,
@@ -54,19 +54,19 @@ class TestTwoHopThreshold:
 
 class TestSmallGraphs:
     def test_clique(self, clique5):
-        assert frozenset(range(5)) in dcfastqc_enumerate(clique5, 1.0, 3)
+        assert frozenset(range(5)) in DCFastQC(clique5, 1.0, 3).enumerate()
 
     def test_two_triangles(self, two_triangles):
-        result = set(dcfastqc_enumerate(two_triangles, 1.0, 3))
+        result = set(DCFastQC(two_triangles, 1.0, 3).enumerate())
         assert frozenset({0, 1, 2}) in result
         assert frozenset({3, 4, 5}) in result
 
     def test_empty_graph(self):
-        assert dcfastqc_enumerate(Graph(), 0.9, 1) == []
+        assert DCFastQC(Graph(), 0.9, 1).enumerate() == []
 
     def test_outputs_are_quasi_cliques(self, paper_figure1):
         for gamma in (0.5, 0.75, 0.9):
-            for clique in dcfastqc_enumerate(paper_figure1, gamma, 2):
+            for clique in DCFastQC(paper_figure1, gamma, 2).enumerate():
                 assert is_quasi_clique(paper_figure1, clique, gamma)
 
     def test_dc_statistics_recorded(self, paper_figure1):
@@ -93,7 +93,7 @@ class TestFrameworks:
             gamma = rng.choice([0.5, 0.6, 0.8, 0.9])
             theta = rng.randint(1, 4)
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            output = set(dcfastqc_enumerate(graph, gamma, theta, framework=framework))
+            output = set(DCFastQC(graph, gamma, theta, framework=framework).enumerate())
             missing = expected - output
             assert not missing, (
                 f"trial {trial} framework {framework} gamma {gamma} theta {theta}: "
@@ -106,7 +106,7 @@ class TestFrameworks:
             gamma, theta = rng.choice([(0.6, 3), (0.9, 2)])
             results = {}
             for framework in ("dc", "basic-dc", "none"):
-                output = dcfastqc_enumerate(graph, gamma, theta, framework=framework)
+                output = DCFastQC(graph, gamma, theta, framework=framework).enumerate()
                 results[framework] = set(filter_non_maximal(output, theta=theta))
             assert results["dc"] == results["basic-dc"] == results["none"]
 
@@ -114,9 +114,9 @@ class TestFrameworks:
     def test_max_rounds_does_not_change_the_answer(self, max_rounds):
         graph = planted_quasi_clique_graph(40, 50, [8, 6], 0.9, seed=31)
         expected = set(filter_non_maximal(
-            dcfastqc_enumerate(graph, 0.9, 5, max_rounds=2), theta=5))
+            DCFastQC(graph, 0.9, 5, max_rounds=2).enumerate(), theta=5))
         output = set(filter_non_maximal(
-            dcfastqc_enumerate(graph, 0.9, 5, max_rounds=max_rounds), theta=5))
+            DCFastQC(graph, 0.9, 5, max_rounds=max_rounds).enumerate(), theta=5))
         assert output == expected
 
     def test_dc_produces_smaller_subproblems_than_basic(self):
@@ -133,18 +133,15 @@ class TestFrameworks:
 
     def test_theta_one_runs_without_core_reduction(self, path4):
         # ceil(gamma * 0) = 0: no core reduction, every vertex is a subproblem root.
-        result = dcfastqc_enumerate(path4, 0.9, 1)
+        result = DCFastQC(path4, 0.9, 1).enumerate()
         assert frozenset({1, 2}) in set(result) or frozenset({2, 3}) in set(result)
 
 
 class TestAgreementWithOtherAlgorithms:
     def test_matches_fastqc_and_quickplus_on_planted_graph(self):
-        from repro.core import fastqc_enumerate
-        from repro.baselines import quickplus_enumerate
-
         graph = planted_quasi_clique_graph(50, 80, [9, 7], 0.9, seed=41)
         gamma, theta = 0.9, 6
-        dc = set(filter_non_maximal(dcfastqc_enumerate(graph, gamma, theta), theta=theta))
-        fast = set(filter_non_maximal(fastqc_enumerate(graph, gamma, theta), theta=theta))
-        quick = set(filter_non_maximal(quickplus_enumerate(graph, gamma, theta), theta=theta))
+        dc = set(filter_non_maximal(DCFastQC(graph, gamma, theta).enumerate(), theta=theta))
+        fast = set(filter_non_maximal(FastQC(graph, gamma, theta).enumerate(), theta=theta))
+        quick = set(filter_non_maximal(QuickPlus(graph, gamma, theta).enumerate(), theta=theta))
         assert dc == fast == quick

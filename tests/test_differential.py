@@ -64,9 +64,9 @@ EXECUTORS = {
         graph, QuerySpec(gamma=gamma, theta=theta, algorithm="quickplus")
     ).maximal_quasi_cliques,
     "engine-query": lambda graph, gamma, theta: MQCEEngine().query(
-        graph, gamma, theta).maximal_quasi_cliques,
+        graph, QuerySpec(gamma, theta)).maximal_quasi_cliques,
     "engine-stream": lambda graph, gamma, theta: canonical_order(
-        list(MQCEEngine().stream(graph, gamma, theta))),
+        list(MQCEEngine().stream(graph, QuerySpec(gamma, theta)))),
 }
 
 _ORACLE_CACHE: dict[str, tuple[Graph, list[frozenset]]] = {}
@@ -164,7 +164,7 @@ import sys
 import repro, repro.cli, repro.serve
 from repro.datasets import load_dataset
 assert repro.cli.main(["query", "-d", "twitter", "--count"]) == 0
-repro.MQCEEngine().query(load_dataset("twitter"), 0.9, 4)
+repro.MQCEEngine().query(load_dataset("twitter"), repro.QuerySpec(0.9, 4))
 assert "repro.oracle" not in sys.modules, "production imported repro.oracle"
 """
 

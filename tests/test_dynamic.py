@@ -75,27 +75,27 @@ class TestDynamicPreparedGraph:
         # replays the changelog into the preparation; the engine's own sync
         # must still see the mutation.
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
         prepared = engine.prepare(clique_and_path)
         clique_and_path.remove_vertex("a4")
         assert "a4" not in prepared.core_numbers
         report = engine.sync(clique_and_path)
         assert report.removed_vertices == 1 and report.invalidated == 1
-        result = engine.query(clique_and_path, 0.9, 3)
+        result = engine.query(clique_and_path, QuerySpec(0.9, 3))
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
 
 class TestSelectiveInvalidation:
     def test_far_removal_retains_entry_and_serves_warm(self, clique_and_path):
         engine = MQCEEngine()
-        first = engine.query(clique_and_path, 0.9, 3)
+        first = engine.query(clique_and_path, QuerySpec(0.9, 3))
         hits = engine.cache.stats.hits
         clique_and_path.remove_edge("p3", "p4")
         report = engine.sync(clique_and_path)
         assert report.invalidated == 0
         assert report.retained == 1
         assert report.rekeyed == 1
-        second = engine.query(clique_and_path, 0.9, 3)
+        second = engine.query(clique_and_path, QuerySpec(0.9, 3))
         # The retained entry (re-addressed to the new fingerprint) must serve
         # the repeat without re-enumerating: the hit counter proves it.
         assert engine.cache.stats.hits == hits + 1
@@ -104,57 +104,57 @@ class TestSelectiveInvalidation:
 
     def test_far_sparse_addition_retains_entry(self, clique_and_path):
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
         hits = engine.cache.stats.hits
         clique_and_path.add_edge("p0", "p6")  # ball is a tree: no new QC possible
         report = engine.sync(clique_and_path)
         assert report.invalidated == 0 and report.retained == 1
-        result = engine.query(clique_and_path, 0.9, 3)
+        result = engine.query(clique_and_path, QuerySpec(0.9, 3))
         assert engine.cache.stats.hits == hits + 1
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
     def test_removal_inside_result_invalidates(self, clique_and_path):
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
         clique_and_path.remove_edge("a0", "a1")
         report = engine.sync(clique_and_path)
         assert report.invalidated == 1
-        result = engine.query(clique_and_path, 0.9, 3)
+        result = engine.query(clique_and_path, QuerySpec(0.9, 3))
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
 
     def test_addition_creating_new_answer_invalidates(self, clique_and_path):
         engine = MQCEEngine()
-        baseline = engine.query(clique_and_path, 0.9, 3)
+        baseline = engine.query(clique_and_path, QuerySpec(0.9, 3))
         assert len(baseline.maximal_quasi_cliques) == 1
         # Close a triangle on the path: a brand-new maximal QC appears in a
         # region no previous result touches — the ball-core rule must catch it.
         clique_and_path.add_edge("p1", "p3")
         report = engine.sync(clique_and_path)
         assert report.invalidated == 1
-        result = engine.query(clique_and_path, 0.9, 3)
+        result = engine.query(clique_and_path, QuerySpec(0.9, 3))
         expected = fresh_answer(clique_and_path, 0.9, 3)
         assert result.maximal_quasi_cliques == expected
         assert frozenset({"p1", "p2", "p3"}) in result.maximal_quasi_cliques
 
     def test_vertex_addition_only_touches_theta_one(self, clique_and_path):
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
-        engine.query(clique_and_path, 0.9, 1)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
+        engine.query(clique_and_path, QuerySpec(0.9, 1))
         clique_and_path.add_vertex("lonely")
         report = engine.sync(clique_and_path)
         assert report.invalidated == 1  # the theta=1 entry only
         assert report.retained == 1
         for theta in (1, 3):
-            assert (engine.query(clique_and_path, 0.9, theta).maximal_quasi_cliques
+            assert (engine.query(clique_and_path, QuerySpec(0.9, theta)).maximal_quasi_cliques
                     == fresh_answer(clique_and_path, 0.9, theta))
 
     def test_vertex_removal_invalidates_touching_entries(self, clique_and_path):
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
         clique_and_path.remove_vertex("a4")
         report = engine.sync(clique_and_path)
         assert report.invalidated == 1
-        assert (engine.query(clique_and_path, 0.9, 3).maximal_quasi_cliques
+        assert (engine.query(clique_and_path, QuerySpec(0.9, 3)).maximal_quasi_cliques
                 == fresh_answer(clique_and_path, 0.9, 3))
 
     def test_containment_entry_survives_far_mutation(self, clique_and_path):
@@ -190,9 +190,9 @@ class TestSelectiveInvalidation:
 class TestDynamicEngineLifecycle:
     def test_direct_graph_mutation_is_synced_on_query(self, clique_and_path):
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
         clique_and_path.remove_edge("a0", "a1")
-        result = engine.query(clique_and_path, 0.9, 3)
+        result = engine.query(clique_and_path, QuerySpec(0.9, 3))
         assert engine.update_stats.syncs == 1
         assert engine.update_stats.entries_invalidated == 1
         assert result.maximal_quasi_cliques == fresh_answer(clique_and_path, 0.9, 3)
@@ -200,13 +200,13 @@ class TestDynamicEngineLifecycle:
     def test_delta_gap_falls_back_to_full_rebuild(self):
         graph = Graph(edges=clique_edges(range(5)), delta_capacity=4)
         engine = MQCEEngine()
-        engine.query(graph, 0.9, 3)
+        engine.query(graph, QuerySpec(0.9, 3))
         for i in range(6):
             graph.add_edge(10 + i, 11 + i)  # overflow the tiny changelog
         report = engine.sync(graph)
         assert report.full_rebuild
         assert engine.update_stats.full_rebuilds == 1
-        assert (engine.query(graph, 0.9, 3).maximal_quasi_cliques
+        assert (engine.query(graph, QuerySpec(0.9, 3)).maximal_quasi_cliques
                 == fresh_answer(graph, 0.9, 3))
 
     def test_apply_batch_and_report(self, clique_and_path):
@@ -235,7 +235,7 @@ class TestDynamicEngineLifecycle:
 
     def test_stats_surface(self, clique_and_path):
         engine = MQCEEngine()
-        engine.query(clique_and_path, 0.9, 3)
+        engine.query(clique_and_path, QuerySpec(0.9, 3))
         clique_and_path.remove_edge("p0", "p1")
         engine.sync(clique_and_path)
         stats = engine.stats()
@@ -256,17 +256,19 @@ class TestDynamicEngineLifecycle:
 
     def test_stream_entries_join_index_on_next_sync(self, clique_and_path):
         engine = MQCEEngine()
-        list(engine.stream(clique_and_path, 0.9, 3))  # completes -> populates the cache
+        # A stream that completes populates the cache.
+        list(engine.stream(clique_and_path, QuerySpec(0.9, 3)))
         clique_and_path.remove_edge("p6", "p7")
         report = engine.sync(clique_and_path)  # reconcile happens here
         assert report.entries_before == 1
         assert report.retained == 1
 
-    def test_query_batch(self, clique_and_path):
+    def test_repeated_spec_is_served_from_cache(self, clique_and_path):
         engine = MQCEEngine()
-        results = engine.query_batch(clique_and_path, [(0.9, 3), (0.9, 4), (0.9, 3)])
-        assert len(results) == 3
+        results = [engine.query(clique_and_path, QuerySpec(0.9, theta))
+                   for theta in (3, 4, 3)]
         assert results[0].maximal_quasi_cliques == results[2].maximal_quasi_cliques
+        assert engine.cache.stats.hits == 1
 
 
 class TestSharedPreparation:
@@ -334,11 +336,11 @@ class TestStaleCacheRegression:
         # add+remove restores (|V|, |E|) — the historical snapshot missed this.
         graph = Graph(edges=clique_edges(range(5)) + [(10, 11), (11, 12)])
         engine = MQCEEngine()
-        first = engine.query(graph, 0.9, 3)
+        first = engine.query(graph, QuerySpec(0.9, 3))
         assert frozenset(range(5)) in first.maximal_quasi_cliques
         graph.remove_edge(0, 1)
         graph.add_edge(10, 12)  # counts are back to the snapshot values
-        second = engine.query(graph, 0.9, 3)
+        second = engine.query(graph, QuerySpec(0.9, 3))
         assert second.maximal_quasi_cliques == fresh_answer(graph, 0.9, 3)
         assert frozenset(range(5)) not in second.maximal_quasi_cliques
         assert frozenset({10, 11, 12}) in second.maximal_quasi_cliques
@@ -347,18 +349,18 @@ class TestStaleCacheRegression:
         graph = Graph(edges=clique_edges(range(4)) + [(8, 9), (9, 10)])
         prepared = PreparedGraph(graph)
         engine = MQCEEngine()
-        engine.query(prepared, 0.9, 3)
+        engine.query(prepared, QuerySpec(0.9, 3))
         graph.remove_edge(0, 1)
         graph.add_edge(8, 10)  # counts restored, content changed
         assert not prepared.check_unmodified()
-        answer = engine.query(prepared, 0.9, 3).maximal_quasi_cliques
+        answer = engine.query(prepared, QuerySpec(0.9, 3)).maximal_quasi_cliques
         assert answer == fresh_answer(graph, 0.9, 3)
         assert frozenset({8, 9, 10}) in answer
 
     def test_completed_stream_does_not_cache_across_mutation(self):
         graph = Graph(edges=clique_edges(range(5)))
         engine = MQCEEngine()
-        stream = engine.stream(graph, 0.9, 3)
+        stream = engine.stream(graph, QuerySpec(0.9, 3))
         next(stream)
         graph.add_edge(0, 99)  # mutate mid-stream
         list(stream)  # drain; must refuse to cache under the old fingerprint
@@ -370,13 +372,13 @@ class TestStaleCacheRegression:
         # version it derived its key from.
         graph = Graph(edges=clique_edges(range(6)) + clique_edges(range(10, 17)))
         engine = MQCEEngine()
-        stream = engine.stream(graph, 0.9, 4, algorithm="dcfastqc")
+        stream = engine.stream(graph, QuerySpec(0.9, 4, algorithm="dcfastqc"))
         next(stream)
         graph.remove_edge(10, 11)
         engine.sync(graph)  # re-snapshots mid-stream
         list(stream)
         assert len(engine.cache) == 0
         graph.add_edge(10, 11)  # revert: the old fingerprint matches again
-        answer = engine.query(graph, 0.9, 4).maximal_quasi_cliques
+        answer = engine.query(graph, QuerySpec(0.9, 4)).maximal_quasi_cliques
         assert frozenset(range(10, 17)) in answer
         assert answer == fresh_answer(graph, 0.9, 4)

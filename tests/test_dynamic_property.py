@@ -77,13 +77,13 @@ class TestUpdateSequenceOracle:
         edges = [pair for pair in pairs if rng.random() < 0.5]
         graph = Graph(edges=edges, vertices=range(n))
         engine = MQCEEngine()
-        assert (engine.query(graph, gamma, theta).maximal_quasi_cliques
+        assert (engine.query(graph, QuerySpec(gamma, theta)).maximal_quasi_cliques
                 == fresh_answer(graph, gamma, theta))
         rng = random.Random(mutation_seed)
         next_label = [n + 100]
         for _ in range(steps):
             random_mutation(rng, graph, next_label)
-            produced = engine.query(graph, gamma, theta).maximal_quasi_cliques
+            produced = engine.query(graph, QuerySpec(gamma, theta)).maximal_quasi_cliques
             assert produced == fresh_answer(graph, gamma, theta)
 
     @settings(max_examples=25, deadline=None)
@@ -171,4 +171,4 @@ class TestExactCoresRegression:
                 graph.add_edge(u, v)
                 inserted += 1
         exact = len(k_core_vertices(graph, degree_threshold(0.9, 10)))
-        assert engine.explain(graph, 0.9, 10).core_vertices_kept == exact
+        assert engine.explain(graph, QuerySpec(0.9, 10)).core_vertices_kept == exact

@@ -7,12 +7,11 @@ import pytest
 from repro import Graph, Q, QuerySpec, community_of, run_enumeration
 from repro.core.csr import CSRGraph
 from repro.datasets import dataset_names, get_spec, load_dataset, load_prepared
+import repro.engine.planner as planner_module
 from repro.engine import (
     MQCEEngine,
-    PlannerConfig,
     PreparedGraph,
     QueryPlanner,
-    QueryRequest,
     ResultCache,
     as_plain_graph,
     graph_fingerprint,
@@ -143,50 +142,50 @@ class TestQueryPlanner:
     def test_plan_reads_only_prepared_artifacts(self, small_graph):
         planner = QueryPlanner()
         prepared = PreparedGraph(small_graph)
-        plan = planner.plan(prepared, 0.9, 3)
+        plan = planner.plan(prepared, QuerySpec(0.9, 3))
         assert plan.algorithm in ("fastqc", "dcfastqc")
         assert plan.core_vertices_kept + plan.core_vertices_removed == 5
         assert plan.reasons
         assert "algorithm" in plan.describe()
 
     def test_small_graph_prefers_plain_fastqc(self, small_graph):
-        plan = QueryPlanner().plan(PreparedGraph(small_graph), 0.9, 3)
+        plan = QueryPlanner().plan(PreparedGraph(small_graph), QuerySpec(0.9, 3))
         assert plan.algorithm == "fastqc"
         assert plan.framework == "none"
 
     def test_large_graph_prefers_divide_and_conquer(self):
         prepared = load_prepared("ca-grqc")
-        plan = QueryPlanner().plan(prepared, 0.9, 7)
+        plan = QueryPlanner().plan(prepared, QuerySpec(0.9, 7))
         assert plan.algorithm == "dcfastqc"
         assert plan.framework == "dc"
         assert not plan.parallel  # core far below the parallel threshold
 
     def test_forced_algorithm_and_branching(self, small_graph):
-        plan = QueryPlanner().plan(PreparedGraph(small_graph), 0.9, 3,
-                                   algorithm="quickplus", branching="se")
+        plan = QueryPlanner().plan(PreparedGraph(small_graph), QuerySpec(
+            0.9, 3, algorithm="quickplus", branching="se"))
         assert plan.algorithm == "quickplus"
         assert plan.branching == "se"
         assert any("forced" in reason for reason in plan.reasons)
 
-    def test_parallel_plan_when_threshold_lowered(self):
+    def test_parallel_plan_when_threshold_lowered(self, monkeypatch):
+        # Plans are memoized per preparation: patch before the first plan.
+        monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", 1)
         prepared = load_prepared("ca-grqc")
-        planner = QueryPlanner(PlannerConfig(parallel_min_vertices=1,
-                                             small_graph_vertices=1))
-        plan = planner.plan(prepared, 0.9, 7, workers=2)
+        plan = QueryPlanner().plan(prepared, QuerySpec(0.9, 7), workers=2)
         assert plan.parallel
         assert plan.workers == 2
 
     def test_trivial_plan_when_core_too_small(self, small_graph):
-        plan = QueryPlanner().plan(PreparedGraph(small_graph), 1.0, 6)
+        plan = QueryPlanner().plan(PreparedGraph(small_graph), QuerySpec(1.0, 6))
         assert plan.trivial
         assert "TRIVIAL" in plan.describe()
 
     def test_invalid_parameters_rejected(self, small_graph):
         prepared = PreparedGraph(small_graph)
         with pytest.raises(ParameterError):
-            QueryPlanner().plan(prepared, 0.3, 3)
+            QueryPlanner().plan(prepared, QuerySpec(0.3, 3))
         with pytest.raises(ValueError):
-            QueryPlanner().plan(prepared, 0.9, 3, algorithm="bogus")
+            QueryPlanner().plan(prepared, QuerySpec(0.9, 3, algorithm="bogus"))
 
 
 class TestMQCEEngineQueries:
@@ -197,15 +196,15 @@ class TestMQCEEngineQueries:
         reference = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
                                                      theta=spec.default_theta))
         engine = MQCEEngine()
-        result = engine.query(graph, spec.default_gamma, spec.default_theta)
+        result = engine.query(graph, QuerySpec(spec.default_gamma, spec.default_theta))
         assert result.maximal_quasi_cliques == reference.maximal_quasi_cliques
 
     def test_repeated_query_served_from_cache(self):
         spec = get_spec("douban")
         engine = MQCEEngine()
         prepared = load_prepared("douban")
-        first = engine.query(prepared, spec.default_gamma, spec.default_theta)
-        second = engine.query(prepared, spec.default_gamma, spec.default_theta)
+        first = engine.query(prepared, QuerySpec(spec.default_gamma, spec.default_theta))
+        second = engine.query(prepared, QuerySpec(spec.default_gamma, spec.default_theta))
         assert second.maximal_quasi_cliques == first.maximal_quasi_cliques
         assert engine.cache.stats.hits == 1
         assert engine.cache.stats.misses == 1
@@ -217,23 +216,24 @@ class TestMQCEEngineQueries:
         spec = get_spec("twitter")
         engine = MQCEEngine()
         prepared = load_prepared("twitter")
-        first = engine.query(prepared, spec.default_gamma, spec.default_theta)
+        first = engine.query(prepared, QuerySpec(spec.default_gamma, spec.default_theta))
         first.maximal_quasi_cliques.clear()  # vandalise the returned copy
-        second = engine.query(prepared, spec.default_gamma, spec.default_theta)
+        second = engine.query(prepared, QuerySpec(spec.default_gamma, spec.default_theta))
         assert second.maximal_count > 0
 
     def test_use_cache_false_bypasses_cache(self):
         spec = get_spec("twitter")
         engine = MQCEEngine()
         prepared = load_prepared("twitter")
-        engine.query(prepared, spec.default_gamma, spec.default_theta, use_cache=False)
-        engine.query(prepared, spec.default_gamma, spec.default_theta, use_cache=False)
+        query = QuerySpec(spec.default_gamma, spec.default_theta)
+        engine.query(prepared, query, use_cache=False)
+        engine.query(prepared, query, use_cache=False)
         assert len(engine.cache) == 0
         assert engine.cache.stats.lookups == 0
 
     def test_trivial_query_returns_empty_without_enumeration(self, triangle):
         engine = MQCEEngine()
-        result = engine.query(triangle, 1.0, 10)
+        result = engine.query(triangle, QuerySpec(1.0, 10))
         assert result.maximal_quasi_cliques == []
         reference = run_enumeration(triangle, QuerySpec(gamma=1.0, theta=10))
         assert result.maximal_quasi_cliques == reference.maximal_quasi_cliques
@@ -243,22 +243,21 @@ class TestMQCEEngineQueries:
         graph = load_dataset("douban")
         reference = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
                                                      theta=spec.default_theta))
-        engine = MQCEEngine(planner=QueryPlanner(PlannerConfig(
-            parallel_min_vertices=1, small_graph_vertices=1)), workers=2)
-        result = engine.query(graph, spec.default_gamma, spec.default_theta)
+        engine = MQCEEngine(workers=2)
+        forced = QuerySpec(spec.default_gamma, spec.default_theta,
+                           algorithm="dcfastqc", parallel="branch")
+        assert engine.explain(graph, forced).parallel
+        result = engine.query(graph, forced)
         assert set(result.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
-    def test_query_batch_prepares_once_and_caches_duplicates(self):
+    def test_repeated_queries_prepare_once_and_cache_duplicates(self):
         spec = get_spec("kmer")
         engine = MQCEEngine()
-        requests = [
-            QueryRequest(spec.default_gamma, spec.default_theta),
-            (spec.default_gamma, spec.default_theta),                 # tuple form
-            {"gamma": spec.default_gamma, "theta": spec.default_theta},  # mapping form
-            (spec.default_gamma, max(1, spec.default_theta - 1)),
-        ]
-        results = engine.query_batch(load_dataset("kmer"), requests)
-        assert len(results) == 4
+        graph = load_dataset("kmer")
+        same = QuerySpec(spec.default_gamma, spec.default_theta)
+        specs = [same, same, QuerySpec(spec.default_gamma, spec.default_theta),
+                 QuerySpec(spec.default_gamma, max(1, spec.default_theta - 1))]
+        results = [engine.query(graph, query) for query in specs]
         assert results[0].maximal_quasi_cliques == results[1].maximal_quasi_cliques
         assert results[1].maximal_quasi_cliques == results[2].maximal_quasi_cliques
         assert engine.cache.stats.hits == 2
@@ -266,7 +265,7 @@ class TestMQCEEngineQueries:
 
     def test_explain_does_not_enumerate_or_cache(self):
         engine = MQCEEngine()
-        plan = engine.explain(load_dataset("ca-grqc"), 0.9, 7)
+        plan = engine.explain(load_dataset("ca-grqc"), QuerySpec(0.9, 7))
         assert plan.algorithm == "dcfastqc"
         assert len(engine.cache) == 0
         assert engine.stats()["queries"] == 0
@@ -287,7 +286,7 @@ class TestMQCEEngineQueries:
         prepared = PreparedGraph(small_graph)
         prepared.fingerprint  # force
         small_graph.add_edge(0, 4)
-        result = MQCEEngine().query(prepared, 0.9, 3)
+        result = MQCEEngine().query(prepared, QuerySpec(0.9, 3))
         assert result.maximal_quasi_cliques == run_enumeration(
             small_graph, QuerySpec(0.9, 3)).maximal_quasi_cliques
 
@@ -296,7 +295,7 @@ class TestMQCEEngineQueries:
 
         engine = MQCEEngine()
         for _ in range(3):
-            engine.query(load_dataset("twitter"), 0.9, 5)  # graph dropped each turn
+            engine.query(load_dataset("twitter"), QuerySpec(0.9, 5))  # graph dropped each turn
         gc.collect()  # the graph <-> preparation cycle is ordinary garbage
         assert engine.stats()["prepared_graphs"] == 0
         assert engine.cache.stats.hits == 2  # equal content still hits the cache
@@ -304,18 +303,17 @@ class TestMQCEEngineQueries:
     def test_plans_are_memoized_per_prepared_graph(self):
         prepared = load_prepared("twitter")
         planner = QueryPlanner()
-        first = planner.plan(prepared, 0.9, 5)
-        assert planner.plan(prepared, 0.9, 5) is first
-        assert planner.plan(prepared, 0.9, 4) is not first
+        first = planner.plan(prepared, QuerySpec(0.9, 5))
+        assert planner.plan(prepared, QuerySpec(0.9, 5)) is first
+        assert planner.plan(prepared, QuerySpec(0.9, 4)) is not first
 
     def test_cache_shared_across_equal_content_graphs(self):
         spec = get_spec("twitter")
         engine = MQCEEngine()
-        first = engine.query(load_dataset("twitter"), spec.default_gamma,
-                             spec.default_theta)
+        query = QuerySpec(spec.default_gamma, spec.default_theta)
+        first = engine.query(load_dataset("twitter"), query)
         # A separately built but identical graph hits the same cache entry.
-        second = engine.query(load_dataset("twitter"), spec.default_gamma,
-                              spec.default_theta)
+        second = engine.query(load_dataset("twitter"), query)
         assert engine.cache.stats.hits == 1
         assert second.maximal_quasi_cliques == first.maximal_quasi_cliques
 

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro import FastQC, Graph, filter_non_maximal
-from repro.core import fastqc_enumerate
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
 from repro.quasiclique import (
     enumerate_maximal_quasi_cliques_bruteforce,
@@ -35,29 +34,29 @@ class TestConstruction:
 
 class TestSmallGraphs:
     def test_clique(self, clique5):
-        result = fastqc_enumerate(clique5, gamma=1.0, theta=3)
+        result = FastQC(clique5, gamma=1.0, theta=3).enumerate()
         assert frozenset(range(5)) in result
 
     def test_two_triangles(self, two_triangles):
-        result = fastqc_enumerate(two_triangles, gamma=1.0, theta=3)
+        result = FastQC(two_triangles, gamma=1.0, theta=3).enumerate()
         assert frozenset({0, 1, 2}) in result
         assert frozenset({3, 4, 5}) in result
 
     def test_empty_graph(self):
-        assert fastqc_enumerate(Graph(), gamma=0.9, theta=1) == []
+        assert FastQC(Graph(), gamma=0.9, theta=1).enumerate() == []
 
     def test_single_vertex(self):
         graph = Graph(vertices=[7])
-        result = fastqc_enumerate(graph, gamma=0.9, theta=1)
+        result = FastQC(graph, gamma=0.9, theta=1).enumerate()
         assert result == [frozenset({7})]
 
     def test_theta_filters_outputs(self, two_triangles):
-        result = fastqc_enumerate(two_triangles, gamma=1.0, theta=4)
+        result = FastQC(two_triangles, gamma=1.0, theta=4).enumerate()
         assert result == []
 
     def test_outputs_are_quasi_cliques(self, paper_figure1):
         for gamma in (0.5, 0.6, 0.9):
-            for clique in fastqc_enumerate(paper_figure1, gamma, theta=2):
+            for clique in FastQC(paper_figure1, gamma, theta=2).enumerate():
                 assert is_quasi_clique(paper_figure1, clique, gamma)
 
     def test_on_output_callback(self, clique5):
@@ -90,7 +89,7 @@ class TestSupersetGuarantee:
             gamma = rng.choice([0.5, 0.6, 0.7, 0.9, 1.0])
             theta = rng.randint(1, 4)
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            output = set(fastqc_enumerate(graph, gamma, theta, branching=branching))
+            output = set(FastQC(graph, gamma, theta, branching=branching).enumerate())
             missing = expected - output
             assert not missing, (
                 f"trial {trial} branching {branching} gamma {gamma} theta {theta}: "
@@ -103,7 +102,7 @@ class TestSupersetGuarantee:
             gamma = rng.choice([0.5, 0.7, 0.9])
             theta = rng.randint(1, 3)
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            output = fastqc_enumerate(graph, gamma, theta)
+            output = FastQC(graph, gamma, theta).enumerate()
             assert set(filter_non_maximal(output, theta=theta)) == expected
 
     def test_maximality_filter_only_drops_non_maximal(self):
@@ -111,8 +110,8 @@ class TestSupersetGuarantee:
         for trial in range(10):
             graph = erdos_renyi_gnp(8, rng.uniform(0.3, 0.8), seed=1100 + trial)
             gamma, theta = 0.7, 2
-            with_filter = set(fastqc_enumerate(graph, gamma, theta, maximality_filter=True))
-            without_filter = set(fastqc_enumerate(graph, gamma, theta, maximality_filter=False))
+            with_filter = set(FastQC(graph, gamma, theta, maximality_filter=True).enumerate())
+            without_filter = set(FastQC(graph, gamma, theta, maximality_filter=False).enumerate())
             assert with_filter <= without_filter
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
             assert expected <= with_filter
@@ -126,7 +125,7 @@ class TestBranchingComparison:
             gamma, theta = rng.choice([(0.6, 2), (0.9, 3), (0.5, 2)])
             results = {}
             for branching in ("hybrid", "sym-se", "se"):
-                output = fastqc_enumerate(graph, gamma, theta, branching=branching)
+                output = FastQC(graph, gamma, theta, branching=branching).enumerate()
                 results[branching] = set(filter_non_maximal(output, theta=theta))
             assert results["hybrid"] == results["sym-se"] == results["se"]
 
@@ -150,7 +149,7 @@ class TestBranchingComparison:
 class TestPlantedStructure:
     def test_planted_quasi_cliques_are_found(self):
         graph = planted_quasi_clique_graph(50, 70, [9, 7], 0.9, seed=21)
-        output = fastqc_enumerate(graph, gamma=0.9, theta=6)
+        output = FastQC(graph, gamma=0.9, theta=6).enumerate()
         maximal = filter_non_maximal(output, theta=6)
         planted_a = frozenset(range(9))
         planted_b = frozenset(range(9, 16))

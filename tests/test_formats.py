@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro import Graph, GraphError
+from repro import Graph, GraphError, read_edge_list
 from repro.graph.formats import (
     graph_from_json_dict,
     graph_to_json_dict,
@@ -39,6 +39,16 @@ class TestAdjacencyList:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
             read_adjacency_list(io.StringIO("1: 1\n"))
+
+    def test_zero_padded_labels_stay_distinct_like_edge_lists(self):
+        # "01" and "1" are two vertices in both readers: an adjacency list
+        # used to parse "01" to 1 and reject "01: 1 2" as a self-loop.
+        adjacency = read_adjacency_list(io.StringIO("01: 1 2\n+1: 2\n"))
+        edges = read_edge_list(io.StringIO("01 1\n01 2\n+1 2\n"))
+        for graph in (adjacency, edges):
+            assert set(graph.vertices()) == {"01", 1, 2, "+1"}
+            assert graph.has_edge("01", 1) and not graph.has_edge(1, 2)
+        assert set(adjacency.edges()) == set(edges.edges())
 
     def test_roundtrip(self, paper_figure1):
         buffer = io.StringIO()

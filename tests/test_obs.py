@@ -210,7 +210,7 @@ class TestPipelineTracing:
         tracer = Tracer()
         engine = MQCEEngine()
         prepared = prepare_graph(medium_graph)
-        result = engine.query(prepared, 0.9, 5, trace=tracer)
+        result = engine.query(prepared, QuerySpec(0.9, 5), trace=tracer)
         assert result.maximal_count > 0
         assert [span.name for span in tracer.spans] == ["query"]
         root = tracer.spans[0]
@@ -224,9 +224,9 @@ class TestPipelineTracing:
     def test_engine_cache_hit_trace(self, medium_graph):
         engine = MQCEEngine()
         prepared = prepare_graph(medium_graph)
-        engine.query(prepared, 0.9, 5)
+        engine.query(prepared, QuerySpec(0.9, 5))
         tracer = Tracer()
-        engine.query(prepared, 0.9, 5, trace=tracer)
+        engine.query(prepared, QuerySpec(0.9, 5), trace=tracer)
         root = tracer.spans[0]
         assert root.attributes.get("served") == "cache"
         cache_span = next(c for c in root.children if c.name == "cache")
@@ -234,7 +234,7 @@ class TestPipelineTracing:
 
     def test_stream_trace_attached(self, medium_graph):
         engine = MQCEEngine()
-        stream = engine.stream(prepare_graph(medium_graph), 0.9, 5,
+        stream = engine.stream(prepare_graph(medium_graph), QuerySpec(0.9, 5),
                                trace=(tracer := Tracer()))
         assert stream.tracer is tracer
         results = list(stream)
@@ -406,8 +406,8 @@ class TestEngineMetrics:
         hits_before = hits.value()
         engine = MQCEEngine()
         prepared = prepare_graph(medium_graph)
-        engine.query(prepared, 0.9, 5)
-        engine.query(prepared, 0.9, 5)
+        engine.query(prepared, QuerySpec(0.9, 5))
+        engine.query(prepared, QuerySpec(0.9, 5))
         assert queries.value(served="execute") == executed_before + 1
         assert queries.value(served="cache") == cached_before + 1
         assert hits.value() == hits_before + 1
@@ -426,8 +426,7 @@ class TestEngineMetrics:
         assert mutations.value(op="add_edge") == mutations_before + 1
 
     def test_parallel_workers_merge_into_registry(self):
-        from repro import ParallelDCFastQC
-        from repro.core import dcfastqc_enumerate
+        from repro import DCFastQC, ParallelDCFastQC
 
         graph = planted_quasi_clique_graph(80, 160, [9, 8, 7], 0.9, seed=29)
         subproblems = REGISTRY.counter("repro_parallel_subproblems_total")
@@ -438,7 +437,7 @@ class TestEngineMetrics:
         sizes_before = sizes.value().count
         parallel = ParallelDCFastQC(graph, 0.9, 6, workers=2)
         result = parallel.enumerate()
-        assert set(result) == set(dcfastqc_enumerate(graph, 0.9, 6))
+        assert set(result) == set(DCFastQC(graph, 0.9, 6).enumerate())
         assert subproblems.value() > subproblems_before
         assert branches.value() >= branches_before
         assert sizes.value().count > sizes_before
@@ -514,7 +513,7 @@ class TestProgress:
     def test_engine_query_forwards_progress(self, medium_graph):
         events = []
         engine = MQCEEngine()
-        engine.query(prepare_graph(medium_graph), 0.9, 5,
+        engine.query(prepare_graph(medium_graph), QuerySpec(0.9, 5),
                      progress=ProgressTicker(events.append, every=10))
         assert events
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Graph, ParallelDCFastQC, filter_non_maximal
-from repro.core import dcfastqc_enumerate
-from repro.extensions import parallel_enumerate
+from repro import DCFastQC, Graph, ParallelDCFastQC, filter_non_maximal
 from repro.graph.generators import planted_quasi_clique_graph
 
 
@@ -29,12 +27,12 @@ class TestConstruction:
 
 class TestSingleWorkerFallback:
     def test_matches_sequential(self, medium_graph):
-        sequential = set(dcfastqc_enumerate(medium_graph, 0.9, 6))
-        single = set(parallel_enumerate(medium_graph, 0.9, 6, workers=1))
+        sequential = set(DCFastQC(medium_graph, 0.9, 6).enumerate())
+        single = set(ParallelDCFastQC(medium_graph, 0.9, 6, workers=1).enumerate())
         assert single == sequential
 
     def test_empty_graph(self):
-        assert parallel_enumerate(Graph(), 0.9, 2, workers=1) == []
+        assert ParallelDCFastQC(Graph(), 0.9, 2, workers=1).enumerate() == []
 
     def test_small_graph_runs_inline(self, two_triangles):
         runner = ParallelDCFastQC(two_triangles, 1.0, 3, workers=1)
@@ -44,7 +42,7 @@ class TestSingleWorkerFallback:
 
 class TestMultiProcess:
     def test_two_workers_match_sequential(self, medium_graph):
-        sequential = set(filter_non_maximal(dcfastqc_enumerate(medium_graph, 0.9, 6), theta=6))
+        sequential = set(filter_non_maximal(DCFastQC(medium_graph, 0.9, 6).enumerate(), theta=6))
         parallel = ParallelDCFastQC(medium_graph, 0.9, 6, workers=2)
         result = set(parallel.find_maximal())
         assert result == sequential

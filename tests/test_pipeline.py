@@ -11,7 +11,6 @@ from repro import (
     EnumerationResult,
     Graph,
     QuerySpec,
-    enumerate_candidate_quasi_cliques,
     run_enumeration,
 )
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
@@ -96,14 +95,15 @@ class TestFindMaximalQuasiCliques:
 
 class TestEnumerateCandidates:
     def test_returns_candidates_and_statistics(self, clique5):
-        candidates, statistics = enumerate_candidate_quasi_cliques(clique5, 1.0, 3)
+        enumerator = build_enumerator(clique5, 1.0, 3)
+        candidates = enumerator.enumerate()
         assert frozenset(range(5)) in set(candidates)
-        assert statistics.branches_explored >= 0
+        assert enumerator.statistics.branches_explored >= 0
 
     def test_candidates_are_superset_of_mqcs(self):
         graph = erdos_renyi_gnp(9, 0.5, seed=77)
         expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, 0.7, 2))
         for algorithm in ("dcfastqc", "fastqc", "quickplus"):
-            candidates, _ = enumerate_candidate_quasi_cliques(graph, 0.7, 2,
-                                                              algorithm=algorithm)
+            candidates = build_enumerator(graph, 0.7, 2,
+                                          algorithm=algorithm).enumerate()
             assert expected <= set(candidates)

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from repro import Graph, QuickPlus, filter_non_maximal
-from repro.baselines import PruningConfig, quickplus_enumerate
+from repro import FastQC, Graph, QuickPlus, filter_non_maximal
 from repro.core import Branch
 from repro.graph.generators import erdos_renyi_gnp
 from repro.oracle import ReferenceQuickPlus, apply_type1_rules, triggers_type2_rules
@@ -54,15 +53,6 @@ class TestPruningRules:
         branch = Branch(0, triangle.mask_of([1, 2]), 0)
         assert triggers_type2_rules(triangle, branch, gamma=0.9, theta=5)
 
-    def test_disabled_rules_do_nothing(self, star5):
-        config = PruningConfig(candidate_degree=False, candidate_diameter=False,
-                               candidate_non_neighbor=False, branch_size=False,
-                               branch_degree=False, branch_upper_bound=False,
-                               branch_non_neighbor=False)
-        branch = Branch(star5.mask_of([0]), star5.mask_of([1, 2, 3, 4]), 0)
-        assert apply_type1_rules(star5, branch, 0.9, 4, config) == branch.c_mask
-        assert not triggers_type2_rules(star5, branch, 0.9, 40, config)
-
 
 class TestQuickPlus:
     def test_invalid_branching_rejected(self, triangle):
@@ -78,41 +68,28 @@ class TestQuickPlus:
         assert reference.statistics.ledger_moves == 0
 
     @pytest.mark.parametrize("branching", ["se", "sym-se", "hybrid"])
-    def test_ledger_matches_reference_with_partial_pruning(self, branching):
-        """Kernel parity must hold for every PruningConfig subset, not only
-        the default all-rules configuration."""
+    def test_ledger_matches_reference_counter_for_counter(self, branching):
         rng = random.Random(77)
-        configs = [
-            PruningConfig(),
-            PruningConfig(candidate_diameter=False),
-            PruningConfig(candidate_degree=False, branch_non_neighbor=False),
-            PruningConfig(critical_vertex=False, candidate_non_neighbor=False),
-            PruningConfig(branch_degree=False, branch_upper_bound=False),
-        ]
         for trial in range(6):
             graph = erdos_renyi_gnp(11, rng.uniform(0.3, 0.7), seed=4500 + trial)
-            for config in configs:
-                ledger = QuickPlus(graph, 0.8, 3, branching=branching,
-                                   pruning=config)
-                reference = ReferenceQuickPlus(graph, 0.8, 3, branching=branching,
-                                               pruning=config)
-                assert ledger.enumerate() == reference.enumerate(), config
-                for counter in ("branches_explored",
-                                "candidates_removed_by_type1",
-                                "branches_pruned_by_type2", "outputs"):
-                    assert (getattr(ledger.statistics, counter)
-                            == getattr(reference.statistics, counter)), (
-                        config, counter)
+            ledger = QuickPlus(graph, 0.8, 3, branching=branching)
+            reference = ReferenceQuickPlus(graph, 0.8, 3, branching=branching)
+            assert ledger.enumerate() == reference.enumerate()
+            for counter in ("branches_explored",
+                            "candidates_removed_by_type1",
+                            "branches_pruned_by_type2", "outputs"):
+                assert (getattr(ledger.statistics, counter)
+                        == getattr(reference.statistics, counter)), counter
 
     def test_clique(self, clique5):
-        assert frozenset(range(5)) in quickplus_enumerate(clique5, 1.0, 3)
+        assert frozenset(range(5)) in QuickPlus(clique5, 1.0, 3).enumerate()
 
     def test_empty_graph(self):
-        assert quickplus_enumerate(Graph(), 0.9, 1) == []
+        assert QuickPlus(Graph(), 0.9, 1).enumerate() == []
 
     def test_outputs_are_quasi_cliques(self, paper_figure1):
         for gamma in (0.5, 0.75, 0.9):
-            for clique in quickplus_enumerate(paper_figure1, gamma, 2):
+            for clique in QuickPlus(paper_figure1, gamma, 2).enumerate():
                 assert is_quasi_clique(paper_figure1, clique, gamma)
 
     def test_statistics(self, paper_figure1):
@@ -128,7 +105,7 @@ class TestQuickPlus:
             gamma = rng.choice([0.5, 0.6, 0.8, 0.9, 1.0])
             theta = rng.randint(1, 4)
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            output = set(quickplus_enumerate(graph, gamma, theta))
+            output = set(QuickPlus(graph, gamma, theta).enumerate())
             assert expected <= output
 
     def test_filtered_output_equals_mqcs(self):
@@ -137,7 +114,7 @@ class TestQuickPlus:
             graph = erdos_renyi_gnp(8, rng.uniform(0.3, 0.8), seed=1600 + trial)
             gamma, theta = rng.choice([(0.5, 2), (0.7, 3), (0.9, 2)])
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            output = quickplus_enumerate(graph, gamma, theta)
+            output = QuickPlus(graph, gamma, theta).enumerate()
             assert set(filter_non_maximal(output, theta=theta)) == expected
 
     @pytest.mark.parametrize("branching", ["sym-se", "hybrid"])
@@ -149,16 +126,15 @@ class TestQuickPlus:
             graph = erdos_renyi_gnp(8, rng.uniform(0.3, 0.8), seed=1700 + trial)
             gamma, theta = rng.choice([(0.6, 2), (0.9, 2)])
             expected = set(enumerate_maximal_quasi_cliques_bruteforce(graph, gamma, theta))
-            output = set(quickplus_enumerate(graph, gamma, theta, branching=branching))
+            output = set(QuickPlus(graph, gamma, theta, branching=branching).enumerate())
             assert expected <= output
 
     def test_returns_more_candidates_than_fastqc(self):
         # Quick+ lacks the maximality necessary-condition filter, so its output
         # is (weakly) larger -- the effect Table 1 reports.
-        from repro.core import fastqc_enumerate
         from repro.graph.generators import planted_quasi_clique_graph
 
         graph = planted_quasi_clique_graph(45, 60, [8, 7], 0.9, seed=3)
-        quick = quickplus_enumerate(graph, 0.9, 5)
-        fast = fastqc_enumerate(graph, 0.9, 5)
+        quick = QuickPlus(graph, 0.9, 5).enumerate()
+        fast = FastQC(graph, 0.9, 5).enumerate()
         assert len(quick) >= len(fast)

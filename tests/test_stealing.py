@@ -26,10 +26,12 @@ from pathlib import Path
 import pytest
 
 from repro import MQCEEngine, QuerySpec
+from repro.datasets import load_dataset
 from repro.core.dcfastqc import DCFastQC
 from repro.core.fastqc import FastQC
 from repro.core.stats import SizeHistogram
-from repro.engine.planner import PlannerConfig, QueryPlanner
+import repro.engine.planner as planner_module
+from repro.engine.planner import QueryPlanner
 from repro.engine.prepared import PreparedGraph
 from repro.extensions.parallel import ParallelDCFastQC, run_compact_subproblem
 from repro.extensions.stealing import (ForcedStealSchedule, InlineStealRuntime,
@@ -214,6 +216,33 @@ class TestBranchParallel:
         assert branch_mode == "branch"
         assert branch_counts == sequential_counts
 
+    @pytest.mark.parametrize("knob", [{"framework": "basic-dc"},
+                                      {"max_rounds": 0},
+                                      {"framework": "none"},
+                                      {"maximality_filter": False}])
+    def test_branch_plans_keep_the_ablation_knobs(self, knob):
+        """A forced fan-out runs the spec's framework, shrink rounds and
+        maximality filter, exactly as the sequential plan does (Figure 12's
+        ablations through the engine)."""
+        graph = load_dataset("enron")
+
+        def run(parallel):
+            spec = QuerySpec(0.9, 9, algorithm="dcfastqc", parallel=parallel, **knob)
+            engine = MQCEEngine(workers=2)
+            plan = engine.explain(graph, spec)
+            result = engine.query(graph, spec, use_cache=False)
+            return plan, (set(result.candidate_quasi_cliques),
+                          result.search_statistics.branches_explored)
+
+        branch_plan, branch_run = run("branch")
+        none_plan, none_run = run("none")
+        assert branch_run == none_run
+        framework = knob.get("framework", "dc")
+        assert branch_plan.framework == none_plan.framework == framework
+        # Only divide-and-conquer subproblems fan out.
+        assert branch_plan.parallel == (framework != "none")
+        assert not none_plan.parallel
+
     def test_workers_fork_from_a_single_threaded_coordinator(self):
         # Python 3.12+ warns once per fork of a multi-threaded process, which
         # a queue put before forking makes the coordinator.
@@ -291,8 +320,8 @@ class TestInProcessFallback:
         monkeypatch.setattr(parallel_module.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 64)
-        plan = QueryPlanner(PlannerConfig(parallel_min_vertices=1)).plan(
-            PreparedGraph(graph), GAMMA, THETA)
+        monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", 1)
+        plan = QueryPlanner().plan(PreparedGraph(graph), QuerySpec(GAMMA, THETA))
         assert not plan.parallel and plan.workers == 1
         assert ParallelDCFastQC(graph, GAMMA, THETA).workers == 1
 
@@ -307,27 +336,34 @@ def _branch_histogram(branches=50_000, subproblems=10):
     return histogram
 
 
+#: The 160-vertex fixture core clears this size threshold on size alone ...
+SIZE_GATE = 32
+#: ... and no core is this large: only observed branch counts open the gate.
+WORK_GATE = 10**9
+
+
 class TestPlannerModeSelection:
-    def _size_gate(self):
-        # The 160-vertex fixture core clears this threshold on size alone.
-        return QueryPlanner(PlannerConfig(parallel_min_vertices=32,
-                                          max_workers=4))
+    """Plans are memoized per preparation, so each gate setting below plans
+    on a fresh ``PreparedGraph``."""
 
-    def _work_gate(self):
-        # No core is this large: only observed branch counts open the gate.
-        return QueryPlanner(PlannerConfig(parallel_min_vertices=10**9,
-                                          max_workers=4))
+    @staticmethod
+    def _gate(monkeypatch, min_vertices):
+        monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", min_vertices)
+        monkeypatch.setattr(planner_module, "MAX_WORKERS", 4)
+        return QueryPlanner()
 
-    def test_every_fan_out_plan_runs_branch_mode(self, graph):
+    def test_every_fan_out_plan_runs_branch_mode(self, graph, monkeypatch):
         expected = set(_maximal(_sequential_answer(graph)))
         before = _resources()
         observed = PreparedGraph(graph)
         observed.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
-        cases = ((self._size_gate(), PreparedGraph(graph), "auto"),
-                 (self._work_gate(), observed, "auto"),
-                 (QueryPlanner(), PreparedGraph(graph), "branch"))
-        for planner, prepared, parallel in cases:
-            engine = MQCEEngine(planner=planner, workers=2)
+        stock = planner_module.PARALLEL_MIN_VERTICES
+        cases = ((SIZE_GATE, PreparedGraph(graph), "auto"),
+                 (WORK_GATE, observed, "auto"),
+                 (stock, PreparedGraph(graph), "branch"))
+        for min_vertices, prepared, parallel in cases:
+            self._gate(monkeypatch, min_vertices)
+            engine = MQCEEngine(workers=2)
             spec = QuerySpec(GAMMA, THETA, parallel=parallel)
             assert engine.explain(prepared, spec=spec).parallel
             tracer = Tracer()
@@ -341,22 +377,24 @@ class TestPlannerModeSelection:
             assert set(result.maximal_quasi_cliques) == expected
         _assert_released(before)
 
-    def test_explain_names_the_evidence_that_opened_the_gate(self, graph):
-        by_size = self._size_gate().plan(PreparedGraph(graph), GAMMA, THETA)
+    def test_explain_names_the_evidence_that_opened_the_gate(self, graph,
+                                                              monkeypatch):
+        by_size = self._gate(monkeypatch, SIZE_GATE).plan(
+            PreparedGraph(graph), QuerySpec(GAMMA, THETA))
         assert by_size.parallel
         assert (f"core of {by_size.core_vertices_kept} vertices exceeds the "
                 "parallel threshold (32)") in by_size.describe()
 
         prepared = PreparedGraph(graph)
         prepared.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
-        by_work = self._work_gate().plan(prepared, GAMMA, THETA)
+        by_work = self._gate(monkeypatch, WORK_GATE).plan(
+            prepared, QuerySpec(GAMMA, THETA))
         assert by_work.parallel
         assert "an observed run explored 50000 branches" in by_work.describe()
 
     @pytest.mark.parametrize("workers", [2, None])
     def test_declined_reason_names_both_gates(self, graph, monkeypatch,
                                               workers):
-        import repro.engine.planner as planner_module
         # Default workers are the affinity CPUs: make that 2 on any host.
         monkeypatch.setattr(planner_module, "available_cpus", lambda: 2)
         engine = MQCEEngine(workers=workers)
@@ -378,25 +416,26 @@ class TestPlannerModeSelection:
         assert (f"a completed run explored {total} branches < "
                 "parallel_min_branches (4096)") in declined_reason()
 
-    def test_forced_modes_and_none(self, graph):
+    def test_forced_modes_and_none(self, graph, monkeypatch):
         prepared = PreparedGraph(graph)
+        planner = QueryPlanner()
         # Default thresholds: the 160-vertex fixture never opens the gate.
-        assert not QueryPlanner().plan(prepared, GAMMA, THETA, workers=4).parallel
-        forced = QueryPlanner().plan(prepared, GAMMA, THETA, workers=4,
-                                     parallel="branch")
+        assert not planner.plan(prepared, QuerySpec(GAMMA, THETA), workers=4).parallel
+        forced = planner.plan(prepared, QuerySpec(GAMMA, THETA, parallel="branch"),
+                              workers=4)
         assert forced.parallel and forced.workers == 4
         assert "forced by the caller" in forced.describe()
-        disabled = self._size_gate().plan(prepared, GAMMA, THETA, workers=4,
-                                          parallel="none")
+        disabled = self._gate(monkeypatch, SIZE_GATE).plan(
+            PreparedGraph(graph), QuerySpec(GAMMA, THETA, parallel="none"), workers=4)
         assert not disabled.parallel and disabled.workers == 1
 
-    def test_new_observation_invalidates_the_plan_memo(self, graph):
+    def test_new_observation_invalidates_the_plan_memo(self, graph, monkeypatch):
         prepared = PreparedGraph(graph)
-        planner = self._work_gate()
-        cold = planner.plan(prepared, GAMMA, THETA, workers=4)
+        planner = self._gate(monkeypatch, WORK_GATE)
+        cold = planner.plan(prepared, QuerySpec(GAMMA, THETA), workers=4)
         assert not cold.parallel
         prepared.record_subproblem_histogram(GAMMA, THETA, _branch_histogram())
-        warm = planner.plan(prepared, GAMMA, THETA, workers=4)
+        warm = planner.plan(prepared, QuerySpec(GAMMA, THETA), workers=4)
         assert warm.parallel and warm.workers == 4
 
 

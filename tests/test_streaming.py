@@ -51,8 +51,8 @@ class TestStreamingParity:
         graph = load_dataset("ca-grqc")
         spec = get_spec("ca-grqc")
         stream = Q(graph).gamma(spec.default_gamma).theta(spec.default_theta).stream()
-        engine_result = MQCEEngine().query(graph, spec.default_gamma,
-                                           spec.default_theta)
+        engine_result = MQCEEngine().query(
+            graph, QuerySpec(spec.default_gamma, spec.default_theta))
         assert set(stream) == set(engine_result.maximal_quasi_cliques)
 
 
@@ -70,7 +70,7 @@ class TestIncrementality:
         assert stream.finished
         assert stream.subproblems_completed > completed_at_first_yield
         # Everything seen plus the first item is exactly the full answer.
-        reference = MQCEEngine().query(graph, spec.gamma, spec.theta)
+        reference = MQCEEngine().query(graph, QuerySpec(spec.gamma, spec.theta))
         assert set([first] + rest) == set(reference.maximal_quasi_cliques)
 
     def test_incremental_yields_are_genuinely_maximal_even_when_cancelled(self):
