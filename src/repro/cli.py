@@ -126,13 +126,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
 
     # The baseline is taken after imports so the RSS deltas reported by the
     # large-graph benchmark isolate the graph representation + query, not the
-    # interpreter start-up cost.  numpy (used only to accelerate the CSR
-    # build, ~15 MB of RSS on import) is pulled in up front so both backends
-    # start from the same baseline.
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
+    # interpreter start-up cost.
     baseline_rss = current_rss_bytes()
     start = time.perf_counter()
     if args.backend == "dict":

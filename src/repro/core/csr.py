@@ -31,10 +31,10 @@ O(n^2 / 64); subproblem extraction and connectivity walk the same rows
 through code both backends share (:func:`repro.graph.subgraph.ball_and_halo`,
 :func:`repro.graph.subgraph.connected_components`).
 
-numpy, when importable, accelerates only the *construction* (sort + dedupe
-of the symmetrised endpoint arrays); the stored arrays are always stdlib
-``array('q')`` buffers so indexing yields plain Python ints everywhere and
-the module works without numpy.
+Loading stays O(V + E) too: :func:`build_csr_arrays` is one counting sort
+into ``array('q')`` buffers (no per-entry Python object survives it), a graph
+keeps the label index its builder interned, and the core peel runs over flat
+buffers.  The module uses the standard library only.
 """
 
 from __future__ import annotations
@@ -43,13 +43,10 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
+from itertools import accumulate, islice
+from operator import sub
 
 from ..graph.graph import Graph, GraphError, VertexLabel
-
-try:  # numpy is an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via use_numpy=False tests
-    _np = None
 
 #: Bounded LRU capacity of the lazily materialised adjacency bitmasks.  At
 #: 10^5 vertices one mask is ~12.5 KB, so the cache tops out around 13 MB —
@@ -61,67 +58,69 @@ MASK_CACHE = 1024
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-def build_csr_arrays(vertex_count: int, endpoints_u, endpoints_v,
-                     use_numpy: bool | None = None) -> tuple[array, array, int]:
-    """Build ``(indptr, indices, edge_count)`` from parallel endpoint arrays.
+def build_csr_arrays(vertex_count: int, endpoints_u,
+                     endpoints_v) -> tuple[array, array, int]:
+    """Build ``(indptr, indices, edge_count)`` from parallel endpoint sequences.
 
     The endpoints describe undirected edges by vertex *index* (the caller
     interns labels); duplicates and symmetric repeats are deduplicated, rows
-    come out sorted ascending.  Self-loops raise :class:`GraphError`.  With
-    numpy available the symmetrise/sort/dedupe runs vectorised over int64
-    keys ``u * n + v``; the stdlib fallback sorts a Python list of the same
-    keys.  Either way the returned buffers are ``array('q')``.
+    come out sorted ascending.  Self-loops raise :class:`GraphError`.  One
+    counting sort: count each row's entries, take the prefix sums, scatter
+    both directions of every edge, then sort and deduplicate each row while
+    compacting the buffer in place.
     """
     n = vertex_count
-    if use_numpy is None:
-        use_numpy = _np is not None
-    if use_numpy and _np is not None:
-        u = _coerce_int64(endpoints_u)
-        v = _coerce_int64(endpoints_v)
-        if u.size and bool((u == v).any()):
-            raise GraphError("self-loops are not allowed in CSR construction")
-        keys = _np.unique(_np.concatenate((u * n + v, v * n + u)))
-        rows = keys // n
-        cols = keys - rows * n
-        counts = _np.bincount(rows, minlength=n)
-        indptr_np = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=indptr_np[1:])
-        indptr = array("q")
-        indptr.frombytes(indptr_np.tobytes())
-        indices = array("q")
-        indices.frombytes(cols.astype(_np.int64, copy=False).tobytes())
-        return indptr, indices, len(indices) // 2
-    keys: list[int] = []
-    append = keys.append
+    degree = array("q", [0]) * n
     for a, b in zip(endpoints_u, endpoints_v):
         if a == b:
             raise GraphError(f"self-loops are not allowed in CSR construction "
                              f"(vertex index {a})")
-        append(a * n + b)
-        append(b * n + a)
-    keys.sort()
-    indptr = array("q", bytes(8 * (n + 1)))
-    indices = array("q")
-    previous = -1
-    for key in keys:
-        if key == previous:
-            continue
-        previous = key
-        row = key // n
-        indices.append(key - row * n)
-        indptr[row + 1] += 1
-    for i in range(n):
-        indptr[i + 1] += indptr[i]
-    return indptr, indices, len(indices) // 2
+        degree[a] += 1
+        degree[b] += 1
+    indptr = array("q", accumulate(degree, initial=0))
+    del degree
+    cursor = indptr[:-1]
+    indices = array("q", [0]) * indptr[n]
+    for a, b in zip(endpoints_u, endpoints_v):
+        k = cursor[a]
+        indices[k] = b
+        cursor[a] = k + 1
+        k = cursor[b]
+        indices[k] = a
+        cursor[b] = k + 1
+    del cursor
+    write = start = 0
+    for i in range(1, n + 1):
+        end = indptr[i]
+        if end - start > 1:
+            row = sorted(set(indices[start:end]))
+            indices[write:write + len(row)] = array("q", row)
+            write += len(row)
+        elif end > start:
+            indices[write] = indices[start]
+            write += 1
+        start = end
+        indptr[i] = write
+    del indices[write:]
+    return indptr, indices, write // 2
 
 
-def _coerce_int64(buffer):
-    """View an ``array('q')`` buffer (or any iterable) as a numpy int64 array."""
-    if isinstance(buffer, array) and buffer.typecode == "q":
-        if not len(buffer):
-            return _np.empty(0, dtype=_np.int64)
-        return _np.frombuffer(buffer, dtype=_np.int64)
-    return _np.asarray(list(buffer), dtype=_np.int64)
+def intern_endpoints(pairs: Iterable[tuple[VertexLabel, VertexLabel]],
+                     index_of: dict[VertexLabel, int]) -> tuple[array, array]:
+    """Endpoint index buffers of a stream of ``(u, v)`` label pairs.
+
+    A label new to ``index_of`` gets the next dense index (first-seen
+    order), so the dict's insertion order is the index order.  Self-loops
+    raise :class:`GraphError`.
+    """
+    endpoints_u = array("q")
+    endpoints_v = array("q")
+    for a, b in pairs:
+        if a == b:
+            raise GraphError(f"self-loops are not allowed (vertex {a!r})")
+        endpoints_u.append(index_of.setdefault(a, len(index_of)))
+        endpoints_v.append(index_of.setdefault(b, len(index_of)))
+    return endpoints_u, endpoints_v
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +208,25 @@ class CSRGraph(Graph):
 
     def __init__(self, labels: Iterable[VertexLabel], indptr, indices, *,
                  edge_count: int | None = None) -> None:
-        super().__init__()
         labels = list(labels)
+        index_of = {label: index for index, label in enumerate(labels)}
+        if len(index_of) != len(labels):
+            raise GraphError("duplicate labels in CSR construction")
+        self._install(labels, index_of, indptr, indices, edge_count)
+
+    @classmethod
+    def _adopt(cls, labels: list[VertexLabel], index_of: dict[VertexLabel, int],
+               indptr, indices, edge_count: int | None) -> "CSRGraph":
+        """A graph that keeps ``labels`` and their ``index_of`` as given: how
+        :meth:`from_edge_stream` hands over its intern table and :meth:`copy`
+        shares the index."""
+        graph = cls.__new__(cls)
+        graph._install(labels, index_of, indptr, indices, edge_count)
+        return graph
+
+    def _install(self, labels: list[VertexLabel], index_of: dict[VertexLabel, int],
+                 indptr, indices, edge_count: int | None) -> None:
+        super().__init__()
         n = len(labels)
         if len(indptr) != n + 1:
             raise GraphError(f"indptr length {len(indptr)} does not match "
@@ -219,9 +235,7 @@ class CSRGraph(Graph):
             raise GraphError(f"indptr[-1] = {indptr[n]} does not match "
                              f"{len(indices)} neighbour entries")
         self._labels = labels
-        self._index_of = {label: index for index, label in enumerate(labels)}
-        if len(self._index_of) != n:
-            raise GraphError("duplicate labels in CSR construction")
+        self._index_of = index_of
         self.indptr = indptr
         self.indices = indices
         self._edge_count = len(indices) // 2 if edge_count is None else edge_count
@@ -233,40 +247,24 @@ class CSRGraph(Graph):
 
     @classmethod
     def from_edge_stream(cls, pairs: Iterable[tuple[VertexLabel, VertexLabel]],
-                         vertices: Iterable[VertexLabel] | None = None,
-                         use_numpy: bool | None = None) -> "CSRGraph":
+                         vertices: Iterable[VertexLabel] | None = None) -> "CSRGraph":
         """Build a CSR graph from a stream of ``(u, v)`` label pairs.
 
         Labels are interned to dense indices in first-seen order (explicit
         ``vertices`` first, matching ``Graph(edges, vertices=...)``), and the
         endpoints accumulate in flat ``array('q')`` buffers — at no point does
         a per-vertex set, list or bitmask exist, so peak memory is O(V + E).
-        Duplicate pairs are deduplicated; self-loops raise.
+        The intern table becomes the graph's label index.  Duplicate pairs
+        are deduplicated; self-loops raise.
         """
-        labels: list[VertexLabel] = []
         index_of: dict[VertexLabel, int] = {}
-
-        def intern(label: VertexLabel) -> int:
-            index = index_of.get(label)
-            if index is None:
-                index = len(labels)
-                index_of[label] = index
-                labels.append(label)
-            return index
-
         if vertices is not None:
             for label in vertices:
-                intern(label)
-        endpoints_u = array("q")
-        endpoints_v = array("q")
-        for a, b in pairs:
-            if a == b:
-                raise GraphError(f"self-loops are not allowed (vertex {a!r})")
-            endpoints_u.append(intern(a))
-            endpoints_v.append(intern(b))
+                index_of.setdefault(label, len(index_of))
+        endpoints_u, endpoints_v = intern_endpoints(pairs, index_of)
         indptr, indices, edge_count = build_csr_arrays(
-            len(labels), endpoints_u, endpoints_v, use_numpy=use_numpy)
-        return cls(labels, indptr, indices, edge_count=edge_count)
+            len(index_of), endpoints_u, endpoints_v)
+        return cls._adopt(list(index_of), index_of, indptr, indices, edge_count)
 
     # ------------------------------------------------------------------
     # Frozen mutation surface
@@ -395,9 +393,9 @@ class CSRGraph(Graph):
         return frozenset(labels[i] for i in iter_mask_indices(mask))
 
     def copy(self) -> "CSRGraph":
-        """Cheap copy sharing the immutable CSR buffers."""
-        return CSRGraph(self._labels, self.indptr, self.indices,
-                        edge_count=self._edge_count)
+        """Cheap copy sharing the immutable CSR buffers and the label index."""
+        return CSRGraph._adopt(self._labels, self._index_of, self.indptr,
+                               self.indices, self._edge_count)
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
@@ -435,47 +433,61 @@ class CSRGraph(Graph):
 # stale-entry skip, neighbour walks ascending — so tie-breaks, and therefore
 # the emitted candidate sets of the whole enumeration stack, are identical.
 
-def csr_degeneracy_order_and_cores(graph: CSRGraph) -> tuple[list[int], list[int]]:
-    """Index-space ``(order, core_numbers)``; the Batagelj–Zaversnik buckets
-    of ``repro.graph.core_decomposition._bucket_peel`` run over CSR rows
-    instead of bitmasks."""
+def csr_degeneracy_order_and_cores(graph: CSRGraph) -> tuple[array, array]:
+    """Index-space ``(order, core_numbers)`` over flat buffers.
+
+    The Batagelj–Zaversnik peel of
+    ``repro.graph.core_decomposition._bucket_peel`` with its bucket lists
+    threaded through ``array`` buffers: bucket d is a stack of entries from
+    ``top[d]`` down through ``below``, and entry e holds ``vertex_of[e]``.
+    Pushes, pops and the stale-entry skip are the list buckets' own, so
+    orderings and core numbers are identical.  There is one entry per vertex
+    plus one per degree decrement, at most one per edge.
+    """
     n = graph.vertex_count
+    order = array("q", [0]) * n
+    cores = array("q", [0]) * n
     if n == 0:
-        return [], []
+        return order, cores
     indptr, indices = graph.indptr, graph.indices
-    degrees = [indptr[i + 1] - indptr[i] for i in range(n)]
-    max_degree = max(degrees)
-    buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
-    for index, degree in enumerate(degrees):
-        buckets[degree].append(index)
-    position_removed = [False] * n
-    current_degree = degrees[:]
-    order_indices: list[int] = []
-    core_of_index = [0] * n
-    current_core = 0
-    pointer = 0
-    removed = 0
-    while removed < n:
-        while pointer <= max_degree and not buckets[pointer]:
+    degree = array("q", map(sub, islice(indptr, 1, None), indptr))
+    top = array("q", [-1]) * (max(degree) + 1)
+    capacity = n + len(indices) // 2
+    below = array("q", [0]) * capacity
+    vertex_of = array("q", [0]) * capacity
+    for vertex in range(n):  # ascending, like the list buckets' fill
+        below[vertex] = top[degree[vertex]]
+        top[degree[vertex]] = vertex
+        vertex_of[vertex] = vertex
+    pushed = n
+    core = pointer = position = 0
+    while position < n:
+        entry = top[pointer]
+        if entry < 0:
             pointer += 1
-        vertex = buckets[pointer].pop()
-        if position_removed[vertex] or current_degree[vertex] != pointer:
             continue
-        position_removed[vertex] = True
-        removed += 1
-        current_core = max(current_core, pointer)
-        core_of_index[vertex] = current_core
-        order_indices.append(vertex)
-        for k in range(indptr[vertex], indptr[vertex + 1]):
-            neighbour = indices[k]
-            if position_removed[neighbour]:
-                continue
-            current_degree[neighbour] -= 1
-            new_degree = current_degree[neighbour]
-            buckets[new_degree].append(neighbour)
-            if new_degree < pointer:
-                pointer = new_degree
-    return order_indices, core_of_index
+        top[pointer] = below[entry]
+        vertex = vertex_of[entry]
+        if degree[vertex] != pointer:
+            continue  # stale entry, or already peeled (degree -1)
+        degree[vertex] = -1
+        if pointer > core:
+            core = pointer
+        cores[vertex] = core
+        order[position] = vertex
+        position += 1
+        for neighbour in indices[indptr[vertex]:indptr[vertex + 1]]:
+            d = degree[neighbour] - 1
+            if d < 0:
+                continue  # already peeled
+            degree[neighbour] = d
+            vertex_of[pushed] = neighbour
+            below[pushed] = top[d]
+            top[d] = pushed
+            pushed += 1
+            if d < pointer:
+                pointer = d
+    return order, cores
 
 
 def csr_restricted_degeneracy_order(graph: CSRGraph, mask: int) -> list[int]:

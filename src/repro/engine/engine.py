@@ -88,7 +88,8 @@ _QUERIES = REGISTRY.counter(
     "repro_engine_queries_total",
     "Queries served by MQCEEngine.query, by how they were served")
 
-#: How many per-query records the engine keeps for ``stats()``.
+#: How many recent per-query records ``MQCEEngine.history`` keeps (the
+#: counts in ``stats()`` are running totals, not read from this window).
 HISTORY_LIMIT = 1024
 
 #: Attribute under which a Graph carries its own PreparedGraph.  Attaching the
@@ -130,6 +131,8 @@ class MQCEEngine:
         self.cache = ResultCache(cache_size)
         self.workers = workers
         self.history: deque[QueryRecord] = deque(maxlen=HISTORY_LIMIT)
+        self._plans: Counter[str] = Counter()  # queries served, by algorithm
+        self._queries_cached = 0
         # Sync state: the (version, fingerprint) this engine last saw of each
         # preparation (kept alive by its graph, never by the engine), and one
         # selective-invalidation index per fingerprint.
@@ -420,17 +423,16 @@ class MQCEEngine:
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Engine counters: queries served, cache behaviour, plan mix, syncs."""
-        algorithms = Counter(record.algorithm for record in self.history)
-        cached = sum(1 for record in self.history if record.cached)
+        queries = sum(self._plans.values())
         stats = {
-            "queries": len(self.history),
-            "queries_cached": cached,
-            "queries_executed": len(self.history) - cached,
+            "queries": queries,
+            "queries_cached": self._queries_cached,
+            "queries_executed": queries - self._queries_cached,
             "prepared_graphs": len(self._synced),
             "cache_entries": len(self.cache),
             "cache_capacity": self.cache.capacity,
             "cache": self.cache.stats.as_dict(),
-            "plans_by_algorithm": dict(algorithms),
+            "plans_by_algorithm": dict(self._plans),
             "dynamic": {
                 "indexed_entries": sum(map(len, self._indexes.values())),
                 "updates": self.update_stats.as_dict(),
@@ -495,6 +497,8 @@ class MQCEEngine:
 
     def _record(self, plan: QueryPlan, cached: bool, seconds: float) -> None:
         _QUERIES.inc(served="cache" if cached else "execute")
+        self._plans[plan.algorithm] += 1
+        self._queries_cached += cached
         self.history.append(QueryRecord(
             fingerprint=plan.fingerprint, gamma=plan.gamma, theta=plan.theta,
             algorithm=plan.algorithm, cached=cached, seconds=seconds))
@@ -502,7 +506,7 @@ class MQCEEngine:
     def __repr__(self) -> str:
         return (f"MQCEEngine(prepared={len(self._synced)}, "
                 f"cache={len(self.cache)}/{self.cache.capacity}, "
-                f"queries={len(self.history)})")
+                f"queries={sum(self._plans.values())})")
 
 
 def _require_spec(spec) -> QuerySpec:

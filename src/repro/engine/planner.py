@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
-from ..extensions.parallel import available_cpus
+from ..extensions.parallel import default_workers
 from ..obs.metrics import REGISTRY
 from ..quasiclique.definitions import gamma_fraction
 from .prepared import PreparedGraph
@@ -49,8 +49,6 @@ PARALLEL_MIN_VERTICES = 2048
 #: Observed branch counts above this open the parallel gate even when the
 #: core is small — a 32-vertex core can still hold seconds of enumeration.
 PARALLEL_MIN_BRANCHES = 4096
-#: Cap on the default worker count (the CPUs this process may run on).
-MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -176,9 +174,8 @@ class QueryPlanner:
             reasons.append(f"branching {branching!r} forced by the caller")
 
         # An explicit worker count is honoured as-is; the default is the CPUs
-        # this process may run on, capped by MAX_WORKERS.
-        requested = (workers if workers is not None
-                     else min(MAX_WORKERS, available_cpus()))
+        # this process may run on, capped like ParallelDCFastQC's.
+        requested = workers if workers is not None else default_workers()
         # The parallel gate opens on any of: a core big enough that fan-out is
         # worth it on size alone, observed work (branch counts from a completed
         # run — a tiny core can still hold seconds of enumeration), or an

@@ -68,8 +68,12 @@ _SUBPROBLEM_SIZES = REGISTRY.histogram(
 LAST_PARALLEL_RUN: dict = {}
 
 
+#: Cap on the default worker count.
+MAX_WORKERS = 8
+
+
 def available_cpus() -> int:
-    """CPUs this process may run on: the default worker budget.
+    """CPUs this process may run on.
 
     Reads the scheduler affinity mask, so a CPU-restricted container or a
     ``taskset`` is not oversubscribed the way ``os.cpu_count()`` (every CPU
@@ -79,6 +83,13 @@ def available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
+
+
+def default_workers() -> int:
+    """The worker count when none is given: :func:`available_cpus` capped at
+    :data:`MAX_WORKERS`, both read at call time.  The planner and
+    :class:`ParallelDCFastQC` share it."""
+    return min(MAX_WORKERS, available_cpus())
 
 
 def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
@@ -106,7 +117,7 @@ class ParallelDCFastQC:
 
     Parameters mirror :class:`repro.core.dcfastqc.DCFastQC` (``graph`` may
     be an engine ``PreparedGraph``) plus ``workers`` (process count, default:
-    :func:`available_cpus` capped at 8) and ``steal_schedule`` (a
+    :func:`default_workers`) and ``steal_schedule`` (a
     deterministic steal trigger for tests; default: the idle-worker signal).
 
     With ``workers=1``, ``framework="none"`` (no subproblems to fan out) or
@@ -134,7 +145,7 @@ class ParallelDCFastQC:
         self.framework = framework
         self.max_rounds = max_rounds
         self.maximality_filter = maximality_filter
-        self.workers = workers if workers is not None else min(8, available_cpus())
+        self.workers = workers if workers is not None else default_workers()
         self.steal_schedule = steal_schedule
         self.statistics = SearchStatistics()
         self.mode_selected: str | None = None

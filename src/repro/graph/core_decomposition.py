@@ -23,9 +23,8 @@ def core_numbers(graph: Graph) -> dict[VertexLabel, int]:
     The core number of ``v`` is the largest ``k`` such that ``v`` belongs to
     the ``k``-core (the maximal subgraph with minimum degree >= k).
     """
-    order, cores = _degeneracy_order_and_cores(graph)
-    del order
-    return cores
+    _order, core_of = _peel(graph)
+    return {label: core_of[index] for index, label in enumerate(graph)}
 
 
 def degeneracy(graph: Graph) -> int:
@@ -43,15 +42,14 @@ def degeneracy_ordering(graph: Graph) -> list[VertexLabel]:
     has the property that every vertex has at most ``omega`` neighbours among
     the vertices that come *after* it in the ordering.
     """
-    order, cores = _degeneracy_order_and_cores(graph)
-    del cores
-    return order
+    order, _core_of = _peel(graph)
+    label_of = graph.label_of
+    return [label_of(index) for index in order]
 
 
-def _degeneracy_order_and_cores(graph: Graph) -> tuple[list[VertexLabel], dict[VertexLabel, int]]:
-    n = graph.vertex_count
-    if n == 0:
-        return [], {}
+def _peel(graph: Graph):
+    """The whole graph's peel in index space: ``(order, core_of)``, where
+    ``core_of[i]`` is vertex ``i``'s core number."""
     if getattr(graph, "indptr", None) is not None:
         # CSR-backed graph: run the bucket algorithm over the flat rows.
         # Bitmask rows would transiently materialise O(n^2) bits — exactly
@@ -60,13 +58,8 @@ def _degeneracy_order_and_cores(graph: Graph) -> tuple[list[VertexLabel], dict[V
         # numbers are identical for identical content.
         from ..core.csr import csr_degeneracy_order_and_cores
 
-        order_indices, core_of_index = csr_degeneracy_order_and_cores(graph)
-    else:
-        order_indices, core_of_index = _bucket_peel(graph.adjacency_masks(),
-                                                    graph.full_mask())
-    order = [graph.label_of(i) for i in order_indices]
-    cores = {graph.label_of(i): core_of_index[i] for i in range(n)}
-    return order, cores
+        return csr_degeneracy_order_and_cores(graph)
+    return _bucket_peel(graph.adjacency_masks(), graph.full_mask())
 
 
 def degeneracy_ordering_within(graph: Graph, mask: int) -> list[VertexLabel]:

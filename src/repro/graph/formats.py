@@ -18,15 +18,9 @@ import os
 from typing import TextIO, Union
 
 from .graph import Graph, GraphError
-from .io import _maybe_int
+from .io import _maybe_int, opened
 
 PathLike = Union[str, os.PathLike]
-
-
-def _open_for(path_or_file, mode: str):
-    if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode, encoding="utf-8"), True
 
 
 # ----------------------------------------------------------------------
@@ -34,8 +28,7 @@ def _open_for(path_or_file, mode: str):
 # ----------------------------------------------------------------------
 def read_adjacency_list(path_or_file: Union[PathLike, TextIO], as_int: bool = True) -> Graph:
     """Read an adjacency-list file: ``vertex[:] neighbour neighbour ...`` per line."""
-    handle, should_close = _open_for(path_or_file, "r")
-    try:
+    with opened(path_or_file, "r") as handle:
         graph = Graph()
         for line_number, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -56,21 +49,14 @@ def read_adjacency_list(path_or_file: Union[PathLike, TextIO], as_int: bool = Tr
                     raise GraphError(f"line {line_number}: self-loop on {vertex!r}")
                 graph.add_edge(vertex, neighbour)
         return graph
-    finally:
-        if should_close:
-            handle.close()
 
 
 def write_adjacency_list(graph: Graph, path_or_file: Union[PathLike, TextIO]) -> None:
     """Write the graph as an adjacency list (``v: n1 n2 ...`` per vertex)."""
-    handle, should_close = _open_for(path_or_file, "w")
-    try:
+    with opened(path_or_file, "w") as handle:
         for vertex in graph.vertices():
             neighbours = " ".join(str(n) for n in sorted(graph.neighbors(vertex), key=str))
             handle.write(f"{vertex}: {neighbours}\n")
-    finally:
-        if should_close:
-            handle.close()
 
 
 # ----------------------------------------------------------------------
@@ -94,23 +80,15 @@ def graph_from_json_dict(data: dict) -> Graph:
 
 def read_json_graph(path_or_file: Union[PathLike, TextIO]) -> Graph:
     """Read a graph from a JSON document."""
-    handle, should_close = _open_for(path_or_file, "r")
-    try:
+    with opened(path_or_file, "r") as handle:
         return graph_from_json_dict(json.load(handle))
-    finally:
-        if should_close:
-            handle.close()
 
 
 def write_json_graph(graph: Graph, path_or_file: Union[PathLike, TextIO],
                      indent: int | None = None) -> None:
     """Write a graph as a JSON document."""
-    handle, should_close = _open_for(path_or_file, "w")
-    try:
+    with opened(path_or_file, "w") as handle:
         json.dump(graph_to_json_dict(graph), handle, indent=indent)
-    finally:
-        if should_close:
-            handle.close()
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +96,7 @@ def write_json_graph(graph: Graph, path_or_file: Union[PathLike, TextIO],
 # ----------------------------------------------------------------------
 def read_dimacs(path_or_file: Union[PathLike, TextIO]) -> Graph:
     """Read a DIMACS ``p edge`` file (``c`` comments, ``e u v`` edge lines)."""
-    handle, should_close = _open_for(path_or_file, "r")
-    try:
+    with opened(path_or_file, "r") as handle:
         graph = Graph()
         declared_vertices = None
         for line_number, raw in enumerate(handle, start=1):
@@ -145,16 +122,12 @@ def read_dimacs(path_or_file: Union[PathLike, TextIO]) -> Graph:
         if declared_vertices is None:
             raise GraphError("DIMACS file has no 'p edge' problem line")
         return graph
-    finally:
-        if should_close:
-            handle.close()
 
 
 def write_dimacs(graph: Graph, path_or_file: Union[PathLike, TextIO],
                  comment: str = "") -> None:
     """Write the graph in DIMACS format (vertices renumbered to 1..n)."""
-    handle, should_close = _open_for(path_or_file, "w")
-    try:
+    with opened(path_or_file, "w") as handle:
         if comment:
             for line in comment.splitlines():
                 handle.write(f"c {line}\n")
@@ -162,6 +135,3 @@ def write_dimacs(graph: Graph, path_or_file: Union[PathLike, TextIO],
         index_of = {label: position + 1 for position, label in enumerate(graph.vertices())}
         for u, v in graph.edges():
             handle.write(f"e {index_of[u]} {index_of[v]}\n")
-    finally:
-        if should_close:
-            handle.close()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from typing import TextIO, Union
 
 from .graph import Graph, GraphError
@@ -17,6 +18,17 @@ from .graph import Graph, GraphError
 PathLike = Union[str, os.PathLike]
 
 _COMMENT_PREFIXES = ("%", "#", "//")
+
+
+@contextmanager
+def opened(path_or_file: Union[PathLike, TextIO], mode: str) -> Iterator[TextIO]:
+    """An open file object as given, or the path opened as UTF-8 text (and
+    closed on exit)."""
+    if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
+        yield path_or_file
+    else:
+        with open(path_or_file, mode, encoding="utf-8") as handle:
+            yield handle
 
 
 def iter_edge_list(lines: Iterable[str], directed_duplicates_ok: bool = True
@@ -68,21 +80,14 @@ def read_edge_list(path_or_file: Union[PathLike, TextIO], as_int: bool = True,
         When false, a pair listed twice (either orientation) raises
         :class:`GraphError` naming the line — see :func:`iter_edge_list`.
     """
-    if hasattr(path_or_file, "read"):
-        return _read_edge_lines(path_or_file, as_int, directed_duplicates_ok)
-    with open(path_or_file, "r", encoding="utf-8") as handle:
-        return _read_edge_lines(handle, as_int, directed_duplicates_ok)
-
-
-def _read_edge_lines(handle: Iterable[str], as_int: bool,
-                     directed_duplicates_ok: bool = True) -> Graph:
     graph = Graph()
-    for u, v in iter_edge_list(handle,
-                               directed_duplicates_ok=directed_duplicates_ok):
-        if as_int:
-            u = _maybe_int(u)
-            v = _maybe_int(v)
-        graph.add_edge(u, v)
+    with opened(path_or_file, "r") as handle:
+        for u, v in iter_edge_list(handle,
+                                   directed_duplicates_ok=directed_duplicates_ok):
+            if as_int:
+                u = _maybe_int(u)
+                v = _maybe_int(v)
+            graph.add_edge(u, v)
     return graph
 
 
@@ -92,28 +97,28 @@ def ingest_edge_list(path_or_file: Union[PathLike, TextIO], as_int: bool = True,
 
     Unlike :func:`read_edge_list`, which inserts every edge into the dict /
     full-width-bitmask :class:`Graph` (O(n^2) bits — unusable at the paper's
-    10^5-10^7-vertex dataset sizes), this path interns labels to dense
-    indices as lines stream by, accumulates the endpoints in flat ``array``
-    buffers, and builds a :class:`repro.core.csr.CSRGraph` in one pass; at no
-    point does a per-vertex set, list or bitmask exist.  The returned graph
-    is read-only (mutations raise :class:`GraphError`; ``thaw()`` converts
-    back) and answers queries identically to :func:`read_edge_list` on the
-    same file.
+    10^5-10^7-vertex dataset sizes), this path interns the raw tokens to
+    dense indices as lines stream by (so ``as_int`` converts each distinct
+    label once), accumulates the endpoints in flat ``array`` buffers, and
+    builds a :class:`repro.core.csr.CSRGraph` in one pass; at no point does a
+    per-vertex set, list or bitmask exist.  The returned graph is read-only
+    (mutations raise :class:`GraphError`; ``thaw()`` converts back) and has
+    the vertex order, edges and answers of :func:`read_edge_list` on the same
+    file.
     """
-    if hasattr(path_or_file, "read"):
-        return _ingest_edge_lines(path_or_file, as_int, directed_duplicates_ok)
-    with open(path_or_file, "r", encoding="utf-8") as handle:
-        return _ingest_edge_lines(handle, as_int, directed_duplicates_ok)
+    from ..core.csr import CSRGraph, build_csr_arrays, intern_endpoints
 
-
-def _ingest_edge_lines(handle: Iterable[str], as_int: bool,
-                       directed_duplicates_ok: bool):
-    from ..core.csr import CSRGraph
-
-    pairs = iter_edge_list(handle, directed_duplicates_ok=directed_duplicates_ok)
-    if as_int:
-        pairs = ((_maybe_int(u), _maybe_int(v)) for u, v in pairs)
-    return CSRGraph.from_edge_stream(pairs)
+    tokens: dict[str, int] = {}
+    with opened(path_or_file, "r") as handle:
+        endpoints_u, endpoints_v = intern_endpoints(iter_edge_list(
+            handle, directed_duplicates_ok=directed_duplicates_ok), tokens)
+    # _maybe_int maps distinct tokens to distinct labels, so the index order
+    # carries over.  The token table goes before the graph indexes its labels.
+    labels = list(map(_maybe_int, tokens)) if as_int else list(tokens)
+    tokens.clear()
+    indptr, indices, edge_count = build_csr_arrays(len(labels), endpoints_u,
+                                                   endpoints_v)
+    return CSRGraph(labels, indptr, indices, edge_count=edge_count)
 
 
 def _maybe_int(label: str):
@@ -133,19 +138,11 @@ def _maybe_int(label: str):
 def write_edge_list(graph: Graph, path_or_file: Union[PathLike, TextIO],
                     header: str = "") -> None:
     """Write a graph as a whitespace-separated edge list."""
-    if hasattr(path_or_file, "write"):
-        _write_edge_lines(graph, path_or_file, header)
-        return
-    with open(path_or_file, "w", encoding="utf-8") as handle:
-        _write_edge_lines(graph, handle, header)
-
-
-def _write_edge_lines(graph: Graph, handle: TextIO, header: str) -> None:
-    if header:
+    with opened(path_or_file, "w") as handle:
         for line in header.splitlines():
             handle.write(f"% {line}\n")
-    for u, v in graph.edges():
-        handle.write(f"{u} {v}\n")
+        for u, v in graph.edges():
+            handle.write(f"{u} {v}\n")
 
 
 def read_quasi_cliques(path: PathLike) -> list[frozenset]:

@@ -18,10 +18,20 @@ except ImportError:  # pragma: no cover - Windows
 def peak_rss_bytes() -> int | None:
     """The process's peak resident set size in bytes, or None when unknown.
 
-    ``getrusage`` reports ``ru_maxrss`` in kilobytes on Linux and in bytes on
-    macOS; both are normalised to bytes here.  On platforms without the
-    ``resource`` module (Windows) this is a graceful no-op returning None.
+    On Linux this is ``VmHWM`` from ``/proc/self/status``, the high-water
+    mark of this process's own address space.  ``ru_maxrss`` would also count
+    the address space the process was exec'd from, so a small child of a
+    larger parent would report the parent's peak.  Elsewhere ``getrusage``'s
+    ``ru_maxrss`` is used (kilobytes on Linux, bytes on macOS, normalised to
+    bytes here); without the ``resource`` module (Windows) this returns None.
     """
+    try:
+        with open("/proc/self/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:  # pragma: no cover - non-Linux
+        pass
     if _resource is None:  # pragma: no cover - platform fallback
         return None
     usage = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss

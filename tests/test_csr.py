@@ -9,6 +9,12 @@ same content.  The differential below covers the full dataset registry.
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from array import array
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,11 +57,8 @@ from repro.graph.generators import (
 from repro.extensions.parallel import run_compact_subproblem
 from repro.pipeline.mqce import run_enumeration
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-less CI lane
-    HAVE_NUMPY = False
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def csr_of(graph: Graph) -> CSRGraph:
@@ -171,6 +174,7 @@ def test_copy_shares_buffers_and_matches(pair):
     clone = csr.copy()
     assert isinstance(clone, CSRGraph)
     assert clone.indptr is csr.indptr and clone.indices is csr.indices
+    assert clone._index_of is csr._index_of
     assert clone.vertices() == csr.vertices()
     assert clone.edge_count == csr.edge_count
 
@@ -180,18 +184,14 @@ def test_copy_shares_buffers_and_matches(pair):
 # ----------------------------------------------------------------------
 def test_build_rejects_self_loops_and_bad_shapes():
     with pytest.raises(GraphError, match="self-loop"):
-        build_csr_arrays(3, [0, 1], [0, 2], use_numpy=False)
-    if HAVE_NUMPY:
-        with pytest.raises(GraphError, match="self-loop"):
-            build_csr_arrays(3, [0, 1], [0, 2], use_numpy=True)
+        build_csr_arrays(3, [0, 1], [0, 2])
     with pytest.raises(GraphError, match="self-loops"):
         CSRGraph.from_edge_stream([("a", "a")])
-    indptr, indices, _ = build_csr_arrays(2, [0], [1], use_numpy=False)
+    indptr, indices, _ = build_csr_arrays(2, [0], [1])
     with pytest.raises(GraphError, match="indptr"):
         CSRGraph(["a", "b", "c"], indptr, indices)
     with pytest.raises(GraphError, match="duplicate"):
-        CSRGraph(["a", "a"], build_csr_arrays(2, [0], [1], use_numpy=False)[0],
-                 indices)
+        CSRGraph(["a", "a"], indptr, indices)
 
 
 def test_duplicate_and_reversed_pairs_deduplicate():
@@ -208,19 +208,32 @@ def test_rows_are_sorted_ascending():
     assert row == sorted(row)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-def test_numpy_and_stdlib_builds_are_identical():
-    graph = erdos_renyi_gnm(80, 400, seed=5)
-    endpoints = list(zip(*[(graph.index_of(u), graph.index_of(v))
-                           for u, v in graph.edges()]))
-    for_np = build_csr_arrays(80, endpoints[0], endpoints[1], use_numpy=True)
-    for_py = build_csr_arrays(80, endpoints[0], endpoints[1], use_numpy=False)
-    assert list(for_np[0]) == list(for_py[0])
-    assert list(for_np[1]) == list(for_py[1])
-    assert for_np[2] == for_py[2]
-    # And the returned buffers hold plain Python ints (no numpy scalar
-    # leakage into `1 << width` shifts).
-    assert type(for_np[1][0]) is int
+@st.composite
+def endpoint_pairs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count and index pairs, some repeated in either orientation."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=120))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    return n, pairs + [(v, u) for u, v in repeats]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=endpoint_pairs())
+def test_counting_sort_build_matches_dict_graph(case):
+    """Offsets, sorted rows and edge count equal the dict graph's adjacency,
+    whatever the order, orientation and repetition of the pairs."""
+    n, pairs = case
+    indptr, indices, edge_count = build_csr_arrays(
+        n, array("q", [u for u, _ in pairs]), array("q", [v for _, v in pairs]))
+    graph = Graph(pairs, vertices=range(n))
+    rows = [sorted(graph.adjacency_set(i)) for i in range(n)]
+    assert list(indptr) == [0, *accumulate(map(len, rows))]
+    assert list(indices) == [j for row in rows for j in row]
+    assert edge_count == graph.edge_count
 
 
 def test_empty_and_isolated_vertices():
@@ -235,8 +248,7 @@ def test_empty_and_isolated_vertices():
 
 
 def test_from_csr_classmethod_builds_csr_graph():
-    indptr, indices, edge_count = build_csr_arrays(3, [0, 1], [1, 2],
-                                                   use_numpy=False)
+    indptr, indices, edge_count = build_csr_arrays(3, [0, 1], [1, 2])
     graph = Graph.from_csr(["a", "b", "c"], indptr, indices,
                            edge_count=edge_count)
     assert isinstance(graph, CSRGraph)
@@ -252,6 +264,18 @@ def test_degeneracy_machinery_matches(pair):
     assert degeneracy_ordering(csr) == degeneracy_ordering(graph)
     assert core_numbers(csr) == core_numbers(graph)
     assert degeneracy(csr) == degeneracy(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=0, max_value=40),
+       p=st.sampled_from([0.1, 0.25, 0.5, 0.8]),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_flat_buffer_peel_matches_the_bitmask_peel(n, p, seed):
+    """Same ordering (every tie-break included) and core numbers."""
+    graph = erdos_renyi_gnp(n, p, seed=seed)
+    csr = csr_of(graph)
+    assert degeneracy_ordering(csr) == degeneracy_ordering(graph)
+    assert core_numbers(csr) == core_numbers(graph)
 
 
 def test_components_and_connectivity_match():
@@ -606,8 +630,33 @@ def test_ingest_answers_match_read_edge_list():
     dict_graph = read_edge_list(io.StringIO(text))
     csr_graph = ingest_edge_list(io.StringIO(text))
     assert isinstance(csr_graph, CSRGraph)
+    # The vertex order fixes the index space, and with it every tie-break.
+    assert csr_graph.vertices() == dict_graph.vertices()
+    assert set(map(frozenset, csr_graph.edges())) == \
+        set(map(frozenset, dict_graph.edges()))
     query = QuerySpec(gamma=0.9, theta=4)
     expected = run_enumeration(dict_graph, query)
     actual = run_enumeration(csr_graph, query)
     assert set(actual.maximal_quasi_cliques) == \
         set(expected.maximal_quasi_cliques)
+
+
+def test_ingest_prepare_and_query_import_no_numpy(tmp_path):
+    """The CSR tier is stdlib-only: loading, preparing and querying a graph
+    never imports numpy, even where it is installed."""
+    path = tmp_path / "graph.edges"
+    write_edge_list(planted_quasi_clique_graph(200, 400, [12], 0.9, seed=3), path)
+    script = (
+        "import sys\n"
+        "from repro import MQCEEngine, QuerySpec\n"
+        "from repro.engine.prepared import PreparedGraph\n"
+        "from repro.graph.io import ingest_edge_list\n"
+        f"prepared = PreparedGraph(ingest_edge_list({str(path)!r})).prepare()\n"
+        "result = MQCEEngine(workers=1).query(prepared, QuerySpec(0.9, 8))\n"
+        "print(len(result.maximal_quasi_cliques), 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, check=True)
+    answers, numpy_loaded = completed.stdout.split()
+    assert int(answers) > 0
+    assert numpy_loaded == "False"

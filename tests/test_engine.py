@@ -17,6 +17,7 @@ from repro.engine import (
     graph_fingerprint,
     prepare_graph,
 )
+from repro.engine.engine import HISTORY_LIMIT
 from repro.extensions.topk import largest_quasi_clique_size
 from repro.graph import core_numbers
 from repro.quasiclique.definitions import ParameterError
@@ -211,6 +212,22 @@ class TestMQCEEngineQueries:
         stats = engine.stats()
         assert stats["queries"] == 2
         assert stats["queries_cached"] == 1
+
+    def test_query_counts_keep_running_past_the_history_window(self):
+        engine = MQCEEngine()
+        prepared = load_prepared("twitter")
+        spec = QuerySpec(0.9, 4)
+        total = HISTORY_LIMIT + 76
+        for _ in range(total):
+            engine.query(prepared, spec)
+        stats = engine.stats()
+        assert len(engine.history) == HISTORY_LIMIT
+        assert (stats["queries"], stats["queries_cached"],
+                stats["queries_executed"]) == (total, total - 1, 1)
+        assert (engine.cache.stats.hits, engine.cache.stats.misses) == (total - 1, 1)
+        algorithm = engine.explain(prepared, spec).algorithm
+        assert stats["plans_by_algorithm"] == {algorithm: total}
+        assert f"queries={total})" in repr(engine)
 
     def test_cached_result_copies_are_defensive(self):
         spec = get_spec("twitter")

@@ -21,6 +21,32 @@ EDGE_FILE = """\
 """
 
 
+#: Every edge-list corner at once: the three comment styles, blank and
+#: whitespace-only lines, commas, extra columns, a self-loop, the labels
+#: "01", "+1" and "1" (distinct: only "1" is canonical), and a repeated pair
+#: plus its reverse.  Line 12 repeats line 9's pair reversed.
+CORNER_CASES = """\
+% KONECT header
+# another comment
+
+// slash comment
+5 01 0.5
++1,1
+   \t
+3 3
+1 5 9 extra
+a,b
+01 a
+5 1
+b a
+a b
+"""
+
+
+def edge_set(graph: Graph) -> set[frozenset]:
+    return set(map(frozenset, graph.edges()))
+
+
 class TestReadEdgeList:
     def test_reads_basic_file(self, tmp_path):
         path = tmp_path / "graph.txt"
@@ -151,9 +177,31 @@ class TestStreamingIngestion:
         text = "% comment\n1 2 9.5\n2 3\n01 3\na b\n3 3\n"
         dict_graph = read_edge_list(io.StringIO(text))
         csr_graph = ingest_edge_list(io.StringIO(text))
-        assert set(csr_graph.vertices()) == set(dict_graph.vertices())
-        assert set(map(frozenset, csr_graph.edges())) == \
-            set(map(frozenset, dict_graph.edges()))
+        assert csr_graph.vertices() == dict_graph.vertices()
+        assert edge_set(csr_graph) == edge_set(dict_graph)
+
+    @pytest.mark.parametrize("as_int, labels", [
+        (True, [5, "01", "+1", 1, "a", "b"]),
+        (False, ["5", "01", "+1", "1", "a", "b"]),
+    ])
+    def test_both_readers_agree_on_every_corner(self, as_int, labels):
+        """Same vertex order (the index space, hence every tie-break), same
+        labels and same edges through both readers."""
+        from repro.graph.io import ingest_edge_list
+
+        dict_graph = read_edge_list(io.StringIO(CORNER_CASES), as_int=as_int)
+        csr_graph = ingest_edge_list(io.StringIO(CORNER_CASES), as_int=as_int)
+        assert dict_graph.vertices() == csr_graph.vertices() == labels
+        assert edge_set(csr_graph) == edge_set(dict_graph)
+        assert csr_graph.edge_count == dict_graph.edge_count == 5
+
+    @pytest.mark.parametrize("reader", ["read_edge_list", "ingest_edge_list"])
+    def test_both_readers_reject_the_same_duplicate_line(self, reader):
+        from repro.graph import io as io_module
+
+        with pytest.raises(GraphError, match=r"^line 12: duplicate edge '5' -- '1'$"):
+            getattr(io_module, reader)(io.StringIO(CORNER_CASES),
+                                       directed_duplicates_ok=False)
 
     def test_ingest_respects_flags(self):
         from repro.graph.io import ingest_edge_list

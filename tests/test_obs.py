@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ from repro.obs import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.pipeline.mqce import run_enumeration
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -526,6 +533,17 @@ class TestProcess:
         rss = peak_rss_bytes()
         if rss is not None:
             assert rss > 1024 * 1024  # any python process exceeds 1 MB
+
+    def test_a_child_reports_its_own_peak_rss_not_its_parents(self):
+        """A small process started by a large one reports its own peak."""
+        ballast = bytearray(b"x") * (64 << 20)  # resident: every byte written
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.run(
+            [sys.executable, "-c", "from repro.obs.process import peak_rss_bytes; "
+             "print(peak_rss_bytes())"],
+            env=env, capture_output=True, text=True, check=True)
+        assert int(child.stdout) < len(ballast) < peak_rss_bytes()
+        del ballast
 
     def test_statistics_as_dict_reports_peak_rss(self):
         data = SearchStatistics().as_dict()

@@ -31,6 +31,7 @@ from repro.core.dcfastqc import DCFastQC
 from repro.core.fastqc import FastQC
 from repro.core.stats import SizeHistogram
 import repro.engine.planner as planner_module
+import repro.extensions.parallel as parallel_module
 from repro.engine.planner import QueryPlanner
 from repro.engine.prepared import PreparedGraph
 from repro.extensions.parallel import ParallelDCFastQC, run_compact_subproblem
@@ -349,7 +350,7 @@ class TestPlannerModeSelection:
     @staticmethod
     def _gate(monkeypatch, min_vertices):
         monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", min_vertices)
-        monkeypatch.setattr(planner_module, "MAX_WORKERS", 4)
+        monkeypatch.setattr(parallel_module, "MAX_WORKERS", 4)
         return QueryPlanner()
 
     def test_every_fan_out_plan_runs_branch_mode(self, graph, monkeypatch):
@@ -392,11 +393,23 @@ class TestPlannerModeSelection:
         assert by_work.parallel
         assert "an observed run explored 50000 branches" in by_work.describe()
 
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_one_cap_sets_both_default_worker_counts(self, graph, monkeypatch,
+                                                     cap):
+        """A planned query and a directly built runner default to the same
+        worker count, so patching the one cap moves both."""
+        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 16)
+        monkeypatch.setattr(parallel_module, "MAX_WORKERS", cap)
+        assert ParallelDCFastQC(graph, GAMMA, THETA).workers == cap
+        plan = QueryPlanner().plan(PreparedGraph(graph),
+                                   QuerySpec(GAMMA, THETA, parallel="branch"))
+        assert plan.workers == cap and plan.parallel == (cap > 1)
+
     @pytest.mark.parametrize("workers", [2, None])
     def test_declined_reason_names_both_gates(self, graph, monkeypatch,
                                               workers):
         # Default workers are the affinity CPUs: make that 2 on any host.
-        monkeypatch.setattr(planner_module, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel_module, "available_cpus", lambda: 2)
         engine = MQCEEngine(workers=workers)
         prepared = PreparedGraph(graph)
         spec = QuerySpec(GAMMA, THETA)
