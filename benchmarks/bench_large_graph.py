@@ -3,8 +3,8 @@
 The PR-8 acceptance bar: a generated power-law graph must ingest through
 :func:`repro.graph.io.ingest_edge_list` and answer one budgeted enumerate
 query with a peak-RSS delta under 20% of what the dict/full-width-bitmask
-:class:`repro.Graph` needs for the same file and query (floor
-``MIN_RSS_RATIO`` = 5x).  Peak RSS is a process-wide high-water mark, so the
+:class:`repro.Graph` needs for the same file and query; the floor has since
+risen to ``MIN_RSS_RATIO`` = 8.5x (CSR under 12%).  Peak RSS is a process-wide high-water mark, so the
 measurement itself lives in ``scripts/bench_trajectory.py`` (the
 ``large-graph`` suite recorded into ``BENCH_core.json``) and runs each
 backend in its own subprocess; this file reuses that suite so the benchmark
@@ -33,10 +33,12 @@ from bench_trajectory import (  # noqa: E402
     run_large_graph_suite,
 )
 
-#: CSR peak-RSS delta under 20% of the dict delta.  The numpy-free build,
+#: CSR peak-RSS delta under 12% of the dict delta.  The numpy-free build,
 #: the single label index and the flat-buffer core peel took the quick row
-#: from 4.8x to about 8x; a numpy import alone (~11 MB) breaks this floor.
-MIN_RSS_RATIO = 5.0
+#: from 4.8x to about 8x (7.6x-8.0x, CSR delta 7.6-8.0 MB); array labels, the
+#: hash-sorted label index and index-space core numbers took it to 9.8x
+#: (6.1 MB).  A numpy import alone (~11 MB) breaks this floor.
+MIN_RSS_RATIO = 8.5
 
 _cache: dict | None = None
 
@@ -52,7 +54,7 @@ def _suite_record() -> dict:
 
 
 def test_csr_peak_rss_under_a_fifth_of_dict():
-    """Ingest + budgeted query: CSR must peak under 20% of the dict backend."""
+    """Ingest + budgeted query: CSR must peak under 12% of the dict backend."""
     record = _suite_record()
     for name, row in record["datasets"].items():
         print(f"\n{name}: dict {row['dict_rss_mb']} MB vs CSR "
@@ -61,7 +63,7 @@ def test_csr_peak_rss_under_a_fifth_of_dict():
         assert row["speedup"] >= MIN_RSS_RATIO, (
             f"{name}: CSR peak-RSS delta is {row['csr_rss_mb']} MB vs dict "
             f"{row['dict_rss_mb']} MB — only {row['speedup']}x apart "
-            f"(floor {MIN_RSS_RATIO}x = CSR under 20%)")
+            f"(floor {MIN_RSS_RATIO}x = CSR under 12%)")
 
 
 def test_ingest_is_not_slower_than_the_dict_builder():

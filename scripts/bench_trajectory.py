@@ -49,7 +49,7 @@ Usage::
 core datasets beat the oracle's reference enumerator by the given factor;
 ``--assert-quickplus-speedup``, ``--assert-warm-speedup``,
 ``--assert-dynamic-speedup`` and ``--assert-rss-speedup`` do the same for
-the other suites (an RSS floor of 5 asserts CSR peaks under 20% of dict).
+the other suites (an RSS floor of 8.5 asserts CSR peaks under 12% of dict).
 ``--assert-branch-speedup`` checks the skewed parallel row's wall-clock
 speedup over sequential; when the run had fewer affinity CPUs than workers it
 prints ``skipped: N affinity CPUs < W workers`` instead.  The CI
@@ -660,7 +660,7 @@ def main(argv=None) -> int:
     parser.add_argument("--assert-rss-speedup", type=float, default=None,
                         metavar="FLOOR",
                         help="large-graph suite: dict peak-RSS delta must exceed "
-                        "the CSR delta by this factor (5 = CSR under 20%%)")
+                        "the CSR delta by this factor (8.5 = CSR under 12%%)")
     parser.add_argument("--assert-branch-speedup", type=float, default=None,
                         metavar="FLOOR",
                         help="parallel suite: branch mode's wall-clock speedup "

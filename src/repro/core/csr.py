@@ -31,10 +31,24 @@ O(n^2 / 64); subproblem extraction and connectivity walk the same rows
 through code both backends share (:func:`repro.graph.subgraph.ball_and_halo`,
 :func:`repro.graph.subgraph.connected_components`).
 
-Loading stays O(V + E) too: :func:`build_csr_arrays` is one counting sort
-into ``array('q')`` buffers (no per-entry Python object survives it), a graph
-keeps the label index its builder interned, and the core peel runs over flat
-buffers.  The module uses the standard library only.
+Per-vertex state lives in flat buffers too, so a graph holds no Python
+object per vertex:
+
+* **labels** — one ``array('q')`` when every label is an ``int`` that fits in
+  64 bits (8 bytes a label, read back as equal ints), else a list;
+* **the label index** — two ``array('q')`` buffers: every label's ``hash``
+  sorted ascending, and the vertex index of each (16 bytes a vertex, against
+  ~80 for a ``{label: index}`` dict).  A lookup bisects the hash, then
+  compares labels within the run of equal hashes, so it has a dict's
+  semantics for any hashable label (``1.0`` and ``True`` find ``1``; int and
+  str labels mix) at O(log n).  The hash order is process-local — str hashes
+  are salted per process — which is safe because a graph reaches another
+  process only by fork (the work-stealing workers), never by pickling.
+
+Loading stays O(V + E): :func:`build_csr_arrays` is one counting sort into
+``array('q')`` buffers (no per-entry Python object survives it), the intern
+table is dropped before the label index is built, and the core peel runs
+over flat buffers.  The module uses the standard library only.
 """
 
 from __future__ import annotations
@@ -43,16 +57,18 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, islice
-from operator import sub
+from itertools import accumulate, compress, islice
+from operator import eq, sub
 
 from ..graph.graph import Graph, GraphError, VertexLabel
 
-#: Bounded LRU capacity of the lazily materialised adjacency bitmasks.  At
-#: 10^5 vertices one mask is ~12.5 KB, so the cache tops out around 13 MB —
-#: enough to keep a whole shrink phase's ball resident without ever scaling
-#: with |V| * |V|.
+#: Bounds of the LRU of lazily materialised adjacency bitmasks: at most
+#: ``MASK_CACHE`` masks — enough to keep a whole shrink phase's ball resident
+#: — and at most ``MASK_CACHE_BYTES``, each mask counted at its full width of
+#: |V|/8 bytes.  The byte budget binds above 10^5 vertices, so the cache
+#: never holds more than 12.8 MB, whatever |V|.
 MASK_CACHE = 1024
+MASK_CACHE_BYTES = MASK_CACHE * 100_000 // 8
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +137,56 @@ def intern_endpoints(pairs: Iterable[tuple[VertexLabel, VertexLabel]],
         endpoints_u.append(index_of.setdefault(a, len(index_of)))
         endpoints_v.append(index_of.setdefault(b, len(index_of)))
     return endpoints_u, endpoints_v
+
+
+def label_storage(labels: Iterable[VertexLabel]) -> array | list[VertexLabel]:
+    """``labels`` as one ``array('q')`` when every label is an ``int`` that
+    fits in 64 bits, else as a list (an ``array('q')`` is kept as given).
+
+    ``bool`` and other ``int`` subclasses keep the list, so every label reads
+    back equal to, and of the type of, the label given.
+    """
+    if isinstance(labels, array) and labels.typecode == "q":
+        return labels
+    storage = array("q")
+    labels = iter(labels)
+    for label in labels:
+        if type(label) is int:
+            try:
+                storage.append(label)
+                continue
+            except OverflowError:
+                pass
+        return [*storage, label, *labels]
+    return storage
+
+
+def hash_index(labels) -> tuple[array, array]:
+    """The label index of ``labels``: ``(hashes, positions)``, every label's
+    ``hash`` sorted ascending and the vertex index of each.
+
+    Equal labels hash equally, so a duplicate sits in the run of equal
+    hashes before it; one raises :class:`GraphError`.
+    """
+    codes = list(map(hash, labels))
+    positions = array("q", sorted(range(len(codes)), key=codes.__getitem__))
+    hashes = array("q", map(codes.__getitem__, positions))
+    for k in compress(range(1, len(hashes)), map(eq, islice(hashes, 1, None), hashes)):
+        label = labels[positions[k]]
+        j = k - 1
+        while j >= 0 and hashes[j] == hashes[k]:
+            other = labels[positions[j]]
+            if other is label or other == label:
+                raise GraphError(f"duplicate label {label!r} in CSR construction")
+            j -= 1
+    return hashes, positions
+
+
+def _int64(buffer) -> array:
+    """``buffer`` as an ``array('q')``, copied only when it is not one."""
+    if isinstance(buffer, array) and buffer.typecode == "q":
+        return buffer
+    return array("q", buffer)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +265,9 @@ class CSRGraph(Graph):
     materialises per-vertex containers), :meth:`Graph.from_csr`, or directly
     from prebuilt ``indptr`` / ``indices`` buffers (rows must be sorted
     ascending and symmetric — trusted, like
-    :meth:`Graph.from_dense_adjacency`).
+    :meth:`Graph.from_dense_adjacency`; ``array('q')`` buffers, and an
+    ``array('q')`` of labels, are kept as given, anything else is copied into
+    one).
 
     The graph is immutable: all mutators raise :class:`GraphError`.  Use
     :meth:`thaw` to obtain a mutable dict/bitmask copy (O(n^2)-bit memory —
@@ -208,24 +276,21 @@ class CSRGraph(Graph):
 
     def __init__(self, labels: Iterable[VertexLabel], indptr, indices, *,
                  edge_count: int | None = None) -> None:
-        labels = list(labels)
-        index_of = {label: index for index, label in enumerate(labels)}
-        if len(index_of) != len(labels):
-            raise GraphError("duplicate labels in CSR construction")
-        self._install(labels, index_of, indptr, indices, edge_count)
+        labels = label_storage(labels)
+        self._install(labels, *hash_index(labels), _int64(indptr),
+                      _int64(indices), edge_count)
 
     @classmethod
-    def _adopt(cls, labels: list[VertexLabel], index_of: dict[VertexLabel, int],
-               indptr, indices, edge_count: int | None) -> "CSRGraph":
-        """A graph that keeps ``labels`` and their ``index_of`` as given: how
-        :meth:`from_edge_stream` hands over its intern table and :meth:`copy`
-        shares the index."""
+    def _adopt(cls, labels, hashes: array, positions: array, indptr, indices,
+               edge_count: int | None) -> "CSRGraph":
+        """A graph that shares ``labels``, their index and the rows as given
+        (how :meth:`copy` shares them)."""
         graph = cls.__new__(cls)
-        graph._install(labels, index_of, indptr, indices, edge_count)
+        graph._install(labels, hashes, positions, indptr, indices, edge_count)
         return graph
 
-    def _install(self, labels: list[VertexLabel], index_of: dict[VertexLabel, int],
-                 indptr, indices, edge_count: int | None) -> None:
+    def _install(self, labels, hashes: array, positions: array, indptr, indices,
+                 edge_count: int | None) -> None:
         super().__init__()
         n = len(labels)
         if len(indptr) != n + 1:
@@ -235,7 +300,9 @@ class CSRGraph(Graph):
             raise GraphError(f"indptr[-1] = {indptr[n]} does not match "
                              f"{len(indices)} neighbour entries")
         self._labels = labels
-        self._index_of = index_of
+        self._index_of = None  # the hash index replaces the dict graph's dict
+        self._hashes = hashes
+        self._positions = positions
         self.indptr = indptr
         self.indices = indices
         self._edge_count = len(indices) // 2 if edge_count is None else edge_count
@@ -254,17 +321,19 @@ class CSRGraph(Graph):
         ``vertices`` first, matching ``Graph(edges, vertices=...)``), and the
         endpoints accumulate in flat ``array('q')`` buffers — at no point does
         a per-vertex set, list or bitmask exist, so peak memory is O(V + E).
-        The intern table becomes the graph's label index.  Duplicate pairs
-        are deduplicated; self-loops raise.
+        The intern table goes before the graph indexes its labels.  Duplicate
+        pairs are deduplicated; self-loops raise.
         """
         index_of: dict[VertexLabel, int] = {}
         if vertices is not None:
             for label in vertices:
                 index_of.setdefault(label, len(index_of))
-        endpoints_u, endpoints_v = intern_endpoints(pairs, index_of)
-        indptr, indices, edge_count = build_csr_arrays(
-            len(index_of), endpoints_u, endpoints_v)
-        return cls._adopt(list(index_of), index_of, indptr, indices, edge_count)
+        endpoints = intern_endpoints(pairs, index_of)
+        labels = label_storage(index_of)
+        del index_of
+        indptr, indices, edge_count = build_csr_arrays(len(labels), *endpoints)
+        del endpoints
+        return cls(labels, indptr, indices, edge_count=edge_count)
 
     # ------------------------------------------------------------------
     # Frozen mutation surface
@@ -313,7 +382,8 @@ class CSRGraph(Graph):
         return set(self.indices[self.indptr[index]:self.indptr[index + 1]])
 
     def adjacency_mask(self, index: int) -> int:
-        """Neighbour bitmask of a vertex, built lazily and LRU-cached."""
+        """Neighbour bitmask of a vertex, built lazily and LRU-cached within
+        :data:`MASK_CACHE` masks and :data:`MASK_CACHE_BYTES`."""
         if index < 0:
             index += len(self._labels)
         cache = self._mask_cache
@@ -328,7 +398,8 @@ class CSRGraph(Graph):
             buffer[j >> 3] |= 1 << (j & 7)
         mask = int.from_bytes(buffer, "little")
         cache[index] = mask
-        if len(cache) > MASK_CACHE:
+        while cache and (len(cache) > MASK_CACHE
+                         or len(cache) * self._mask_nbytes > MASK_CACHE_BYTES):
             cache.popitem(last=False)
         return mask
 
@@ -368,23 +439,43 @@ class CSRGraph(Graph):
         return result
 
     def has_edge(self, u: VertexLabel, v: VertexLabel) -> bool:
-        i = self._index_of.get(u)
-        j = self._index_of.get(v)
-        if i is None or j is None:
+        i = self._find(u)
+        j = self._find(v)
+        if i < 0 or j < 0:
             return False
         lo, hi = self.indptr[i], self.indptr[i + 1]
         k = bisect_left(self.indices, j, lo, hi)
         return k < hi and self.indices[k] == j
 
+    def _find(self, label: VertexLabel) -> int:
+        """Index of ``label``, or -1: bisect its hash, then compare labels
+        within the run of equal hashes (a dict's key test)."""
+        hashes = self._hashes
+        code = hash(label)
+        k = bisect_left(hashes, code)
+        while k < len(hashes) and hashes[k] == code:
+            index = self._positions[k]
+            other = self._labels[index]
+            if other is label or other == label:
+                return index
+            k += 1
+        return -1
+
+    def index_of(self, label: VertexLabel) -> int:
+        index = self._find(label)
+        if index < 0:
+            raise GraphError(f"unknown vertex {label!r}")
+        return index
+
+    def __contains__(self, label: VertexLabel) -> bool:
+        return self._find(label) >= 0
+
     def mask_of(self, labels: Iterable[VertexLabel]) -> int:
-        """Bitmask of a label collection via one byte buffer (O(n/8 + k))."""
+        """Bitmask of a label collection via one byte buffer (O(n/8 + k log n))."""
         buffer = bytearray(self._mask_nbytes)
-        index_of = self._index_of
+        index_of = self.index_of
         for label in labels:
-            try:
-                i = index_of[label]
-            except KeyError:
-                raise GraphError(f"unknown vertex {label!r}") from None
+            i = index_of(label)
             buffer[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(buffer, "little")
 
@@ -393,9 +484,9 @@ class CSRGraph(Graph):
         return frozenset(labels[i] for i in iter_mask_indices(mask))
 
     def copy(self) -> "CSRGraph":
-        """Cheap copy sharing the immutable CSR buffers and the label index."""
-        return CSRGraph._adopt(self._labels, self._index_of, self.indptr,
-                               self.indices, self._edge_count)
+        """Cheap copy sharing the immutable CSR buffers, labels and label index."""
+        return CSRGraph._adopt(self._labels, self._hashes, self._positions,
+                               self.indptr, self.indices, self._edge_count)
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.vertex_count}, |E|={self.edge_count})"

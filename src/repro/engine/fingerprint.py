@@ -1,11 +1,13 @@
 """Content fingerprints for graphs, used as cache keys by the query engine.
 
 A fingerprint is a SHA-256 digest over a canonical serialisation of the graph:
-the vertex labels in index order followed by the edge list as sorted index
-pairs.  Two :class:`~repro.graph.graph.Graph` objects that hold the same
-labelled vertices and edges (regardless of insertion order of the *edges*)
-produce the same fingerprint; graphs that differ in any vertex or edge do not,
-up to hash collisions.
+the vertex labels in index order followed by the adjacency in CSR form, as
+int64 buffers.  Two :class:`~repro.graph.graph.Graph` objects that hold the
+same labelled vertices and edges (regardless of insertion order of the
+*edges*, and of the backend: a :class:`~repro.core.csr.CSRGraph` and its
+``thaw()`` agree) produce the same fingerprint; graphs that differ in any
+vertex or edge do not, up to hash collisions.  Digests are per-process cache
+keys: the buffers are hashed in native byte order.
 
 Labels are serialised with ``repr``, so labels must have a stable ``repr``
 (true for the strings/ints used throughout the library).  Vertex *index*
@@ -26,6 +28,9 @@ a 2^-128 event, negligible for an in-process result cache.
 from __future__ import annotations
 
 import hashlib
+from array import array
+from collections.abc import Iterator
+from itertools import accumulate
 
 from ..graph.graph import Graph
 
@@ -40,20 +45,31 @@ _ACC_BYTES = 16
 def graph_fingerprint(graph: Graph, length: int = FINGERPRINT_LENGTH) -> str:
     """Return a hex content fingerprint of ``graph``.
 
-    The digest covers the vertex count, every label in index order and every
-    edge as an ``i < j`` index pair in lexicographic order, so it is invariant
-    to edge insertion order but sensitive to any content change.
+    The digest covers the vertex and edge counts, every label's ``repr`` in
+    index order and the adjacency rows (:func:`_csr_rows`), so it is
+    invariant to edge insertion order but sensitive to any content change.
     """
     hasher = hashlib.sha256()
     hasher.update(f"V:{graph.vertex_count};E:{graph.edge_count};".encode())
-    for label in graph.vertices():
-        hasher.update(repr(label).encode())
-        hasher.update(b"\x00")
-    for i in range(graph.vertex_count):
-        for j in sorted(graph.adjacency_set(i)):
-            if i < j:
-                hasher.update(f"{i},{j};".encode())
+    hasher.update("\x00".join(map(repr, graph)).encode())
+    hasher.update(b"\x00")
+    for buffer in _csr_rows(graph):
+        hasher.update(buffer)
     return hasher.hexdigest()[:length]
+
+
+def _csr_rows(graph: Graph) -> Iterator:
+    """The adjacency as int64 buffers: the ``n + 1`` row offsets, then the
+    rows sorted ascending — a CSR graph's own arrays read in place, or the
+    same bytes from a dict graph's sorted sets."""
+    if getattr(graph, "indptr", None) is not None:
+        yield memoryview(graph.indptr)
+        yield memoryview(graph.indices)
+        return
+    rows = [graph.adjacency_set(i) for i in range(graph.vertex_count)]
+    yield array("q", accumulate(map(len, rows), initial=0))
+    for row in rows:
+        yield array("q", sorted(row))
 
 
 def _element_hash(data: bytes) -> int:

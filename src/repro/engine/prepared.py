@@ -23,10 +23,12 @@ current content.  A replay patches these artifacts:
   (:func:`~repro.engine.fingerprint.graph_fingerprint`), combined with an
   :class:`~repro.engine.fingerprint.IncrementalFingerprint` of the edits since;
   the SHA alone while no edit is pending, so a revert restores the old key;
-* **core numbers** — exact at every version: after a single edge record the
-  traversal of Sarıyüce et al. ("Streaming Algorithms for k-core
-  Decomposition", VLDB 2013) re-derives the few vertices whose core moves, and
-  the memoized per-threshold core masks follow them.
+* **core numbers** — one index-space array (``cores[i]`` is vertex ``i``'s),
+  exact at every version: after a single edge record the traversal of
+  Sarıyüce et al. ("Streaming Algorithms for k-core Decomposition", VLDB
+  2013) re-derives the few vertices whose core moves, patching them by index,
+  and the memoized per-threshold core masks follow them.
+  :attr:`PreparedGraph.core_numbers` is a read-only label-keyed view of it.
 
 The degeneracy is re-derived from the cores on its next read.  The cores
 themselves are dropped, and recomputed exactly on their next read, when the
@@ -37,10 +39,12 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections.abc import Iterator, Mapping
 
 from ..core.stats import SizeHistogram
-from ..graph.core_decomposition import core_numbers
-from ..graph.graph import Graph, VertexLabel, iter_bits
+from ..graph.core_decomposition import core_numbers_by_index
+from ..graph.graph import Graph, GraphError, VertexLabel, iter_bits
 from ..quasiclique.definitions import degree_threshold, gamma_fraction
 from .fingerprint import IncrementalFingerprint, graph_fingerprint
 
@@ -48,6 +52,9 @@ from .fingerprint import IncrementalFingerprint, graph_fingerprint
 ARTIFACTS = ("fingerprint", "core_numbers", "degeneracy")
 
 _EDGE_OPS = ("add_edge", "remove_edge")
+
+#: Maps flag bytes 0 / 1 to the binary digits "0" / "1".
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class PreparedGraph:
@@ -103,9 +110,15 @@ class PreparedGraph:
         return self._artifact("fingerprint")
 
     @property
-    def core_numbers(self) -> dict[VertexLabel, int]:
-        """Core number of every vertex (Batagelj–Zaversnik, then maintained)."""
-        return self._artifact("core_numbers")
+    def core_numbers(self) -> "CoreNumbers":
+        """Core number of every vertex (Batagelj–Zaversnik, then maintained).
+
+        A read-only label-keyed view of the index-space array: it follows the
+        graph's mutations and compares equal to
+        :func:`~repro.graph.core_decomposition.core_numbers` of the graph.
+        """
+        self._artifact("core_numbers")
+        return CoreNumbers(self)
 
     @property
     def degeneracy(self) -> int:
@@ -117,11 +130,11 @@ class PreparedGraph:
         self._edits = IncrementalFingerprint()
         return self._base_fingerprint
 
-    def _compute_core_numbers(self) -> dict[VertexLabel, int]:
-        return core_numbers(self.graph)
+    def _compute_core_numbers(self) -> array:
+        return core_numbers_by_index(self.graph)
 
     def _compute_degeneracy(self) -> int:
-        return max(self.core_numbers.values(), default=0)
+        return max(self._artifact("core_numbers"), default=0)
 
     # ------------------------------------------------------------------
     # Parameter-dependent artifacts (memoized per threshold)
@@ -141,11 +154,9 @@ class PreparedGraph:
         """Bitmask of the vertices of core >= ``threshold``, memoized."""
         mask = self._core_masks.get(threshold)
         if mask is None:
-            if threshold <= 0:
-                mask = self.graph.full_mask()
-            else:
-                mask = self.graph.mask_of(
-                    v for v, core in self.core_numbers.items() if core >= threshold)
+            # One flag byte per vertex, highest index first, read as binary.
+            flags = bytes(map(threshold.__le__, reversed(self._artifact("core_numbers"))))
+            mask = int(flags.translate(_BINARY_DIGITS) or b"0", 2)
             self._core_masks[threshold] = mask
         return mask
 
@@ -212,7 +223,7 @@ class PreparedGraph:
             self._core_masks.clear()
         self._artifacts = kept
 
-    def _patched_cores(self, mutation) -> dict[VertexLabel, int]:
+    def _patched_cores(self, mutation) -> array:
         """Move the core numbers (and the threshold masks) across one edge record.
 
         Only vertices of core ``k = min(core(u), core(v))`` can move, by one.
@@ -225,13 +236,13 @@ class PreparedGraph:
         """
         graph = self.graph
         cores = self._artifacts["core_numbers"]
-        u, v = mutation.u, mutation.v
-        k = min(cores[u], cores[v])
+        ends = (graph.index_of(mutation.u), graph.index_of(mutation.v))
+        k = min(cores[ends[0]], cores[ends[1]])
         at_least = self._threshold_mask(k)
         above = self._threshold_mask(k + 1)
         shell = at_least & ~above
         adjacency = graph.adjacency_mask
-        stack = [i for i in (graph.index_of(u), graph.index_of(v)) if shell >> i & 1]
+        stack = [i for i in ends if shell >> i & 1]
         if mutation.op == "remove_edge":
             fallen = 0
             while stack:
@@ -263,7 +274,7 @@ class PreparedGraph:
             self._core_masks[k + 1] = above | risen
             moved, core = risen, k + 1
         for i in iter_bits(moved):
-            cores[graph.label_of(i)] = core
+            cores[i] = core
         return cores
 
     # ------------------------------------------------------------------
@@ -333,6 +344,36 @@ class PreparedGraph:
         return (f"PreparedGraph({label}|V|={self.graph.vertex_count}, "
                 f"|E|={self.graph.edge_count}, "
                 f"artifacts={len(self.materialized_artifacts())}/{len(ARTIFACTS)})")
+
+
+class CoreNumbers(Mapping):
+    """Read-only ``{label: core number}`` view of a preparation's cores.
+
+    It holds no per-vertex object: a lookup syncs the preparation, then
+    reads the array at the label's index in the graph, so the view always
+    describes the graph's current content.
+    """
+
+    __slots__ = ("_prepared",)
+
+    def __init__(self, prepared: PreparedGraph) -> None:
+        self._prepared = prepared
+
+    def __getitem__(self, label: VertexLabel) -> int:
+        cores = self._prepared._artifact("core_numbers")
+        try:
+            return cores[self._prepared.graph.index_of(label)]
+        except GraphError:
+            raise KeyError(label) from None
+
+    def __iter__(self) -> Iterator[VertexLabel]:
+        return iter(self._prepared.graph)
+
+    def __len__(self) -> int:
+        return self._prepared.graph.vertex_count
+
+    def __repr__(self) -> str:
+        return f"CoreNumbers({dict(self)!r})"
 
 
 def prepare_graph(graph: Graph | PreparedGraph, name: str | None = None) -> PreparedGraph:

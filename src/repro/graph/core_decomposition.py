@@ -12,7 +12,9 @@ Both are implemented with the linear-time bucket algorithm.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
+from itertools import compress
 
 from .graph import Graph, VertexLabel
 
@@ -23,16 +25,17 @@ def core_numbers(graph: Graph) -> dict[VertexLabel, int]:
     The core number of ``v`` is the largest ``k`` such that ``v`` belongs to
     the ``k``-core (the maximal subgraph with minimum degree >= k).
     """
-    _order, core_of = _peel(graph)
-    return {label: core_of[index] for index, label in enumerate(graph)}
+    return dict(zip(graph, core_numbers_by_index(graph)))
+
+
+def core_numbers_by_index(graph: Graph) -> array:
+    """The core numbers in index space: ``cores[i]`` is vertex ``i``'s."""
+    return _peel(graph)[1]
 
 
 def degeneracy(graph: Graph) -> int:
     """Return the degeneracy ``omega`` of the graph (0 for an empty graph)."""
-    cores = core_numbers(graph)
-    if not cores:
-        return 0
-    return max(cores.values())
+    return max(core_numbers_by_index(graph), default=0)
 
 
 def degeneracy_ordering(graph: Graph) -> list[VertexLabel]:
@@ -42,14 +45,14 @@ def degeneracy_ordering(graph: Graph) -> list[VertexLabel]:
     has the property that every vertex has at most ``omega`` neighbours among
     the vertices that come *after* it in the ordering.
     """
-    order, _core_of = _peel(graph)
+    order, _cores = _peel(graph)
     label_of = graph.label_of
     return [label_of(index) for index in order]
 
 
-def _peel(graph: Graph):
-    """The whole graph's peel in index space: ``(order, core_of)``, where
-    ``core_of[i]`` is vertex ``i``'s core number."""
+def _peel(graph: Graph) -> tuple[list[int] | array, array]:
+    """The whole graph's peel in index space: ``(order, cores)``, where
+    ``cores[i]`` is vertex ``i``'s core number."""
     if getattr(graph, "indptr", None) is not None:
         # CSR-backed graph: run the bucket algorithm over the flat rows.
         # Bitmask rows would transiently materialise O(n^2) bits — exactly
@@ -59,7 +62,8 @@ def _peel(graph: Graph):
         from ..core.csr import csr_degeneracy_order_and_cores
 
         return csr_degeneracy_order_and_cores(graph)
-    return _bucket_peel(graph.adjacency_masks(), graph.full_mask())
+    order, core_of = _bucket_peel(graph.adjacency_masks(), graph.full_mask())
+    return order, array("q", map(core_of.__getitem__, range(graph.vertex_count)))
 
 
 def degeneracy_ordering_within(graph: Graph, mask: int) -> list[VertexLabel]:
@@ -150,17 +154,14 @@ def k_core(graph: Graph, k: int) -> Graph:
     """
     if k <= 0:
         return graph.copy()
-    cores = core_numbers(graph)
-    kept = [v for v, core in cores.items() if core >= k]
-    return graph.induced_subgraph(kept)
+    return graph.induced_subgraph(k_core_vertices(graph, k))
 
 
 def k_core_vertices(graph: Graph, k: int) -> frozenset[VertexLabel]:
     """Return the vertex set of the ``k``-core without materialising the subgraph."""
     if k <= 0:
         return frozenset(graph.vertices())
-    cores = core_numbers(graph)
-    return frozenset(v for v, core in cores.items() if core >= k)
+    return frozenset(compress(graph, map(k.__le__, core_numbers_by_index(graph))))
 
 
 def is_degeneracy_ordering(graph: Graph, ordering: Iterable[VertexLabel]) -> bool:

@@ -101,23 +101,25 @@ def ingest_edge_list(path_or_file: Union[PathLike, TextIO], as_int: bool = True,
     dense indices as lines stream by (so ``as_int`` converts each distinct
     label once), accumulates the endpoints in flat ``array`` buffers, and
     builds a :class:`repro.core.csr.CSRGraph` in one pass; at no point does a
-    per-vertex set, list or bitmask exist.  The returned graph is read-only
-    (mutations raise :class:`GraphError`; ``thaw()`` converts back) and has
-    the vertex order, edges and answers of :func:`read_edge_list` on the same
-    file.
+    per-vertex set, list or bitmask exist, and int labels end up in one
+    ``array('q')``.  The returned graph is read-only (mutations raise
+    :class:`GraphError`; ``thaw()`` converts back) and has the vertex order,
+    edges and answers of :func:`read_edge_list` on the same file.
     """
-    from ..core.csr import CSRGraph, build_csr_arrays, intern_endpoints
+    from ..core.csr import CSRGraph, build_csr_arrays, intern_endpoints, label_storage
 
     tokens: dict[str, int] = {}
     with opened(path_or_file, "r") as handle:
-        endpoints_u, endpoints_v = intern_endpoints(iter_edge_list(
+        endpoints = intern_endpoints(iter_edge_list(
             handle, directed_duplicates_ok=directed_duplicates_ok), tokens)
     # _maybe_int maps distinct tokens to distinct labels, so the index order
-    # carries over.  The token table goes before the graph indexes its labels.
-    labels = list(map(_maybe_int, tokens)) if as_int else list(tokens)
-    tokens.clear()
-    indptr, indices, edge_count = build_csr_arrays(len(labels), endpoints_u,
-                                                   endpoints_v)
+    # carries over.  The token table goes before the labels are stored, and
+    # the tokens go before the graph indexes its labels.
+    tokens = list(tokens)
+    labels = label_storage(map(_maybe_int, tokens) if as_int else tokens)
+    del tokens
+    indptr, indices, edge_count = build_csr_arrays(len(labels), *endpoints)
+    del endpoints
     return CSRGraph(labels, indptr, indices, edge_count=edge_count)
 
 

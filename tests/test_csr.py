@@ -8,17 +8,21 @@ same content.  The differential below covers the full dataset registry.
 
 from __future__ import annotations
 
+import gc
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from array import array
+from collections.abc import Mapping
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.csr as csr_module
 import repro.core.dcfastqc as dcfastqc_module
 import repro.core.fastqc as fastqc_module
 import repro.resilience.retry as retry_module
@@ -32,6 +36,8 @@ from repro.core.csr import (
     iter_mask_indices,
 )
 from repro.datasets.registry import REGISTRY, default_parameters, get_spec, load_dataset
+from repro.engine.fingerprint import graph_fingerprint
+from repro.engine.prepared import PreparedGraph
 from repro.graph import (
     connected_components,
     core_numbers,
@@ -53,6 +59,7 @@ from repro.graph.generators import (
     erdos_renyi_gnm,
     erdos_renyi_gnp,
     planted_quasi_clique_graph,
+    preferential_attachment_edges,
 )
 from repro.extensions.parallel import run_compact_subproblem
 from repro.pipeline.mqce import run_enumeration
@@ -135,6 +142,64 @@ def test_mask_helpers_match(pair):
         csr.index_of("no-such-vertex")
 
 
+def test_label_index_agrees_with_the_dict_index():
+    """One file of non-canonical int text, canonical ints and an int beyond
+    64 bits (so the labels stay a list): lookups keep the dict's semantics,
+    ``1.0`` and ``True`` included, on both backends."""
+    text = "01 1\n+1 1\n1 -0\n-0 a\na 18446744073709551617\n1 a\n"
+    graph = read_edge_list(io.StringIO(text))
+    csr = ingest_edge_list(io.StringIO(text))
+    assert csr.vertices() == graph.vertices() == ["01", 1, "+1", "-0", "a", 2**64 + 1]
+    assert isinstance(csr._labels, list)
+    for label in [*graph.vertices(), 1.0, True]:
+        assert label in csr
+        assert csr.index_of(label) == graph.index_of(label)
+        assert csr.neighbors(label) == graph.neighbors(label)
+    assert csr.mask_of([1.0, "a", 2**64 + 1]) == graph.mask_of([1.0, "a", 2**64 + 1])
+    assert csr.has_edge(True, "a") and not csr.has_edge("1", "a")
+    for unknown in (0, "0", "1", 2**64, 1.5, None, (1,)):
+        assert unknown not in csr and unknown not in graph
+        for backend in (csr, graph):
+            with pytest.raises(GraphError, match="unknown vertex"):
+                backend.index_of(unknown)
+            with pytest.raises(GraphError, match="unknown vertex"):
+                backend.mask_of([1, unknown])
+            with pytest.raises(GraphError, match="unknown vertex"):
+                backend.neighbors(unknown)
+
+
+def test_int_labels_live_in_an_array_and_keep_dict_semantics():
+    """64-bit int labels are stored in one ``array('q')``; labels of equal
+    hash (``hash(-1) == hash(-2)``, ``hash(2**61 - 1) == hash(0)``) stay
+    apart, equal ones are duplicates, and a bool keeps its type."""
+    labels = [-1, -2, 0, 2**61 - 1, 2**63 - 1, -2**63, 7]
+    edges = list(zip(labels, labels[1:]))
+    csr = CSRGraph.from_edge_stream(edges, vertices=labels)
+    graph = Graph(edges, vertices=labels)
+    assert isinstance(csr._labels, array) and csr.vertices() == labels
+    for label in labels:
+        assert csr.index_of(label) == graph.index_of(label)
+        assert csr.neighbors(label) == graph.neighbors(label)
+    assert csr.index_of(7.0) == csr.index_of(7) and -3 not in csr
+    indptr, indices, _ = build_csr_arrays(2, [0], [1])
+    for duplicate in ([1, 1.0], [1, True], ["a", "a"]):
+        with pytest.raises(GraphError, match="duplicate"):
+            CSRGraph(duplicate, indptr, indices)
+    flagged = CSRGraph([True, 2], indptr, indices)
+    assert flagged.vertices() == [True, 2] and type(flagged.label_of(0)) is bool
+
+
+def test_mask_cache_stays_within_its_byte_budget(monkeypatch):
+    csr = powerlaw_csr_graph(2_000, 3, seed=13)
+    budget = 10 * csr._mask_nbytes + 5
+    monkeypatch.setattr(csr_module, "MASK_CACHE_BYTES", budget)
+    for index in range(0, csr.vertex_count, 7):
+        assert csr.adjacency_mask(index) == csr.mask_of(csr.neighbors(csr.label_of(index)))
+        cached = sum((mask.bit_length() + 7) // 8 for mask in csr._mask_cache.values())
+        assert cached <= budget
+    assert len(csr._mask_cache) == 10
+
+
 def test_iter_mask_indices_matches_iter_bits():
     for mask in (0, 1, 0b1010110, (1 << 200) | (1 << 64) | (1 << 63) | 7):
         assert list(iter_mask_indices(mask)) == list(iter_bits(mask))
@@ -174,7 +239,8 @@ def test_copy_shares_buffers_and_matches(pair):
     clone = csr.copy()
     assert isinstance(clone, CSRGraph)
     assert clone.indptr is csr.indptr and clone.indices is csr.indices
-    assert clone._index_of is csr._index_of
+    assert clone._labels is csr._labels
+    assert clone._hashes is csr._hashes and clone._positions is csr._positions
     assert clone.vertices() == csr.vertices()
     assert clone.edge_count == csr.edge_count
 
@@ -254,6 +320,10 @@ def test_from_csr_classmethod_builds_csr_graph():
     assert isinstance(graph, CSRGraph)
     assert graph.edge_count == 2
     assert graph.adjacency_mask(1) == 0b101
+    # Plain lists are copied into the int64 buffers the fingerprint hashes.
+    listed = Graph.from_csr(["a", "b", "c"], list(indptr), list(indices))
+    assert listed.indptr == indptr and listed.indices == indices
+    assert graph_fingerprint(listed) == graph_fingerprint(graph)
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +346,43 @@ def test_flat_buffer_peel_matches_the_bitmask_peel(n, p, seed):
     csr = csr_of(graph)
     assert degeneracy_ordering(csr) == degeneracy_ordering(graph)
     assert core_numbers(csr) == core_numbers(graph)
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr"])
+def test_prepared_core_numbers_are_a_read_only_view(backend):
+    graph = load_dataset("enron")
+    if backend == "csr":
+        graph = csr_of(graph)
+    view = PreparedGraph(graph).core_numbers
+    assert isinstance(view, Mapping)
+    assert view == core_numbers(graph) and core_numbers(graph) == view
+    assert len(view) == graph.vertex_count and list(view) == graph.vertices()
+    assert "no-such-vertex" not in view
+    with pytest.raises(KeyError):
+        view["no-such-vertex"]
+    with pytest.raises(TypeError):
+        view[graph.label_of(0)] = 0
+
+
+def test_ingest_and_prepare_keep_no_python_object_per_vertex(tmp_path):
+    """Guard without wall-clock time: an ingested and prepared int-label graph
+    holds its labels, label index, rows and core numbers in flat buffers, at
+    most 100 live bytes per vertex (a ``{label: index}`` dict alone is ~80)."""
+    path = tmp_path / "powerlaw.edges"
+    with open(path, "w", encoding="ascii") as handle:
+        for u, v in preferential_attachment_edges(20_000, 3, seed=13):
+            handle.write(f"{u} {v}\n")
+    PreparedGraph(ingest_edge_list(io.StringIO("1 2\n2 3\n"))).prepare()  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared = PreparedGraph(ingest_edge_list(path)).prepare()
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert live / prepared.graph.vertex_count <= 100
 
 
 def test_components_and_connectivity_match():

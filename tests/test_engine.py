@@ -47,6 +47,17 @@ class TestFingerprint:
         plain = Graph(edges=[(0, 1)])
         assert graph_fingerprint(relabeled) != graph_fingerprint(plain)
 
+    @pytest.mark.parametrize("vertices", [range(6), ["z", 5, "a", 1]])
+    def test_csr_graph_and_its_thaw_share_a_fingerprint(self, vertices):
+        """Both backends feed the same canonical bytes: the CSR graph its own
+        buffers, the dict graph its sorted rows."""
+        edges = [(5, 1), (1, 0), (0, 5), (5, 4)] if 0 in vertices else [(5, 1), ("a", 5)]
+        csr = CSRGraph.from_edge_stream(edges, vertices=vertices)
+        thawed = csr.thaw()
+        assert graph_fingerprint(csr) == graph_fingerprint(thawed)
+        thawed.remove_edge(5, 1)
+        assert graph_fingerprint(csr) != graph_fingerprint(thawed)
+
 
 class TestPreparedGraph:
     def test_artifacts_are_lazy_then_memoized(self, small_graph):
