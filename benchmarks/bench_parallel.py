@@ -8,8 +8,9 @@ workers (``affinity_cpus``, the CPUs the process may run on); with fewer it
 is skipped, and says so.  Two host-independent checks always run: branch
 mode must steal from the dominant subtree, and its candidate sets must equal
 the sequential run's.  ``balance_speedup`` (the largest subproblem's branch
-count over the busiest worker's) is printed as a diagnostic.  The planner
-must fan the skewed row out from the observed branch histogram.
+count over the busiest worker's) is printed as a diagnostic.  A default
+``parallel="auto"`` run of the skewed row must fan out by itself, once it
+has explored ``FAN_OUT_BRANCHES`` branches.
 
 The measurement lives in ``scripts/bench_trajectory.py`` (the ``parallel``
 suite recorded into ``BENCH_core.json``); this file reuses that suite so the
@@ -87,7 +88,8 @@ def test_answers_match_the_sequential_ledger_kernel():
         assert row["parity"], f"{name}: parity flag not set"
 
 
-def test_planner_auto_selects_from_observed_branch_histograms():
-    """Skewed rows fan out once the planner has seen their branch counts."""
+def test_auto_mode_fans_out_by_the_work_it_has_done():
+    """Skewed rows explore far more than the branch budget, so a default
+    ``parallel="auto"`` run fans out while it runs."""
     for row in _rows("skewed").values():
         assert row["auto_mode"] == "branch"

@@ -9,14 +9,14 @@ extensions (``repro.extensions``):
 * *top-k largest quasi-clique mining* — exact, and via the faster
   kernel-expansion heuristic,
 * *parallel enumeration* — the same DCFastQC decomposition fanned out over
-  worker processes.
+  work-stealing worker processes.
 
 Run with:  python examples/community_search.py
 """
 
 import time
 
-from repro import ParallelDCFastQC, Q, community_of, kernel_expansion_top_k
+from repro import DCFastQC, Q, community_of, filter_non_maximal, kernel_expansion_top_k
 from repro.datasets import get_spec
 
 
@@ -55,14 +55,16 @@ def main() -> None:
     print(f"   kernel expansion sizes {[len(h) for h in heuristic]}  ({heuristic_seconds:.3f}s)")
 
     # ------------------------------------------------------------------
-    # 3. Parallel enumeration over the DC subproblems.
+    # 3. Parallel enumeration over the DC subproblems.  parallel="branch"
+    #    fans out from the first subproblem; the default "auto" would fan
+    #    out only once the run had explored enough branches in-process.
     # ------------------------------------------------------------------
     start = time.perf_counter()
-    parallel = ParallelDCFastQC(graph, gamma, theta, workers=2)
-    maximal = parallel.find_maximal()
+    parallel = DCFastQC(graph, gamma, theta, workers=2, parallel="branch")
+    maximal = filter_non_maximal(parallel.enumerate(), theta=theta)
     parallel_seconds = time.perf_counter() - start
-    print(f"\nparallel DCFastQC (2 workers): {len(maximal)} maximal quasi-cliques "
-          f"in {parallel_seconds:.3f}s")
+    print(f"\nparallel DCFastQC (2 workers, {parallel.mode_selected} mode): "
+          f"{len(maximal)} maximal quasi-cliques in {parallel_seconds:.3f}s")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ trajectory record to ``BENCH_core.json`` at the repository root:
   CPUs the run could use) and, as a host-independent diagnostic,
   ``balance_speedup`` (the largest subproblem's branch count over the
   busiest worker's).  Branch mode is parity-checked against the sequential
-  driver, and ``auto_mode`` records whether the planner fans the
-  query out from the observed branch histogram.
+  driver, and ``auto_mode`` records whether a default ``parallel="auto"``
+  run fanned out by itself (it does once it has explored
+  ``FAN_OUT_BRANCHES`` branches).
 
 Committing the file after a perf-relevant change gives the repo a recorded
 perf trajectory that later PRs can regress against — one file, every
@@ -463,19 +464,19 @@ def run_large_graph_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
 def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
     """Sequential vs work-stealing branch parallelism on planted-community graphs.
 
-    Each row runs the same query two ways — sequential ledger DCFastQC (the
-    parity oracle) and branch mode at :data:`PARALLEL_WORKERS` workers — and
-    then replans it from the observed branch histogram to record whether the
-    planner fans it out.  ``speedup`` is the wall-clock ratio
-    ``sequential_s / branch_s``.  ``balance_speedup`` rides along as a
-    host-independent diagnostic: the largest subproblem's branch count over
-    the busiest worker's, i.e. how evenly stealing split the dominant
-    subtree.  ``affinity_cpus`` is the number of CPUs the run could use; with
-    fewer than ``workers`` the wall clock cannot show a parallel win.
+    Each row runs the same query three ways — sequential ledger DCFastQC
+    (the parity oracle), ``DCFastQC(workers=PARALLEL_WORKERS,
+    parallel="branch")`` and, once, the default ``parallel="auto"``, whose
+    ``mode_selected`` records whether the run fanned out by itself once it
+    had explored ``FAN_OUT_BRANCHES`` branches.  ``speedup`` is the
+    wall-clock ratio ``sequential_s / branch_s``.  ``balance_speedup`` rides
+    along as a host-independent diagnostic: the largest subproblem's branch
+    count over the busiest worker's, i.e. how evenly stealing split the
+    dominant subtree.  ``affinity_cpus`` is the number of CPUs the run could
+    use; with fewer than ``workers`` the wall clock cannot show a parallel
+    win.
     """
-    from repro.engine.planner import QueryPlanner
-    from repro.extensions.parallel import (LAST_PARALLEL_RUN, ParallelDCFastQC,
-                                           available_cpus)
+    from repro.extensions.parallel import LAST_PARALLEL_RUN, available_cpus
     from repro.graph.generators import planted_quasi_clique_graph
 
     def _canonical(results):
@@ -491,8 +492,8 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             lambda algo: algo.enumerate())
         branch_histogram = driver.statistics.subproblem_branches
         branch_s, branch_runner, branch_results = _best_of(
-            repeat, lambda: ParallelDCFastQC(graph, gamma, theta,
-                                             workers=PARALLEL_WORKERS),
+            repeat, lambda: DCFastQC(graph, gamma, theta, workers=PARALLEL_WORKERS,
+                                     parallel="branch"),
             lambda runner: runner.enumerate())
         if branch_runner.mode_selected != "branch":
             raise AssertionError(f"{name}: the parallel run fell back to "
@@ -506,12 +507,10 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
         balance_speedup = (round(branch_histogram.max / busiest, 2)
                            if busiest else 0.0)
 
-        # Replan from the run's own evidence: observed branch counts open the
-        # parallel gate although the planted core is small.
-        prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(gamma, theta, branch_histogram)
-        plan = QueryPlanner().plan(prepared, QuerySpec(gamma, theta),
-                                   workers=PARALLEL_WORKERS)
+        # The default mode decides while it runs, by the work it has done.
+        auto_runner = DCFastQC(graph, gamma, theta, workers=PARALLEL_WORKERS)
+        if _canonical(auto_runner.enumerate()) != _canonical(sequential_results):
+            raise AssertionError(f"{name}: auto answers diverged from sequential")
 
         row = {
             "gamma": gamma,
@@ -529,7 +528,7 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             "steals": steals,
             "busiest_worker_branches": busiest,
             "balance_speedup": balance_speedup,
-            "auto_mode": "branch" if plan.parallel else "sequential",
+            "auto_mode": auto_runner.mode_selected,
             "parity": True,
             "speedup": (round(sequential_s / branch_s, 2)
                         if branch_s else float("inf")),

@@ -40,11 +40,7 @@ from .core import DCFastQC, FastQC, SearchStatistics, branching_factor
 from .baselines import NaiveEnumerator, QuickPlus
 from .settrie import SetTrie, filter_non_maximal
 from .pipeline import ALGORITHMS, EnumerationResult, run_enumeration
-from .extensions import (
-    ParallelDCFastQC,
-    community_of,
-    kernel_expansion_top_k,
-)
+from .extensions import community_of, kernel_expansion_top_k
 from .api import Q, QueryBuilder, QuerySpec
 from .engine import (
     MQCEEngine,
@@ -93,7 +89,6 @@ __all__ = [
     "ALGORITHMS",
     "EnumerationResult",
     "run_enumeration",
-    "ParallelDCFastQC",
     "community_of",
     "kernel_expansion_top_k",
     "Q",

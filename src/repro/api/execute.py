@@ -167,17 +167,23 @@ def topk_search(graph: Graph, spec: QuerySpec, size_bound: int | None = None,
     degeneracy bound — when that is lower) and halves until at least ``k``
     maximal quasi-cliques of that size exist or the threshold reaches
     ``spec.theta``.  Every threshold that returns >= k answers provably
-    contains the true top-k, so the ranked prefix is exact.
+    contains the true top-k, so the ranked prefix is exact.  ``graph`` may
+    be an engine ``PreparedGraph``: every round's DCFastQC then reads the
+    preparation's memoized core mask instead of peeling the graph again.
     """
+    # Lazy import: the engine package imports this module.
+    from ..engine.prepared import as_plain_graph
+
     k = spec.k if spec.k is not None else 1
     minimum_size = max(spec.theta, 1)
-    if graph.vertex_count == 0:
+    vertex_count = as_plain_graph(graph).vertex_count
+    if vertex_count == 0:
         return EnumerationResult(
             maximal_quasi_cliques=[], candidate_quasi_cliques=[],
             algorithm=resolve_algorithm(spec.algorithm),
             gamma=spec.gamma, theta=spec.theta)
 
-    threshold = max(minimum_size, graph.vertex_count // 2)
+    threshold = max(minimum_size, vertex_count // 2)
     if size_bound is not None:
         # No gamma-QC can exceed the bound; starting the halving schedule
         # there skips rounds that provably return nothing.

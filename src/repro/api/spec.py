@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.branching import BRANCHING_METHODS
-from ..core.dcfastqc import DC_FRAMEWORKS, DEFAULT_MAX_ROUNDS
+from ..core.dcfastqc import DC_FRAMEWORKS, DEFAULT_MAX_ROUNDS, PARALLEL_MODES
 from ..errors import SpecError
 from ..pipeline.mqce import ALGORITHMS
 from ..quasiclique.definitions import gamma_fraction, validate_parameters
@@ -39,10 +39,10 @@ WORKLOADS = ("enumerate", "topk", "containment", "count")
 #: ``algorithm`` values a spec accepts ("auto" defers to the planner).
 SPEC_ALGORITHMS = ("auto",) + ALGORITHMS
 
-#: ``parallel`` values a spec accepts: "auto" lets the planner decide whether
-#: to fan DC subproblems out to work-stealing workers, "none" forces the
-#: sequential driver, and "branch" forces the fan-out.
-SPEC_PARALLEL_MODES = ("auto", "none", "branch")
+#: ``parallel`` values a spec accepts: "auto" lets a divide-and-conquer run
+#: fan out to work-stealing workers once it has done enough work, "none" keeps
+#: it in-process, and "branch" fans it out before its first subproblem.
+SPEC_PARALLEL_MODES = PARALLEL_MODES
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,15 @@ class QuerySpec:
         planner choose; ``branching=None`` / ``framework=None`` likewise defer
         to the algorithm's default.
     parallel:
-        Parallel execution mode for divide-and-conquer plans: ``"auto"``
-        (default — the planner fans out to work-stealing workers when the core
-        is large or an earlier run observed enough branches, else stays
-        serial), ``"none"`` or ``"branch"`` (always fan out).  Like worker
-        counts this is an execution-resource knob:
-        every mode computes identical answers, so it does not participate in
-        the cache key.
+        Parallel execution mode for divide-and-conquer plans run with more
+        than one worker: ``"auto"`` (default — the run searches in this
+        process and fans out to work-stealing workers once it has explored
+        :data:`~repro.core.dcfastqc.FAN_OUT_BRANCHES` branches), ``"none"``
+        (never fan out) or ``"branch"`` (fan out before the first
+        subproblem).  A time-limited spec, a stream and a served query stay
+        in this process.  Like worker counts this is an execution-resource
+        knob: every mode computes identical answers, so it does not
+        participate in the cache key.
     k:
         When given, return only the ``k`` largest answers (ranked by size,
         ties broken by sorted labels).

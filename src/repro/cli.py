@@ -324,9 +324,6 @@ def _command_query(args: argparse.Namespace) -> int:
     prepared = _load_graph(args)
     spec = _build_query_spec(args)
     engine = MQCEEngine(workers=args.workers)
-    # Planned once, before the run (which reuses the memoized plan): a
-    # completed sequential DC run records its branch histogram, so planning
-    # again afterwards could report a parallel plan for a serial run.
     plan = engine.explain(prepared, spec)
     if args.explain:
         if args.json:
@@ -618,11 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="force the divide-and-conquer framework")
     query_parser.add_argument("--max-rounds", type=int, help="subproblem shrinking rounds")
     query_parser.add_argument("--parallel", choices=SPEC_PARALLEL_MODES,
-                              help="parallel execution mode: auto lets the "
-                              "planner decide whether to fan DC subproblems "
-                              "out to work-stealing workers")
+                              help="parallel execution mode: auto fans a DC "
+                              "run out to work-stealing workers once it has "
+                              "done enough work, branch from the start")
     query_parser.add_argument("--workers", type=int, metavar="N",
-                              help="worker processes for parallel plans")
+                              help="worker processes a DC run may fan out to")
     query_parser.add_argument("--containing", nargs="+", metavar="VERTEX",
                               help="only quasi-cliques containing these vertices")
     query_parser.add_argument("--top", type=int, metavar="K",

@@ -16,6 +16,15 @@ Every MQC is found in exactly one subproblem (the one rooted at its
 lowest-ordered vertex).  The ``framework`` parameter also provides the paper's
 BDCFastQC ablation (the basic divide-and-conquer of [19, 24]: degree ordering
 and one-hop shrinking only) and plain FastQC (no decomposition) for Figure 12.
+
+Subproblems are independent, and so is every pending branch inside one, which
+makes the paper's future-work item, a parallel implementation, a matter of
+handing them out.  With ``workers > 1`` a run fans out by the work it has
+done, after the time-delayed divide and conquer of G-thinker (Guo et al.,
+PVLDB 14(4), 2020): it searches in-process until it has explored
+:data:`FAN_OUT_BRANCHES` branches, then publishes every pending branch of its
+current subproblem and every remaining subproblem to the work-stealing
+workers of :mod:`repro.extensions.stealing`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from ..quasiclique.definitions import degree_threshold, gamma_pq, validate_param
 from .branch import Branch
 from .branching import BRANCHING_METHODS
 from .fastqc import FastQC
-from .kernel import one_hop_pass, two_hop_pass
+from .kernel import contribute_steal_result, one_hop_pass, two_hop_pass
 from .stats import SearchStatistics
 
 #: Supported divide-and-conquer frameworks (Figure 12 ablation).
@@ -40,6 +49,18 @@ DC_FRAMEWORKS = ("dc", "basic-dc", "none")
 
 #: Default number of shrinking rounds (the paper finds MAX_ROUND = 2 sufficient).
 DEFAULT_MAX_ROUNDS = 2
+
+#: ``parallel`` modes: "auto" fans a run out once it has explored
+#: :data:`FAN_OUT_BRANCHES` branches, "branch" before its first subproblem,
+#: "none" never.
+PARALLEL_MODES = ("auto", "none", "branch")
+
+#: Branches a ``parallel="auto"`` run explores in-process before it fans out.
+#: One fan-out (fork, seed, join) costs ~20 ms at 2 workers and ~28 ms at 4;
+#: the in-process search runs ~55k branches/s on skew-parallel's giant
+#: subproblem, so the budget buys ~75 ms of search, 3-4x the fan-out's cost.
+#: No query of the registry grid explores that many branches (3,930 at most).
+FAN_OUT_BRANCHES = 4096
 
 
 @dataclass
@@ -251,8 +272,19 @@ class DCFastQC:
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given, the driver records
         one ``decompose`` span (core reduction + ordering), a ``shrink`` span
-        per subproblem, and a ``subproblem`` span per enumeration with that
-        subproblem's counter deltas.
+        per subproblem, a ``subproblem`` span per enumeration with that
+        subproblem's counter deltas, and a ``fan_out`` span when the run
+        fans out.
+    workers, parallel:
+        With ``workers > 1`` :meth:`enumerate` may fan the run out to that
+        many work-stealing worker processes (:mod:`repro.extensions.stealing`):
+        ``parallel="auto"`` once it has explored :data:`FAN_OUT_BRANCHES`
+        branches, ``"branch"`` before the first subproblem, ``"none"`` never.
+        A run with ``should_stop``, ``on_output`` or ``progress``, and
+        :meth:`iter_candidate_batches`, never fans out.
+    steal_schedule:
+        A deterministic steal trigger for the workers (tests); default: the
+        idle-worker signal.
     """
 
     #: The FastQC class each batch runs on (:mod:`repro.oracle` swaps in its
@@ -265,7 +297,8 @@ class DCFastQC:
                  maximality_filter: bool = True,
                  on_output: Callable[[frozenset], None] | None = None,
                  should_stop: Callable[[], bool] | None = None,
-                 progress=None, tracer=None) -> None:
+                 progress=None, tracer=None, workers: int = 1,
+                 parallel: str = "auto", steal_schedule=None) -> None:
         # Lazy import: the engine package imports this module.
         from ..engine.prepared import PreparedGraph, as_plain_graph
 
@@ -276,6 +309,10 @@ class DCFastQC:
             raise ValueError(f"framework must be one of {DC_FRAMEWORKS}, got {framework!r}")
         if max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
+        if workers < 1:
+            raise ValueError("workers must be a positive integer")
+        if parallel not in PARALLEL_MODES:
+            raise ValueError(f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}")
         self.prepared = graph if isinstance(graph, PreparedGraph) else None
         self.graph = as_plain_graph(graph)
         self.gamma = gamma
@@ -288,19 +325,40 @@ class DCFastQC:
         self.should_stop = should_stop
         self.progress = progress
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.workers = workers
+        self.parallel = parallel
+        self.steal_schedule = steal_schedule
         self.stopped = False
         self.statistics = SearchStatistics()
         self.dc_statistics = DCStatistics()
+        #: After :meth:`enumerate` of a run that may fan out, ``"branch"`` if
+        #: it did and ``"sequential"`` if it did not; None otherwise.
+        self.mode_selected: str | None = None
 
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
     def enumerate(self) -> list[frozenset]:
         """Enumerate a set of QCs containing every MQC of size >= theta (MQCE-S1)."""
-        results: list[frozenset] = []
-        for batch in self.iter_candidate_batches():
-            results.extend(batch)
-        return results
+        # Only DC subproblems fan out, and only in runs nothing watches branch
+        # by branch (a stop predicate, an output callback or a ticker).
+        if (self.workers > 1 and self.parallel != "none" and self.framework != "none"
+                and self.should_stop is None and self.on_output is None
+                and self.progress is None):
+            from ..extensions.stealing import WorkerCrash
+
+            self.mode_selected = "sequential"
+            budget = 0 if self.parallel == "branch" else FAN_OUT_BRANCHES
+            try:
+                return [clique for batch in self._iter_batches(budget)
+                        for clique in batch]
+            except (WorkerCrash, OSError, ValueError):
+                # A dead worker (or a failed fork) must not cost the answer:
+                # rerun in-process.  The coordinator has already joined its
+                # workers and closed its queues.
+                pass
+        return [clique for batch in self.iter_candidate_batches()
+                for clique in batch]
 
     def iter_candidate_batches(self) -> Iterator[list[frozenset]]:
         """Yield the MQCE-S1 candidates one divide-and-conquer subproblem at a time.
@@ -313,6 +371,7 @@ class DCFastQC:
         superset of it in the full candidate set appears in a subproblem
         ``j <= i``.  Once a batch has been yielded, the maximality of its
         members is therefore decidable against the candidates seen so far.
+        Batches are always searched in this process.
 
         With ``framework="none"`` there is a single batch (the whole FastQC
         run), and no incremental guarantee beyond completeness.
@@ -330,73 +389,134 @@ class DCFastQC:
             return
         yield from self._iter_batches()
 
-    def _iter_batches(self) -> Iterator[list[frozenset]]:
-        """One batch per subproblem, each searched on its compact payload.
+    # ------------------------------------------------------------------
+    # The subproblem loop: in-process search, then (maybe) the fan-out
+    # ------------------------------------------------------------------
+    def _iter_batches(self, budget: int | None = None) -> Iterator[list[frozenset]]:
+        """One batch per subproblem, each searched in-process on its payload.
 
-        On a dict graph the maximality filter reads the full graph's rows
-        through the member list: they already exist, and a halo measured
-        slower.  A CSR-backed graph has no bitmask rows, so its payloads
-        carry a halo and the filter reads their
-        :meth:`~CompactSubproblem.maximality_rows`.  Both decide like a
-        whole-graph check.  Every engine's statistics merge into
-        :attr:`statistics`.
+        With a ``budget`` the run fans out once it has explored that many
+        branches, counted run-wide.  The check runs between subproblems and
+        before every visit inside one, where a spent budget stops the search
+        and parks its pending visits (the ``park`` hook of
+        :func:`~repro.core.kernel.depth_first_enumerate`).
+        The fan-out's candidates (:meth:`_fan_out`) are the last batch.
         """
         self.statistics = SearchStatistics()
+        self.dc_statistics = DCStatistics()
         if self.progress is not None:
             # The run-wide aggregate drives the heartbeat counter snapshot;
             # per-subproblem engine statistics must not displace it.
             self.progress.attach_statistics(self.statistics)
-        graph = self.graph
-        full_rows = (None if getattr(graph, "indptr", None) is not None
-                     else graph.adjacency_masks())
-        for root_index, refined_mask, _prior_mask in self._iter_subproblems():
+        should_stop, taken, park = self.should_stop, [], None
+        if budget is not None:
+            park = taken.extend
+
+            def should_stop() -> bool:
+                return engine.statistics.branches_explored >= remaining
+        payloads = self._iter_payloads()
+        for payload, route in payloads:
             if self.stopped:
                 return
-            if full_rows is None:
-                payload = CompactSubproblem.from_ball(graph, root_index, refined_mask)
-                maximality_rows, maximality_index = payload.maximality_rows(), None
-            else:
-                members = list(iter_bits(refined_mask))
-                payload = CompactSubproblem.from_members(
-                    graph, root_index, members, refined_mask)
-                maximality_rows, maximality_index = full_rows, members
+            if budget is not None:
+                remaining = budget - self.statistics.branches_explored
+                if remaining <= 0:
+                    yield self._fan_out([(payload, route), *payloads])
+                    return
+            maximality_rows, maximality_index = route
             engine = self._engine_class(
                 payload, self.gamma, self.theta, branching=self.branching,
                 maximality_filter=self.maximality_filter,
-                maximality_rows=maximality_rows,
-                maximality_index=maximality_index,
-                on_output=self.on_output, should_stop=self.should_stop,
+                maximality_rows=maximality_rows, maximality_index=maximality_index,
+                on_output=self.on_output, should_stop=should_stop,
                 progress=self.progress)
             with self.tracer.span("subproblem", stats=engine.statistics,
-                                  root=str(graph.label_of(root_index)),
+                                  root=str(payload.labels[payload.root_local]),
                                   size=payload.vertex_count):
-                batch = engine.enumerate_branch(payload.initial_branch())
+                batch = engine.enumerate_branch(payload.initial_branch(), park=park)
+            if taken:
+                yield self._fan_out([(payload, route), *payloads], engine, taken)
+                return
             self.statistics.merge(engine.statistics)
-            self.statistics.subproblem_branches.record(
-                engine.statistics.branches_explored)
+            self.statistics.subproblem_branches.record(engine.statistics.branches_explored)
             self.stopped = engine.stopped
             yield batch
             if self.stopped:
                 return
 
-    def iter_compact_subproblems(self) -> Iterator[CompactSubproblem]:
-        """Yield every non-trivial subproblem as a picklable compact payload.
+    def _fan_out(self, payloads: list, engine: FastQC | None = None,
+                 taken: list | tuple = ()) -> list[frozenset]:
+        """Publish the rest of the run to :attr:`workers` work-stealing workers.
 
-        This is the fan-out surface of
-        :class:`repro.extensions.parallel.ParallelDCFastQC` — the parent
-        process runs the cheap global preprocessing (core reduction, ordering,
-        two-hop shrinking) and ships each subproblem as dense local-index
-        rows plus its one-hop halo, so worker enumeration cost scales with
-        the subproblem, not the graph.  The sequential driver on a CSR-backed
-        graph searches the same payloads (:meth:`_iter_batches`).
+        ``payloads`` are the current subproblem and every later one, as
+        ``(payload, route)`` pairs.  With ``engine`` the budget ran out
+        inside the current subproblem, and ``taken`` holds the pending
+        ``(branch, parked frame)`` pairs its search stopped with: the
+        workers search those branches and every later root, and each taken
+        branch's verdict closes its parked frames here, as a donor's would.
+        Otherwise the workers search every root.  Returns the parent's own
+        outputs in the current subproblem, then every other worker emission.
+        The ``fan_out`` span records the run-wide branch count explored in this
+        process (``branches``), the branches taken off the stack
+        (``taken``), the tasks published and the workers' steals.
         """
-        for root_index, refined_mask, _prior_mask in self._iter_subproblems():
-            if self.stopped:
-                return
-            yield CompactSubproblem.from_ball(self.graph, root_index, refined_mask)
+        from ..extensions.parallel import record_parallel_run
+        from ..extensions.stealing import branch_parallel_enumerate
 
-    def _iter_subproblems(self) -> Iterator[tuple[int, int, int]]:
-        """Lines 2-6 of Algorithm 3: yield ``(root_index, refined_mask, prior_mask)``.
+        seeds = [(0, state) for state, _frame in taken]
+        seeds += [(index, payload.initial_branch())
+                  for index, (payload, _route) in enumerate(payloads)
+                  if index or engine is None]
+        explored = self.statistics.branches_explored
+        if engine is not None:
+            explored += engine.statistics.branches_explored
+        with self.tracer.span("fan_out", workers=self.workers, branches=explored,
+                              taken=len(taken)) as span:
+            found, worker_statistics, telemetry, verdicts = branch_parallel_enumerate(
+                payloads, self.gamma, self.theta, seeds=seeds,
+                branching=self.branching,
+                maximality_filter=self.maximality_filter, workers=self.workers,
+                steal_schedule=self.steal_schedule)
+            span.annotate(tasks=len(seeds), steals=worker_statistics.steals)
+        local: list[frozenset] = []
+        if engine is not None:
+            for (_state, frame), verdict in zip(taken, verdicts):
+                contribute_steal_result(frame, verdict, engine._close)
+            self.statistics.merge(engine.statistics)
+            local = engine.results
+        self.statistics.merge(worker_statistics)
+        self.mode_selected = "branch"
+        record_parallel_run(payloads, self.statistics, telemetry)
+        # Largest first, as the set-trie filter reads them.
+        return local + sorted(found.difference(local), key=len, reverse=True)
+
+    def _iter_payloads(self) -> Iterator[tuple[CompactSubproblem, tuple]]:
+        """Every non-trivial subproblem as a payload with its maximality route.
+
+        The route is the ``(maximality_rows, maximality_index)`` pair the
+        payload's FastQC filters with (see :class:`FastQC`); it depends only
+        on the backend.  On a dict graph it is the full graph's rows through
+        the member list: they already exist, workers inherit them by fork,
+        and a halo measured slower.  A CSR-backed graph has no bitmask rows,
+        so its payloads carry a halo and the route is their
+        :meth:`~CompactSubproblem.maximality_rows`.  Both decide like a
+        whole-graph check.
+        """
+        graph = self.graph
+        full_rows = (None if getattr(graph, "indptr", None) is not None
+                     else graph.adjacency_masks())
+        for root_index, refined_mask in self._iter_subproblems():
+            if full_rows is None:
+                payload = CompactSubproblem.from_ball(graph, root_index, refined_mask)
+                yield payload, (payload.maximality_rows(), None)
+            else:
+                members = list(iter_bits(refined_mask))
+                yield (CompactSubproblem.from_members(graph, root_index, members,
+                                                      refined_mask),
+                       (full_rows, members))
+
+    def _iter_subproblems(self) -> Iterator[tuple[int, int]]:
+        """Lines 2-6 of Algorithm 3: yield ``(root_index, refined_mask)``.
 
         Every root's sizes go to the DC statistics' subproblem records; the
         trivial ones (refined size below theta, or the root pruned by its own
@@ -411,14 +531,14 @@ class DCFastQC:
                 core_removed=self.dc_statistics.core_reduction_removed,
                 ordering=len(ordering))
         graph = self.graph
-        prior_mask = 0
+        remaining = core_mask
         for root in ordering:
             if self.should_stop is not None and self.should_stop():
                 self.stopped = True
                 return
             root_index = graph.index_of(root)
-            remaining = core_mask & ~prior_mask
             subproblem_mask = two_hop_mask(graph, root_index, remaining)
+            remaining ^= 1 << root_index  # later subproblems exclude v_i
             initial_size = subproblem_mask.bit_count()
             with self.tracer.span("shrink", stats=self.statistics,
                                   root=str(root)) as shrink_span:
@@ -428,10 +548,9 @@ class DCFastQC:
             self.dc_statistics.subproblem_records.append(SubproblemRecord(
                 root=root, initial_size=initial_size,
                 refined_size=refined_mask.bit_count()))
-            prior_mask |= 1 << root_index
             if refined_mask.bit_count() < self.theta or not (refined_mask >> root_index) & 1:
                 continue
-            yield root_index, refined_mask, prior_mask
+            yield root_index, refined_mask
 
     # ------------------------------------------------------------------
     # Divide-and-conquer internals

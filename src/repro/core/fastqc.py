@@ -147,8 +147,8 @@ class FastQC:
         )
         return self.enumerate_branch(branch)
 
-    def enumerate_branch(self, branch: Branch,
-                         scheduler=None) -> list[frozenset]:
+    def enumerate_branch(self, branch: Branch, scheduler=None,
+                         park=None) -> list[frozenset]:
         """Run FastQC starting from a prepared bitmask branch.
 
         ``scheduler`` (optional) enables the work-stealing driver variant
@@ -160,15 +160,25 @@ class FastQC:
         this branch's tree), or None when the root is still parked on stolen
         subtrees; it is the value the stealing protocol ships between workers
         so ancestors' ``G[S]`` fallback emissions stay branch-for-branch
-        identical to the sequential driver.
+        identical to the sequential driver.  ``park`` (optional) turns
+        ``should_stop`` into a hand-off trigger: when it fires, the pending
+        visits go to ``park`` (see
+        :func:`~repro.core.kernel.depth_first_enumerate`), the root awaits
+        their verdicts as a parked root does, and :attr:`stopped` stays
+        False.
         """
         self.statistics.subproblems += 1
         self.statistics.subproblem_sizes.record(branch.union_size)
         start = len(self._results)
+        if park is not None:
+            stop = self.should_stop
+        elif self.should_stop is not None or self.stopped:
+            stop = self._poll_stop
+        else:
+            stop = None  # nothing can stop this search: no per-branch poll
         self.last_branch_found = depth_first_enumerate(
-            self._root(branch), self._expand, self._close,
-            should_stop=self._poll_stop,
-            ticker=self.progress, scheduler=scheduler)
+            self._root(branch), self._expand, self._close, should_stop=stop,
+            ticker=self.progress, scheduler=scheduler, park=park)
         if self.progress is not None and self.progress.cancelled:
             self.stopped = True
         return self._results[start:]

@@ -806,9 +806,35 @@ def _enumerate_with_scheduler(root, expand: Callable, close: Callable,
     return resolve_ready_frames(root_frame, close)
 
 
+def _park_stack(stack: list, found: list) -> list:
+    """The plain loop's pending work as parked frames, for a hand-off.
+
+    Every open branch on ``stack`` (a closing entry, with its verdict so far
+    in ``found``) becomes a popped :class:`BranchFrame`, the parent of the
+    next one up; every pending visit becomes a ``(state, parent frame)``
+    pair, counted in its parent's ``pending`` as a steal counts it.  Returns
+    the visits, bottom first: contributing each one's verdict with
+    :func:`contribute_steal_result` closes the frames in post-order.
+    """
+    frame = BranchFrame()
+    frame.found, frame.popped = found[0], True
+    visits: list = []
+    level = 1
+    for closing, payload in stack:
+        frame.pending += 1
+        if closing:
+            frame = BranchFrame(payload, frame)
+            frame.found, frame.popped = found[level], True
+            level += 1
+        else:
+            visits.append((payload, frame))
+    return visits
+
+
 def depth_first_enumerate(root, expand: Callable, close: Callable,
                           should_stop: Callable[[], bool] | None = None,
-                          ticker=None, scheduler=None) -> bool | None:
+                          ticker=None, scheduler=None,
+                          park: Callable[[list], None] | None = None) -> bool | None:
     """Post-order depth-first search over branches with an explicit work stack.
 
     ``expand(branch)`` is called once per visited branch and returns either a
@@ -838,6 +864,13 @@ def depth_first_enumerate(root, expand: Callable, close: Callable,
     root still awaits stolen subtrees (the root frame's ``on_resolve`` fires
     when it finally resolves).  With ``scheduler=None`` (the default) this is
     the original allocation-free loop, unchanged.
+
+    ``park`` (without a scheduler) makes a stop a hand-off, for a search
+    that gives its remaining work to other processes mid-run: when
+    ``should_stop`` or the ticker fires, the loop calls ``park`` with every
+    pending visit as a parked ``(state, parent frame)`` pair
+    (:func:`_park_stack`), the polled visit included, and returns None; the
+    caller contributes their verdicts.
     """
     # Both hooks fold into one prebuilt ``poll``, so the common disabled case
     # pays exactly one is-None check per branch — the same instruction count
@@ -863,7 +896,11 @@ def depth_first_enumerate(root, expand: Callable, close: Callable,
                 found[-1] = True
             continue
         if poll is not None and poll(len(stack)):
-            return True
+            if park is None:
+                return True
+            stack.append((False, payload))
+            park(_park_stack(stack, found))
+            return None
         outcome = expand(payload)
         if isinstance(outcome, bool):
             if outcome:

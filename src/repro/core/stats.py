@@ -80,15 +80,15 @@ class SearchStatistics:
     shrink_rounds: int = 0
     shrink_removed_one_hop: int = 0
     shrink_removed_two_hop: int = 0
-    #: Branch-parallel runs only: subtrees stolen between workers and the
-    #: summed worker busy wall-clock (both 0 for sequential runs).
+    #: Runs that fanned out only: subtrees stolen between workers and the
+    #: summed worker busy wall-clock (both 0 for in-process runs).
     steals: int = 0
     parallel_busy_seconds: float = 0.0
     subproblem_sizes: SizeHistogram = field(default_factory=SizeHistogram)
-    #: Branches explored per DC subproblem — work measured directly; its
-    #: total opens the planner's parallel gate once a run has recorded it.
-    #: Branch-parallel runs leave it empty: stolen subtrees cross workers, so
-    #: per-subproblem attribution is only possible on sequential runs.
+    #: Branches explored per DC subproblem searched wholly in this process
+    #: (work measured directly).  A run that fans out records only the
+    #: subproblems it finished before the fan-out: stolen subtrees cross
+    #: workers, so the rest cannot be attributed to one subproblem.
     subproblem_branches: SizeHistogram = field(default_factory=SizeHistogram)
 
     def as_dict(self) -> dict:

@@ -14,16 +14,14 @@ through three stages:
    (:meth:`MQCEEngine.sync`): the preparation replays the graph's changelog
    and this engine's cache is invalidated selectively.
 2. **Plan** — the :class:`~repro.engine.planner.QueryPlanner` picks the
-   MQCE-S1 algorithm, branching rule and (for large cores) process-level
-   parallelism from the prepared statistics; :meth:`MQCEEngine.explain`
-   returns this plan without enumerating anything.
+   MQCE-S1 algorithm, branching rule and the worker processes a
+   divide-and-conquer run may fan out to from the prepared statistics;
+   :meth:`MQCEEngine.explain` returns this plan without enumerating anything.
 3. **Execute or hit** — the plan key is looked up in the LRU
    :class:`~repro.engine.cache.ResultCache`; on a miss the spec, resolved by
-   the plan, runs through :mod:`repro.pipeline.mqce`: a sequential
-   enumerator, or a :class:`~repro.extensions.parallel.ParallelDCFastQC`
-   built from the same resolved spec when the plan fans out, both filtered by
-   the same :func:`~repro.pipeline.mqce.enumerate_and_filter`.  The result
-   is cached.
+   the plan, runs through :func:`~repro.pipeline.mqce.run_enumeration` with
+   the plan's workers (a DCFastQC run fans out to them once it has done
+   enough work in this process).  The result is cached.
 
 Results are regular :class:`~repro.pipeline.results.EnumerationResult`
 objects, bit-identical in content to what ``run_enumeration`` returns for the
@@ -69,14 +67,14 @@ from ..api.execute import containment_search, shape_result, topk_search
 from ..api.spec import QuerySpec
 from ..dynamic.index import CacheIndex, UpdateReport, UpdateStats
 from ..errors import EngineError, SpecError
-from ..extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
+from ..extensions.parallel import LAST_PARALLEL_RUN
 from ..graph.core_decomposition import core_numbers
 from ..graph.delta import GraphMutation
 from ..graph.graph import Graph
 from ..graph.subgraph import two_hop_mask
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER
-from ..pipeline.mqce import enumerate_and_filter, run_enumeration
+from ..pipeline.mqce import run_enumeration
 from ..pipeline.results import EnumerationResult
 from ..quasiclique.definitions import degree_threshold
 from .cache import DEFAULT_CAPACITY, ResultCache
@@ -353,9 +351,11 @@ class MQCEEngine:
         ``trace`` is an optional :class:`repro.obs.Tracer`: the query becomes
         one ``query`` root span with ``prepare`` / ``plan`` / ``cache``
         children plus the execution-path spans (``enumerate`` / ``filter``,
-        or the DC driver's ``decompose`` / ``shrink`` / ``subproblem``).
+        or the DC driver's ``decompose`` / ``shrink`` / ``subproblem`` /
+        ``fan_out``).
         ``progress`` is an optional :class:`repro.obs.ProgressTicker` fed by
-        the branch loop (ignored on cache hits and parallel plans).
+        the branch loop (ignored on cache hits); like a ``time_limit`` it
+        keeps the run in this process.
         """
         spec = _require_spec(spec)
         tracer = trace if trace is not None else NULL_TRACER
@@ -463,37 +463,16 @@ class MQCEEngine:
             return EnumerationResult(
                 maximal_quasi_cliques=[], candidate_quasi_cliques=[],
                 algorithm=plan.algorithm, gamma=plan.gamma, theta=plan.theta)
-        graph = prepared.graph
         if resolved.contains:
-            return containment_search(graph, resolved, tracer=tracer,
+            return containment_search(prepared.graph, resolved, tracer=tracer,
                                       progress=progress)
         if resolved.k is not None:
-            return topk_search(graph, resolved,
+            # Every halving round reuses the preparation's core masks.
+            return topk_search(prepared, resolved,
                                size_bound=prepared.size_upper_bound(resolved.gamma),
                                tracer=tracer, progress=progress)
-        if plan.parallel and resolved.time_limit is None:
-            # The work-stealing driver has no cooperative-cancellation channel,
-            # so budgeted queries always take the sequential path.  (It has no
-            # branch-tick channel either; `progress` only applies below.)
-            runner = ParallelDCFastQC(
-                prepared, resolved.gamma, resolved.theta,
-                branching=resolved.branching, framework=resolved.framework,
-                max_rounds=resolved.max_rounds,
-                maximality_filter=resolved.maximality_filter,
-                workers=plan.workers)
-            result = enumerate_and_filter(runner, resolved, tracer=tracer)
-        else:
-            # DCFastQC reuses the preparation's core mask.
-            result = run_enumeration(prepared, resolved, tracer=tracer,
-                                     progress=progress)
-        if result.search_statistics is not None:
-            # Per-subproblem branch counts (recorded by sequential DC runs; a
-            # no-op otherwise) open the parallel gate for the next plan of
-            # this (gamma, theta) once the observed work is large.
-            prepared.record_subproblem_histogram(
-                plan.gamma, plan.theta,
-                result.search_statistics.subproblem_branches)
-        return result
+        return run_enumeration(prepared, resolved, tracer=tracer,
+                               progress=progress, workers=plan.workers)
 
     def _record(self, plan: QueryPlan, cached: bool, seconds: float) -> None:
         _QUERIES.inc(served="cache" if cached else "execute")

@@ -2,31 +2,35 @@
 
 Given a :class:`~repro.engine.prepared.PreparedGraph` and a
 :class:`~repro.api.spec.QuerySpec`, :class:`QueryPlanner` reads the graph's
-size, the memoized core reduction and degeneracy bound, and the branch counts
-of earlier completed runs — never the enumeration itself — and produces an
-explainable :class:`QueryPlan` that fixes
+size and the memoized core reduction and degeneracy bound — never the
+enumeration itself — and produces an explainable :class:`QueryPlan` that fixes
 
 * the MQCE-S1 **algorithm** (``dcfastqc`` / ``fastqc`` / ``quickplus`` /
   ``naive``) and its **framework** (the spec's, or the algorithm's default),
 * the **branching** rule (``hybrid`` / ``sym-se`` / ``se``), and
-* whether to fan the divide-and-conquer subproblems out to
-  :class:`~repro.extensions.parallel.ParallelDCFastQC`'s work-stealing
-  workers, and to how many.
+* whether the run may fan out to work-stealing workers, and to how many.
+  Whether it does is decided while it runs, by the work it has done:
+  :class:`~repro.core.dcfastqc.DCFastQC` fans out once it has explored
+  :data:`~repro.core.dcfastqc.FAN_OUT_BRANCHES` branches (``parallel="auto"``),
+  or before its first subproblem (``"branch"``).  So a plan depends only on
+  the prepared graph and the spec, and planning after a run gives the plan
+  that ran.
 
 Every choice is exact — all four MQCE-S1 algorithms enumerate the same maximal
 quasi-cliques after MQCE-S2 filtering — so planning only affects cost, never
 answers.  The decisions follow the paper's experiments: DCFastQC with hybrid
 branching wins at scale (Figures 7 and 12), while its core reduction and
-ordering overhead is wasted on cores too small to decompose.  A plan states
+ordering overhead is wasted on graphs too small to decompose.  A plan states
 its decisions and their reasons (:attr:`QueryPlan.reasons`,
 :meth:`QueryPlan.describe`); it carries no cost estimate.  The thresholds
-below are module constants, read when a plan is made.
+are module constants, read when a plan is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
+from ..core import dcfastqc
 from ..extensions.parallel import default_workers
 from ..obs.metrics import REGISTRY
 from ..quasiclique.definitions import gamma_fraction
@@ -37,23 +41,23 @@ _PLANS = REGISTRY.counter(
     "Plans served by QueryPlanner.plan, by chosen algorithm and source")
 _PARALLEL_PLANS = REGISTRY.counter(
     "repro_planner_parallel_plans_total",
-    "Plans that fan divide-and-conquer subproblems out to work-stealing workers")
+    "Plans whose divide-and-conquer run may fan out to work-stealing workers")
 _TRIVIAL_PLANS = REGISTRY.counter(
     "repro_planner_trivial_plans_total",
     "Plans where preprocessing proved the answer empty")
 
 #: Graphs with at most this many vertices run plain FastQC under "auto".
 SMALL_GRAPH_VERTICES = 64
-#: A core of at least this many vertices opens the parallel gate on size alone.
-PARALLEL_MIN_VERTICES = 2048
-#: Observed branch counts above this open the parallel gate even when the
-#: core is small — a 32-vertex core can still hold seconds of enumeration.
-PARALLEL_MIN_BRANCHES = 4096
 
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """An explainable execution plan for one ``(graph, gamma, theta)`` query."""
+    """An explainable execution plan for one ``(graph, gamma, theta)`` query.
+
+    ``parallel`` means the run may fan out to ``workers`` work-stealing
+    workers: the caller forced it, or it is a divide-and-conquer plan with
+    more than one worker and ``parallel`` other than ``"none"``.
+    """
 
     gamma: float
     theta: int
@@ -112,24 +116,19 @@ class QueryPlanner:
         (gamma, theta, algorithm, branching, framework, parallel); workload
         modifiers and budgets do not change it.  ``algorithm="auto"`` lets the
         planner decide, and a named algorithm, branching or framework is
-        honoured as given, as is an explicit ``workers`` count.  With
-        ``parallel="auto"`` the planner fans the divide-and-conquer
-        subproblems out to work-stealing workers when the core is large, or
-        when a completed run of this ``(gamma, theta)`` observed enough
-        branches.  Planning never runs the enumeration: it reads only
-        memoized artifacts.
+        honoured as given, as is an explicit ``workers`` count.  A
+        divide-and-conquer plan with more than one worker may fan out unless
+        ``parallel="none"``; the run decides when.  Planning never runs the
+        enumeration: it reads only memoized artifacts.
         """
         gamma, theta = spec.gamma, spec.theta
         algorithm, branching, parallel = spec.algorithm, spec.branching, spec.parallel
         # Plans are deterministic in the prepared graph and these fields, so
-        # they are memoized alongside the other prepared artifacts.
-        # The histogram version is part of the key: a completed run that
-        # records fresh branch counts re-opens the parallel decision instead
-        # of serving a plan made without them.  So is the graph version
-        # (reading it syncs the preparation, which drops older plans).
+        # they are memoized alongside the other prepared artifacts.  The graph
+        # version is part of the key (reading it syncs the preparation, which
+        # drops older plans).
         cache_key = (gamma_fraction(gamma), int(theta), algorithm, branching,
-                     spec.framework, parallel, workers,
-                     prepared.histogram_version, prepared.version)
+                     spec.framework, parallel, workers, prepared.version)
         memoized = prepared.plan_cache.get(cache_key)
         if memoized is not None:
             _PLANS.inc(algorithm=memoized.algorithm, source="memoized")
@@ -174,49 +173,22 @@ class QueryPlanner:
             reasons.append(f"branching {branching!r} forced by the caller")
 
         # An explicit worker count is honoured as-is; the default is the CPUs
-        # this process may run on, capped like ParallelDCFastQC's.
+        # this process may run on, capped.
         requested = workers if workers is not None else default_workers()
-        # The parallel gate opens on any of: a core big enough that fan-out is
-        # worth it on size alone, observed work (branch counts from a completed
-        # run — a tiny core can still hold seconds of enumeration), or an
-        # explicit parallel="branch".
-        branch_evidence = prepared.subproblem_branch_histogram(gamma, theta)
-        observed_branches = branch_evidence.total if branch_evidence else 0
-        fan_out = (divides
-                   and requested > 1
-                   and parallel != "none"
-                   and (core_kept >= PARALLEL_MIN_VERTICES
-                        or observed_branches >= PARALLEL_MIN_BRANCHES
-                        or parallel == "branch"))
+        fan_out = divides and requested > 1 and parallel != "none"
         effective_workers = requested if fan_out else 1
-        if fan_out:
-            if core_kept >= PARALLEL_MIN_VERTICES:
-                reasons.append(
-                    f"core of {core_kept} vertices exceeds the parallel threshold "
-                    f"({PARALLEL_MIN_VERTICES}): fanning DC subproblems "
-                    f"out to {effective_workers} work-stealing workers")
-            elif observed_branches >= PARALLEL_MIN_BRANCHES:
-                reasons.append(
-                    f"an observed run explored {observed_branches} branches "
-                    f"(>= {PARALLEL_MIN_BRANCHES}): enough work to "
-                    f"fan out to {effective_workers} work-stealing workers "
-                    f"despite the {core_kept}-vertex core")
-            if parallel == "branch":
-                reasons.append(
-                    f"parallel mode 'branch' forced by the caller: "
-                    f"{effective_workers} work-stealing workers")
+        if fan_out and parallel == "branch":
+            reasons.append(
+                f"parallel mode 'branch' forced by the caller: "
+                f"{effective_workers} work-stealing workers from the first "
+                "subproblem on")
+        elif fan_out:
+            reasons.append(
+                f"fans out to {effective_workers} work-stealing workers once "
+                f"the run has explored {dcfastqc.FAN_OUT_BRANCHES} branches "
+                "in this process")
         elif parallel == "none" and requested > 1 and divides:
             reasons.append("parallelism disabled by the caller (parallel='none')")
-        elif requested > 1 and divides:
-            # parallel="auto" with both gates shut: name each against its bound.
-            evidence = (f"a completed run explored {observed_branches} branches <"
-                        if branch_evidence else
-                        "no completed run yet has counted branches for")
-            reasons.append(
-                f"parallelism declined despite {requested} workers: core of "
-                f"{core_kept} vertices < parallel_min_vertices "
-                f"({PARALLEL_MIN_VERTICES}), and {evidence} "
-                f"parallel_min_branches ({PARALLEL_MIN_BRANCHES})")
         elif requested > 1 and (parallel == "branch" or workers is not None):
             plain = (f"{chosen!r}" if chosen != "dcfastqc"
                      else "framework 'none'")

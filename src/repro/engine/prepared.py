@@ -42,7 +42,6 @@ import time
 from array import array
 from collections.abc import Iterator, Mapping
 
-from ..core.stats import SizeHistogram
 from ..graph.core_decomposition import core_numbers_by_index
 from ..graph.graph import Graph, GraphError, VertexLabel, iter_bits
 from ..quasiclique.definitions import degree_threshold, gamma_fraction
@@ -85,13 +84,6 @@ class PreparedGraph:
         #: Memoized QueryPlans, populated by QueryPlanner.plan (plans are
         #: deterministic in the prepared graph and the query configuration).
         self.plan_cache: dict = {}
-        #: Observed per-subproblem branch-count histograms from completed
-        #: enumerations, keyed by ``(gamma_fraction, theta)``: the evidence
-        #: that opens the planner's parallel gate for small cores.  The version
-        #: counter is part of the plan memo key, so recording a new histogram
-        #: invalidates plans computed without it.
-        self.observed_branch_histograms: dict[tuple, SizeHistogram] = {}
-        self.histogram_version = 0
 
     # ------------------------------------------------------------------
     # Lazily computed artifacts
@@ -276,35 +268,6 @@ class PreparedGraph:
         for i in iter_bits(moved):
             cores[i] = core
         return cores
-
-    # ------------------------------------------------------------------
-    # Observed work (the planner's parallel-gate evidence)
-    # ------------------------------------------------------------------
-    def record_subproblem_histogram(self, gamma: float, theta: int,
-                                    histogram: SizeHistogram) -> None:
-        """Remember the per-subproblem branch counts a completed run observed.
-
-        Only non-empty histograms are kept (a trivial, non-DC or
-        branch-parallel run records none).  The version counter bumps only
-        when the stored evidence changes, so repeat queries do not churn the
-        plan memo.
-        """
-        if not histogram:
-            return
-        key = (gamma_fraction(gamma), int(theta))
-        previous = self.observed_branch_histograms.get(key)
-        if previous is not None and (previous.count == histogram.count
-                                     and previous.max == histogram.max
-                                     and previous.total == histogram.total):
-            return
-        self.observed_branch_histograms[key] = histogram
-        self.histogram_version += 1
-
-    def subproblem_branch_histogram(self, gamma: float,
-                                    theta: int) -> SizeHistogram | None:
-        """The observed per-subproblem branch-count histogram, if any."""
-        return self.observed_branch_histograms.get(
-            (gamma_fraction(gamma), int(theta)))
 
     # ------------------------------------------------------------------
     # Lifecycle

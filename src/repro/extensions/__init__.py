@@ -2,7 +2,8 @@
 
 These implement the problem variants the paper discusses in its related work
 and conclusion: top-k largest quasi-clique mining (kernel expansion), query-
-driven community search, and a parallel divide-and-conquer driver.  The exact
+driven community search, and the work-stealing workers a divide-and-conquer
+run fans out to.  The exact
 top-k and containment searches are QuerySpec workloads
 (:mod:`repro.api.execute`).
 """
@@ -14,7 +15,7 @@ from .topk import (
     top_k_summary,
 )
 from .query import QueryError, community_of
-from .parallel import ParallelDCFastQC, run_compact_subproblem
+from .parallel import run_compact_subproblem
 from .stealing import (ForcedStealSchedule, WorkerCrash,
                        branch_parallel_enumerate)
 
@@ -25,7 +26,6 @@ __all__ = [
     "top_k_summary",
     "QueryError",
     "community_of",
-    "ParallelDCFastQC",
     "run_compact_subproblem",
     "ForcedStealSchedule",
     "WorkerCrash",

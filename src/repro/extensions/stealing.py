@@ -3,9 +3,8 @@
 Handing *whole* DC subproblems to workers serializes the run whenever one
 subproblem dominates — the common case on skewed degree distributions, where
 the hub vertex's 2-hop ball holds most of the work.  This module, the
-multi-process path behind
-:class:`~repro.extensions.parallel.ParallelDCFastQC`, also parallelises
-*inside* a subproblem: the explicit work-stack driver
+multi-process path behind :class:`~repro.core.dcfastqc.DCFastQC`'s fan-out,
+also parallelises *inside* a subproblem: the explicit work-stack driver
 (:func:`repro.core.kernel.depth_first_enumerate`) exposes its pending subtrees,
 so an idle worker can steal one from the **bottom** of a busy worker's stack
 (the bottom-most entry roots the largest unexplored subtree — classic
@@ -18,11 +17,12 @@ Three properties keep stolen subtrees exact:
   of the masks and the graph, so the steal payload is just three ints —
   O(|S| + |C|) bits, not O(subgraph) — and the thief rebuilds identical
   ledgers with ``BranchState.from_branch``.
-* **The maximality halo travels with the subproblem.**  Workers inherit the
-  run's tuple of :class:`~repro.core.dcfastqc.CompactSubproblem` payloads
-  (ball + one-hop halo adjacency) by fork, and a task names its subproblem by
-  index, so a thief's maximality filtering decides exactly like a full-graph
-  check, wherever the subtree runs.
+* **The maximality route travels with the subproblem.**  Workers inherit the
+  run's :class:`~repro.core.dcfastqc.CompactSubproblem` payloads, each with
+  the rows its maximality filter reads (the full graph's rows on a dict
+  graph, the ball plus one-hop halo on a CSR graph), by fork, and a task
+  names its subproblem by index, so a thief's maximality filtering decides
+  exactly like a full-graph check, wherever the subtree runs.
 * **Verdicts flow back.**  An ancestor's ``G[S]`` fallback emission depends on
   whether *any* descendant output a quasi-clique, so a donor parks the stolen
   subtree's parent frame (:class:`~repro.core.kernel.BranchFrame`) and the
@@ -32,12 +32,15 @@ Three properties keep stolen subtrees exact:
   sequential driver (each branch is expanded exactly once, somewhere).
 
 The process topology is one coordinator (the parent) plus N workers sharing a
-task queue.  Tasks are either subproblem roots (seeded by the coordinator) or
-stolen subtrees (published by donors directly onto the task queue); every task
+task queue.  Tasks are either seeds (published by the coordinator: subproblem
+roots, or the branches a fanning-out parent took off its own stack) or stolen
+subtrees (published by donors directly onto the task queue); every task
 eventually produces exactly one ``done`` event, possibly long after the
-worker's local stack drained, and the coordinator routes thief verdicts back
-to donor inboxes.  Termination is announce/done accounting with out-of-order
-tolerance (a thief's ``done`` may overtake the donor's ``steal`` announce).
+worker's local stack drained.  The coordinator routes thief verdicts back to
+donor inboxes and returns the seeds' verdicts to its caller, which parks
+frames of its own exactly like a donor.  Termination is announce/done
+accounting with out-of-order tolerance (a thief's ``done`` may overtake the
+donor's ``steal`` announce).
 """
 
 from __future__ import annotations
@@ -174,11 +177,11 @@ class _WorkerRuntime:
     def engine_for(self, index: int) -> FastQC:
         engine = self.engines.get(index)
         if engine is None:
-            subproblem = self.subproblems[index]
+            subproblem, (rows, row_index) = self.subproblems[index]
             engine = FastQC(subproblem, self.config.gamma, self.config.theta,
                             branching=self.config.branching,
                             maximality_filter=self.config.maximality_filter,
-                            maximality_rows=subproblem.maximality_rows(),
+                            maximality_rows=rows, maximality_index=row_index,
                             on_output=self.emissions.append)
             self.engines[index] = engine
         return engine
@@ -195,7 +198,7 @@ class _WorkerRuntime:
 
     @staticmethod
     def _origin_of(task_id: str):
-        # Stolen tasks are named "steal-<donor>:<seq>"; initial tasks "init-<n>".
+        # Stolen tasks are named "steal-<donor>:<seq>"; seeds "seed-<n>".
         if task_id.startswith("steal-"):
             donor, _, sequence = task_id[len("steal-"):].partition(":")
             return int(donor), task_id[len("steal-"):]
@@ -319,17 +322,24 @@ def _context():
 
 
 def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
-                              branching: str = "hybrid",
+                              seeds=None, branching: str = "hybrid",
                               maximality_filter: bool = True, workers: int = 2,
                               steal_schedule=None):
     """Enumerate compact subproblems with work-stealing branch parallelism.
 
-    Returns ``(candidates, statistics, telemetry)``: the union of worker
-    emissions as a set of frozensets, the merged per-worker
+    ``subproblems`` holds ``(payload, (maximality_rows, maximality_index))``
+    pairs: a :class:`~repro.core.dcfastqc.CompactSubproblem` and the rows its
+    maximality filter reads (see :class:`~repro.core.fastqc.FastQC`).
+    ``seeds`` holds the ``(subproblem index, Branch)`` tasks the coordinator
+    publishes (default: every subproblem's root branch).
+
+    Returns ``(candidates, statistics, telemetry, verdicts)``: the union of
+    worker emissions as a set of frozensets, the merged per-worker
     :class:`SearchStatistics` (branch counts add up exactly to the sequential
-    driver's — every branch is expanded once, somewhere), and a telemetry dict
+    driver's — every branch is expanded once, somewhere), a telemetry dict
     (``steals``, ``busy_seconds``, ``wall_seconds``, ``idle_gaps_ms``,
-    ``workers``, ``worker_branches``).
+    ``workers``, ``worker_branches``) and each seed's subtree verdict (True
+    iff it output a quasi-clique), in seed order.
 
     Raises :class:`WorkerCrash` when a worker dies mid-run; the caller is
     expected to fall back to the sequential driver.  Workers are joined and
@@ -338,6 +348,9 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     if workers < 2:
         raise ValueError("branch-parallel enumeration needs >= 2 workers")
     subproblems = tuple(subproblems)
+    if seeds is None:
+        seeds = [(index, subproblem.initial_branch())
+                 for index, (subproblem, _route) in enumerate(subproblems)]
     context = _context()
     tasks = context.Queue()
     events = context.Queue()
@@ -363,6 +376,7 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     telemetry = {"steals": 0, "busy_seconds": 0.0, "idle_gaps_ms": [],
                  "workers": workers, "wall_seconds": 0.0,
                  "worker_branches": {}}
+    verdicts: list[bool | None] = [None] * len(seeds)
     crashed = True
     try:
         # Fork before the first put: a put starts the queue's feeder thread,
@@ -370,12 +384,11 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
         for process in processes:
             process.start()
         announced: set[str] = set()
-        for index, subproblem in enumerate(subproblems):
-            root = subproblem.initial_branch()
-            task_id = f"init-{index}"
+        for number, (index, branch) in enumerate(seeds):
+            task_id = f"seed-{number}"
             announced.add(task_id)
             tasks.put(("task", task_id, index,
-                       root.s_mask, root.c_mask, root.d_mask))
+                       branch.s_mask, branch.c_mask, branch.d_mask))
         outstanding = len(announced)
         pending_dones: dict[str, tuple] = {}
 
@@ -388,9 +401,11 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
 
         def apply_done(message) -> None:
             nonlocal outstanding
-            _kind, _task_id, origin, found, emissions = message
+            _kind, task_id, origin, found, emissions = message
             results.update(emissions)
-            if origin is not None:
+            if origin is None:
+                verdicts[int(task_id[len("seed-"):])] = found
+            else:
                 donor, steal_id = origin
                 inboxes[donor].put(("steal_result", steal_id, found))
             outstanding -= 1
@@ -464,7 +479,7 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
             queue.join_thread()
     telemetry["steals"] = statistics.steals
     telemetry["wall_seconds"] = time.perf_counter() - started
-    return results, statistics, telemetry
+    return results, statistics, telemetry, verdicts
 
 
 # ----------------------------------------------------------------------

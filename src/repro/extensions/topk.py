@@ -105,7 +105,8 @@ def largest_quasi_clique_size(graph: Graph, gamma: float, minimum_size: int = 2)
     spec = QuerySpec(gamma=gamma, theta=max(1, minimum_size), k=1,
                      algorithm="dcfastqc")
     bound = prepared.size_upper_bound(gamma) if prepared is not None else None
-    top = topk_search(graph, spec, size_bound=bound).maximal_quasi_cliques
+    top = topk_search(graph if prepared is None else prepared, spec,
+                      size_bound=bound).maximal_quasi_cliques
     return len(top[0]) if top else 0
 
 

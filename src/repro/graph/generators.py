@@ -70,8 +70,8 @@ def gnm_edges(vertex_count: int, edge_count: int,
               seed: int | None = None) -> Iterator[tuple[int, int]]:
     """Stream the edges of a G(n, m) draw without building a :class:`Graph`.
 
-    Consumes the rng identically to :func:`erdos_renyi_gnm`, so the same seed
-    yields the same edge set — feed it to
+    :func:`erdos_renyi_gnm` builds its graph from this stream, so the same
+    seed yields the same edge set — feed it to
     :meth:`repro.core.csr.CSRGraph.from_edge_stream` (or
     :func:`gnm_csr_graph`) for 10^5+-vertex graphs in O(V + E) memory.
     """
@@ -88,18 +88,10 @@ def erdos_renyi_gnm(vertex_count: int, edge_count: int, seed: int | None = None)
 
     This matches the paper's synthetic data construction: "we first generate a
     certain number of vertices and then randomly add a certain number of edges
-    between pairs of vertices".
+    between pairs of vertices".  The edges are :func:`gnm_edges`'.
     """
-    if vertex_count < 0:
-        raise ValueError("vertex_count must be non-negative")
-    max_edges = vertex_count * (vertex_count - 1) // 2
-    if edge_count > max_edges:
-        raise ValueError(f"edge_count {edge_count} exceeds the maximum {max_edges}")
-    rng = random.Random(seed)
-    graph = Graph(vertices=range(vertex_count))
-    for edge in _gnm_edge_sample(vertex_count, edge_count, rng):
-        graph.add_edge(*edge)
-    return graph
+    return Graph(edges=gnm_edges(vertex_count, edge_count, seed=seed),
+                 vertices=range(vertex_count))
 
 
 def erdos_renyi_by_density(vertex_count: int, edge_density: float, seed: int | None = None) -> Graph:
@@ -176,32 +168,12 @@ def barabasi_albert(vertex_count: int, attachment: int, seed: int | None = None)
     """Return a Barabasi–Albert preferential-attachment graph.
 
     Produces the skewed degree distributions typical of the paper's social and
-    web datasets while keeping the degeneracy small.
+    web datasets while keeping the degeneracy small.  The edges are
+    :func:`preferential_attachment_edges`'.
     """
-    if attachment < 1:
-        raise ValueError("attachment must be >= 1")
-    if vertex_count <= attachment:
-        raise ValueError("vertex_count must exceed attachment")
-    rng = random.Random(seed)
-    graph = Graph(vertices=range(vertex_count))
-    # Start from a small clique of `attachment + 1` vertices.
-    targets = list(range(attachment + 1))
-    for u in targets:
-        for v in targets:
-            if u < v:
-                graph.add_edge(u, v)
-    repeated: list[int] = []
-    for vertex in targets:
-        repeated.extend([vertex] * attachment)
-    for new_vertex in range(attachment + 1, vertex_count):
-        chosen: set[int] = set()
-        while len(chosen) < attachment:
-            chosen.add(rng.choice(repeated))
-        for target in chosen:
-            graph.add_edge(new_vertex, target)
-            repeated.append(target)
-        repeated.extend([new_vertex] * attachment)
-    return graph
+    return Graph(edges=preferential_attachment_edges(vertex_count, attachment,
+                                                     seed=seed),
+                 vertices=range(vertex_count))
 
 
 def preferential_attachment_edges(vertex_count: int, attachment: int,
@@ -209,11 +181,13 @@ def preferential_attachment_edges(vertex_count: int, attachment: int,
                                   ) -> Iterator[tuple[int, int]]:
     """Stream the edges of a Barabasi–Albert draw without building a graph.
 
-    Mirrors :func:`barabasi_albert` step for step — same validation, same rng
-    consumption, same ``repeated`` pool evolution — so the same seed yields
-    the same edge set; the power-law degree skew comes out identical.  The
-    only state kept is the O(n * attachment) attachment pool, so this scales
-    to 10^5+ vertices where the dict/bitmask graph cannot; feed it to
+    Starts from a clique on ``attachment + 1`` vertices; every later vertex
+    attaches to ``attachment`` distinct earlier ones, drawn from a pool that
+    holds each vertex once per incident edge end (so proportionally to
+    degree).  :func:`barabasi_albert` builds its graph from this stream, so
+    the same seed yields the same edge set.  The only state kept is the
+    O(n * attachment) attachment pool, so this scales to 10^5+ vertices
+    where the dict/bitmask graph cannot; feed it to
     :func:`powerlaw_csr_graph` or
     :meth:`repro.core.csr.CSRGraph.from_edge_stream`.
     """

@@ -88,22 +88,21 @@ class ReferenceDCFastQC(DCFastQC):
 
     _engine_class = ReferenceFastQC
 
-    def _iter_batches(self) -> Iterator[list[frozenset]]:
-        """One shared engine branching over global-width masks."""
+    def _iter_batches(self, budget: int | None = None) -> Iterator[list[frozenset]]:
+        """One shared engine branching over global-width masks, in this
+        process: the reference never fans out, whatever the ``budget``."""
         engine = self._engine_class(
             self.graph, self.gamma, self.theta, branching=self.branching,
             maximality_filter=self.maximality_filter,
             on_output=self.on_output, should_stop=self.should_stop,
             progress=self.progress)
         self.statistics = engine.statistics
-        for root_index, refined_mask, prior_mask in self._iter_subproblems():
+        for root_index, refined_mask in self._iter_subproblems():
             if self.stopped:
                 return
-            branch = Branch(
-                1 << root_index,
-                refined_mask & ~(1 << root_index),
-                prior_mask & ~(1 << root_index),
-            )
+            # D would hold the earlier roots, which the refined mask already
+            # excludes; the search never reads D, so it starts empty here too.
+            branch = Branch(1 << root_index, refined_mask & ~(1 << root_index), 0)
             batch = engine.enumerate_branch(branch)
             self.stopped = engine.stopped
             yield batch

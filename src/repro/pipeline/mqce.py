@@ -5,9 +5,7 @@ default, FastQC or Quick+ on request) for a :class:`repro.api.QuerySpec`,
 removes non-maximal quasi-cliques with the set-trie filter, and returns both
 the final maximal quasi-cliques and the intermediate candidate set together
 with timing and search statistics.  :func:`enumerate_and_filter` is its second
-half, shared with every runner the engine builds: a sequential enumerator, a
-work-stealing :class:`~repro.extensions.parallel.ParallelDCFastQC` or a
-reference enumerator of :mod:`repro.oracle`.
+half, shared with the reference enumerators of :mod:`repro.oracle`.
 
 No planner is involved at this level: a spec's ``algorithm="auto"`` means
 DCFastQC, and a bare graph has its preprocessing (core decomposition,
@@ -53,7 +51,8 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
                      maximality_filter: bool = True,
                      on_output: Callable[[frozenset], None] | None = None,
                      should_stop: Callable[[], bool] | None = None,
-                     progress=None, tracer=None):
+                     progress=None, tracer=None, workers: int = 1,
+                     parallel: str = "auto"):
     """Construct (but do not run) the requested MQCE-S1 enumerator.
 
     ``branching`` defaults to ``"hybrid"`` for FastQC/DCFastQC and ``"se"`` for
@@ -65,7 +64,9 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
     records decompose / shrink / subproblem spans); the naive baseline
     ignores both as well.
     ``graph`` may be an engine ``PreparedGraph``: DCFastQC reuses its core
-    mask, the other algorithms run on the underlying graph.
+    mask, the other algorithms run on the underlying graph.  ``workers`` and
+    ``parallel`` reach DCFastQC only, whose run may fan out to that many
+    work-stealing workers.
     """
     # Lazy import: the engine package imports this module.
     from ..engine.prepared import as_plain_graph
@@ -76,7 +77,8 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
                         framework=framework, max_rounds=max_rounds,
                         maximality_filter=maximality_filter,
                         on_output=on_output, should_stop=should_stop,
-                        progress=progress, tracer=tracer)
+                        progress=progress, tracer=tracer, workers=workers,
+                        parallel=parallel)
     graph = as_plain_graph(graph)
     if algorithm == "fastqc":
         return FastQC(graph, gamma, theta, branching=branching or "hybrid",
@@ -94,7 +96,8 @@ def build_enumerator(graph: Graph, gamma: float, theta: int, algorithm: str = "d
 
 def run_enumeration(graph: Graph, spec,
                     should_stop: Callable[[], bool] | None = None,
-                    tracer=None, progress=None) -> EnumerationResult:
+                    tracer=None, progress=None,
+                    workers: int = 1) -> EnumerationResult:
     """Run one full MQCE enumeration described by a :class:`repro.api.QuerySpec`.
 
     This is the canonical execution path for the ``enumerate`` workload: it
@@ -111,7 +114,10 @@ def run_enumeration(graph: Graph, spec,
 
     ``tracer`` records the two phases as ``enumerate`` / ``filter`` spans
     (and passes through to the DC driver's decompose/shrink spans);
-    ``progress`` receives branch ticks.  Both default to disabled.
+    ``progress`` receives branch ticks.  Both default to disabled.  With
+    ``workers > 1`` a DCFastQC run may fan out as ``spec.parallel`` says
+    (see :class:`~repro.core.dcfastqc.DCFastQC`); a time limit, a
+    ``should_stop`` or ``progress`` keeps it in this process.
     """
     framework = spec.framework if spec.framework is not None else "dc"
     if should_stop is None and spec.time_limit is not None:
@@ -122,18 +128,19 @@ def run_enumeration(graph: Graph, spec,
                                   max_rounds=spec.max_rounds,
                                   maximality_filter=spec.maximality_filter,
                                   should_stop=should_stop,
-                                  progress=progress, tracer=tracer)
+                                  progress=progress, tracer=tracer,
+                                  workers=workers, parallel=spec.parallel)
     return enumerate_and_filter(enumerator, spec, tracer=tracer)
 
 
 def enumerate_and_filter(enumerator, spec, tracer=None) -> EnumerationResult:
     """Run a built MQCE-S1 enumerator for ``spec``, then the set-trie filter.
 
-    The shared second half of :func:`run_enumeration` and of the engine's
-    parallel plans: enumerate, remove non-maximal candidates (MQCE-S2) and
-    pack both into an :class:`EnumerationResult`.  A work-stealing runner's
-    ``enumerate`` span is marked ``parallel`` with the ``mode`` it took; its
-    workers record no spans beneath it.
+    The shared second half of :func:`run_enumeration` and of the oracle's
+    reference runs: enumerate, remove non-maximal candidates (MQCE-S2) and
+    pack both into an :class:`EnumerationResult`.  The ``enumerate`` span of
+    a run that may fan out is marked ``parallel`` with the ``mode`` it took
+    (``"sequential"`` or ``"branch"``); workers record no spans beneath it.
     """
     algorithm = resolve_algorithm(spec.algorithm)
     obs = tracer if tracer is not None else NULL_TRACER

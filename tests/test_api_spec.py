@@ -24,7 +24,7 @@ from repro import (
 )
 from repro.api import result_value, shape_result
 from repro.datasets import get_spec, load_dataset
-import repro.engine.planner as planner_module
+import repro.core.dcfastqc as dcfastqc_module
 from repro.engine import ResultCache
 from repro.extensions.parallel import LAST_PARALLEL_RUN
 
@@ -201,8 +201,8 @@ class TestBuilder:
         assert query.result().algorithm == plan.algorithm
 
     def test_one_shot_queries_stay_in_process(self, monkeypatch):
-        # With the size gate open, an engine with two workers fans out ...
-        monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", 1)
+        # With no branch budget, an engine with two workers fans out ...
+        monkeypatch.setattr(dcfastqc_module, "FAN_OUT_BRANCHES", 0)
         graph = load_dataset("twitter")
         query = Q(graph).gamma(0.9).theta(5)
         assert MQCEEngine(workers=2).explain(graph, query.spec()).parallel

@@ -9,7 +9,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.registry import get_spec
-from repro.engine.planner import PARALLEL_MIN_BRANCHES
+from repro.core.dcfastqc import FAN_OUT_BRANCHES
+from repro.extensions.parallel import LAST_PARALLEL_RUN
 from repro.graph import write_edge_list
 from repro.graph.generators import planted_quasi_clique_graph
 
@@ -54,19 +55,21 @@ class TestEngineQuery:
         assert payload["engine"]["cache"]["misses"] == 1
 
     def test_json_plan_is_the_plan_that_ran(self, capsys):
-        # A sequential DC run records its branch histogram; on wordnet at
-        # (0.7, 4) that is 8k+ branches, past the parallel gate's
-        # PARALLEL_MIN_BRANCHES.  The JSON must report the serial
-        # plan that ran, not a parallel plan made after the run.
+        # On wordnet at (0.7, 4) the run explores 8k+ branches, past
+        # FAN_OUT_BRANCHES, so a one-shot query with two workers fans out
+        # while it runs.  The plan before the run is the plan the JSON
+        # reports: the run's work never feeds back into planning.
         args = ["query", "-d", "wordnet", "-g", "0.7", "-t", "4", "--workers", "2"]
         assert main(args + ["--explain", "--json"]) == 0
         before = json.loads(capsys.readouterr().out)["plan"]
+        LAST_PARALLEL_RUN.clear()
         assert main(args + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["result"]["branches_explored"] >= PARALLEL_MIN_BRANCHES
+        assert payload["result"]["branches_explored"] >= FAN_OUT_BRANCHES
         assert payload["plan"] == before
-        assert payload["plan"]["parallel"] is False
-        assert payload["plan"]["workers"] == 1
+        assert payload["plan"]["parallel"] is True
+        assert payload["plan"]["workers"] == 2
+        assert payload["engine"]["parallel"]["mode"] == "branch"
 
     def test_query_from_edge_list_file(self, graph_file, capsys):
         code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5"])

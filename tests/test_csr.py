@@ -535,15 +535,23 @@ def batches_and_counters(graph: Graph, gamma: float, theta: int):
 def test_registry_payloads_match_dict_field_for_field(name):
     graph = load_dataset(name)
     gamma, theta = default_parameters(name)
-    expected = list(DCFastQC(graph, gamma, theta).iter_compact_subproblems())
-    actual = list(DCFastQC(csr_of(graph), gamma, theta).iter_compact_subproblems())
-    assert len(actual) == len(expected)
-    for mine, theirs in zip(actual, expected):
-        assert mine.root_local == theirs.root_local
-        assert mine.labels == theirs.labels
-        assert mine.rows == theirs.rows
+    # The dict graph's payloads carry no halo (their route is the full
+    # graph's rows); the halo a CSR payload carries must equal the one the
+    # dict graph's rows give for the same ball.
+    driver = DCFastQC(graph, gamma, theta)
+    expected = [CompactSubproblem.from_ball(graph, root, mask)
+                for root, mask in driver._iter_subproblems()]
+    halo_free = [payload for payload, _route in driver._iter_payloads()]
+    actual = [payload for payload, _route in
+              DCFastQC(csr_of(graph), gamma, theta)._iter_payloads()]
+    assert len(actual) == len(expected) == len(halo_free)
+    for mine, theirs, bare in zip(actual, expected, halo_free):
+        assert mine.root_local == theirs.root_local == bare.root_local
+        assert mine.labels == theirs.labels == bare.labels
+        assert mine.rows == theirs.rows == bare.rows
         assert mine.halo_labels == theirs.halo_labels  # same order, too
         assert mine.halo_adjacency == theirs.halo_adjacency
+        assert bare.halo_labels == ()
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -584,8 +592,8 @@ def test_sequential_csr_run_checks_maximality_against_halo_graphs(
                             recording(getattr(fastqc_module, name)))
     dc = DCFastQC(csr, SKEW_GAMMA, SKEW_THETA)
     dc.enumerate()
-    halo_sizes = {len(payload.labels) + len(payload.halo_labels) for payload in
-                  DCFastQC(csr, SKEW_GAMMA, SKEW_THETA).iter_compact_subproblems()}
+    halo_sizes = {len(payload.labels) + len(payload.halo_labels) for payload, _route
+                  in DCFastQC(csr, SKEW_GAMMA, SKEW_THETA)._iter_payloads()}
     stats = dc.statistics
     assert len(targets) == stats.outputs + stats.outputs_suppressed_by_maximality
     assert not any(is_input for is_input, _ in targets)
@@ -653,7 +661,8 @@ def test_dc_queries_build_no_graph_per_subproblem(monkeypatch):
         assert dc.statistics.subproblems > 1
     assert built == []
     assert len(orderings) == 2
-    payloads = list(DCFastQC(graph, gamma, theta).iter_compact_subproblems())
+    payloads = [payload for payload, _route in
+                DCFastQC(csr, gamma, theta)._iter_payloads()]
     for payload in payloads:
         run_compact_subproblem(payload, gamma, theta)
     assert len(payloads) > 1 and built == []

@@ -7,7 +7,7 @@ import pytest
 from repro import Graph, Q, QuerySpec, community_of, run_enumeration
 from repro.core.csr import CSRGraph
 from repro.datasets import dataset_names, get_spec, load_dataset, load_prepared
-import repro.engine.planner as planner_module
+import repro.core.dcfastqc as dcfastqc_module
 from repro.engine import (
     MQCEEngine,
     PreparedGraph,
@@ -170,7 +170,8 @@ class TestQueryPlanner:
         plan = QueryPlanner().plan(prepared, QuerySpec(0.9, 7))
         assert plan.algorithm == "dcfastqc"
         assert plan.framework == "dc"
-        assert not plan.parallel  # core far below the parallel threshold
+        # A divide-and-conquer plan may fan out whenever it has workers.
+        assert plan.parallel == (plan.workers > 1)
 
     def test_forced_algorithm_and_branching(self, small_graph):
         plan = QueryPlanner().plan(PreparedGraph(small_graph), QuerySpec(
@@ -181,11 +182,12 @@ class TestQueryPlanner:
 
     def test_parallel_plan_when_threshold_lowered(self, monkeypatch):
         # Plans are memoized per preparation: patch before the first plan.
-        monkeypatch.setattr(planner_module, "PARALLEL_MIN_VERTICES", 1)
+        monkeypatch.setattr(dcfastqc_module, "FAN_OUT_BRANCHES", 1)
         prepared = load_prepared("ca-grqc")
         plan = QueryPlanner().plan(prepared, QuerySpec(0.9, 7), workers=2)
         assert plan.parallel
         assert plan.workers == 2
+        assert "once the run has explored 1 branches" in plan.describe()
 
     def test_trivial_plan_when_core_too_small(self, small_graph):
         plan = QueryPlanner().plan(PreparedGraph(small_graph), QuerySpec(1.0, 6))

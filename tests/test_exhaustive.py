@@ -13,9 +13,16 @@ root.  γ takes every value ``k/(h-1)`` in ``[0.5, 1]`` for ``2 <= h <= 7``
 (where the degree and two-hop thresholds step) and each of those plus
 0.001; θ takes every value in ``1..|V|``.
 
-Tier-1 sweeps every graph on at most six vertices on the dict backend and a
-slice of them on the CSR twin.  ``REPRO_EXHAUSTIVE_FULL=1`` sweeps all
-1,252 graphs on both backends (a separate CI step, ~2 min).
+**The final answers.**  For every graph, every such γ and every θ, the
+maximal set :func:`~repro.pipeline.mqce.run_enumeration` returns equals
+brute force's, in seven configurations (:data:`ANSWER_CONFIGURATIONS`):
+DCFastQC on the dict and the CSR backend, FastQC, Quick+, the basic-dc
+framework, and the sym-se and se branchings.
+
+Tier-1 sweeps the shrink layer over every graph on at most six vertices on
+the dict backend and a slice of them on the CSR twin, and the final answers
+over every graph on at most five vertices.  ``REPRO_EXHAUSTIVE_FULL=1``
+sweeps all 1,252 graphs in both layers (a separate CI step, a few minutes).
 """
 
 from __future__ import annotations
@@ -26,10 +33,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.spec import QuerySpec
 from repro.core.csr import CSRGraph
 from repro.core.dcfastqc import DCFastQC
 from repro.graph.graph import Graph
-from repro.quasiclique.bruteforce import enumerate_all_quasi_cliques
+from repro.pipeline.mqce import run_enumeration
+from repro.quasiclique.bruteforce import (enumerate_all_quasi_cliques,
+                                          enumerate_maximal_quasi_cliques_bruteforce)
 
 ATLAS = Path(__file__).with_name("data") / "graph_atlas.txt"
 FULL = os.environ.get("REPRO_EXHAUSTIVE_FULL") == "1"
@@ -44,6 +54,18 @@ def _gammas() -> list[Fraction]:
 
 GAMMAS = _gammas()
 FRAMEWORKS = ("dc", "basic-dc")
+
+#: ``(backend, QuerySpec fields)`` of every configuration whose final answers
+#: the sweep checks against brute force.
+ANSWER_CONFIGURATIONS = (
+    ("dict", {"algorithm": "dcfastqc"}),
+    ("csr", {"algorithm": "dcfastqc"}),
+    ("dict", {"algorithm": "fastqc"}),
+    ("dict", {"algorithm": "quickplus"}),
+    ("dict", {"algorithm": "dcfastqc", "framework": "basic-dc"}),
+    ("dict", {"algorithm": "dcfastqc", "branching": "sym-se"}),
+    ("dict", {"algorithm": "dcfastqc", "branching": "se"}),
+)
 
 
 def load_atlas() -> list[tuple[int, int, list[tuple[int, int]]]]:
@@ -80,8 +102,7 @@ def shrink_containment(graphs, backend: str) -> tuple[int, list[tuple]]:
             for theta in range(1, n + 1):
                 for framework in FRAMEWORKS:
                     algo = DCFastQC(graph, gamma, theta, framework=framework)
-                    refined = {root: mask
-                               for root, mask, _ in algo._iter_subproblems()}
+                    refined = dict(algo._iter_subproblems())
                     position = {record.root: order for order, record
                                 in enumerate(algo.dc_statistics.subproblem_records)}
                     for size, h in quasi_cliques:
@@ -96,6 +117,34 @@ def shrink_containment(graphs, backend: str) -> tuple[int, list[tuple]]:
                         violations.append((atlas_index, gamma, theta,
                                            framework, members))
     return checks, violations
+
+
+def final_answers(graphs) -> tuple[int, list[tuple]]:
+    """Check every configuration's maximal set against brute force.
+
+    Returns ``(checks, mismatches)``; a mismatch is ``(atlas index, gamma,
+    theta, backend, spec fields)``.
+    """
+    checks = 0
+    mismatches = []
+    for atlas_index, n, edges in graphs:
+        graphs_by_backend = {backend: build(backend, n, edges)
+                             for backend in ("dict", "csr")}
+        for gamma in GAMMAS:
+            # Maximality is global, so the answer at theta is the maximal
+            # quasi-cliques of every size, cut at theta.
+            maximal = enumerate_maximal_quasi_cliques_bruteforce(
+                graphs_by_backend["dict"], gamma)
+            for theta in range(1, n + 1):
+                expected = {h for h in maximal if len(h) >= theta}
+                for backend, fields in ANSWER_CONFIGURATIONS:
+                    checks += 1
+                    result = run_enumeration(graphs_by_backend[backend],
+                                             QuerySpec(gamma, theta, **fields))
+                    if set(result.maximal_quasi_cliques) != expected:
+                        mismatches.append((atlas_index, gamma, theta, backend,
+                                           fields))
+    return checks, mismatches
 
 
 def _slice(backend: str):
@@ -115,6 +164,16 @@ def test_fixture_is_the_whole_atlas():
         counts[n] = counts.get(n, 0) + 1
     assert counts == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     assert len(GAMMAS) == 13
+
+
+def test_every_configuration_returns_the_brute_force_answer():
+    graphs = load_atlas()
+    if not FULL:
+        graphs = [graph for graph in graphs if graph[1] <= 5]
+    checks, mismatches = final_answers(graphs)
+    assert checks > 0
+    assert not mismatches, (
+        f"{len(mismatches)} of {checks} checks failed; first: {mismatches[0]}")
 
 
 @pytest.mark.parametrize("backend", ["dict", "csr"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ParallelDCFastQC, QuerySpec, run_enumeration
+from repro import DCFastQC, QuerySpec, filter_non_maximal, run_enumeration
 from repro.datasets import get_spec
 from repro.quasiclique import is_quasi_clique, satisfies_maximality_necessary_condition
 
@@ -58,9 +58,11 @@ class TestAlgorithmsAgreeOnDatasets:
     @pytest.mark.parametrize("name", ["douban", "kmer"])
     def test_parallel_matches_sequential(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
-        parallel = ParallelDCFastQC(graph, spec.default_gamma, spec.default_theta,
-                                    workers=2)
-        assert set(parallel.find_maximal()) == set(reference.maximal_quasi_cliques)
+        parallel = DCFastQC(graph, spec.default_gamma, spec.default_theta,
+                            workers=2, parallel="branch")
+        maximal = filter_non_maximal(parallel.enumerate(), theta=spec.default_theta)
+        assert parallel.mode_selected == "branch"
+        assert set(maximal) == set(reference.maximal_quasi_cliques)
 
 
 class TestOutputQuality:

@@ -272,6 +272,56 @@ class TestWorkStackDriver:
         assert result is True
         assert calls == []  # expansion never ran
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_parked_search_closes_like_an_uninterrupted_one(self, seed):
+        """Stopped before any visit, every pending visit handed to ``park``
+        and its verdict contributed (in any order) closes every branch with
+        the same verdict as the uninterrupted search, exactly once."""
+        rng = random.Random(seed)
+        counter = iter(range(10 ** 6))
+
+        def grow(depth):
+            node = {"id": next(counter)}
+            if depth < 5 and rng.random() < 0.7:
+                node["children"] = [grow(depth + 1) for _ in range(rng.randint(1, 3))]
+            else:
+                node["found"] = rng.random() < 0.3
+            return node
+
+        tree = grow(0)
+        log = {"expanded": 0, "closed": []}
+
+        def expand(node):
+            log["expanded"] += 1
+            if "children" in node:
+                return node["children"], node["id"]
+            return node["found"]
+
+        def close(node_id, sub_found):
+            # A G[S]-style fallback: some branches emit when no child did.
+            emits = not sub_found and node_id % 3 == 0
+            log["closed"].append((node_id, sub_found, emits))
+            return emits
+
+        expected_root = depth_first_enumerate(tree, expand, close)
+        expected = (log["expanded"], sorted(log["closed"]))
+        for stop_at in range(expected[0] + 1):
+            log["expanded"], log["closed"] = 0, []
+            parked = []
+            assert depth_first_enumerate(
+                tree, expand, close, should_stop=lambda: log["expanded"] >= stop_at,
+                park=parked.extend) is (None if stop_at < expected[0] else expected_root)
+            root = None
+            rng.shuffle(parked)
+            for state, frame in parked:
+                verdict = depth_first_enumerate(state, expand, close)
+                resolved = kernel_module.contribute_steal_result(frame, verdict, close)
+                if resolved is not None:
+                    root = resolved
+            if stop_at < expected[0]:
+                assert parked and root is expected_root
+            assert (log["expanded"], sorted(log["closed"])) == expected
+
 
 class TestEmitPath:
     def test_duplicate_masks_counted_once(self):
@@ -339,7 +389,7 @@ class TestCompactSubproblems:
     def test_compact_payloads_reproduce_subproblems(self):
         graph = erdos_renyi_gnm(40, 120, seed=47)
         driver = DCFastQC(graph, 0.8, 4)
-        payloads = list(driver.iter_compact_subproblems())
+        payloads = [payload for payload, _route in driver._iter_payloads()]
         assert payloads, "the instance must produce at least one subproblem"
         merged: list[frozenset] = []
         for payload in payloads:
@@ -429,6 +479,13 @@ class TestShrinkLedgers:
         reference.enumerate()
         assert reference.statistics.shrink_rounds == 0
 
+    def test_reference_driver_never_fans_out(self):
+        graph = erdos_renyi_gnm(40, 130, seed=71)
+        expected = ReferenceDCFastQC(graph, 0.8, 4).enumerate()
+        runner = ReferenceDCFastQC(graph, 0.8, 4, workers=2, parallel="branch")
+        assert runner.enumerate() == expected
+        assert runner.mode_selected == "sequential"
+
 
 class TestLedgerBackends:
     """The width rule picking list or ``array('i')`` ledger buffers."""
@@ -456,13 +513,19 @@ class TestLedgerBackends:
             == ReferenceDCFastQC(graph, 0.8, 3).enumerate()
 
 
+def _halo_payloads(graph, gamma, theta) -> list[CompactSubproblem]:
+    """Every subproblem of a run as a ball-plus-halo payload (the layout a
+    CSR-backed run searches and ships to workers)."""
+    return [CompactSubproblem.from_ball(graph, root, mask)
+            for root, mask in DCFastQC(graph, gamma, theta)._iter_subproblems()]
+
+
 class TestMaximalityHalo:
     """CompactSubproblem's one-hop halo reproduces full-graph maximality."""
 
     def test_payloads_carry_halo(self):
         graph = erdos_renyi_gnm(40, 120, seed=47)
-        driver = DCFastQC(graph, 0.8, 4)
-        payloads = list(driver.iter_compact_subproblems())
+        payloads = _halo_payloads(graph, 0.8, 4)
         assert payloads
         for payload in payloads:
             assert len(payload.halo_labels) == len(payload.halo_adjacency)
@@ -507,8 +570,7 @@ class TestMaximalityHalo:
 
     def test_maximality_graph_contains_ball_and_halo_edges(self):
         graph = erdos_renyi_gnm(30, 90, seed=48)
-        driver = DCFastQC(graph, 0.8, 3)
-        payload = next(iter(driver.iter_compact_subproblems()))
+        payload = _halo_payloads(graph, 0.8, 3)[0]
         assert payload.halo_labels
         rows = payload.maximality_rows()
         assert rows[:payload.vertex_count] != list(payload.rows)  # halo bits spliced in
@@ -532,8 +594,7 @@ class TestMaximalityHalo:
         graph = erdos_renyi_gnm(40, 120, seed=seed)
         sequential = DCFastQC(graph, gamma, theta)
         batches = list(sequential.iter_candidate_batches())
-        driver = DCFastQC(graph, gamma, theta)
-        payloads = list(driver.iter_compact_subproblems())
+        payloads = _halo_payloads(graph, gamma, theta)
         assert len(payloads) == len(batches)
         for payload, batch in zip(payloads, batches):
             engine = FastQC(payload, gamma, theta,

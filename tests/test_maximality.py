@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Graph
 from repro.core.branch import Branch
-from repro.core.dcfastqc import DCFastQC
+from repro.core.dcfastqc import CompactSubproblem, DCFastQC
 from repro.core.fastqc import FastQC
 from repro.graph.generators import erdos_renyi_gnp
 from repro.graph.graph import iter_bits
@@ -132,7 +132,8 @@ class TestLedgerMaximalityCheck:
            theta=st.integers(min_value=2, max_value=3))
     def test_halo_graph_with_identity_table(self, graph, gamma, theta):
         """Compact subproblems checked against their ball plus halo."""
-        for payload in DCFastQC(graph, gamma, theta).iter_compact_subproblems():
+        for root, ball in DCFastQC(graph, gamma, theta)._iter_subproblems():
+            payload = CompactSubproblem.from_ball(graph, root, ball)
             engine = T1RecordingFastQC(
                 payload, gamma, theta, maximality_rows=payload.maximality_rows())
             assert engine._maximality_index is None
@@ -146,7 +147,7 @@ class TestLedgerMaximalityCheck:
         """Subproblem balls, laid out in reverse index order so the local to
         full-graph table is never the identity, checked against the full
         graph."""
-        for root, ball, _prior in DCFastQC(graph, gamma, theta)._iter_subproblems():
+        for root, ball in DCFastQC(graph, gamma, theta)._iter_subproblems():
             members = list(iter_bits(ball))[::-1]
             local = Graph(vertices=[graph.label_of(v) for v in members])
             for u, v in graph.edges():

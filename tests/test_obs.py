@@ -433,7 +433,7 @@ class TestEngineMetrics:
         assert mutations.value(op="add_edge") == mutations_before + 1
 
     def test_parallel_workers_merge_into_registry(self):
-        from repro import DCFastQC, ParallelDCFastQC
+        from repro import DCFastQC
 
         graph = planted_quasi_clique_graph(80, 160, [9, 8, 7], 0.9, seed=29)
         subproblems = REGISTRY.counter("repro_parallel_subproblems_total")
@@ -442,7 +442,7 @@ class TestEngineMetrics:
         subproblems_before = subproblems.value()
         branches_before = branches.value()
         sizes_before = sizes.value().count
-        parallel = ParallelDCFastQC(graph, 0.9, 6, workers=2)
+        parallel = DCFastQC(graph, 0.9, 6, workers=2, parallel="branch")
         result = parallel.enumerate()
         assert set(result) == set(DCFastQC(graph, 0.9, 6).enumerate())
         assert subproblems.value() > subproblems_before

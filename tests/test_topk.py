@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from repro import Graph, Q, kernel_expansion_top_k
+import repro.core.dcfastqc as dcfastqc_module
+from repro import Graph, MQCEEngine, PreparedGraph, Q, QuerySpec, kernel_expansion_top_k
+from repro.datasets import load_dataset
 from repro.extensions import expand_kernel, largest_quasi_clique_size, top_k_summary
 from repro.graph.generators import erdos_renyi_gnp, planted_quasi_clique_graph
 from repro.quasiclique import (
@@ -55,6 +57,27 @@ class TestExactTopK:
         summary = top_k_summary(top)
         assert summary[0]["rank"] == 1
         assert summary[0]["size"] == 5
+
+    def test_rounds_read_the_preparations_cores(self, monkeypatch):
+        """Every halving round's DCFastQC reads the core mask the
+        preparation memoizes per degree threshold: no round peels the whole
+        graph again (neither through the engine nor through
+        ``largest_quasi_clique_size`` on a prepared graph)."""
+        peels = []
+        peel = dcfastqc_module.k_core_vertices
+
+        def counting_peel(*args, **kwargs):
+            peels.append(args[1:])
+            return peel(*args, **kwargs)
+
+        graph = load_dataset("enron")
+        expected = MQCEEngine().query(graph, QuerySpec(0.9, 5, k=3)).maximal_quasi_cliques
+        monkeypatch.setattr(dcfastqc_module, "k_core_vertices", counting_peel)
+        prepared = PreparedGraph(graph)
+        top = MQCEEngine().query(prepared, QuerySpec(0.9, 5, k=3))
+        assert top.maximal_quasi_cliques == expected
+        assert largest_quasi_clique_size(prepared, 0.9) >= len(expected[0])
+        assert peels == []
 
 
 class TestKernelExpansion:
